@@ -7,13 +7,21 @@ design and its error polynomial psi(x) = q . (1, x, ..., x^(n-2))
 H of psi over the design is stationary in the free coefficients q, the
 interior support points, and the weights (endpoints -1 and 1 stay in the
 support throughout, and the last weight is implied). At bbar = 0 the state
-is known in closed form, so the solver walks the path from there with a
-first-order tangent predictor and Newton correction, halving the step
-whenever a candidate state stops being a valid design or Newton fails.
+is known in closed form.
+
+Every request goes through one path engine per degree, SolutionPath. It
+keeps converged states that passed the global-inequality screen, at most
+one per bucket of width bbar_limit(n) / CACHE_BUCKETS, and continues each
+request from the stored state nearest in bbar, or from the bbar = 0 state
+when that is nearer. Each continuation step predicts along the analytic
+tangent and corrects with Newton. A step whose correction converges
+quickly doubles the next one; a step is halved whenever its candidate
+state stops being a valid design or Newton fails.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +32,17 @@ from .designs import Design
 from .errors import ConvergenceError, OptimalityError, RegimeError
 from .polynomials import Polynomial, chebyshev_t
 
-DEFAULT_STEP = 0.05
 MIN_STEP = 1e-6
 STATIONARITY_TOL = 1e-10
 INEQUALITY_TOL = 1e-8
 NEWTON_MAX_ITER = 40
+# Each Newton residual must be at most this share of the one before.
+NEWTON_CONTRACTION = 0.5
+# A correction that converges within this many Newton steps doubles the next step.
+FAST_NEWTON_ITER = 4
+# Buckets per side of zero; the cache holds at most 2 * CACHE_BUCKETS + 1
+# states per degree.
+CACHE_BUCKETS = 32
 
 
 @dataclass
@@ -97,15 +111,8 @@ def d1_optimal_start(n: int) -> ContinuationState:
     and 1/(n-1) inside; psi is 2^(2-n) T_(n-1), whose leading coefficient is
     exactly one as the parametrization requires.
     """
-    if n != int(n) or n < 3:
-        raise ValueError("n must be an integer >= 3")
-    n = int(n)
-    j = np.arange(1, n - 1)
-    interior = -np.cos(j * np.pi / (n - 1))
-    w = np.full(n - 1, 1.0 / (n - 1))
-    w[0] = 1.0 / (2.0 * (n - 1))
-    q = 0.5 ** (n - 2) * chebyshev_t(n - 1).coeffs[: n - 1]
-    return ContinuationState(q, interior, w, 0.0)
+    path = _path(n)
+    return _state_from(path.n, path.anchor.copy(), 0.0)
 
 
 def _split(n: int, theta: np.ndarray):
@@ -118,40 +125,45 @@ def _state_from(n: int, theta: np.ndarray, bbar: float) -> ContinuationState:
 
 
 def _geometry(n: int, theta: np.ndarray, bbar: float):
-    """Common evaluations: full points and weights, psi and derivatives there."""
+    """Common evaluations: full weights, powers 0..n of the full points, psi, psi', psi''.
+
+    psi and its derivatives come from one Vandermonde matrix of the support,
+    whose first n - 1 columns are also the fitted basis at the points.
+    """
     q, t, w = _split(n, theta)
     pts = np.concatenate([[-1.0], t, [1.0]])
     wts = np.concatenate([w, [1.0 - w.sum()]])
-    psi = Polynomial(np.concatenate([q, [1.0, bbar]]))
-    dpsi = psi.deriv()
-    return pts, wts, psi(pts), dpsi(pts), psi, dpsi
+    powers = np.vander(pts, n + 1, increasing=True)
+    c = np.concatenate([q, [1.0, bbar]])
+    k = np.arange(n + 1)
+    pv = powers @ c
+    dv = powers[:, :n] @ (k[1:] * c[1:])
+    ddv = powers[:, : n - 1] @ (k[2:] * k[1:-1] * c[2:])
+    return wts, powers, pv, dv, ddv
 
 
 def _gradient_raw(n: int, theta: np.ndarray, bbar: float) -> np.ndarray:
-    pts, wts, pv, dv, _, _ = _geometry(n, theta, bbar)
-    vand = np.vander(pts, n - 1, increasing=True)
-    gq = 2.0 * ((wts * pv) @ vand)
+    wts, powers, pv, dv, _ = _geometry(n, theta, bbar)
+    gq = 2.0 * ((wts * pv) @ powers[:, : n - 1])
     gt = 2.0 * wts[1:-1] * pv[1:-1] * dv[1:-1]
     gw = pv[:-1] ** 2 - pv[-1] ** 2
     return np.concatenate([gq, gt, gw])
 
 
 def _jacobian_raw(n: int, theta: np.ndarray, bbar: float) -> np.ndarray:
-    pts, wts, pv, dv, psi, dpsi = _geometry(n, theta, bbar)
-    ddv = dpsi.deriv()(pts)
+    wts, powers, pv, dv, ddv = _geometry(n, theta, bbar)
     d = 3 * n - 4
     jac = np.zeros((d, d))
     sq = slice(0, n - 1)
     st = slice(n - 1, 2 * n - 3)
     sw = slice(2 * n - 3, d)
 
-    vand = np.vander(pts, n - 1, increasing=True)
+    vand = powers[:, : n - 1]
     jac[sq, sq] = 2.0 * (vand.T * wts) @ vand
 
-    j = np.arange(n - 1)
-    tk = pts[1:-1]
     # d/dt_k of dH/dq_j: product rule through psi(t_k) t_k^j
-    dvand = np.where(j[None, :] > 0, j[None, :] * tk[:, None] ** np.maximum(j - 1, 0), 0.0)
+    dvand = np.zeros((n - 2, n - 1))
+    dvand[:, 1:] = powers[1:-1, : n - 2] * np.arange(1, n - 1)
     block_qt = 2.0 * wts[1:-1, None] * (
         dv[1:-1, None] * vand[1:-1] + pv[1:-1, None] * dvand
     )
@@ -174,12 +186,11 @@ def _jacobian_raw(n: int, theta: np.ndarray, bbar: float) -> np.ndarray:
 
 
 def _dgrad_dbbar(n: int, theta: np.ndarray, bbar: float) -> np.ndarray:
-    pts, wts, pv, dv, _, _ = _geometry(n, theta, bbar)
-    vand = np.vander(pts, n - 1, increasing=True)
-    dq = 2.0 * ((wts * pts**n) @ vand)
-    tk = pts[1:-1]
-    dt = 2.0 * wts[1:-1] * (tk**n * dv[1:-1] + pv[1:-1] * n * tk ** (n - 1))
-    dw = 2.0 * (pv[:-1] * pts[:-1] ** n - pv[-1])
+    wts, powers, pv, dv, _ = _geometry(n, theta, bbar)
+    xn = powers[:, n]
+    dq = 2.0 * ((wts * xn) @ powers[:, : n - 1])
+    dt = 2.0 * wts[1:-1] * (xn[1:-1] * dv[1:-1] + pv[1:-1] * n * powers[1:-1, n - 1])
+    dw = 2.0 * (pv[:-1] * xn[:-1] - pv[-1])
     return np.concatenate([dq, dt, dw])
 
 
@@ -200,79 +211,144 @@ def inequality_margin(state: ContinuationState) -> float:
     return global_inequality(state)
 
 
-def _newton(n: int, theta: np.ndarray, bbar: float, tol: float) -> ContinuationState:
-    th = np.asarray(theta, dtype=float).copy()
-    res = np.inf
-    for _ in range(NEWTON_MAX_ITER):
+def _newton(n: int, theta: np.ndarray, bbar: float,
+            tol: float) -> tuple[ContinuationState, int]:
+    """Newton's method on the stationarity system at fixed bbar.
+
+    Iterates while each residual is at most NEWTON_CONTRACTION times the one
+    before. Once they stop falling the iterate sits at its rounding floor,
+    so the result does not depend on where the iteration started; it is
+    returned, with the number of steps taken, when its residual is at most
+    tol. A non-finite residual, or residuals that stop falling above tol,
+    raise ConvergenceError.
+    """
+    th = np.array(theta, dtype=float)
+    last = np.inf
+    for it in range(NEWTON_MAX_ITER):
         g = _gradient_raw(n, th, bbar)
         res = float(np.abs(g).max())
         if not np.isfinite(res):
             raise ConvergenceError("newton iterate diverged")
-        if res <= tol:
-            return _state_from(n, th, bbar)
+        if res == 0.0 or not res <= NEWTON_CONTRACTION * last:
+            if res <= tol:
+                return _state_from(n, th, bbar), it
+            raise ConvergenceError(f"newton residual stopped falling at {res!r}")
+        last = res
         th = th - np.linalg.solve(_jacobian_raw(n, th, bbar), g)
     raise ConvergenceError(f"newton residual stalled at {res!r}")
 
 
-def _walk(n: int, theta: np.ndarray, b_from: float, b_to: float, tol: float,
-          step: float = DEFAULT_STEP, min_step: float = MIN_STEP) -> ContinuationState:
-    """Continue the path from b_from (where theta solves it) to b_to."""
+def _tangent(n: int, theta: np.ndarray, bbar: float) -> np.ndarray:
+    """d theta / d bbar on the path, from the implicit function theorem."""
+    try:
+        tangent = -np.linalg.solve(_jacobian_raw(n, theta, bbar),
+                                   _dgrad_dbbar(n, theta, bbar))
+    except np.linalg.LinAlgError:
+        tangent = np.full(theta.size, np.nan)
+    if not np.all(np.isfinite(tangent)):
+        raise ConvergenceError(f"no path tangent at bbar = {bbar!r}")
+    return tangent
+
+
+def _walk(n: int, theta: np.ndarray, b_from: float, b_to: float,
+          tol: float) -> ContinuationState:
+    """Continue the path from b_from, where theta solves it, to b_to.
+
+    Each step predicts along the analytic tangent and corrects with Newton;
+    the first one tries the whole distance. A failed correction halves the
+    step, one that converges within FAST_NEWTON_ITER Newton steps doubles
+    the next. Floating-point events raise no warning: a non-finite iterate
+    fails its step instead.
+    """
     th = np.asarray(theta, dtype=float)
-    cur = float(b_from)
-    state = _newton(n, th, cur, tol)
-    while cur != b_to:
-        direction = 1.0 if b_to > cur else -1.0
-        h = direction * min(step, abs(b_to - cur))
-        while True:
-            try:
-                tangent = -np.linalg.solve(
-                    _jacobian_raw(n, th, cur), _dgrad_dbbar(n, th, cur)
-                )
-                state = _newton(n, th + tangent * h, cur + h, tol)
-                break
-            except (ValueError, ConvergenceError, np.linalg.LinAlgError):
-                h *= 0.5
-                if abs(h) < min_step:
-                    raise ConvergenceError(
-                        f"continuation step collapsed below {min_step} "
-                        f"near bbar = {cur!r}"
-                    ) from None
-        th = state.theta
-        cur = cur + h
+    cur, end = float(b_from), float(b_to)
+    h = abs(end - cur)
+    with np.errstate(all="ignore"):
+        if cur == end:
+            return _newton(n, th, end, tol)[0]
+        while cur != end:
+            tangent = _tangent(n, th, cur)
+            while True:
+                h = min(h, abs(end - cur))
+                nxt = end if h == abs(end - cur) else cur + math.copysign(h, end - cur)
+                try:
+                    state, iters = _newton(n, th + tangent * (nxt - cur), nxt, tol)
+                    break
+                except (ValueError, ConvergenceError, np.linalg.LinAlgError):
+                    h *= 0.5
+                    if h < MIN_STEP:
+                        raise ConvergenceError(
+                            f"continuation step collapsed below {MIN_STEP} "
+                            f"near bbar = {cur!r}"
+                        ) from None
+            th, cur = state.theta, nxt
+            if iters <= FAST_NEWTON_ITER:
+                h *= 2.0
     return state
 
 
-def _check_bbar(n: int, bbar: float) -> None:
-    lim = bbar_limit(n)
-    if abs(bbar) > lim * (1.0 + REGIME_SLACK):
-        raise RegimeError(
-            f"|bbar| = {abs(bbar)!r} outside the path interval "
-            f"[-{lim!r}, {lim!r}] for n = {n}"
-        )
+class SolutionPath:
+    """The path engine of one degree: checked states and the walk between them.
 
-
-def solve_at(n: int, bbar: float, tol: float = STATIONARITY_TOL, *,
-             step: float = DEFAULT_STEP,
-             check_inequality: bool = True,
-             inequality_tol: float = INEQUALITY_TOL) -> ContinuationState:
-    """Walk the path from bbar = 0 to the requested inverse ratio.
-
-    The returned state has stationarity residual at most tol; when
-    check_inequality is set the converged design is also screened against
-    the whole interval, and a violation raises OptimalityError rather than
-    returning a merely stationary point.
+    Stores only states whose global-inequality margin is at most
+    INEQUALITY_TOL, as private copies of their theta, and at most one per
+    bucket of width bbar_limit(n) / CACHE_BUCKETS: the latest one solved
+    there. Use _path(n) rather than building one, so that every caller in
+    the process shares it.
     """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.limit = bbar_limit(n)
+        self.width = self.limit / CACHE_BUCKETS
+        # the bbar = 0 state, see d1_optimal_start
+        j = np.arange(1, n - 1)
+        interior = -np.cos(j * np.pi / (n - 1))
+        w = np.full(n - 1, 1.0 / (n - 1))
+        w[0] = 1.0 / (2.0 * (n - 1))
+        q = 0.5 ** (n - 2) * chebyshev_t(n - 1).coeffs[: n - 1]
+        self.anchor = np.concatenate([q, interior, w])
+        self.states: dict[int, tuple[float, np.ndarray]] = {}
+
+    def check(self, bbar: float) -> None:
+        """Raise RegimeError unless bbar lies on the path interval."""
+        if not abs(bbar) <= self.limit * (1.0 + REGIME_SLACK):
+            raise RegimeError(
+                f"|bbar| = {abs(bbar)!r} outside the path interval "
+                f"[-{self.limit!r}, {self.limit!r}] for n = {self.n}"
+            )
+
+    def solve(self, bbar: float, tol: float) -> tuple[ContinuationState, float]:
+        """The state at bbar with residual at most tol, and its inequality margin."""
+        self.check(bbar)
+        start, theta = min([(0.0, self.anchor), *self.states.values()],
+                           key=lambda s: abs(s[0] - bbar))
+        state = _walk(self.n, theta, start, bbar, tol)
+        margin = inequality_margin(state)
+        if margin <= INEQUALITY_TOL:
+            self.states[round(bbar / self.width)] = (state.bbar, state.theta)
+        return state, margin
+
+
+_PATHS: dict[int, SolutionPath] = {}
+
+
+def _path(n: int) -> SolutionPath:
+    """The shared path engine of degree n; rejects n that is not an integer >= 3."""
     if n != int(n) or n < 3:
         raise ValueError("n must be an integer >= 3")
     n = int(n)
-    bbar = float(bbar)
-    _check_bbar(n, bbar)
-    anchor = d1_optimal_start(n)
-    state = _walk(n, anchor.theta, 0.0, bbar, tol, step)
-    margin = inequality_margin(state)
-    if check_inequality and margin > inequality_tol:
+    path = _PATHS.get(n)
+    if path is None:
+        path = _PATHS[n] = SolutionPath(n)
+    return path
+
+
+def _screened(state: ContinuationState, margin: float,
+              inequality_tol: float) -> ContinuationState:
+    if margin > inequality_tol:
         raise OptimalityError(
-            f"stationary point at bbar = {bbar!r} violates the global "
+            f"stationary point at bbar = {state.bbar!r} violates the global "
             f"inequality by {margin!r}",
             margin=margin,
             last=state,
@@ -280,35 +356,42 @@ def solve_at(n: int, bbar: float, tol: float = STATIONARITY_TOL, *,
     return state
 
 
-def trajectory(n: int, grid, tol: float = 1e-9,
-               step: float = DEFAULT_STEP) -> list[tuple[float, Design]]:
-    """Designs along a sorted grid of inverse ratios.
+def solve_at(n: int, bbar: float, tol: float = STATIONARITY_TOL, *,
+             check_inequality: bool = True,
+             inequality_tol: float = INEQUALITY_TOL) -> ContinuationState:
+    """The path state at inverse ratio bbar.
 
-    The grid is walked monotonically outward from zero in both directions,
-    each grid value warm-starting the next, so neighboring designs connect
-    continuously.
+    Continues from the checked state nearest in bbar that an earlier request
+    for degree n left in this process, or from the known state at bbar = 0.
+    The returned state has stationarity residual at most tol; when
+    check_inequality is set the converged design is also screened against
+    the whole interval, and a violation raises OptimalityError rather than
+    returning a merely stationary point.
     """
-    if n != int(n) or n < 3:
-        raise ValueError("n must be an integer >= 3")
-    n = int(n)
+    state, margin = _path(n).solve(float(bbar), tol)
+    return _screened(state, margin, inequality_tol) if check_inequality else state
+
+
+def trajectory(n: int, grid, tol: float = 1e-9) -> list[tuple[float, Design]]:
+    """Optimal designs along a sorted grid of inverse ratios.
+
+    Grid values are solved outward from zero through the path engine, so
+    each can continue from a neighbour already solved, and each is screened
+    as solve_at screens: a merely stationary point raises OptimalityError.
+    """
+    path = _path(n)
     g = np.atleast_1d(np.asarray(grid, dtype=float))
     if g.ndim != 1 or g.size == 0:
         raise ValueError("grid must be a non-empty one-dimensional sequence")
     if np.any(np.diff(g) < 0):
         raise ValueError("grid must be sorted ascending")
-    for v in (g.min(), g.max()):
-        _check_bbar(n, float(v))
-    anchor = d1_optimal_start(n)
-    states: dict[int, ContinuationState] = {}
-    pos = np.nonzero(g >= 0)[0]
-    neg = np.nonzero(g < 0)[0][::-1]
-    for branch in (pos, neg):
-        th, cur = anchor.theta, 0.0
-        for i in branch:
-            st = _walk(n, th, cur, float(g[i]), tol, step)
-            states[int(i)] = st
-            th, cur = st.theta, float(g[i])
-    return [(float(g[i]), states[i].design()) for i in range(g.size)]
+    path.check(g[0])
+    path.check(g[-1])
+    designs = {}
+    for i in np.argsort(np.abs(g), kind="stable"):
+        state, margin = path.solve(float(g[i]), tol)
+        designs[i] = _screened(state, margin, INEQUALITY_TOL).design()
+    return [(float(v), designs[i]) for i, v in enumerate(g)]
 
 
 def taylor_coefficients(n: int, bbar0: float, order: int = 3, *,
@@ -326,13 +409,14 @@ def taylor_coefficients(n: int, bbar0: float, order: int = 3, *,
     order = int(order)
     if step <= 0:
         raise ValueError("step must be positive")
-    _check_bbar(n, abs(bbar0) + 2.0 * step)
-    base = solve_at(n, bbar0, tol, check_inequality=False)
+    path = _path(n)
+    path.check(abs(bbar0) + 2.0 * step)
+    base = path.solve(bbar0, tol)[0]
     cache: dict[float, np.ndarray] = {0.0: base.theta}
 
     def theta_at(db: float) -> np.ndarray:
         if db not in cache:
-            cache[db] = _walk(n, base.theta, bbar0, bbar0 + db, tol).theta
+            cache[db] = path.solve(bbar0 + db, tol)[0].theta
         return cache[db]
 
     def d1(h):

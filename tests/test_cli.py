@@ -110,6 +110,18 @@ class TestTrajectory:
                                "--steps", "4")
         assert code == 3
 
+    def test_float_events_raise_no_warning(self):
+        # at n = 26 the walk overshoots into overflow; that must fail a step,
+        # not print numpy warnings
+        proc = subprocess.run(
+            [sys.executable, "-W", "always::RuntimeWarning", "-m", "tdiscrim",
+             "trajectory", "--n", "26", "--bbar-min", "-5", "--bbar-max", "5",
+             "--steps", "5"],
+            capture_output=True, text=True,
+        )
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.returncode in (0, 4)
+
     def test_bad_steps(self, capsys):
         code, _, _ = run_cli(capsys, "trajectory", "--n", "3",
                              "--bbar-min", "0", "--bbar-max", "1",

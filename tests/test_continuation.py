@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tdiscrim import continuation
 from tdiscrim.closed_form import critical_b, t_optimal_design
 from tdiscrim.continuation import (
     ContinuationState,
@@ -17,7 +19,21 @@ from tdiscrim.continuation import (
     trajectory,
 )
 from tdiscrim.designs import DiscriminationProblem, t_criterion
-from tdiscrim.errors import RegimeError
+from tdiscrim.errors import OptimalityError, RegimeError
+
+
+@pytest.fixture
+def fresh_cache():
+    """Empty the shared path cache before and after the test."""
+    continuation._PATHS.clear()
+    yield
+    continuation._PATHS.clear()
+
+
+def cold_solve(n, bbar):
+    """solve_at from an empty path cache, walking from bbar = 0."""
+    continuation._PATHS.clear()
+    return solve_at(n, bbar)
 
 
 class TestState:
@@ -174,6 +190,24 @@ class TestTrajectory:
         with pytest.raises(RegimeError):
             trajectory(3, [0.0, 1.2])
 
+    @pytest.mark.parametrize("n", [3, 5, 8, 12])
+    def test_matches_solve_at(self, n, fresh_cache):
+        grid = np.linspace(-bbar_limit(n), bbar_limit(n), 9)
+        rows = trajectory(n, grid)
+        for g, d in rows:
+            ref = cold_solve(n, g).design()
+            assert np.abs(d.points - ref.points).max() <= 1e-9
+            assert np.abs(d.weights - ref.weights).max() <= 1e-9
+
+    def test_screens_every_state(self, fresh_cache, monkeypatch):
+        monkeypatch.setattr(continuation, "inequality_margin", lambda state: 1.0)
+        with pytest.raises(OptimalityError):
+            trajectory(4, [0.0, 0.3])
+        with pytest.raises(OptimalityError):
+            solve_at(4, 0.3)
+        # a state failing the screen is never stored
+        assert continuation._PATHS[4].states == {}
+
 
 class TestTangentAndTaylor:
     def test_first_order_matches_analytic_tangent(self):
@@ -221,3 +255,46 @@ class TestTangentAndTaylor:
     def test_stencil_must_fit_interval(self):
         with pytest.raises(RegimeError):
             taylor_coefficients(3, bbar_limit(3), order=1)
+
+
+class TestPathCache:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([3, 5, 8]),
+           shares=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6))
+    def test_results_do_not_depend_on_request_order(self, n, shares):
+        continuation._PATHS.clear()
+        lim = bbar_limit(n)
+        warm = [solve_at(n, s * lim).theta for s in shares]
+        for s, theta in zip(shares, warm):
+            assert np.abs(theta - cold_solve(n, s * lim).theta).max() <= 1e-9
+        continuation._PATHS.clear()
+
+    def test_requested_tol_holds_on_exact_hit(self, fresh_cache):
+        x = 0.7
+        solve_at(4, x)
+        st_ = solve_at(4, x, tol=1e-12)
+        assert np.abs(stationarity_residual(st_)).max() <= 1e-12
+        # a stored state converged more loosely is corrected, not handed out
+        path = continuation._PATHS[4]
+        (key, (bbar, theta)), = path.states.items()
+        path.states[key] = (bbar, theta + 1e-7)
+        st_ = solve_at(4, x, tol=1e-12)
+        assert np.abs(stationarity_residual(st_)).max() <= 1e-12
+
+    def test_returned_states_do_not_alias_the_cache(self, fresh_cache):
+        first = solve_at(5, 0.6)
+        expected = first.theta.copy()
+        first.q[:] = 0.0
+        first.interior_points[:] = 0.0
+        first.weights[:] = 0.0
+        assert np.abs(solve_at(5, 0.6).theta - expected).max() <= 1e-12
+        anchor = d1_optimal_start(5)
+        anchor.q[:] = 1.0
+        assert np.abs(d1_optimal_start(5).theta - solve_at(5, 0.0).theta).max() <= 1e-12
+
+    def test_stored_states_stay_bounded(self, fresh_cache):
+        lim = bbar_limit(3)
+        requests = np.random.default_rng(3).permutation(np.linspace(-lim, lim, 2000))
+        for x in requests:
+            solve_at(3, x)
+        assert len(continuation._PATHS[3].states) <= 2 * continuation.CACHE_BUCKETS + 1
