@@ -1,11 +1,19 @@
 """Power of the lack-of-fit F-test under a cubic alternative.
 
-The protocol: N observations at fixed points in [-1, 1], responses
-y = theta3 * x^3 plus standard normal noise, a full cubic fit tested
-against a straight line with the F statistic on (2, N - 4) degrees of
-freedom. Power comes two ways, by seeded simulation and by the exact
-noncentral F distribution, and the two must agree; every simulated figure
-carries its seed and generator so it can be reproduced bit for bit.
+The protocol: N observations at k fixed points in [-1, 1], n_i of them at
+point i, responses y = theta3 * x^3 plus standard normal noise, a full
+cubic fit tested against a straight line with the F statistic on
+(2, N - 4) degrees of freedom. Power comes two ways, by seeded simulation
+and by the exact noncentral F distribution, and the two must agree; every
+simulated figure carries its seed and generator so it can be reproduced
+bit for bit.
+
+The simulation draws, per replicate, the k group means and the pooled
+within-point sum of squares instead of all N responses. Together they are
+sufficient for the F statistic (the pure-error / lack-of-fit split), so
+the figures stay exact draws from the test's distribution at k + 1
+variates per replicate. scipy is imported only inside the two functions
+that need it, so importing the package loads none of it.
 """
 
 from __future__ import annotations
@@ -14,14 +22,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
 
 THETA3_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
 DEFAULT_LEVEL = 0.05
 DEFAULT_REPS = 100_000
 DEFAULT_SEED = 20260821
-# Generator.standard_normal draws ziggurat normals from PCG64 streams.
-RNG_INFO = {"bit_generator": "PCG64", "normals": "ziggurat"}
+# Generator.standard_normal draws ziggurat normals from PCG64 streams; per
+# chunk of replicates, the scaled group means come first, then the pooled
+# within-point sums of squares.
+RNG_INFO = {"bit_generator": "PCG64", "normals": "ziggurat",
+            "scheme": "group-means+pooled-chisquare"}
 
 _CHUNK = 1 << 15
 
@@ -85,16 +95,18 @@ def f_critical(level: float, dfn: int, dfd: int) -> float:
     """Upper critical value of the central F distribution."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    return float(stats.f.isf(level, dfn, dfd))
+    if dfn <= 0 or dfd <= 0:
+        raise ValueError("degrees of freedom must be positive")
+    from scipy import special
+
+    return float(special.fdtri(dfn, dfd, 1.0 - level))
 
 
-def noncentral_f_sf(x: float, dfn: int, dfd: int, noncentrality: float,
-                    tail_tol: float = 1e-12) -> float:
+def noncentral_f_sf(x: float, dfn: int, dfd: int, noncentrality: float) -> float:
     """Survival function of the noncentral F distribution.
 
-    Poisson mixture of incomplete beta terms, truncated once the remaining
-    Poisson mass drops below tail_tol. Exact central case at zero
-    noncentrality.
+    One minus scipy's noncentral F distribution function, clamped to
+    [0, 1]; the central case at zero noncentrality.
     """
     if dfn <= 0 or dfd <= 0:
         raise ValueError("degrees of freedom must be positive")
@@ -102,17 +114,9 @@ def noncentral_f_sf(x: float, dfn: int, dfd: int, noncentrality: float,
         raise ValueError("noncentrality must be nonnegative")
     if x <= 0.0:
         return 1.0
-    y = dfn * x / (dfn * x + dfd)
-    half = noncentrality / 2.0
-    pois = math.exp(-half)
-    cum = pois
-    cdf = pois * float(special.betainc(dfn / 2.0, dfd / 2.0, y))
-    j = 0
-    while 1.0 - cum > tail_tol and j < 100_000:
-        j += 1
-        pois *= half / j
-        cum += pois
-        cdf += pois * float(special.betainc(dfn / 2.0 + j, dfd / 2.0, y))
+    from scipy import special
+
+    cdf = float(special.ncfdtr(dfn, dfd, noncentrality, x))
     return min(max(1.0 - cdf, 0.0), 1.0)
 
 
@@ -144,20 +148,44 @@ def noncentrality(design: ExactDesign, theta3: float) -> float:
     return float(theta3) ** 2 * _line_projection_rss(design)
 
 
-def _design_matrices(design: ExactDesign):
-    x = design.expanded()
-    full = np.vander(x, 4, increasing=True)
-    if np.linalg.matrix_rank(full) < 4:
+def _cubic_basis(design: ExactDesign) -> np.ndarray:
+    """Orthonormal k x k basis for the count-weighted fit on the k points.
+
+    QR of the k x 4 Vandermonde matrix with row i scaled by sqrt(n_i):
+    columns 0-1 span the straight line, 2-3 complete the cubic and the
+    remaining k - 4 span the lack of fit left over by the cubic.
+    """
+    scaled = np.sqrt(design.counts)[:, None] * np.vander(design.points, 4,
+                                                         increasing=True)
+    if np.linalg.matrix_rank(scaled) < 4:
         raise ValueError("design cannot support the cubic fit (need 4 distinct points)")
-    qf, _ = np.linalg.qr(full)
-    qr_, _ = np.linalg.qr(full[:, :2])
-    return x, qf, qr_
+    if design.size <= 4:
+        raise ValueError("design leaves no residual degrees of freedom (need N > 4 runs)")
+    basis, _ = np.linalg.qr(scaled, mode="complete")
+    return basis
+
+
+def _lack_of_fit_f(means: np.ndarray, pure: np.ndarray | float,
+                   basis: np.ndarray, dfd: int) -> np.ndarray:
+    """F statistics from scaled group means and pooled within-point SS.
+
+    means holds one replicate per row, sqrt(n_i) times the mean response at
+    point i; pure is the within-point sum of squares. The cubic's residual
+    SS is pure plus the means' part outside the cubic, and the numerator is
+    their part inside the cubic but outside the line.
+    """
+    proj = means @ basis
+    extra = proj[:, 2:4]
+    rest = proj[:, 4:]
+    num = np.einsum("ij,ij->i", extra, extra)
+    rss_f = pure + np.einsum("ij,ij->i", rest, rest)
+    return (num / 2.0) / (rss_f / dfd)
 
 
 def f_test_power_analytic(design: ExactDesign, theta3: float,
                           level: float = DEFAULT_LEVEL) -> float:
     """Exact rejection probability of the lack-of-fit test."""
-    _design_matrices(design)
+    _cubic_basis(design)
     lam = noncentrality(design, theta3)
     if lam == 0.0:
         # central case: the survival function at the level quantile is the level
@@ -183,26 +211,36 @@ def f_test_power_mc(design: ExactDesign, theta3: float, reps: int, seed: int,
     seed : int
         Seeds a fresh PCG64 stream; identical seeds reproduce identical
         estimates.
+
+    Raises ValueError for a design without 4 distinct points or with
+    N <= 4 runs, before any draw.
+
+    Notes
+    -----
+    Each replicate draws the k scaled group means sqrt(n_i) * ybar_i, which
+    are normal with mean sqrt(n_i) * theta3 * x_i^3 and unit variance, and
+    then the pooled within-point sum of squares, chi-square on N - k
+    degrees of freedom (not drawn when every point has one run). These are
+    sufficient for the F statistic, so each replicate costs k + 1 draws
+    instead of N. Per chunk of replicates the means come first, then the
+    sums of squares (``RNG_INFO["scheme"]``).
     """
     reps = int(reps)
     if reps < 1000:
         raise ValueError("reps must be at least 1000")
-    x, qf, qr_ = _design_matrices(design)
-    nn = design.size
+    basis = _cubic_basis(design)
+    k, nn = design.points.size, design.size
     crit = f_critical(level, 2, nn - 4)
-    mean = float(theta3) * x**3
+    shift = np.sqrt(design.counts) * float(theta3) * design.points**3
     rng = np.random.Generator(np.random.PCG64(seed))
     hits = 0
     done = 0
     while done < reps:
         m = min(_CHUNK, reps - done)
-        y = mean[None, :] + rng.standard_normal((m, nn))
-        total = np.einsum("ij,ij->i", y, y)
-        proj_f = y @ qf
-        proj_r = y @ qr_
-        rss_f = total - np.einsum("ij,ij->i", proj_f, proj_f)
-        rss_r = total - np.einsum("ij,ij->i", proj_r, proj_r)
-        fstat = (rss_r - rss_f) / 2.0 / (rss_f / (nn - 4))
+        means = rng.standard_normal((m, k))
+        means += shift
+        pure = rng.chisquare(nn - k, m) if nn > k else 0.0
+        fstat = _lack_of_fit_f(means, pure, basis, nn - 4)
         hits += int(np.count_nonzero(fstat > crit))
         done += m
     est = hits / reps
@@ -244,7 +282,8 @@ def table1(reps: int = DEFAULT_REPS, seed: int = DEFAULT_SEED,
 def table1_csv(results: dict[str, list[PowerResult]], reps: int, seed: int) -> str:
     """Render a power table as CSV with the RNG recorded in a comment line."""
     lines = [
-        f"# rng={RNG_INFO['bit_generator']} normals={RNG_INFO['normals']}",
+        f"# rng={RNG_INFO['bit_generator']} normals={RNG_INFO['normals']} "
+        f"scheme={RNG_INFO['scheme']}",
         "design,theta3,mc_power,std_err,analytic_power,reps,seed",
     ]
     for name, row in results.items():

@@ -1,9 +1,13 @@
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from tdiscrim import power
 from tdiscrim.designs import Design, DiscriminationProblem, t_criterion
 from tdiscrim.power import (
     EQUIDISTANT_48,
@@ -17,6 +21,13 @@ from tdiscrim.power import (
     table1,
     table1_csv,
 )
+
+# designs beyond the two study designs: more than four points, and one run
+# per point (no pooled within-point sum of squares to draw)
+SIX_BY_8 = ExactDesign(np.linspace(-1.0, 1.0, 6), [8] * 6)
+TWELVE_ON_5 = ExactDesign([-1.0, -0.5, 0.0, 0.5, 1.0], [3, 2, 2, 2, 3])
+TEN_SINGLE = ExactDesign(np.linspace(-1.0, 1.0, 10), [1] * 10)
+FOUR_SINGLE = ExactDesign([-1.0, -0.5, 0.5, 1.0], [1, 1, 1, 1])
 
 
 class TestExactDesign:
@@ -81,6 +92,25 @@ class TestNoncentralF:
         with pytest.raises(ValueError):
             f_critical(0.0, 2, 44)
 
+    def test_critical_value_matches_scipy_stats(self):
+        for level in (0.01, 0.05, 0.1):
+            for dfd in (1, 6, 44, 200):
+                assert f_critical(level, 2, dfd) == pytest.approx(
+                    float(stats.f.isf(level, 2, dfd)), rel=1e-14
+                )
+
+    def test_matches_scipy_over_wide_noncentrality(self):
+        for x in (0.5, f_critical(0.05, 2, 44), 10.0):
+            for lam in np.linspace(0.01, 60.0, 25):
+                assert noncentral_f_sf(x, 2, 44, lam) == pytest.approx(
+                    float(stats.ncf.sf(x, 2, 44, lam)), abs=1e-14
+                )
+
+    def test_critical_value_needs_degrees_of_freedom(self):
+        for dfn, dfd in ((2, 0), (2, -1), (0, 44)):
+            with pytest.raises(ValueError, match="degrees of freedom"):
+                f_critical(0.05, dfn, dfd)
+
 
 class TestAnalyticPower:
     def test_level_at_null(self):
@@ -142,6 +172,98 @@ class TestMonteCarloPower:
             f_test_power_analytic(three, 1.0)
 
 
+class TestSufficientStatistics:
+    def test_give_the_full_data_f_statistic(self):
+        # the F statistic of the two least-squares fits to all N responses
+        design = ExactDesign([-1.0, -0.6, 0.0, 0.3, 1.0], [3, 1, 4, 2, 2])
+        x = design.expanded()
+        y = np.random.default_rng(5).standard_normal((50, x.size)) + 1.5 * x**3
+        vander = np.vander(x, 4, increasing=True)
+
+        def rss(cols):
+            coef, *_ = np.linalg.lstsq(vander[:, :cols], y.T, rcond=None)
+            res = y.T - vander[:, :cols] @ coef
+            return np.einsum("ij,ij->j", res, res)
+
+        expect = (rss(2) - rss(4)) / 2.0 / (rss(4) / (x.size - 4))
+        groups = np.split(y, np.cumsum(design.counts)[:-1], axis=1)
+        means = np.sqrt(design.counts) * np.column_stack(
+            [g.mean(axis=1) for g in groups]
+        )
+        pure = sum(((g - g.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
+                   for g in groups)
+        got = power._lack_of_fit_f(means, pure, power._cubic_basis(design),
+                                   x.size - 4)
+        np.testing.assert_allclose(got, expect, rtol=1e-10)
+
+    def test_stream_draws_means_then_pooled_ss(self):
+        # the seeded stream: per chunk, the k scaled group means, then the
+        # pooled within-point sums of squares
+        design, theta3, reps = SIX_BY_8, 1.5, 20_000
+        crit = f_critical(0.05, 2, design.size - 4)
+        for seed in (12, 13, 14):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            means = rng.standard_normal((reps, 6))
+            means += np.sqrt(design.counts) * theta3 * design.points**3
+            pure = rng.chisquare(design.size - 6, reps)
+            fstat = power._lack_of_fit_f(means, pure, power._cubic_basis(design),
+                                         design.size - 4)
+            hits = np.count_nonzero(fstat > crit)
+            assert f_test_power_mc(design, theta3, reps, seed).estimate == hits / reps
+
+    @pytest.mark.parametrize(
+        "design, seed",
+        [(SIX_BY_8, 4101), (TWELVE_ON_5, 4102), (TEN_SINGLE, 4103)],
+        ids=["six-points-x8", "twelve-on-five", "ten-single-runs"],
+    )
+    def test_beyond_four_points_within_four_standard_errors(self, design, seed):
+        reps = 400_000
+        for i, theta3 in enumerate((0.0, 1.0, 2.0)):
+            res = f_test_power_mc(design, theta3, reps, seed + 10 * i)
+            dfd = design.size - 4
+            crit = float(stats.f.isf(0.05, 2, dfd))
+            lam = noncentrality(design, theta3)
+            exact = float(stats.ncf.sf(crit, 2, dfd, lam)) if lam > 0 else 0.05
+            assert res.analytic == pytest.approx(exact, abs=1e-12)
+            se = np.sqrt(exact * (1.0 - exact) / reps)
+            assert abs(res.estimate - exact) <= 4.0 * se, (theta3, res)
+
+    def test_import_loads_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, tdiscrim.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+class TestNoResidualDegreesOfFreedom:
+    # N = 4 runs on 4 points: the cubic fits exactly, so no F test exists
+
+    def test_simulation_raises_before_drawing(self, monkeypatch):
+        def no_stream(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(np.random, "PCG64", no_stream)
+        for theta3 in (0.0, 1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="residual degrees of freedom"):
+                    f_test_power_mc(FOUR_SINGLE, theta3, reps=1000, seed=1)
+
+    def test_analytic_raises(self):
+        for theta3 in (0.0, 1.0):
+            with pytest.raises(ValueError, match="residual degrees of freedom"):
+                f_test_power_analytic(FOUR_SINGLE, theta3)
+
+    def test_five_runs_are_enough(self):
+        five = ExactDesign([-1.0, -0.5, 0.5, 1.0], [1, 2, 1, 1])
+        res = f_test_power_mc(five, 1.0, reps=2000, seed=1)
+        assert 0.0 <= res.estimate <= 1.0 and 0.05 < res.analytic < 1.0
+
+
 class TestTable:
     def test_small_table_consistent(self):
         tab = table1(reps=10_000, seed=3)
@@ -155,6 +277,12 @@ class TestTable:
     def test_reps_gate(self):
         with pytest.raises(ValueError):
             table1(reps=500)
+
+    def test_csv_records_sampling_scheme(self):
+        text = table1_csv({"T-optimal": []}, 10_000, 3)
+        assert text.split("\n")[0] == (
+            "# rng=PCG64 normals=ziggurat scheme=group-means+pooled-chisquare"
+        )
 
     def test_csv_shape(self):
         tab = table1(reps=10_000, seed=3)
