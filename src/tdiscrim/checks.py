@@ -18,7 +18,6 @@ from .designs import Design, DiscriminationProblem, t_criterion
 from .minimax import (
     _critical_points,
     closed_form_psi,
-    extremal_set,
     remez,
     target_polynomial,
 )
@@ -31,6 +30,8 @@ INEQUALITY_TOL = 1e-8
 # Scan resolution for the global inequality; local maxima are then polished
 # through the derivative roots, so this only needs to bracket them.
 SCAN_POINTS = 2000
+_SCAN_GRID = -np.cos(np.linspace(0.0, np.pi, SCAN_POINTS))
+_SCAN_GRID.flags.writeable = False
 
 
 def equivalence_system(design: Design, psi: Polynomial, n: int) -> np.ndarray:
@@ -103,13 +104,17 @@ def alternation_check(design: Design, psi: Polynomial,
     )
 
 
-def global_inequality(subject, psi_norm_sq: float | None = None) -> float:
+def global_inequality(subject, psi_norm_sq: float | None = None, *,
+                      critical_points: np.ndarray | None = None) -> float:
     """Margin max over [-1,1] of psi^2 minus its design-weighted mean square.
 
     subject is either the error polynomial itself (then psi_norm_sq is
-    required) or any object with psi() and design() methods. At a true
-    optimum the margin is zero to solver precision: no point of the interval
-    beats the support. A positive margin quantifies the violation.
+    required) or any object with psi() and design() methods. The maximum is
+    taken over a SCAN_POINTS grid plus the critical points of psi, which a
+    caller already holding _critical_points(psi) passes as critical_points.
+    At a true optimum the margin is zero to solver precision: no point of
+    the interval beats the support. A positive margin quantifies the
+    violation.
     """
     if hasattr(subject, "psi"):
         psi = subject.psi()
@@ -121,8 +126,9 @@ def global_inequality(subject, psi_norm_sq: float | None = None) -> float:
         psi = subject
         if psi_norm_sq is None:
             raise ValueError("psi_norm_sq is required when passing a bare polynomial")
-    grid = -np.cos(np.linspace(0.0, np.pi, SCAN_POINTS))
-    cand = np.concatenate([grid, _critical_points(psi)])
+    if critical_points is None:
+        critical_points = _critical_points(psi)
+    cand = np.concatenate([_SCAN_GRID, critical_points])
     vals = psi(cand)
     return float(np.max(vals * vals) - psi_norm_sq)
 
@@ -139,7 +145,8 @@ def verification_report(design: Design, n: int, b: float) -> dict:
     """Run every optimality check against a design and return a JSON-able report.
 
     The error polynomial is rebuilt independently: closed form inside the
-    explicit regime, Remez exchange outside it.
+    explicit regime, Remez exchange outside it. Its critical points are
+    found once and serve both the deviation and the global inequality.
     """
     if n != int(n) or n < 2:
         raise ValueError("n must be an integer >= 2")
@@ -148,12 +155,15 @@ def verification_report(design: Design, n: int, b: float) -> dict:
     if abs(b) <= critical_b(n) * (1.0 + REGIME_SLACK):
         psi = closed_form_psi(n, b)
         route = "closed_form"
-        deviation = float(np.abs(psi(extremal_set(psi))).max())
+        crit = _critical_points(psi)
+        # sup |psi| over its critical points, which its extremal set attains
+        deviation = float(np.abs(psi(crit)).max())
     else:
         res = remez(n, b)
         psi = target_polynomial(n, b) - res.approximant
         route = "remez"
         deviation = res.deviation
+        crit = _critical_points(psi)
 
     checks = []
     resid = equivalence_system(design, psi, n)
@@ -179,7 +189,8 @@ def verification_report(design: Design, n: int, b: float) -> dict:
         "passed": ok,
     })
     pv = psi(design.points)
-    margin = global_inequality(psi, float(np.sum(design.weights * pv * pv)))
+    margin = global_inequality(psi, float(np.sum(design.weights * pv * pv)),
+                               critical_points=crit)
     checks.append({
         "name": "global_inequality",
         "value": margin,

@@ -34,7 +34,14 @@ def critical_b(n: int) -> float:
 
 
 def _check_regime(n: int, b: float) -> float:
+    """critical_b(n), after checking that |b| stays within it.
+
+    NaN b raises ValueError, since it lies on no side of the critical ratio;
+    a larger |b|, infinite included, raises RegimeError.
+    """
     bc = critical_b(n)
+    if np.isnan(b):
+        raise ValueError(f"b must be a number, got {b!r}")
     if abs(b) > bc * (1.0 + REGIME_SLACK):
         raise RegimeError(
             f"|b| = {abs(b)!r} exceeds the critical ratio {bc!r} for n = {n}; "

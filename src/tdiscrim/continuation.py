@@ -142,16 +142,19 @@ def _geometry(n: int, theta: np.ndarray, bbar: float):
     return wts, powers, pv, dv, ddv
 
 
-def _gradient_raw(n: int, theta: np.ndarray, bbar: float) -> np.ndarray:
-    wts, powers, pv, dv, _ = _geometry(n, theta, bbar)
+# The three kernels below take the _geometry of (theta, bbar) as geo when the
+# caller has built it already for this iterate; without it they build it.
+
+def _gradient_raw(n: int, theta: np.ndarray, bbar: float, geo=None) -> np.ndarray:
+    wts, powers, pv, dv, _ = _geometry(n, theta, bbar) if geo is None else geo
     gq = 2.0 * ((wts * pv) @ powers[:, : n - 1])
     gt = 2.0 * wts[1:-1] * pv[1:-1] * dv[1:-1]
     gw = pv[:-1] ** 2 - pv[-1] ** 2
     return np.concatenate([gq, gt, gw])
 
 
-def _jacobian_raw(n: int, theta: np.ndarray, bbar: float) -> np.ndarray:
-    wts, powers, pv, dv, ddv = _geometry(n, theta, bbar)
+def _jacobian_raw(n: int, theta: np.ndarray, bbar: float, geo=None) -> np.ndarray:
+    wts, powers, pv, dv, ddv = _geometry(n, theta, bbar) if geo is None else geo
     d = 3 * n - 4
     jac = np.zeros((d, d))
     sq = slice(0, n - 1)
@@ -185,8 +188,8 @@ def _jacobian_raw(n: int, theta: np.ndarray, bbar: float) -> np.ndarray:
     return jac
 
 
-def _dgrad_dbbar(n: int, theta: np.ndarray, bbar: float) -> np.ndarray:
-    wts, powers, pv, dv, _ = _geometry(n, theta, bbar)
+def _dgrad_dbbar(n: int, theta: np.ndarray, bbar: float, geo=None) -> np.ndarray:
+    wts, powers, pv, dv, _ = _geometry(n, theta, bbar) if geo is None else geo
     xn = powers[:, n]
     dq = 2.0 * ((wts * xn) @ powers[:, : n - 1])
     dt = 2.0 * wts[1:-1] * (xn[1:-1] * dv[1:-1] + pv[1:-1] * n * powers[1:-1, n - 1])
@@ -225,7 +228,8 @@ def _newton(n: int, theta: np.ndarray, bbar: float,
     th = np.array(theta, dtype=float)
     last = np.inf
     for it in range(NEWTON_MAX_ITER):
-        g = _gradient_raw(n, th, bbar)
+        geo = _geometry(n, th, bbar)
+        g = _gradient_raw(n, th, bbar, geo)
         res = float(np.abs(g).max())
         if not np.isfinite(res):
             raise ConvergenceError("newton iterate diverged")
@@ -234,15 +238,16 @@ def _newton(n: int, theta: np.ndarray, bbar: float,
                 return _state_from(n, th, bbar), it
             raise ConvergenceError(f"newton residual stopped falling at {res!r}")
         last = res
-        th = th - np.linalg.solve(_jacobian_raw(n, th, bbar), g)
+        th = th - np.linalg.solve(_jacobian_raw(n, th, bbar, geo), g)
     raise ConvergenceError(f"newton residual stalled at {res!r}")
 
 
 def _tangent(n: int, theta: np.ndarray, bbar: float) -> np.ndarray:
     """d theta / d bbar on the path, from the implicit function theorem."""
+    geo = _geometry(n, theta, bbar)
     try:
-        tangent = -np.linalg.solve(_jacobian_raw(n, theta, bbar),
-                                   _dgrad_dbbar(n, theta, bbar))
+        tangent = -np.linalg.solve(_jacobian_raw(n, theta, bbar, geo),
+                                   _dgrad_dbbar(n, theta, bbar, geo))
     except np.linalg.LinAlgError:
         tangent = np.full(theta.size, np.nan)
     if not np.all(np.isfinite(tangent)):

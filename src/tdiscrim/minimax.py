@@ -15,15 +15,23 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
-from numpy.polynomial import polynomial as npoly
 
-from .closed_form import critical_b, REGIME_SLACK
-from .errors import ConvergenceError, RegimeError
-from .polynomials import Polynomial, chebyshev_extrema, chebyshev_t, compose_affine
+from .closed_form import _check_regime
+from .errors import ConvergenceError
+from .polynomials import (
+    Polynomial,
+    chebyshev_extrema,
+    chebyshev_t,
+    chebyshev_to_monomial,
+    compose_affine,
+    trim_tail,
+)
 
 # Two extremal-point candidates closer than this are one analytic extremum
 # split by the root finder; keep the larger.
 CLUSTER_RADIUS = 1e-7
+# Relative distance below sup |psi| within which a candidate is extremal.
+EXTREMAL_TOL = 1e-9
 
 
 @dataclass
@@ -59,11 +67,7 @@ def closed_form_psi(n: int, b: float) -> Polynomial:
         raise ValueError("n must be an integer >= 2")
     n = int(n)
     b = float(b)
-    bc = critical_b(n)
-    if abs(b) > bc * (1.0 + REGIME_SLACK):
-        raise RegimeError(
-            f"|b| = {abs(b)!r} exceeds the critical ratio {bc!r} for n = {n}"
-        )
+    _check_regime(n, b)
     beta = abs(b) / n
     scale = (-1.0) ** n * 0.5 ** (n - 1) * (1.0 + beta) ** n
     psi = scale * compose_affine(
@@ -75,19 +79,30 @@ def closed_form_psi(n: int, b: float) -> Polynomial:
 
 
 def _critical_points(psi: Polynomial) -> np.ndarray:
-    """Endpoints plus real roots of psi' inside [-1, 1], sorted."""
+    """Endpoints plus real roots of psi' inside [-1, 1], sorted.
+
+    The roots are the eigenvalues of the companion matrix of psi' after its
+    roundoff-sized leading coefficients are cut, as numpy's polyroots
+    builds it.
+    """
     dc = psi.deriv().coeffs
-    dc = npoly.polytrim(dc, tol=1e-14 * max(1.0, float(np.abs(dc).max())))
-    pts = [-1.0, 1.0]
-    if dc.size > 1:
-        roots = npoly.polyroots(dc)
-        real = roots.real[np.abs(roots.imag) <= 1e-9]
-        real = real[(real >= -1.0 - 1e-12) & (real <= 1.0 + 1e-12)]
-        pts.extend(np.clip(real, -1.0, 1.0))
-    return np.unique(np.asarray(pts, dtype=float))
+    dc = trim_tail(dc, 1e-14 * max(1.0, float(np.abs(dc).max())))
+    if dc.size == 1:
+        return np.array([-1.0, 1.0])
+    if dc.size == 2:
+        roots = np.array([-dc[0] / dc[1]])
+    else:
+        m = dc.size - 1
+        companion = np.zeros((m, m))
+        companion.reshape(-1)[m :: m + 1] = 1.0
+        companion[:, -1] -= dc[:-1] / dc[-1]
+        roots = np.sort(np.linalg.eigvals(companion))
+    real = roots.real[np.abs(roots.imag) <= 1e-9]
+    real = real[(real >= -1.0 - 1e-12) & (real <= 1.0 + 1e-12)]
+    return np.unique(np.concatenate(([-1.0, 1.0], np.clip(real, -1.0, 1.0))))
 
 
-def extremal_set(psi: Polynomial, tol: float = 1e-9) -> np.ndarray:
+def extremal_set(psi: Polynomial, tol: float = EXTREMAL_TOL) -> np.ndarray:
     """All x in [-1, 1] with |psi(x)| >= (1 - tol) * sup |psi|, clustered.
 
     psi must be nonconstant. Candidates come from the stationary points of
@@ -97,20 +112,20 @@ def extremal_set(psi: Polynomial, tol: float = 1e-9) -> np.ndarray:
     if psi.degree < 1:
         raise ValueError("psi must be nonconstant")
     cand = _critical_points(psi)
-    vals = np.abs(psi(cand))
-    sup = float(vals.max())
-    keep = cand[vals >= (1.0 - tol) * sup]
-    kvals = np.abs(psi(keep))
-    out_x: list[float] = []
-    out_v: list[float] = []
-    for x, v in zip(keep, kvals):
-        if out_x and x - out_x[-1] <= CLUSTER_RADIUS:
-            if v > out_v[-1]:
-                out_x[-1], out_v[-1] = float(x), float(v)
+    return cand[_extremal(cand, psi(cand), tol)]
+
+
+def _extremal(cand: np.ndarray, vals: np.ndarray, tol: float) -> np.ndarray:
+    """Indices of extremal_set's points among sorted candidates, psi there being vals."""
+    mags = np.abs(vals)
+    out: list[int] = []
+    for i in np.flatnonzero(mags >= (1.0 - tol) * float(mags.max())):
+        if out and cand[i] - cand[out[-1]] <= CLUSTER_RADIUS:
+            if mags[i] > mags[out[-1]]:
+                out[-1] = i
         else:
-            out_x.append(float(x))
-            out_v.append(float(v))
-    return np.asarray(out_x)
+            out.append(i)
+    return np.asarray(out)
 
 
 def _solve_reference(ref: np.ndarray, target: Polynomial, n: int):
@@ -162,7 +177,7 @@ def remez(n: int, b: float, tol: float = 1e-12, max_iter: int = 100) -> BestAppr
     target is least strained at, and stops when the largest error over the
     current candidates matches the alternation level within tol.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -173,14 +188,14 @@ def remez(n: int, b: float, tol: float = 1e-12, max_iter: int = 100) -> BestAppr
     last: BestApproxResult | None = None
     for it in range(1, max_iter + 1):
         coef_cheb, level = _solve_reference(ref, target, n)
-        approx = Polynomial(ncheb.cheb2poly(coef_cheb))
+        approx = Polynomial(chebyshev_to_monomial(coef_cheb))
         psi = target - approx
         cand = _critical_points(psi)
-        vals = np.asarray(psi(cand))
+        vals = psi(cand)
         dev = float(np.abs(vals).max())
-        pts = extremal_set(psi)
+        keep = _extremal(cand, vals, EXTREMAL_TOL)
         last = BestApproxResult(
-            approx, dev, pts, np.sign(psi(pts)).astype(int), iterations=it
+            approx, dev, cand[keep], np.sign(vals[keep]).astype(int), iterations=it
         )
         if dev - abs(level) <= tol * max(1.0, dev):
             return last

@@ -1,8 +1,11 @@
 """Monomial-basis polynomials, Chebyshev construction, affine composition.
 
 Everything works on dense coefficient arrays indexed by power, which is all
-the small degrees used here (n <= 12 or so) ever need. Conversions and
-arithmetic lean on numpy.polynomial.polynomial.
+the small degrees used here (n <= 12 or so) ever need. The kernels act on
+plain arrays: at these sizes numpy.polynomial's per-call coercion costs more
+than the arithmetic. Each one performs the floating-point operations of its
+numpy.polynomial.polynomial counterpart in the same order, so results agree
+bit for bit; the tests hold them to that reference.
 """
 
 from __future__ import annotations
@@ -10,12 +13,50 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 # Trailing coefficients at or below this magnitude are treated as roundoff
 # when reporting the degree; affine composition and basis changes leave
 # tails of this size on exact cancellations.
 DEGREE_TRIM = 1e-12
+
+
+def _trimseq(c: np.ndarray) -> np.ndarray:
+    """c without its exactly zero trailing entries, keeping at least one."""
+    if c[-1] != 0:
+        return c
+    nz = np.flatnonzero(c)
+    return c[: nz[-1] + 1] if nz.size else c[:1]
+
+
+def trim_tail(c: np.ndarray, tol: float) -> np.ndarray:
+    """Copy of c without the trailing entries of magnitude at most tol.
+
+    The zero series [0] when every entry is that small.
+    """
+    nz = np.flatnonzero(np.abs(c) > tol)
+    return c[: nz[-1] + 1].copy() if nz.size else c[:1] * 0
+
+
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a, b = _trimseq(a), _trimseq(b)
+    if a.size > b.size:
+        out = a.copy()
+        out[: b.size] += b
+    else:
+        out = b.copy()
+        out[: a.size] += a
+    return _trimseq(out)
+
+
+def _sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a, b = _trimseq(a), _trimseq(b)
+    if a.size > b.size:
+        out = a.copy()
+        out[: b.size] -= b
+    else:
+        out = -b
+        out[: a.size] += a
+    return _trimseq(out)
 
 
 @dataclass
@@ -39,32 +80,40 @@ class Polynomial:
         return int(nz[-1]) if nz.size else 0
 
     def __call__(self, x):
-        return npoly.polyval(x, self.coeffs)
+        """Horner's rule, elementwise over array x."""
+        if isinstance(x, (tuple, list)):
+            x = np.asarray(x)
+        c = self.coeffs
+        out = c[-1] + x * 0
+        for coef in c[-2::-1]:
+            out = coef + out * x
+        return out
 
     def deriv(self) -> "Polynomial":
-        if self.coeffs.size == 1:
+        c = self.coeffs
+        if c.size == 1:
             return Polynomial(np.zeros(1))
-        return Polynomial(npoly.polyder(self.coeffs))
+        return Polynomial(c[1:] * np.arange(1, c.size))
 
     def trimmed(self) -> "Polynomial":
-        return Polynomial(npoly.polytrim(self.coeffs, tol=DEGREE_TRIM))
+        return Polynomial(trim_tail(self.coeffs, DEGREE_TRIM))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(-self.coeffs)
 
     def __add__(self, other) -> "Polynomial":
-        other = _coerce(other)
-        return Polynomial(npoly.polyadd(self.coeffs, other.coeffs))
+        return Polynomial(_add(self.coeffs, _coerce(other).coeffs))
 
     def __sub__(self, other) -> "Polynomial":
-        other = _coerce(other)
-        return Polynomial(npoly.polysub(self.coeffs, other.coeffs))
+        return Polynomial(_sub(self.coeffs, _coerce(other).coeffs))
 
     def __mul__(self, other) -> "Polynomial":
         if np.isscalar(other):
             return Polynomial(self.coeffs * float(other))
         other = _coerce(other)
-        return Polynomial(npoly.polymul(self.coeffs, other.coeffs))
+        return Polynomial(
+            _trimseq(np.convolve(_trimseq(self.coeffs), _trimseq(other.coeffs)))
+        )
 
     __rmul__ = __mul__
 
@@ -97,9 +146,35 @@ def chebyshev_t(n: int) -> Polynomial:
     prev = np.array([1.0])
     cur = np.array([0.0, 1.0])
     for _ in range(n - 1):
-        nxt = npoly.polysub(npoly.polymul(np.array([0.0, 2.0]), cur), prev)
+        nxt = np.concatenate(([0.0], 2.0 * cur))
+        nxt[: prev.size] -= prev
         prev, cur = cur, nxt
     return Polynomial(cur)
+
+
+def chebyshev_to_monomial(c: np.ndarray) -> np.ndarray:
+    """Monomial coefficients of the Chebyshev series sum_i c[i] T_i.
+
+    numpy's cheb2poly recurrence, run on the trimmed series.
+    """
+    c = _trimseq(np.asarray(c, dtype=float))
+    if c.size < 3:
+        return c.copy()
+    c0, c1 = c[-2:-1], c[-1:]
+    for i in range(c.size - 1, 1, -1):
+        c0, c1 = _sub(c[i - 2 : i - 1], c1), _add(c0, _mulx(c1) * 2)
+    return _add(c0, _mulx(c1))
+
+
+def _mulx(c: np.ndarray) -> np.ndarray:
+    """x times the series c."""
+    c = _trimseq(c)
+    if c.size == 1 and c[0] == 0:
+        return c
+    out = np.empty(c.size + 1)
+    out[0] = c[0] * 0
+    out[1:] = c
+    return out
 
 
 def chebyshev_extrema(n: int) -> np.ndarray:
@@ -115,7 +190,9 @@ def compose_affine(p: Polynomial, a: float, c: float) -> Polynomial:
     if a == 0:
         raise ValueError("degenerate affine map: a must be nonzero")
     lin = np.array([float(c), float(a)])
-    out = np.array([p.coeffs[-1]])
+    out = p.coeffs[-1:].copy()
     for coef in p.coeffs[-2::-1]:
-        out = npoly.polyadd(npoly.polymul(out, lin), np.array([coef]))
+        out = _trimseq(np.convolve(out, lin))
+        out[0] += coef
+        out = _trimseq(out)
     return Polynomial(out)

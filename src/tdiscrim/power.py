@@ -110,8 +110,8 @@ def noncentral_f_sf(x: float, dfn: int, dfd: int, noncentrality: float) -> float
     """
     if dfn <= 0 or dfd <= 0:
         raise ValueError("degrees of freedom must be positive")
-    if noncentrality < 0.0:
-        raise ValueError("noncentrality must be nonnegative")
+    if not 0.0 <= noncentrality < math.inf:
+        raise ValueError("noncentrality must be finite and nonnegative")
     if x <= 0.0:
         return 1.0
     from scipy import special
@@ -141,6 +141,11 @@ def _line_projection_rss(design: ExactDesign) -> float:
     c0 = (r0 - c1 * s1) / s0
     res = x3 - c0 - c1 * x
     return float(np.dot(n, res * res))
+
+
+def _check_theta3(theta3: float) -> None:
+    if not math.isfinite(theta3):
+        raise ValueError(f"theta3 must be finite, got {theta3!r}")
 
 
 def noncentrality(design: ExactDesign, theta3: float) -> float:
@@ -185,6 +190,7 @@ def _lack_of_fit_f(means: np.ndarray, pure: np.ndarray | float,
 def f_test_power_analytic(design: ExactDesign, theta3: float,
                           level: float = DEFAULT_LEVEL) -> float:
     """Exact rejection probability of the lack-of-fit test."""
+    _check_theta3(theta3)
     _cubic_basis(design)
     lam = noncentrality(design, theta3)
     if lam == 0.0:
@@ -212,8 +218,8 @@ def f_test_power_mc(design: ExactDesign, theta3: float, reps: int, seed: int,
         Seeds a fresh PCG64 stream; identical seeds reproduce identical
         estimates.
 
-    Raises ValueError for a design without 4 distinct points or with
-    N <= 4 runs, before any draw.
+    Raises ValueError for a non-finite theta3, or for a design without 4
+    distinct points or with N <= 4 runs, before any draw.
 
     Notes
     -----
@@ -228,6 +234,7 @@ def f_test_power_mc(design: ExactDesign, theta3: float, reps: int, seed: int,
     reps = int(reps)
     if reps < 1000:
         raise ValueError("reps must be at least 1000")
+    _check_theta3(theta3)
     basis = _cubic_basis(design)
     k, nn = design.points.size, design.size
     crit = f_critical(level, 2, nn - 4)

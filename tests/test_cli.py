@@ -71,6 +71,18 @@ class TestDesign:
                              "--alpha", "2")
         assert code == 2
 
+    def test_nan_ratio_is_argument_error(self, capsys):
+        code, out, err = run_cli(capsys, "design", "--n", "5", "--b", "nan")
+        assert code == 2
+        assert out == ""
+        assert "b must be a number" in err
+
+    def test_infinite_ratio_is_outside_regime(self, capsys):
+        for b in ("inf", "-inf"):
+            code, out, _ = run_cli(capsys, "design", "--n", "5", f"--b={b}")
+            assert code == 3
+            assert out == ""
+
 
 class TestTrajectory:
     def test_csv_to_stdout(self, capsys):
@@ -195,6 +207,13 @@ class TestRemez:
         _, out1, _ = run_cli(capsys, "remez", "--n", "6", "--b", "0.2")
         _, out2, _ = run_cli(capsys, "remez", "--n", "6", "--b", "0.2")
         assert out1 == out2
+
+    def test_nan_tolerance_is_argument_error(self, capsys):
+        code, out, err = run_cli(capsys, "remez", "--n", "5", "--b", "1",
+                                 "--tol", "nan")
+        assert code == 2
+        assert out == ""
+        assert "tol" in err
 
 
 class TestPower:

@@ -186,3 +186,19 @@ class TestZeroBFamily:
             zero_b_family(3, -0.01)
         with pytest.raises(ValueError):
             zero_b_family(3, 1.01)
+
+
+class TestNonNumericRatio:
+    # NaN compares false with the critical ratio, so it must be caught by name
+
+    @pytest.mark.parametrize("build", [support_points, t_optimal_design])
+    def test_nan_is_an_argument_error(self, build):
+        with pytest.raises(ValueError, match="b must be a number") as err:
+            build(5, float("nan"))
+        assert not isinstance(err.value, RegimeError)
+
+    @pytest.mark.parametrize("build", [support_points, t_optimal_design])
+    def test_infinite_is_outside_the_regime(self, build):
+        for b in (float("inf"), -float("inf")):
+            with pytest.raises(RegimeError):
+                build(5, b)

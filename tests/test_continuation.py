@@ -7,7 +7,10 @@ from tdiscrim.closed_form import critical_b, t_optimal_design
 from tdiscrim.continuation import (
     ContinuationState,
     _dgrad_dbbar,
+    _gradient_raw,
     _jacobian_raw,
+    _newton,
+    _tangent,
     _walk,
     bbar_limit,
     d1_optimal_start,
@@ -298,3 +301,42 @@ class TestPathCache:
         for x in requests:
             solve_at(3, x)
         assert len(continuation._PATHS[3].states) <= 2 * continuation.CACHE_BUCKETS + 1
+
+
+class TestSharedGeometry:
+    # _newton and _tangent build the geometry of each iterate once and pass
+    # it to every kernel; the result must be exactly that of kernels building
+    # it themselves.
+
+    @staticmethod
+    def unfused_newton(n, theta, bbar, tol):
+        th = np.array(theta, dtype=float)
+        last = np.inf
+        for it in range(continuation.NEWTON_MAX_ITER):
+            g = _gradient_raw(n, th, bbar)
+            res = float(np.abs(g).max())
+            if res == 0.0 or not res <= continuation.NEWTON_CONTRACTION * last:
+                assert res <= tol
+                return th, it
+            last = res
+            th = th - np.linalg.solve(_jacobian_raw(n, th, bbar), g)
+        raise AssertionError("reference Newton did not settle")
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 12])
+    def test_newton_from_perturbed_state(self, n):
+        bbar = 0.6 * bbar_limit(n)
+        theta = solve_at(n, bbar, check_inequality=False).theta
+        rng = np.random.Generator(np.random.PCG64(n))
+        start = theta * (1.0 + 1e-4 * rng.standard_normal(theta.size))
+        state, iters = _newton(n, start, bbar, 1e-10)
+        ref, ref_iters = self.unfused_newton(n, start, bbar, 1e-10)
+        assert iters == ref_iters >= 2
+        assert np.array_equal(state.theta, ref)
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 12])
+    def test_tangent(self, n):
+        bbar = -0.4 * bbar_limit(n)
+        theta = solve_at(n, bbar, check_inequality=False).theta
+        ref = -np.linalg.solve(_jacobian_raw(n, theta, bbar),
+                               _dgrad_dbbar(n, theta, bbar))
+        assert np.array_equal(_tangent(n, theta, bbar), ref)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from tdiscrim.closed_form import critical_b, support_points
 from tdiscrim.errors import ConvergenceError, RegimeError
 from tdiscrim.minimax import (
+    _critical_points,
     closed_form_psi,
     extremal_set,
     remez,
@@ -155,3 +157,49 @@ def test_target_polynomial():
     assert g.coeffs.tolist() == [0.0, 0.0, 0.0, -2.5, 1.0]
     with pytest.raises(ValueError):
         target_polynomial(1, 0.0)
+
+
+def critical_points_reference(psi):
+    """_critical_points through numpy.polynomial's polytrim and polyroots."""
+    dc = npoly.polyder(psi.coeffs)
+    dc = npoly.polytrim(dc, tol=1e-14 * max(1.0, float(np.abs(dc).max())))
+    pts = [-1.0, 1.0]
+    if dc.size > 1:
+        roots = npoly.polyroots(dc)
+        real = roots.real[np.abs(roots.imag) <= 1e-9]
+        real = real[(real >= -1.0 - 1e-12) & (real <= 1.0 + 1e-12)]
+        pts.extend(np.clip(real, -1.0, 1.0))
+    return np.unique(np.asarray(pts, dtype=float))
+
+
+def test_critical_points_match_polyroots():
+    rng = np.random.Generator(np.random.PCG64(40))
+    # constant, trailing zeros, a roundoff-sized leading term, and psi' with
+    # the complex pair 0.5 +- 5e-8 i, which the imaginary-part cut drops
+    polys = [Polynomial([0.0]), Polynomial([3.0, 0.0, 0.0]),
+             Polynomial([1.0, 2.0, 1e-16]),
+             Polynomial([0.0, 0.25 + 2.5e-15, -0.5, 1.0 / 3.0])]
+    for deg in range(1, 41):
+        c = rng.normal(size=deg + 1)
+        polys.append(Polynomial(c))
+        c = c.copy()
+        c[-1] = 0.0
+        polys.append(Polynomial(c))
+    polys += [closed_form_psi(n, 0.5 * critical_b(n)) for n in range(2, 21)]
+    for psi in polys:
+        ours, ref = _critical_points(psi), critical_points_reference(psi)
+        assert ours.shape == ref.shape and np.array_equal(ours, ref)
+
+
+def test_remez_rejects_nan_tolerance():
+    with pytest.raises(ValueError, match="tol"):
+        remez(5, 1.0, tol=float("nan"))
+
+
+def test_closed_form_psi_rejects_nan_ratio():
+    with pytest.raises(ValueError, match="b must be a number") as err:
+        closed_form_psi(5, float("nan"))
+    assert not isinstance(err.value, RegimeError)
+    for b in (float("inf"), -float("inf")):
+        with pytest.raises(RegimeError):
+            closed_form_psi(5, b)

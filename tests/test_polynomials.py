@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as ncheb
+from numpy.polynomial import polynomial as npoly
 
 from tdiscrim.polynomials import (
     Polynomial,
     chebyshev_extrema,
     chebyshev_t,
+    chebyshev_to_monomial,
     compose_affine,
 )
 
@@ -119,3 +122,92 @@ def test_validation():
         chebyshev_t(-1)
     with pytest.raises(ValueError):
         chebyshev_extrema(0)
+
+
+# The kernels above run on plain arrays; numpy.polynomial is their reference.
+# Each must match it exactly, shape included: same operations, same order.
+
+def reference_series():
+    """Seeded coefficient arrays of degree 0..40, some ending in exact zeros."""
+    rng = np.random.Generator(np.random.PCG64(2012))
+    out = [np.zeros(1), np.zeros(4), np.array([-0.0, 0.0])]
+    for deg in range(41):
+        c = rng.normal(size=deg + 1) * rng.uniform(0.1, 10.0)
+        out.append(c)
+        tail = c.copy()
+        tail[-min(3, c.size):] = 0.0
+        out.append(tail)
+        gaps = c.copy()
+        gaps[::3] = 0.0
+        out.append(gaps)
+    return out
+
+
+def same(ours, ref):
+    return np.shape(ours) == np.shape(ref) and bool(np.array_equal(ours, ref))
+
+
+def test_evaluation_matches_polyval():
+    x = np.linspace(-1.3, 1.1, 17)
+    for c in reference_series():
+        p = Polynomial(c)
+        for arg in (0.37, -1.0, x, x.tolist(), tuple(x[:3]), x.reshape(1, -1)):
+            assert same(p(arg), npoly.polyval(arg, c))
+        assert type(p(0.37)) is type(npoly.polyval(0.37, c))
+
+
+def test_derivative_matches_polyder():
+    for c in reference_series():
+        assert same(Polynomial(c).deriv().coeffs, npoly.polyder(c))
+
+
+def test_sum_and_difference_match_polyadd_and_polysub():
+    series = reference_series()
+    rng = np.random.Generator(np.random.PCG64(7))
+    for c in series:
+        for d in (series[int(i)] for i in rng.integers(0, len(series), 4)):
+            assert same((Polynomial(c) + Polynomial(d)).coeffs, npoly.polyadd(c, d))
+            assert same((Polynomial(c) - Polynomial(d)).coeffs, npoly.polysub(c, d))
+        # leading terms cancel: the result is trimmed as numpy trims it
+        assert same((Polynomial(c) - Polynomial(c)).coeffs, npoly.polysub(c, c))
+        assert same((Polynomial(c) + Polynomial(-c)).coeffs, npoly.polyadd(c, -c))
+
+
+def test_product_and_trim_match_polymul_and_polytrim():
+    series = reference_series()
+    for c, d in zip(series, series[::-1]):
+        assert same((Polynomial(c) * Polynomial(d)).coeffs, npoly.polymul(c, d))
+        rough = c + 1e-13 * (np.arange(c.size) % 2)
+        assert same(Polynomial(rough).trimmed().coeffs,
+                    npoly.polytrim(rough, tol=1e-12))
+    # a trailing coefficient exactly at the cut is trimmed
+    edge = np.array([1.0, 2.0, 1e-12])
+    assert same(Polynomial(edge).trimmed().coeffs, npoly.polytrim(edge, tol=1e-12))
+
+
+def test_chebyshev_matches_cheb2poly_of_basis_vector():
+    for n in range(41):
+        assert same(chebyshev_t(n).coeffs, ncheb.cheb2poly(np.eye(n + 1)[n]))
+
+
+def test_chebyshev_series_conversion_matches_cheb2poly():
+    for c in reference_series():
+        assert same(chebyshev_to_monomial(c), ncheb.cheb2poly(c))
+
+
+def compose_affine_reference(c, a, shift):
+    """p(a x + shift) by numpy.polynomial's polymul/polyadd Horner loop."""
+    lin = np.array([shift, a])
+    out = np.array([c[-1]])
+    for coef in c[-2::-1]:
+        out = npoly.polyadd(npoly.polymul(out, lin), np.array([coef]))
+    return out
+
+
+def test_compose_affine_matches_polymul_polyadd_loop():
+    rng = np.random.Generator(np.random.PCG64(11))
+    for c in reference_series():
+        for a, shift in ((-1.0, 0.0), (float(rng.uniform(-2.0, 2.0)),
+                                       float(rng.uniform(-1.0, 1.0)))):
+            assert same(compose_affine(Polynomial(c), a, shift).coeffs,
+                        compose_affine_reference(c, a, shift))

@@ -295,3 +295,27 @@ class TestTable:
         assert cells[0] == "T-optimal"
         assert float(cells[1]) == 0.0
         assert int(cells[5]) == 10_000
+
+
+class TestNonFiniteTheta3:
+    @pytest.mark.parametrize("theta3", [np.nan, np.inf, -np.inf])
+    def test_simulation_raises_before_any_generator(self, theta3, monkeypatch):
+        def no_stream(*args, **kwargs):
+            raise AssertionError("generator created")
+
+        monkeypatch.setattr(np.random, "PCG64", no_stream)
+        monkeypatch.setattr(np.random, "Generator", no_stream)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="theta3 must be finite"):
+                f_test_power_mc(T_OPTIMAL_48, theta3, 1000, 1)
+
+    @pytest.mark.parametrize("theta3", [np.nan, np.inf, -np.inf])
+    def test_analytic_raises(self, theta3):
+        with pytest.raises(ValueError, match="theta3 must be finite"):
+            f_test_power_analytic(T_OPTIMAL_48, theta3)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+    def test_survival_function_rejects_bad_noncentrality(self, lam):
+        with pytest.raises(ValueError, match="noncentrality"):
+            noncentral_f_sf(3.0, 2, 44, lam)
