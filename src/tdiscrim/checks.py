@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import canonical_weights, critical_b, REGIME_SLACK
+from .closed_form import canonical_weights, in_explicit_regime
 from .designs import Design, DiscriminationProblem, t_criterion
+from .errors import check_degree
 from .minimax import (
     _critical_points,
     closed_form_psi,
@@ -41,9 +42,7 @@ def equivalence_system(design: Design, psi: Polynomial, n: int) -> np.ndarray:
     weighted error is orthogonal to every fittable monomial. Each residual is
     a compensated sum of the raw per-point products.
     """
-    if n != int(n) or n < 2:
-        raise ValueError("n must be an integer >= 2")
-    n = int(n)
+    n = check_degree(n, 2)
     pv = psi(design.points)
     out = np.empty(n - 1)
     for k in range(n - 1):
@@ -58,9 +57,7 @@ def appendix_identity(n: int, k: int) -> float:
     Vanishes for k = 0..n-2; that fact is what makes the explicit weights
     solve the equivalence system for every b in the regime at once.
     """
-    if n != int(n) or n < 2:
-        raise ValueError("n must be an integer >= 2")
-    n = int(n)
+    n = check_degree(n, 2)
     if k != int(k) or not 0 <= k <= n - 2:
         raise ValueError("k must be an integer in [0, n-2]")
     w = canonical_weights(n)
@@ -148,11 +145,9 @@ def verification_report(design: Design, n: int, b: float) -> dict:
     explicit regime, Remez exchange outside it. Its critical points are
     found once and serve both the deviation and the global inequality.
     """
-    if n != int(n) or n < 2:
-        raise ValueError("n must be an integer >= 2")
-    n = int(n)
+    n = check_degree(n, 2)
     b = float(b)
-    if abs(b) <= critical_b(n) * (1.0 + REGIME_SLACK):
+    if in_explicit_regime(n, b):
         psi = closed_form_psi(n, b)
         route = "closed_form"
         crit = _critical_points(psi)

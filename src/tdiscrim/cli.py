@@ -83,7 +83,9 @@ def _cmd_trajectory(args) -> int:
         raise ValueError("--steps must be at least 1")
     if args.bbar_max < args.bbar_min:
         raise ValueError("--bbar-max must be >= --bbar-min")
-    grid = np.linspace(args.bbar_min, args.bbar_max, args.steps)
+    bounds = [args.bbar_min, args.bbar_max]
+    # linspace would turn an infinite bound into NaN; trajectory rejects it as is
+    grid = np.linspace(*bounds, args.steps) if np.isfinite(bounds).all() else bounds
     rows = trajectory(args.n, grid)
     n = args.n
     header = (

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import Design
-from .errors import RegimeError
+from .errors import RegimeError, check_degree, check_ratio
 
 # Multiplicative slack when testing |b| against the critical ratio, so that
 # a boundary value computed elsewhere in floating point is not rejected.
@@ -26,28 +26,32 @@ MERGE_TOL = 1e-12
 
 def critical_b(n: int) -> float:
     """Largest |b| for which the explicit design below is optimal: n tan^2(pi/2n)."""
-    if n != int(n) or n < 2:
-        raise ValueError("n must be an integer >= 2")
-    n = int(n)
+    n = check_degree(n, 2)
     t = np.tan(np.pi / (2 * n))
     return float(n * t * t)
 
 
+def in_explicit_regime(n: int, b: float) -> bool:
+    """Whether |b| <= critical_b(n), so that the explicit design is optimal at b.
+
+    Every choice of construction by b asks this; it is False for NaN b.
+    """
+    return abs(b) <= critical_b(n) * (1.0 + REGIME_SLACK)
+
+
 def _check_regime(n: int, b: float) -> float:
-    """critical_b(n), after checking that |b| stays within it.
+    """float(b), after checking that the explicit design applies there.
 
     NaN b raises ValueError, since it lies on no side of the critical ratio;
     a larger |b|, infinite included, raises RegimeError.
     """
-    bc = critical_b(n)
-    if np.isnan(b):
-        raise ValueError(f"b must be a number, got {b!r}")
-    if abs(b) > bc * (1.0 + REGIME_SLACK):
+    b = check_ratio(b, "b")
+    if not in_explicit_regime(n, b):
         raise RegimeError(
-            f"|b| = {abs(b)!r} exceeds the critical ratio {bc!r} for n = {n}; "
-            "the explicit design is only optimal up to that ratio"
+            f"|b| = {abs(b)!r} exceeds the critical ratio {critical_b(n)!r} "
+            f"for n = {n}; the explicit design is only optimal up to that ratio"
         )
-    return bc
+    return b
 
 
 def support_points(n: int, b: float) -> np.ndarray:
@@ -72,9 +76,7 @@ def canonical_weights(n: int) -> np.ndarray:
     w_i = (2/n) sin^2(i pi / 2n) for the lower half, mirrored as
     w_(n-i) = (2/n) cos^2(i pi / 2n), and w_n = 1/n.
     """
-    if n != int(n) or n < 2:
-        raise ValueError("n must be an integer >= 2")
-    n = int(n)
+    n = check_degree(n, 2)
     w = np.empty(n)
     for i in range(1, n // 2 + 1):
         s = np.sin(i * np.pi / (2 * n))
@@ -107,9 +109,7 @@ def t_optimal_design(n: int, b: float) -> ClosedFormDesign:
     for negative b the mirror image. b = 0 is rejected because the optimum is
     a whole family there; use zero_b_family to pick a member.
     """
-    if n != int(n) or n < 2:
-        raise ValueError("n must be an integer >= 2")
-    n = int(n)
+    n = check_degree(n, 2)
     b = float(b)
     if b == 0.0:
         raise ValueError(
@@ -130,9 +130,7 @@ def zero_b_family(n: int, alpha: float) -> ClosedFormDesign:
     (which omits +1), and interior alpha the convex mixture carried by the n+1
     points -cos(i pi / n), i = 0..n.
     """
-    if n != int(n) or n < 2:
-        raise ValueError("n must be an integer >= 2")
-    n = int(n)
+    n = check_degree(n, 2)
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")

@@ -26,15 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import global_inequality
+from .checks import INEQUALITY_TOL, global_inequality
 from .closed_form import critical_b, REGIME_SLACK
 from .designs import Design
-from .errors import ConvergenceError, OptimalityError, RegimeError
+from .errors import (ConvergenceError, OptimalityError, RegimeError,
+                     check_degree, check_ratio)
 from .polynomials import Polynomial, chebyshev_t
 
 MIN_STEP = 1e-6
 STATIONARITY_TOL = 1e-10
-INEQUALITY_TOL = 1e-8
 NEWTON_MAX_ITER = 40
 # Each Newton residual must be at most this share of the one before.
 NEWTON_CONTRACTION = 0.5
@@ -316,8 +316,9 @@ class SolutionPath:
         self.states: dict[int, tuple[float, np.ndarray]] = {}
 
     def check(self, bbar: float) -> None:
-        """Raise RegimeError unless bbar lies on the path interval."""
-        if not abs(bbar) <= self.limit * (1.0 + REGIME_SLACK):
+        """Raise RegimeError for bbar off the path interval, ValueError for NaN."""
+        bbar = check_ratio(bbar, "bbar")
+        if abs(bbar) > self.limit * (1.0 + REGIME_SLACK):
             raise RegimeError(
                 f"|bbar| = {abs(bbar)!r} outside the path interval "
                 f"[-{self.limit!r}, {self.limit!r}] for n = {self.n}"
@@ -340,9 +341,7 @@ _PATHS: dict[int, SolutionPath] = {}
 
 def _path(n: int) -> SolutionPath:
     """The shared path engine of degree n; rejects n that is not an integer >= 3."""
-    if n != int(n) or n < 3:
-        raise ValueError("n must be an integer >= 3")
-    n = int(n)
+    n = check_degree(n, 3)
     path = _PATHS.get(n)
     if path is None:
         path = _PATHS[n] = SolutionPath(n)
@@ -409,9 +408,8 @@ def taylor_coefficients(n: int, bbar0: float, order: int = 3, *,
     Validation tool only; the solver itself uses the analytic tangent. The
     whole stencil, bbar0 +/- 2 step, must stay inside the path interval.
     """
-    if order != int(order) or not 1 <= order <= 3:
+    if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
-    order = int(order)
     if step <= 0:
         raise ValueError("step must be positive")
     path = _path(n)

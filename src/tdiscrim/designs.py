@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_degree, check_ratio
 from .polynomials import Polynomial
 
 POINT_TOL = 1e-12
@@ -117,15 +118,13 @@ class DiscriminationProblem:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n != int(self.n) or self.n < 2:
-            raise ValueError("n must be an integer >= 2")
-        self.n = int(self.n)
+        self.n = check_degree(self.n, 2)
         if (self.b is None) == (self.bbar is None):
             raise ValueError("exactly one of b and bbar must be given")
         if self.b is not None:
-            self.b = float(self.b)
+            self.b = check_ratio(self.b, "b")
         if self.bbar is not None:
-            self.bbar = float(self.bbar)
+            self.bbar = check_ratio(self.bbar, "bbar")
         self.scale = float(self.scale)
 
     def fixed_part(self) -> Polynomial:
@@ -142,9 +141,7 @@ class DiscriminationProblem:
 
 def moment_matrix(design: Design, n: int) -> np.ndarray:
     """Moments sum_i w_i x_i^(j+k) for j, k = 0..n, as an (n+1) x (n+1) matrix."""
-    if n != int(n) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    n = int(n)
+    n = check_degree(n, 0)
     powers = design.points[None, :] ** np.arange(2 * n + 1)[:, None]
     mom = powers @ design.weights
     idx = np.arange(n + 1)

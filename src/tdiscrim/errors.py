@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the checks of n and b shared across the package."""
+
+import math
 
 
 class RegimeError(ValueError):
@@ -25,3 +27,18 @@ class OptimalityError(SolverError):
         super().__init__(message)
         self.margin = margin
         self.last = last
+
+
+def check_degree(n, minimum: int) -> int:
+    """int(n), after checking that n is an integer >= minimum; NaN and inf are not."""
+    if not (math.isfinite(n) and n == int(n) and n >= minimum):
+        raise ValueError(f"n must be an integer >= {minimum}")
+    return int(n)
+
+
+def check_ratio(value, name: str) -> float:
+    """float(value), after checking that it is not NaN; regime checks reject inf."""
+    x = float(value)
+    if math.isnan(x):
+        raise ValueError(f"{name} must be a number, got {x!r}")
+    return x

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import critical_b, t_optimal_design, zero_b_family, REGIME_SLACK
+from .closed_form import in_explicit_regime, t_optimal_design, zero_b_family
 from .continuation import solve_at
 from .designs import Design, DiscriminationProblem, t_criterion
+from .errors import check_degree
 
 _KINDS = ("whole_line", "ray_up", "ray_down")
 
@@ -57,7 +58,7 @@ def _design_at(n: int, b0: float) -> Design:
     """Optimal design at ratio b0 >= 0, whichever regime that lands in."""
     if b0 == 0.0:
         return zero_b_family(n, 0.5).design
-    if b0 <= critical_b(n) * (1.0 + REGIME_SLACK):
+    if in_explicit_regime(n, b0):
         return t_optimal_design(n, b0).design
     return solve_at(n, 1.0 / b0).design()
 
@@ -70,9 +71,7 @@ def maximin_design(n: int, interval: RatioInterval) -> Design:
     finite endpoint (efficiency is monotone along the ray), mirrored for
     the downward ray.
     """
-    if n != int(n) or n < 2:
-        raise ValueError("n must be an integer >= 2")
-    n = int(n)
+    n = check_degree(n, 2)
     if interval.kind == "whole_line":
         pts = np.cos((n - np.arange(n + 1)) * np.pi / n)
         wts = np.full(n + 1, 1.0 / n)
@@ -91,13 +90,10 @@ def r_value(n: int, b: float) -> float:
     continuation design. Strictly increasing in b, which is what makes
     ray endpoints the worst case.
     """
-    if n != int(n) or n < 2:
-        raise ValueError("n must be an integer >= 2")
-    n = int(n)
+    n = check_degree(n, 2)
     b = float(b)
     if not np.isfinite(b) or b < 0.0:
         raise ValueError("b must be a nonnegative real")
-    if b <= critical_b(n) * (1.0 + REGIME_SLACK):
+    if in_explicit_regime(n, b):
         return float((1.0 + b / n) ** (2 * n) / 2.0 ** (2 * n - 2))
-    design = solve_at(n, 1.0 / b).design()
-    return float(t_criterion(design, DiscriminationProblem(n, b=b)))
+    return float(t_criterion(_design_at(n, b), DiscriminationProblem(n, b=b)))

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
 from .closed_form import _check_regime
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_degree, check_ratio
 from .polynomials import (
     Polynomial,
     chebyshev_extrema,
@@ -47,11 +47,10 @@ class BestApproxResult:
 
 def target_polynomial(n: int, b: float) -> Polynomial:
     """The fixed part x^n + b x^(n-1) whose best approximation is sought."""
-    if n != int(n) or n < 2:
-        raise ValueError("n must be an integer >= 2")
-    c = np.zeros(int(n) + 1)
-    c[int(n) - 1] = float(b)
-    c[int(n)] = 1.0
+    n = check_degree(n, 2)
+    c = np.zeros(n + 1)
+    c[n - 1] = check_ratio(b, "b")
+    c[n] = 1.0
     return Polynomial(c)
 
 
@@ -63,11 +62,8 @@ def closed_form_psi(n: int, b: float) -> Polynomial:
     mirror image of the positive-b one; outside the critical window the
     formula stops being minimax, so it is rejected rather than extrapolated.
     """
-    if n != int(n) or n < 2:
-        raise ValueError("n must be an integer >= 2")
-    n = int(n)
-    b = float(b)
-    _check_regime(n, b)
+    n = check_degree(n, 2)
+    b = _check_regime(n, b)
     beta = abs(b) / n
     scale = (-1.0) ** n * 0.5 ** (n - 1) * (1.0 + beta) ** n
     psi = scale * compose_affine(
@@ -181,8 +177,8 @@ def remez(n: int, b: float, tol: float = 1e-12, max_iter: int = 100) -> BestAppr
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    n = check_degree(n, 2)
     target = target_polynomial(n, b)
-    n = int(n)
     ext = chebyshev_extrema(n)
     ref = ext[1:] if b >= 0 else ext[:-1]
     last: BestApproxResult | None = None

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_degree
+
 # Trailing coefficients at or below this magnitude are treated as roundoff
 # when reporting the degree; affine composition and basis changes leave
 # tails of this size on exact cancellations.
@@ -138,9 +140,7 @@ def chebyshev_t(n: int) -> Polynomial:
     Built by the three-term recurrence; for the degrees used here every
     coefficient is an exactly representable integer.
     """
-    if n != int(n) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    n = int(n)
+    n = check_degree(n, 0)
     if n == 0:
         return Polynomial(np.array([1.0]))
     prev = np.array([1.0])
@@ -179,9 +179,7 @@ def _mulx(c: np.ndarray) -> np.ndarray:
 
 def chebyshev_extrema(n: int) -> np.ndarray:
     """The n + 1 extremal points of T_n on [-1, 1], increasing: -cos(i pi / n)."""
-    if n != int(n) or n < 1:
-        raise ValueError("n must be a positive integer")
-    n = int(n)
+    n = check_degree(n, 1)
     return -np.cos(np.arange(n + 1) * np.pi / n)
 
 

@@ -216,6 +216,50 @@ class TestRemez:
         assert "tol" in err
 
 
+class TestNonNumericArguments:
+    """NaN b or bbar is a bad argument (exit 2); infinite ones are outside (exit 3)."""
+
+    def test_nan_bbar_is_argument_error(self, capsys):
+        code, out, err = run_cli(capsys, "trajectory", "--n", "5",
+                                 "--bbar-min", "nan", "--bbar-max", "1",
+                                 "--steps", "3")
+        assert code == 2
+        assert out == ""
+        assert "bbar must be a number" in err
+        assert "np.float64" not in err
+
+    def test_infinite_bbar_is_outside_regime(self, capsys):
+        code, out, err = run_cli(capsys, "trajectory", "--n", "5",
+                                 "--bbar-min=-inf", "--bbar-max", "0",
+                                 "--steps", "3")
+        assert code == 3
+        assert out == ""
+        assert "np.float64" not in err
+
+    def test_outside_interval_prints_plain_floats(self, capsys):
+        code, _, err = run_cli(capsys, "trajectory", "--n", "3",
+                               "--bbar-min", "0", "--bbar-max", "2",
+                               "--steps", "4")
+        assert code == 3
+        assert "|bbar| = 2.0 " in err
+        assert "np.float64" not in err
+
+    def test_nan_b_in_remez_is_argument_error(self, capsys):
+        code, out, err = run_cli(capsys, "remez", "--n", "5", "--b", "nan")
+        assert code == 2
+        assert out == ""
+        assert "b must be a number" in err
+
+    def test_nan_b_in_verify_is_argument_error(self, tmp_path, capsys):
+        f = tmp_path / "design.json"
+        f.write_text(run_cli(capsys, "design", "--n", "5", "--b", "0.4")[1])
+        code, out, err = run_cli(capsys, "verify", "--design", str(f),
+                                 "--n", "5", "--b", "nan")
+        assert code == 2
+        assert out == ""
+        assert "b must be a number" in err
+
+
 class TestPower:
     def test_csv_columns_and_reproducibility(self, capsys):
         args = ("power", "--reps", "10000", "--seed", "3")

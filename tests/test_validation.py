@@ -1,0 +1,185 @@
+"""Input checks shared by every module: degrees, ratios and the regime predicate."""
+
+import inspect
+
+import numpy as np
+import pytest
+
+from tdiscrim import (
+    Design,
+    DiscriminationProblem,
+    Polynomial,
+    RatioInterval,
+    RegimeError,
+    appendix_identity,
+    bbar_limit,
+    canonical_weights,
+    chebyshev_extrema,
+    chebyshev_t,
+    closed_form_psi,
+    critical_b,
+    d1_optimal_start,
+    equivalence_system,
+    maximin_design,
+    moment_matrix,
+    r_value,
+    remez,
+    solve_at,
+    support_points,
+    t_criterion,
+    t_optimal_design,
+    target_polynomial,
+    taylor_coefficients,
+    trajectory,
+    verification_report,
+    zero_b_family,
+)
+from tdiscrim import checks, continuation
+from tdiscrim.closed_form import in_explicit_regime
+from tdiscrim.continuation import _path
+from tdiscrim.errors import check_degree, check_ratio
+
+NAN = float("nan")
+INF = float("inf")
+
+_DESIGN = Design([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
+_PSI = Polynomial([-0.5, 0.0, 1.0])
+
+# (entry point, call with degree n and otherwise valid arguments, smallest n)
+DEGREE_ENTRY_POINTS = [
+    ("equivalence_system", lambda n: equivalence_system(_DESIGN, _PSI, n), 2),
+    ("appendix_identity", lambda n: appendix_identity(n, 0), 2),
+    ("verification_report", lambda n: verification_report(_DESIGN, n, 0.1), 2),
+    ("critical_b", critical_b, 2),
+    ("canonical_weights", canonical_weights, 2),
+    ("t_optimal_design", lambda n: t_optimal_design(n, 0.1), 2),
+    ("zero_b_family", lambda n: zero_b_family(n, 0.5), 2),
+    ("_path", _path, 3),
+    ("DiscriminationProblem", lambda n: DiscriminationProblem(n, b=0.1), 2),
+    ("moment_matrix", lambda n: moment_matrix(_DESIGN, n), 0),
+    ("maximin_design", lambda n: maximin_design(n, RatioInterval.whole_line()), 2),
+    ("r_value", lambda n: r_value(n, 0.1), 2),
+    ("target_polynomial", lambda n: target_polynomial(n, 0.1), 2),
+    ("closed_form_psi", lambda n: closed_form_psi(n, 0.1), 2),
+    ("chebyshev_t", chebyshev_t, 0),
+    ("chebyshev_extrema", chebyshev_extrema, 1),
+    ("bbar_limit", bbar_limit, 2),
+    ("solve_at", lambda n: solve_at(n, 0.1), 3),
+    ("trajectory", lambda n: trajectory(n, [0.0, 0.1]), 3),
+    ("d1_optimal_start", d1_optimal_start, 3),
+    ("support_points", lambda n: support_points(n, 0.1), 2),
+    ("remez", lambda n: remez(n, 0.1), 2),
+]
+
+
+@pytest.mark.parametrize("name,call,minimum", DEGREE_ENTRY_POINTS,
+                         ids=[e[0] for e in DEGREE_ENTRY_POINTS])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "2.5", "below"])
+def test_every_degree_entry_point_rejects_a_bad_n(name, call, minimum, bad):
+    n = minimum - 1 if bad == "below" else float(bad)
+    with pytest.raises(ValueError, match=rf"n must be an integer >= {minimum}") as err:
+        call(n)
+    assert err.type is ValueError
+
+
+@pytest.mark.parametrize("name,call,minimum", DEGREE_ENTRY_POINTS,
+                         ids=[e[0] for e in DEGREE_ENTRY_POINTS])
+def test_every_degree_entry_point_accepts_its_minimum(name, call, minimum):
+    call(minimum)
+    call(float(minimum))
+
+
+def test_check_degree_returns_a_python_int():
+    for n in (5, 5.0, np.int64(5), np.float64(5.0)):
+        k = check_degree(n, 2)
+        assert k == 5 and type(k) is int
+
+
+def test_check_ratio_names_the_parameter_and_passes_infinities():
+    with pytest.raises(ValueError, match=r"^bbar must be a number, got nan$"):
+        check_ratio(np.float64(NAN), "bbar")
+    for x in (INF, -INF, np.float64(0.25), 3):
+        y = check_ratio(x, "b")
+        assert type(y) is float and y == x
+
+
+class TestRegimePredicate:
+    @pytest.mark.parametrize("n", [2, 3, 5, 12, 40])
+    def test_boundary_and_slack(self, n):
+        bc = critical_b(n)
+        for b in (0.0, 0.5 * bc, bc, -bc, bc * (1.0 + 1e-13)):
+            assert in_explicit_regime(n, b)
+        for b in (bc * (1.0 + 1e-9), -bc * (1.0 + 1e-9), INF, -INF, NAN):
+            assert not in_explicit_regime(n, b)
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_every_switch_agrees_with_it(self, n):
+        bc = critical_b(n)
+        for b in (0.5 * bc, bc, 1.5 * bc):
+            inside = in_explicit_regime(n, b)
+            route = verification_report(t_optimal_design(n, min(b, bc)).design,
+                                        n, b)["psi_route"]
+            assert route == ("closed_form" if inside else "remez")
+            if inside:
+                assert r_value(n, b) == (1.0 + b / n) ** (2 * n) / 2.0 ** (2 * n - 2)
+            else:
+                design = solve_at(n, 1.0 / b).design()
+                assert r_value(n, b) == pytest.approx(
+                    t_criterion(design, DiscriminationProblem(n, b=b)), rel=1e-10)
+
+
+class TestNanInverseRatio:
+    """A NaN bbar is a bad argument, not a value outside the path interval."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: solve_at(5, NAN),
+        lambda: trajectory(5, [NAN]),
+        lambda: trajectory(5, [0.0, NAN, 0.5]),
+        lambda: taylor_coefficients(5, NAN),
+        lambda: DiscriminationProblem(5, bbar=NAN),
+    ])
+    def test_nan_is_an_argument_error(self, call):
+        with pytest.raises(ValueError, match="bbar must be a number") as err:
+            call()
+        assert not isinstance(err.value, RegimeError)
+
+    @pytest.mark.parametrize("bbar", [INF, -INF])
+    def test_infinite_is_outside_the_path(self, bbar):
+        with pytest.raises(RegimeError):
+            solve_at(5, bbar)
+        with pytest.raises(RegimeError):
+            trajectory(5, [bbar])
+
+    def test_outside_message_prints_plain_floats(self):
+        with pytest.raises(RegimeError) as err:
+            trajectory(3, np.linspace(0.0, 2.0, 4))
+        assert "|bbar| = 2.0 " in str(err.value)
+        assert "np.float64" not in str(err.value)
+
+
+class TestNanRatio:
+    """A NaN b fails by name wherever it enters, not inside Polynomial."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: remez(5, NAN),
+        lambda: verification_report(t_optimal_design(5, 0.3).design, 5, NAN),
+        lambda: DiscriminationProblem(5, b=NAN),
+        lambda: t_criterion(_DESIGN, DiscriminationProblem(3, b=NAN)),
+        lambda: target_polynomial(5, NAN),
+    ])
+    def test_nan_is_an_argument_error(self, call):
+        with pytest.raises(ValueError, match="^b must be a number") as err:
+            call()
+        assert not isinstance(err.value, RegimeError)
+
+    def test_regime_error_prints_plain_floats(self):
+        with pytest.raises(RegimeError) as err:
+            support_points(3, np.float64(2.0))
+        assert "|b| = 2.0 " in str(err.value)
+        assert "np.float64" not in str(err.value)
+
+
+def test_one_global_inequality_tolerance():
+    assert continuation.INEQUALITY_TOL is checks.INEQUALITY_TOL
+    default = inspect.signature(solve_at).parameters["inequality_tol"].default
+    assert default == checks.INEQUALITY_TOL == 1e-8
