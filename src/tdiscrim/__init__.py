@@ -39,7 +39,6 @@ from .designs import (
     Design,
     DiscriminationProblem,
     best_l2_coefficients,
-    moment_matrix,
     t_criterion,
 )
 from .errors import ConvergenceError, OptimalityError, RegimeError, SolverError
@@ -51,7 +50,7 @@ from .minimax import (
     remez,
     target_polynomial,
 )
-from .polynomials import Polynomial, chebyshev_extrema, chebyshev_t, compose_affine
+from .polynomials import ChebyshevSeries, chebyshev_extrema
 from .power import (
     EQUIDISTANT_48,
     T_OPTIMAL_48,
@@ -71,6 +70,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlternationReport",
     "BestApproxResult",
+    "ChebyshevSeries",
     "ClosedFormDesign",
     "ContinuationState",
     "ConvergenceError",
@@ -79,7 +79,6 @@ __all__ = [
     "EQUIDISTANT_48",
     "ExactDesign",
     "OptimalityError",
-    "Polynomial",
     "PowerResult",
     "RatioInterval",
     "RegimeError",
@@ -91,9 +90,7 @@ __all__ = [
     "best_l2_coefficients",
     "canonical_weights",
     "chebyshev_extrema",
-    "chebyshev_t",
     "closed_form_psi",
-    "compose_affine",
     "critical_b",
     "d1_optimal_start",
     "equivalence_system",
@@ -105,7 +102,6 @@ __all__ = [
     "h_form",
     "inequality_margin",
     "maximin_design",
-    "moment_matrix",
     "noncentral_f_sf",
     "noncentrality",
     "r_value",

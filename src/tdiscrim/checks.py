@@ -15,14 +15,9 @@ import numpy as np
 
 from .closed_form import canonical_weights, in_explicit_regime
 from .designs import Design, DiscriminationProblem, t_criterion
-from .errors import check_degree
-from .minimax import (
-    _critical_points,
-    closed_form_psi,
-    remez,
-    target_polynomial,
-)
-from .polynomials import Polynomial
+from .errors import check_degree, check_ratio
+from .minimax import closed_form_psi, remez
+from .polynomials import ChebyshevSeries
 
 EQUIVALENCE_TOL = 1e-10
 ALTERNATION_TOL = 1e-8
@@ -35,7 +30,7 @@ _SCAN_GRID = -np.cos(np.linspace(0.0, np.pi, SCAN_POINTS))
 _SCAN_GRID.flags.writeable = False
 
 
-def equivalence_system(design: Design, psi: Polynomial, n: int) -> np.ndarray:
+def equivalence_system(design: Design, psi: ChebyshevSeries, n: int) -> np.ndarray:
     """Residuals sum_i w_i psi(x_i) x_i^k for k = 0..n-2.
 
     All must vanish at an optimal design whose error polynomial is psi: the
@@ -80,7 +75,7 @@ class AlternationReport:
         return self.passed
 
 
-def alternation_check(design: Design, psi: Polynomial,
+def alternation_check(design: Design, psi: ChebyshevSeries,
                       tol: float = ALTERNATION_TOL) -> AlternationReport:
     """Check that psi alternates in sign over the support with equal magnitude.
 
@@ -108,7 +103,7 @@ def global_inequality(subject, psi_norm_sq: float | None = None, *,
     subject is either the error polynomial itself (then psi_norm_sq is
     required) or any object with psi() and design() methods. The maximum is
     taken over a SCAN_POINTS grid plus the critical points of psi, which a
-    caller already holding _critical_points(psi) passes as critical_points.
+    caller already holding psi.critical_points() passes as critical_points.
     At a true optimum the margin is zero to solver precision: no point of
     the interval beats the support. A positive margin quantifies the
     violation.
@@ -124,7 +119,7 @@ def global_inequality(subject, psi_norm_sq: float | None = None, *,
         if psi_norm_sq is None:
             raise ValueError("psi_norm_sq is required when passing a bare polynomial")
     if critical_points is None:
-        critical_points = _critical_points(psi)
+        critical_points = psi.critical_points()
     cand = np.concatenate([_SCAN_GRID, critical_points])
     vals = psi(cand)
     return float(np.max(vals * vals) - psi_norm_sq)
@@ -144,32 +139,32 @@ def verification_report(design: Design, n: int, b: float) -> dict:
     The error polynomial is rebuilt independently: closed form inside the
     explicit regime, Remez exchange outside it. Its critical points are
     found once and serve both the deviation and the global inequality.
+    The tolerances scale with the problem: the equivalence residuals and
+    the alternation spread are compared to their constant times the sup
+    deviation, the inequality margin to its constant times its square.
     """
     n = check_degree(n, 2)
-    b = float(b)
+    b = check_ratio(b, "b", finite=True)
     if in_explicit_regime(n, b):
-        psi = closed_form_psi(n, b)
-        route = "closed_form"
-        crit = _critical_points(psi)
-        # sup |psi| over its critical points, which its extremal set attains
-        deviation = float(np.abs(psi(crit)).max())
+        psi, route = closed_form_psi(n, b), "closed_form"
     else:
-        res = remez(n, b)
-        psi = target_polynomial(n, b) - res.approximant
-        route = "remez"
-        deviation = res.deviation
-        crit = _critical_points(psi)
+        psi, route = remez(n, b).psi, "remez"
+    crit = psi.critical_points()
+    # sup |psi| over its critical points, which its extremal set attains;
+    # for the Remez route this is its deviation
+    deviation = float(np.abs(psi(crit)).max())
 
     checks = []
     resid = equivalence_system(design, psi, n)
     worst = float(np.abs(resid).max())
+    tol = EQUIVALENCE_TOL * deviation
     checks.append({
         "name": "equivalence_system",
         "value": worst,
-        "tolerance": EQUIVALENCE_TOL,
-        "passed": worst <= EQUIVALENCE_TOL,
+        "tolerance": tol,
+        "passed": worst <= tol,
     })
-    alt = alternation_check(design, psi)
+    alt = alternation_check(design, psi, ALTERNATION_TOL * deviation)
     checks.append({
         "name": "alternation",
         "value": alt.spread,
@@ -186,11 +181,12 @@ def verification_report(design: Design, n: int, b: float) -> dict:
     pv = psi(design.points)
     margin = global_inequality(psi, float(np.sum(design.weights * pv * pv)),
                                critical_points=crit)
+    tol = INEQUALITY_TOL * deviation**2
     checks.append({
         "name": "global_inequality",
         "value": margin,
-        "tolerance": INEQUALITY_TOL,
-        "passed": margin <= INEQUALITY_TOL,
+        "tolerance": tol,
+        "passed": margin <= tol,
     })
     return {
         "n": n,

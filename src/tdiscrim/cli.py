@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from numpy.polynomial.chebyshev import cheb2poly
 
 from .checks import verification_report
 from .closed_form import critical_b, t_optimal_design, zero_b_family
@@ -141,7 +142,8 @@ def _cmd_remez(args) -> int:
     sys.stdout.write(json.dumps({
         "n": args.n,
         "b": args.b,
-        "approximant": res.approximant.coeffs.tolist(),
+        # monomial coefficients, as the payload has always carried them
+        "approximant": cheb2poly(res.approximant.coeffs).tolist(),
         "deviation": float(res.deviation),
         "extremal_points": res.extremal_points.tolist(),
         "signs": res.signs.tolist(),

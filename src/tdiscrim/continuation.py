@@ -25,13 +25,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import cheb2poly
 
 from .checks import INEQUALITY_TOL, global_inequality
 from .closed_form import critical_b, REGIME_SLACK
 from .designs import Design
 from .errors import (ConvergenceError, OptimalityError, RegimeError,
                      check_degree, check_ratio)
-from .polynomials import Polynomial, chebyshev_t
+from .polynomials import ChebyshevSeries, monomial_to_chebyshev
 
 MIN_STEP = 1e-6
 STATIONARITY_TOL = 1e-10
@@ -90,8 +91,10 @@ class ContinuationState:
     def theta(self) -> np.ndarray:
         return np.concatenate([self.q, self.interior_points, self.weights])
 
-    def psi(self) -> Polynomial:
-        return Polynomial(np.concatenate([self.q, [1.0, self.bbar]]))
+    def psi(self) -> ChebyshevSeries:
+        """psi as a Chebyshev series, converted from q through the degree's basis matrix."""
+        c = np.concatenate([self.q, [1.0, self.bbar]])
+        return ChebyshevSeries(monomial_to_chebyshev(self.n) @ c)
 
     def design(self) -> Design:
         pts = np.concatenate([[-1.0], self.interior_points, [1.0]])
@@ -281,7 +284,8 @@ def _walk(n: int, theta: np.ndarray, b_from: float, b_to: float,
                     break
                 except (ValueError, ConvergenceError, np.linalg.LinAlgError):
                     h *= 0.5
-                    if h < MIN_STEP:
+                    # written so that a NaN step, from a NaN target, ends the loop
+                    if not h >= MIN_STEP:
                         raise ConvergenceError(
                             f"continuation step collapsed below {MIN_STEP} "
                             f"near bbar = {cur!r}"
@@ -311,7 +315,7 @@ class SolutionPath:
         interior = -np.cos(j * np.pi / (n - 1))
         w = np.full(n - 1, 1.0 / (n - 1))
         w[0] = 1.0 / (2.0 * (n - 1))
-        q = 0.5 ** (n - 2) * chebyshev_t(n - 1).coeffs[: n - 1]
+        q = 0.5 ** (n - 2) * cheb2poly(np.eye(n)[n - 1])[: n - 1]
         self.anchor = np.concatenate([q, interior, w])
         self.states: dict[int, tuple[float, np.ndarray]] = {}
 

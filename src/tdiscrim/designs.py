@@ -3,8 +3,11 @@
 A design is a finite set of support points with positive weights summing to
 one. For the model pair of degrees n and n - 2 the criterion value of a
 design is the weighted squared distance between the fixed highest-degree
-part of the larger model and the span of 1, x, ..., x^(n-2); the inner
-minimization is plain weighted least squares on the support.
+part of the larger model and the span of T_0, ..., T_(n-2); the inner
+minimization is plain weighted least squares on the support. Modulo that
+span the fixed part is its top two Chebyshev terms,
+x^n + b x^(n-1) = 2^(1-n) (T_n + 2b T_(n-1)), so the residual is formed
+without the cancellation a monomial fit suffers at high degree.
 """
 
 from __future__ import annotations
@@ -15,16 +18,13 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 
 from .errors import check_degree, check_ratio
-from .polynomials import Polynomial
+from .polynomials import ChebyshevSeries, monomial_to_chebyshev
 
 POINT_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
-# Relative eigenvalue threshold for the pseudo-inverse of the moment matrix.
-# Designs with fewer than n - 1 support points are legitimate inputs, so the
-# normal equations must tolerate exact rank deficiency.
-PINV_RTOL = 1e-10
 
 
 @dataclass
@@ -109,7 +109,8 @@ class DiscriminationProblem:
 
     Exactly one of b (coefficient of x^(n-1), monic x^n) and bbar (coefficient
     of x^n, unit x^(n-1)) must be given; the two parametrizations cover small
-    and large ratios respectively. scale multiplies the fixed part.
+    and large ratios respectively. Either must be finite. scale multiplies
+    the fixed part.
     """
 
     n: int
@@ -122,59 +123,51 @@ class DiscriminationProblem:
         if (self.b is None) == (self.bbar is None):
             raise ValueError("exactly one of b and bbar must be given")
         if self.b is not None:
-            self.b = check_ratio(self.b, "b")
+            self.b = check_ratio(self.b, "b", finite=True)
         if self.bbar is not None:
-            self.bbar = check_ratio(self.bbar, "bbar")
+            self.bbar = check_ratio(self.bbar, "bbar", finite=True)
         self.scale = float(self.scale)
 
-    def fixed_part(self) -> Polynomial:
-        """The non-fittable part: scale * (b x^(n-1) + x^n) or scale * (x^(n-1) + bbar x^n)."""
-        c = np.zeros(self.n + 1)
+    def fixed_part(self) -> ChebyshevSeries:
+        """The non-fittable part: scale * (x^n + b x^(n-1)) or scale * (x^(n-1) + bbar x^n)."""
+        m = monomial_to_chebyshev(self.n)
         if self.b is not None:
-            c[self.n - 1] = self.b
-            c[self.n] = 1.0
+            c = m[:, self.n] + self.b * m[:, self.n - 1]
         else:
-            c[self.n - 1] = 1.0
-            c[self.n] = self.bbar
-        return Polynomial(self.scale * c)
+            c = self.bbar * m[:, self.n] + m[:, self.n - 1]
+        return ChebyshevSeries(self.scale * c)
 
 
-def moment_matrix(design: Design, n: int) -> np.ndarray:
-    """Moments sum_i w_i x_i^(j+k) for j, k = 0..n, as an (n+1) x (n+1) matrix."""
-    n = check_degree(n, 0)
-    powers = design.points[None, :] ** np.arange(2 * n + 1)[:, None]
-    mom = powers @ design.weights
-    idx = np.arange(n + 1)
-    return mom[idx[:, None] + idx[None, :]]
+def _fit(design: Design, problem: DiscriminationProblem):
+    """Weighted least squares of the fixed part against T_0..T_(n-2) on the support.
 
-
-def best_l2_coefficients(design: Design, problem: DiscriminationProblem) -> Polynomial:
-    """Weighted-L2-closest polynomial of degree <= n - 2 to the fixed part.
-
-    Solves the normal equations through an eigendecomposition of the moment
-    matrix, zeroing eigenvalues below PINV_RTOL times the largest; for
-    singular designs this picks the minimum-norm minimizer.
+    Only the top two Chebyshev terms of the fixed part lie outside the span,
+    so only they are fitted; rows are scaled by the root weights. lstsq
+    returns the minimum-norm minimizer, so designs with fewer than n - 1
+    support points are fitted exactly. Returns the fixed part's coefficients,
+    the fitted coefficients and the root-weighted residuals.
     """
     n = problem.n
-    g = problem.fixed_part()
-    x, w = design.points, design.weights
-    basis = x[None, :] ** np.arange(n - 1)[:, None]
-    a = (basis * w) @ basis.T
-    rhs = basis @ (w * g(x))
-    evals, evecs = np.linalg.eigh(a)
-    cut = PINV_RTOL * max(float(evals.max()), 0.0)
-    inv = np.where(evals > cut, 1.0 / np.where(evals > cut, evals, 1.0), 0.0)
-    coef = evecs @ (inv * (evecs.T @ rhs))
-    return Polynomial(coef)
+    g = problem.fixed_part().coeffs
+    v = chebvander(design.points, n)
+    sw = np.sqrt(design.weights)
+    a = sw[:, None] * v[:, : n - 1]
+    y = sw * (v[:, n - 1 :] @ g[n - 1 :])
+    coef = np.linalg.lstsq(a, y, rcond=None)[0]
+    return g, coef, y - a @ coef
+
+
+def best_l2_coefficients(design: Design, problem: DiscriminationProblem) -> ChebyshevSeries:
+    """Weighted-L2-closest polynomial of degree <= n - 2 to the fixed part."""
+    g, coef, _ = _fit(design, problem)
+    return ChebyshevSeries(g[: problem.n - 1] + coef)
 
 
 def t_criterion(design: Design, problem: DiscriminationProblem) -> float:
     """Criterion value: weighted squared deviation of the fixed part from its best fit.
 
-    Computed as the explicit weighted sum of squared residuals, which is
-    nonnegative by construction even when the moment matrix is singular.
+    Computed as the explicit sum of squared root-weighted residuals, which is
+    nonnegative by construction and zero when the support can be interpolated.
     """
-    g = problem.fixed_part()
-    fit = best_l2_coefficients(design, problem)
-    res = g(design.points) - fit(design.points)
-    return float(np.sum(design.weights * res * res))
+    res = _fit(design, problem)[2]
+    return float(res @ res)

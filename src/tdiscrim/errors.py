@@ -36,9 +36,15 @@ def check_degree(n, minimum: int) -> int:
     return int(n)
 
 
-def check_ratio(value, name: str) -> float:
-    """float(value), after checking that it is not NaN; regime checks reject inf."""
+def check_ratio(value, name: str, *, finite: bool = False) -> float:
+    """float(value), after checking that it is not NaN, nor infinite when finite is set.
+
+    Entry points with a regime leave finite unset, so that their regime
+    check rejects an infinite ratio as out of range.
+    """
     x = float(value)
     if math.isnan(x):
         raise ValueError(f"{name} must be a number, got {x!r}")
+    if finite and math.isinf(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
     return x

@@ -1,9 +1,10 @@
 """Best uniform approximation of x^n + b x^(n-1) by polynomials of degree n - 2.
 
-Two independent routes to the same object. The closed form expresses the
-error polynomial psi as a rescaled Chebyshev polynomial composed with an
-affine map, valid while |b| stays below the critical ratio. The Remez
-exchange iteration solves the same problem for every b. The error
+Two independent routes to the same object, both on Chebyshev series. The
+closed form expresses the error polynomial psi as a rescaled Chebyshev
+polynomial of an affine map of x, valid while |b| stays below the critical
+ratio. The Remez exchange iteration solves the same problem for every b,
+with the critical points of psi taken from its colleague matrix. The error
 polynomial equioscillates on its extremal set, and that set carries the
 optimal discrimination design, which is what ties this module to the rest
 of the package.
@@ -17,15 +18,9 @@ import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
 from .closed_form import _check_regime
-from .errors import ConvergenceError, check_degree, check_ratio
-from .polynomials import (
-    Polynomial,
-    chebyshev_extrema,
-    chebyshev_t,
-    chebyshev_to_monomial,
-    compose_affine,
-    trim_tail,
-)
+from .designs import DiscriminationProblem
+from .errors import ConvergenceError, check_degree
+from .polynomials import ChebyshevSeries, chebyshev_extrema
 
 # Two extremal-point candidates closer than this are one analytic extremum
 # split by the root finder; keep the larger.
@@ -36,69 +31,55 @@ EXTREMAL_TOL = 1e-9
 
 @dataclass
 class BestApproxResult:
-    """Minimax approximant plus the equioscillation evidence for it."""
+    """Minimax approximant and error polynomial, plus the equioscillation evidence.
 
-    approximant: Polynomial
+    approximant is target - psi, the best approximation of degree n - 2.
+    """
+
+    approximant: ChebyshevSeries
+    psi: ChebyshevSeries
     deviation: float
     extremal_points: np.ndarray
     signs: np.ndarray
     iterations: int = 0
 
 
-def target_polynomial(n: int, b: float) -> Polynomial:
-    """The fixed part x^n + b x^(n-1) whose best approximation is sought."""
-    n = check_degree(n, 2)
-    c = np.zeros(n + 1)
-    c[n - 1] = check_ratio(b, "b")
-    c[n] = 1.0
-    return Polynomial(c)
+def target_polynomial(n: int, b: float) -> ChebyshevSeries:
+    """The fixed part x^n + b x^(n-1) whose best approximation is sought; b must be finite."""
+    return DiscriminationProblem(n, b=b).fixed_part()
 
 
-def closed_form_psi(n: int, b: float) -> Polynomial:
+def closed_form_psi(n: int, b: float) -> ChebyshevSeries:
     """Explicit minimax error polynomial for |b| <= critical_b(n).
 
-    Monic of degree n with x^(n-1) coefficient exactly b; its sup-norm on
-    [-1, 1] is (1 + |b|/n)^n / 2^(n-1). For negative b the expression is the
-    mirror image of the positive-b one; outside the critical window the
-    formula stops being minimax, so it is rejected rather than extrapolated.
+    Monic of degree n with x^(n-1) coefficient b; its sup-norm on [-1, 1] is
+    (1 + |b|/n)^n / 2^(n-1). For b >= 0 it is the rescaled Chebyshev
+    polynomial scale * T_n(-(x + beta) / (1 + beta)) with beta = b/n,
+    interpolated at the n + 1 Chebyshev points of the first kind x = cos(theta),
+    which is exact for degree n. For negative b it is the mirror image
+    (-1)^n psi(-x), whose coefficients differ only in sign. Outside the
+    critical window the formula stops being minimax, so it is rejected
+    rather than extrapolated.
     """
     n = check_degree(n, 2)
     b = _check_regime(n, b)
     beta = abs(b) / n
     scale = (-1.0) ** n * 0.5 ** (n - 1) * (1.0 + beta) ** n
-    psi = scale * compose_affine(
-        chebyshev_t(n), -1.0 / (1.0 + beta), -beta / (1.0 + beta)
-    )
+    theta = (np.arange(n + 1) + 0.5) * np.pi / (n + 1)
+    # arccos(-(cos(theta) + beta) / (1 + beta)) by its half-angle tangent,
+    # which keeps full relative accuracy where the argument nears -1 or 1
+    phi = 2.0 * np.arctan2(np.sqrt(np.cos(0.5 * theta) ** 2 + beta),
+                           np.sin(0.5 * theta))
+    k = np.arange(n + 1)
+    c = np.cos(np.outer(k, theta)) @ (scale * np.cos(n * phi))
+    c *= 2.0 / (n + 1)
+    c[0] *= 0.5
     if b < 0:
-        psi = (-1.0) ** n * compose_affine(psi, -1.0, 0.0)
-    return psi
+        c[(n + k) % 2 == 1] *= -1.0
+    return ChebyshevSeries(c)
 
 
-def _critical_points(psi: Polynomial) -> np.ndarray:
-    """Endpoints plus real roots of psi' inside [-1, 1], sorted.
-
-    The roots are the eigenvalues of the companion matrix of psi' after its
-    roundoff-sized leading coefficients are cut, as numpy's polyroots
-    builds it.
-    """
-    dc = psi.deriv().coeffs
-    dc = trim_tail(dc, 1e-14 * max(1.0, float(np.abs(dc).max())))
-    if dc.size == 1:
-        return np.array([-1.0, 1.0])
-    if dc.size == 2:
-        roots = np.array([-dc[0] / dc[1]])
-    else:
-        m = dc.size - 1
-        companion = np.zeros((m, m))
-        companion.reshape(-1)[m :: m + 1] = 1.0
-        companion[:, -1] -= dc[:-1] / dc[-1]
-        roots = np.sort(np.linalg.eigvals(companion))
-    real = roots.real[np.abs(roots.imag) <= 1e-9]
-    real = real[(real >= -1.0 - 1e-12) & (real <= 1.0 + 1e-12)]
-    return np.unique(np.concatenate(([-1.0, 1.0], np.clip(real, -1.0, 1.0))))
-
-
-def extremal_set(psi: Polynomial, tol: float = EXTREMAL_TOL) -> np.ndarray:
+def extremal_set(psi: ChebyshevSeries, tol: float = EXTREMAL_TOL) -> np.ndarray:
     """All x in [-1, 1] with |psi(x)| >= (1 - tol) * sup |psi|, clustered.
 
     psi must be nonconstant. Candidates come from the stationary points of
@@ -107,7 +88,7 @@ def extremal_set(psi: Polynomial, tol: float = EXTREMAL_TOL) -> np.ndarray:
     """
     if psi.degree < 1:
         raise ValueError("psi must be nonconstant")
-    cand = _critical_points(psi)
+    cand = psi.critical_points()
     return cand[_extremal(cand, psi(cand), tol)]
 
 
@@ -124,17 +105,19 @@ def _extremal(cand: np.ndarray, vals: np.ndarray, tol: float) -> np.ndarray:
     return np.asarray(out)
 
 
-def _solve_reference(ref: np.ndarray, target: Polynomial, n: int):
-    """Interpolate target on ref with an alternating offset.
+def _solve_reference(ref: np.ndarray, top: np.ndarray, n: int):
+    """Interpolate the target on ref with an alternating offset.
 
-    Solves for degree <= n-2 coefficients (Chebyshev basis, for conditioning)
-    and the signed level h such that p(x_i) + (-1)^i h = target(x_i).
+    Modulo degree n - 2 the target is top[0] T_(n-1) + top[1] T_n. Solves
+    for the degree <= n-2 Chebyshev coefficients p and the signed level h
+    such that p(x_i) + (-1)^i h equals that reduced target at x_i.
     """
     m = ref.size
     a = np.empty((m, m))
-    a[:, : m - 1] = ncheb.chebvander(ref, n - 2)
+    v = ncheb.chebvander(ref, n)
+    a[:, : m - 1] = v[:, : n - 1]
     a[:, m - 1] = (-1.0) ** np.arange(m)
-    sol = np.linalg.solve(a, target(ref))
+    sol = np.linalg.solve(a, v[:, n - 1 :] @ top)
     return sol[:-1], float(sol[-1])
 
 
@@ -168,32 +151,36 @@ def _exchange(cand: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
 def remez(n: int, b: float, tol: float = 1e-12, max_iter: int = 100) -> BestApproxResult:
     """Exchange iteration for the minimax approximant of x^n + b x^(n-1).
 
-    References carry n points (the approximating space has dimension n - 1).
-    Starts from the Chebyshev extrema of degree n, dropping the end the
-    target is least strained at, and stops when the largest error over the
-    current candidates matches the alternation level within tol.
+    Works modulo degree n - 2, where the target is its top two Chebyshev
+    terms, and forms psi as that reduced target minus the solution on the
+    reference, so psi carries no cancellation. References carry n points
+    (the approximating space has dimension n - 1). Starts from the Chebyshev
+    extrema of degree n, dropping the end the target is least strained at,
+    and stops when the largest error over the current candidates exceeds
+    the alternation level by at most tol relative to that error.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n = check_degree(n, 2)
-    target = target_polynomial(n, b)
+    target = target_polynomial(n, b).coeffs
+    top = target[n - 1 :]
     ext = chebyshev_extrema(n)
     ref = ext[1:] if b >= 0 else ext[:-1]
     last: BestApproxResult | None = None
     for it in range(1, max_iter + 1):
-        coef_cheb, level = _solve_reference(ref, target, n)
-        approx = Polynomial(chebyshev_to_monomial(coef_cheb))
-        psi = target - approx
-        cand = _critical_points(psi)
+        p, level = _solve_reference(ref, top, n)
+        psi = ChebyshevSeries(np.concatenate([-p, top]))
+        cand = psi.critical_points()
         vals = psi(cand)
         dev = float(np.abs(vals).max())
         keep = _extremal(cand, vals, EXTREMAL_TOL)
         last = BestApproxResult(
-            approx, dev, cand[keep], np.sign(vals[keep]).astype(int), iterations=it
+            ChebyshevSeries(target[: n - 1] + p), psi, dev, cand[keep],
+            np.sign(vals[keep]).astype(int), iterations=it,
         )
-        if dev - abs(level) <= tol * max(1.0, dev):
+        if dev - abs(level) <= tol * dev:
             return last
         ref = _exchange(cand, vals, n)
     raise ConvergenceError(

@@ -1,69 +1,32 @@
-"""Monomial-basis polynomials, Chebyshev construction, affine composition.
+"""The one polynomial representation of the package: Chebyshev series on [-1, 1].
 
-Everything works on dense coefficient arrays indexed by power, which is all
-the small degrees used here (n <= 12 or so) ever need. The kernels act on
-plain arrays: at these sizes numpy.polynomial's per-call coercion costs more
-than the arithmetic. Each one performs the floating-point operations of its
-numpy.polynomial.polynomial counterpart in the same order, so results agree
-bit for bit; the tests hold them to that reference.
+A polynomial is held as its coefficients in the basis T_0, T_1, ... of
+Chebyshev polynomials of the first kind. The error polynomials of this
+problem shrink like 2^(1-n); in this basis their coefficients shrink with
+them, so evaluation, differentiation and root finding keep their relative
+accuracy at every degree up to 40, where monomial coefficients cancel
+about 0.3 n digits.
+
+The kernels act on plain arrays: at these sizes numpy.polynomial's per-call
+coercion costs more than the arithmetic. Evaluation, differentiation and
+the colleague matrix perform the floating-point operations of chebval,
+chebder and chebcompanion in the same order, so results agree bit for bit;
+the tests hold them to that reference.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import check_degree
 
-# Trailing coefficients at or below this magnitude are treated as roundoff
-# when reporting the degree; affine composition and basis changes leave
-# tails of this size on exact cancellations.
-DEGREE_TRIM = 1e-12
 
-
-def _trimseq(c: np.ndarray) -> np.ndarray:
-    """c without its exactly zero trailing entries, keeping at least one."""
-    if c[-1] != 0:
-        return c
-    nz = np.flatnonzero(c)
-    return c[: nz[-1] + 1] if nz.size else c[:1]
-
-
-def trim_tail(c: np.ndarray, tol: float) -> np.ndarray:
-    """Copy of c without the trailing entries of magnitude at most tol.
-
-    The zero series [0] when every entry is that small.
-    """
-    nz = np.flatnonzero(np.abs(c) > tol)
-    return c[: nz[-1] + 1].copy() if nz.size else c[:1] * 0
-
-
-def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = _trimseq(a), _trimseq(b)
-    if a.size > b.size:
-        out = a.copy()
-        out[: b.size] += b
-    else:
-        out = b.copy()
-        out[: a.size] += a
-    return _trimseq(out)
-
-
-def _sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = _trimseq(a), _trimseq(b)
-    if a.size > b.size:
-        out = a.copy()
-        out[: b.size] -= b
-    else:
-        out = -b
-        out[: a.size] += a
-    return _trimseq(out)
-
-
-@dataclass
-class Polynomial:
-    """Real polynomial p(x) = sum_i coeffs[i] * x**i."""
+@dataclass(eq=False)
+class ChebyshevSeries:
+    """Real polynomial p(x) = sum_k coeffs[k] T_k(x)."""
 
     coeffs: np.ndarray
 
@@ -71,126 +34,108 @@ class Polynomial:
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coeffs must be a non-empty one-dimensional sequence")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
         self.coeffs = c
 
     @property
     def degree(self) -> int:
-        """Degree after ignoring roundoff-sized trailing coefficients."""
-        nz = np.nonzero(np.abs(self.coeffs) > DEGREE_TRIM)[0]
+        """Index of the last nonzero coefficient; 0 for a constant."""
+        nz = np.flatnonzero(self.coeffs)
         return int(nz[-1]) if nz.size else 0
 
     def __call__(self, x):
-        """Horner's rule, elementwise over array x."""
+        """Clenshaw's recurrence, elementwise over array x."""
         if isinstance(x, (tuple, list)):
             x = np.asarray(x)
-        c = self.coeffs
-        out = c[-1] + x * 0
-        for coef in c[-2::-1]:
-            out = coef + out * x
-        return out
+        c = self.coeffs.tolist()
+        if len(c) == 1:
+            return c[0] + 0 * x
+        c0, c1 = c[-2], c[-1]
+        if len(c) > 2:
+            x2 = 2 * x
+            for i in range(3, len(c) + 1):
+                c0, c1 = c[-i] - c1, c0 + c1 * x2
+        return c0 + c1 * x
 
-    def deriv(self) -> "Polynomial":
-        c = self.coeffs
-        if c.size == 1:
-            return Polynomial(np.zeros(1))
-        return Polynomial(c[1:] * np.arange(1, c.size))
+    def deriv(self) -> "ChebyshevSeries":
+        c = self.coeffs.tolist()
+        n = len(c) - 1
+        if n == 0:
+            return ChebyshevSeries([c[0] * 0])
+        der = [0.0] * n
+        for j in range(n, 2, -1):
+            der[j - 1] = (2 * j) * c[j]
+            c[j - 2] += (j * c[j]) / (j - 2)
+        if n > 1:
+            der[1] = 4 * c[2]
+        der[0] = c[1]
+        return ChebyshevSeries(der)
 
-    def trimmed(self) -> "Polynomial":
-        return Polynomial(trim_tail(self.coeffs, DEGREE_TRIM))
+    def critical_points(self) -> np.ndarray:
+        """Endpoints plus the real roots of p' inside [-1, 1], sorted.
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-self.coeffs)
+        The roots are the eigenvalues of the colleague matrix of p', rotated
+        as numpy's chebroots rotates it. Trailing coefficients of p' up to
+        1e-14 of its largest are cut first: they move the roots inside
+        [-1, 1] by rounding only, and left in they overflow the matrix.
+        Roots within 1e-9 of the real axis count as real, and those within
+        1e-12 outside [-1, 1] as endpoint roots.
+        """
+        d = self.deriv().coeffs
+        nz = np.flatnonzero(np.abs(d) > 1e-14 * np.abs(d).max())
+        d = d[: nz[-1] + 1] if nz.size else d[:1]
+        m = d.size - 1
+        if m == 0:
+            roots = np.empty(0)
+        elif m == 1:
+            roots = np.array([-d[0] / d[1]])
+        else:
+            mat = np.zeros((m, m))
+            scl = np.array([1.0] + [np.sqrt(0.5)] * (m - 1))
+            top = mat.reshape(-1)[1 :: m + 1]
+            bot = mat.reshape(-1)[m :: m + 1]
+            top[0] = np.sqrt(0.5)
+            top[1:] = 1 / 2
+            bot[...] = top
+            mat[:, -1] -= (d[:-1] / d[-1]) * (scl / scl[-1]) * 0.5
+            roots = np.linalg.eigvals(mat[::-1, ::-1])
+        real = roots.real[np.abs(roots.imag) <= 1e-9]
+        real = real[(real >= -1.0 - 1e-12) & (real <= 1.0 + 1e-12)]
+        return np.unique(np.concatenate(([-1.0, 1.0], np.clip(real, -1.0, 1.0))))
 
-    def __add__(self, other) -> "Polynomial":
-        return Polynomial(_add(self.coeffs, _coerce(other).coeffs))
+    def __neg__(self) -> "ChebyshevSeries":
+        return ChebyshevSeries(-self.coeffs)
 
-    def __sub__(self, other) -> "Polynomial":
-        return Polynomial(_sub(self.coeffs, _coerce(other).coeffs))
+    def __add__(self, other: "ChebyshevSeries") -> "ChebyshevSeries":
+        a, b = sorted((self.coeffs, other.coeffs), key=len)
+        out = b.copy()
+        out[: a.size] += a
+        return ChebyshevSeries(out)
 
-    def __mul__(self, other) -> "Polynomial":
-        if np.isscalar(other):
-            return Polynomial(self.coeffs * float(other))
-        other = _coerce(other)
-        return Polynomial(
-            _trimseq(np.convolve(_trimseq(self.coeffs), _trimseq(other.coeffs)))
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        a, b = self.trimmed().coeffs, other.trimmed().coeffs
-        return a.shape == b.shape and bool(np.array_equal(a, b))
+    def __sub__(self, other: "ChebyshevSeries") -> "ChebyshevSeries":
+        return self + (-other)
 
 
-def _coerce(p) -> Polynomial:
-    if isinstance(p, Polynomial):
-        return p
-    if np.isscalar(p):
-        return Polynomial(np.array([float(p)]))
-    return Polynomial(p)
+@functools.cache
+def monomial_to_chebyshev(n: int) -> np.ndarray:
+    """The (n+1) x (n+1) matrix whose column k holds the Chebyshev coefficients of x^k.
 
-
-def chebyshev_t(n: int) -> Polynomial:
-    """Chebyshev polynomial of the first kind, expanded in the monomial basis.
-
-    Built by the three-term recurrence; for the degrees used here every
-    coefficient is an exactly representable integer.
+    Built column by column from x T_0 = T_1 and x T_j = (T_(j-1) + T_(j+1)) / 2.
+    Every entry is 2^-k times a binomial coefficient, so it is exact in
+    floating point for every n up to 56. The array is shared and read-only.
     """
     n = check_degree(n, 0)
-    if n == 0:
-        return Polynomial(np.array([1.0]))
-    prev = np.array([1.0])
-    cur = np.array([0.0, 1.0])
-    for _ in range(n - 1):
-        nxt = np.concatenate(([0.0], 2.0 * cur))
-        nxt[: prev.size] -= prev
-        prev, cur = cur, nxt
-    return Polynomial(cur)
-
-
-def chebyshev_to_monomial(c: np.ndarray) -> np.ndarray:
-    """Monomial coefficients of the Chebyshev series sum_i c[i] T_i.
-
-    numpy's cheb2poly recurrence, run on the trimmed series.
-    """
-    c = _trimseq(np.asarray(c, dtype=float))
-    if c.size < 3:
-        return c.copy()
-    c0, c1 = c[-2:-1], c[-1:]
-    for i in range(c.size - 1, 1, -1):
-        c0, c1 = _sub(c[i - 2 : i - 1], c1), _add(c0, _mulx(c1) * 2)
-    return _add(c0, _mulx(c1))
-
-
-def _mulx(c: np.ndarray) -> np.ndarray:
-    """x times the series c."""
-    c = _trimseq(c)
-    if c.size == 1 and c[0] == 0:
-        return c
-    out = np.empty(c.size + 1)
-    out[0] = c[0] * 0
-    out[1:] = c
-    return out
+    m = np.zeros((n + 1, n + 1))
+    m[0, 0] = 1.0
+    for k in range(1, n + 1):
+        prev = m[:, k - 1]
+        m[1, k] = prev[0]
+        m[:-1, k] += 0.5 * prev[1:]
+        m[2:, k] += 0.5 * prev[1:-1]
+    m.flags.writeable = False
+    return m
 
 
 def chebyshev_extrema(n: int) -> np.ndarray:
     """The n + 1 extremal points of T_n on [-1, 1], increasing: -cos(i pi / n)."""
     n = check_degree(n, 1)
     return -np.cos(np.arange(n + 1) * np.pi / n)
-
-
-def compose_affine(p: Polynomial, a: float, c: float) -> Polynomial:
-    """Expand p(a x + c) in the monomial basis (Horner over the affine map)."""
-    if a == 0:
-        raise ValueError("degenerate affine map: a must be nonzero")
-    lin = np.array([float(c), float(a)])
-    out = p.coeffs[-1:].copy()
-    for coef in p.coeffs[-2::-1]:
-        out = _trimseq(np.convolve(out, lin))
-        out[0] += coef
-        out = _trimseq(out)
-    return Polynomial(out)

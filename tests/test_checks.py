@@ -13,13 +13,18 @@ from tdiscrim.checks import (
 from tdiscrim.closed_form import critical_b, t_optimal_design, zero_b_family
 from tdiscrim.designs import Design
 from tdiscrim.minimax import closed_form_psi
-from tdiscrim.polynomials import Polynomial, chebyshev_t
+from tdiscrim.polynomials import ChebyshevSeries
+
+
+def chebyshev_t(n):
+    """T_n as a Chebyshev series."""
+    return ChebyshevSeries(np.eye(n + 1)[n])
 
 
 class TestEquivalenceSystem:
     def test_family_member_with_quarter_chebyshev(self):
         d = zero_b_family(3, 0.5).design
-        psi = 0.25 * chebyshev_t(3)
+        psi = ChebyshevSeries([0.0, 0.0, 0.0, 0.25])
         res = equivalence_system(d, psi, 3)
         assert res.shape == (2,)
         assert np.abs(res).max() <= 1e-12
@@ -31,7 +36,7 @@ class TestEquivalenceSystem:
 
     def test_two_point_design_fails_first_moment(self):
         d = Design([-1.0, 1.0], [0.5, 0.5])
-        psi = 0.25 * chebyshev_t(3)
+        psi = ChebyshevSeries([0.0, 0.0, 0.0, 0.25])
         res = equivalence_system(d, psi, 3)
         assert abs(res[0]) <= 1e-15
         assert res[1] == pytest.approx(0.25, rel=1e-12)

@@ -203,6 +203,20 @@ class TestRemez:
         signs = payload["signs"]
         assert all(a * b == -1 for a, b in zip(signs, signs[1:]))
 
+    def test_approximant_in_monomial_coefficients(self, capsys):
+        # the best linear approximation of x^3 on [-1, 1] is 3x/4
+        _, out, _ = run_cli(capsys, "remez", "--n", "3", "--b", "0")
+        assert json.loads(out)["approximant"] == pytest.approx([0.0, 0.75], abs=1e-14)
+
+    def test_full_alternance_at_high_degree(self, capsys):
+        code, out, _ = run_cli(capsys, "remez", "--n", "30", "--b", "50")
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["extremal_points"]) == 30
+        assert len(payload["approximant"]) == 29
+        signs = payload["signs"]
+        assert all(a * b == -1 for a, b in zip(signs, signs[1:]))
+
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "remez", "--n", "6", "--b", "0.2")
         _, out2, _ = run_cli(capsys, "remez", "--n", "6", "--b", "0.2")
@@ -217,7 +231,8 @@ class TestRemez:
 
 
 class TestNonNumericArguments:
-    """NaN b or bbar is a bad argument (exit 2); infinite ones are outside (exit 3)."""
+    """NaN b or bbar is a bad argument (exit 2); infinite ones are outside (exit 3)
+    where a regime applies, and bad arguments where none does (remez, verify)."""
 
     def test_nan_bbar_is_argument_error(self, capsys):
         code, out, err = run_cli(capsys, "trajectory", "--n", "5",
@@ -249,6 +264,22 @@ class TestNonNumericArguments:
         assert code == 2
         assert out == ""
         assert "b must be a number" in err
+
+    @pytest.mark.parametrize("b", ["inf", "-inf"])
+    def test_infinite_b_in_remez_is_argument_error(self, capsys, b):
+        code, out, err = run_cli(capsys, "remez", "--n", "5", f"--b={b}")
+        assert code == 2
+        assert out == ""
+        assert "b must be finite" in err
+
+    def test_infinite_b_in_verify_is_argument_error(self, tmp_path, capsys):
+        f = tmp_path / "design.json"
+        f.write_text(run_cli(capsys, "design", "--n", "5", "--b", "0.4")[1])
+        code, out, err = run_cli(capsys, "verify", "--design", str(f),
+                                 "--n", "5", "--b", "inf")
+        assert code == 2
+        assert out == ""
+        assert "b must be finite" in err
 
     def test_nan_b_in_verify_is_argument_error(self, tmp_path, capsys):
         f = tmp_path / "design.json"

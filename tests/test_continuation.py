@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as ncheb
 from hypothesis import given, settings, strategies as st
 
 from tdiscrim import continuation
@@ -71,7 +77,9 @@ class TestAnchor:
         st = d1_optimal_start(3)
         assert np.allclose(st.design().points, [-1.0, 0.0, 1.0], atol=1e-12)
         assert np.allclose(st.design().weights, [0.25, 0.5, 0.25], atol=1e-15)
-        assert np.allclose(st.psi().coeffs, [-0.5, 0.0, 1.0, 0.0], atol=1e-15)
+        # psi = x^2 - 1/2 = T_2 / 2; cheb2poly drops the zero x^3 coefficient
+        assert st.psi().coeffs.size == 4
+        assert np.allclose(ncheb.cheb2poly(st.psi().coeffs), [-0.5, 0.0, 1.0], atol=1e-15)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_anchor_is_stationary(self, n):
@@ -94,6 +102,25 @@ def test_h_form_vanishes_when_psi_interpolates():
     eps = 1e-13
     st = ContinuationState([0.0, 1.0], [0.0], [eps, 1.0 - 2 * eps], 0.0)
     assert h_form(st) <= 1e-10
+
+
+def test_nan_target_ends_the_walk():
+    # a NaN target makes every step NaN; the walk must fail, not halve forever,
+    # so it runs in a child process that a timeout kills if it hangs
+    code = ("import math\n"
+            "from tdiscrim.continuation import _path, _walk\n"
+            "from tdiscrim.errors import ConvergenceError\n"
+            "try:\n"
+            "    _walk(5, _path(5).anchor, 0.0, math.nan, 1e-10)\n"
+            "except ConvergenceError as exc:\n"
+            "    print(exc)\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "step collapsed" in proc.stdout
 
 
 def test_stationarity_residual_detects_perturbation():

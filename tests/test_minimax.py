@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
-from numpy.polynomial import polynomial as npoly
+from numpy.polynomial import chebyshev as ncheb
 
 from tdiscrim.closed_form import critical_b, support_points
 from tdiscrim.errors import ConvergenceError, RegimeError
 from tdiscrim.minimax import (
-    _critical_points,
     closed_form_psi,
     extremal_set,
     remez,
     target_polynomial,
 )
-from tdiscrim.polynomials import Polynomial, chebyshev_extrema, chebyshev_t
+from tdiscrim.polynomials import ChebyshevSeries, chebyshev_extrema
+
+
+def monomial(p):
+    """Monomial coefficients of a Chebyshev series, through numpy's cheb2poly."""
+    return ncheb.cheb2poly(p.coeffs)
 
 
 def deviation_formula(n, b):
@@ -21,16 +25,16 @@ def deviation_formula(n, b):
 class TestClosedFormPsi:
     def test_degree_two_centered(self):
         psi = closed_form_psi(2, 0.0)
-        assert np.allclose(psi.coeffs, [-0.5, 0.0, 1.0], atol=1e-14)
+        assert np.allclose(monomial(psi), [-0.5, 0.0, 1.0], atol=1e-14)
 
     def test_degree_three_centered(self):
         psi = closed_form_psi(3, 0.0)
-        assert np.allclose(psi.coeffs, [0.0, -0.75, 0.0, 1.0], atol=1e-14)
+        assert np.allclose(monomial(psi), [0.0, -0.75, 0.0, 1.0], atol=1e-14)
 
     def test_degree_three_at_unit_ratio(self):
         # x^3 + x^2 - x - 11/27, extremal at -1, 1/3, 1 with level 16/27
         psi = closed_form_psi(3, 1.0)
-        assert np.allclose(psi.coeffs, [-11.0 / 27.0, -1.0, 1.0, 1.0], atol=1e-12)
+        assert np.allclose(monomial(psi), [-11.0 / 27.0, -1.0, 1.0, 1.0], atol=1e-12)
         pts = extremal_set(psi)
         assert np.allclose(pts, [-1.0, 1.0 / 3.0, 1.0], atol=1e-9)
         assert abs(psi(1.0)) == pytest.approx(16.0 / 27.0, rel=1e-12)
@@ -38,10 +42,10 @@ class TestClosedFormPsi:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_leading_coefficients(self, n):
         for b in np.linspace(-critical_b(n), critical_b(n), 7):
-            psi = closed_form_psi(n, float(b))
-            assert psi.coeffs.size == n + 1
-            assert psi.coeffs[n] == pytest.approx(1.0, abs=1e-10)
-            assert psi.coeffs[n - 1] == pytest.approx(b, abs=1e-10)
+            psi = monomial(closed_form_psi(n, float(b)))
+            assert psi.size == n + 1
+            assert psi[n] == pytest.approx(1.0, abs=1e-10)
+            assert psi[n - 1] == pytest.approx(b, abs=1e-10)
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_deviation_formula(self, n):
@@ -65,11 +69,11 @@ class TestClosedFormPsi:
 
 class TestExtremalSet:
     def test_chebyshev(self):
-        pts = extremal_set(chebyshev_t(3))
+        pts = extremal_set(ChebyshevSeries([0.0, 0.0, 0.0, 1.0]))
         assert np.allclose(pts, [-1.0, -0.5, 0.5, 1.0], atol=1e-9)
 
     def test_shifted_parabola(self):
-        pts = extremal_set(Polynomial([-0.5, 0.0, 1.0]))
+        pts = extremal_set(ChebyshevSeries(ncheb.poly2cheb([-0.5, 0.0, 1.0])))
         assert np.allclose(pts, [-1.0, 0.0, 1.0], atol=1e-12)
 
     def test_matches_support_formula(self):
@@ -79,13 +83,13 @@ class TestExtremalSet:
 
     def test_rejects_constant(self):
         with pytest.raises(ValueError):
-            extremal_set(Polynomial([2.0]))
+            extremal_set(ChebyshevSeries([2.0]))
 
 
 class TestRemez:
     def test_degree_two(self):
         res = remez(2, 0.0)
-        assert np.allclose(res.approximant.coeffs, [0.5], atol=1e-13)
+        assert np.allclose(monomial(res.approximant), [0.5], atol=1e-13)
         assert res.deviation == pytest.approx(0.5, rel=1e-12)
         assert np.allclose(res.extremal_points, [-1.0, 0.0, 1.0], atol=1e-7)
 
@@ -101,7 +105,7 @@ class TestRemez:
         psi = target_polynomial(5, 0.4) - res.approximant
         ref = closed_form_psi(5, 0.4)
         assert res.deviation == pytest.approx(deviation_formula(5, 0.4), rel=1e-10)
-        assert np.abs(psi.coeffs - ref.coeffs).max() <= 1e-8
+        assert np.abs(monomial(psi) - monomial(ref)).max() <= 1e-8
         assert np.allclose(res.extremal_points, support_points(5, 0.4), atol=1e-8)
 
     @pytest.mark.parametrize("n", range(2, 11))
@@ -115,7 +119,7 @@ class TestRemez:
             )
             ref = closed_form_psi(n, float(b))
             psi = target_polynomial(n, float(b)) - res.approximant
-            assert np.abs(psi.coeffs - ref.coeffs).max() <= 1e-8
+            assert np.abs(monomial(psi) - monomial(ref)).max() <= 1e-8
 
     def test_works_outside_explicit_regime(self):
         res = remez(3, 1.5)
@@ -154,40 +158,40 @@ class TestRemez:
 
 def test_target_polynomial():
     g = target_polynomial(4, -2.5)
-    assert g.coeffs.tolist() == [0.0, 0.0, 0.0, -2.5, 1.0]
+    assert monomial(g).tolist() == [0.0, 0.0, 0.0, -2.5, 1.0]
     with pytest.raises(ValueError):
         target_polynomial(1, 0.0)
 
 
 def critical_points_reference(psi):
-    """_critical_points through numpy.polynomial's polytrim and polyroots."""
-    dc = npoly.polyder(psi.coeffs)
-    dc = npoly.polytrim(dc, tol=1e-14 * max(1.0, float(np.abs(dc).max())))
+    """critical_points through numpy.polynomial's chebder, chebtrim and chebroots."""
+    dc = ncheb.chebder(psi.coeffs)
+    dc = ncheb.chebtrim(dc, tol=1e-14 * float(np.abs(dc).max()))
     pts = [-1.0, 1.0]
     if dc.size > 1:
-        roots = npoly.polyroots(dc)
+        roots = ncheb.chebroots(dc)
         real = roots.real[np.abs(roots.imag) <= 1e-9]
         real = real[(real >= -1.0 - 1e-12) & (real <= 1.0 + 1e-12)]
         pts.extend(np.clip(real, -1.0, 1.0))
     return np.unique(np.asarray(pts, dtype=float))
 
 
-def test_critical_points_match_polyroots():
+def test_critical_points_match_chebroots():
     rng = np.random.Generator(np.random.PCG64(40))
     # constant, trailing zeros, a roundoff-sized leading term, and psi' with
     # the complex pair 0.5 +- 5e-8 i, which the imaginary-part cut drops
-    polys = [Polynomial([0.0]), Polynomial([3.0, 0.0, 0.0]),
-             Polynomial([1.0, 2.0, 1e-16]),
-             Polynomial([0.0, 0.25 + 2.5e-15, -0.5, 1.0 / 3.0])]
+    polys = [ChebyshevSeries([0.0]), ChebyshevSeries([3.0, 0.0, 0.0]),
+             ChebyshevSeries([1.0, 2.0, 1e-16]),
+             ChebyshevSeries(ncheb.poly2cheb([0.0, 0.25 + 2.5e-15, -0.5, 1.0 / 3.0]))]
     for deg in range(1, 41):
         c = rng.normal(size=deg + 1)
-        polys.append(Polynomial(c))
+        polys.append(ChebyshevSeries(c))
         c = c.copy()
         c[-1] = 0.0
-        polys.append(Polynomial(c))
-    polys += [closed_form_psi(n, 0.5 * critical_b(n)) for n in range(2, 21)]
+        polys.append(ChebyshevSeries(c))
+    polys += [closed_form_psi(n, 0.5 * critical_b(n)) for n in range(2, 41)]
     for psi in polys:
-        ours, ref = _critical_points(psi), critical_points_reference(psi)
+        ours, ref = psi.critical_points(), critical_points_reference(psi)
         assert ours.shape == ref.shape and np.array_equal(ours, ref)
 
 

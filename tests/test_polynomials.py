@@ -4,19 +4,23 @@ from numpy.polynomial import chebyshev as ncheb
 from numpy.polynomial import polynomial as npoly
 
 from tdiscrim.polynomials import (
-    Polynomial,
+    ChebyshevSeries,
     chebyshev_extrema,
-    chebyshev_t,
-    chebyshev_to_monomial,
-    compose_affine,
+    monomial_to_chebyshev,
 )
 
 
+def chebyshev_t(n):
+    """T_n as a Chebyshev series."""
+    return ChebyshevSeries(np.eye(n + 1)[n])
+
+
 def test_chebyshev_low_degrees_exact():
-    assert chebyshev_t(0).coeffs.tolist() == [1.0]
-    assert chebyshev_t(1).coeffs.tolist() == [0.0, 1.0]
-    assert chebyshev_t(2).coeffs.tolist() == [-1.0, 0.0, 2.0]
-    assert chebyshev_t(3).coeffs.tolist() == [0.0, -3.0, 0.0, 4.0]
+    # columns: 1, x, x^2 = (T_0 + T_2) / 2, x^3 = (3 T_1 + T_3) / 4
+    assert monomial_to_chebyshev(3).tolist() == [[1.0, 0.0, 0.5, 0.0],
+                                                 [0.0, 1.0, 0.0, 0.75],
+                                                 [0.0, 0.0, 0.5, 0.0],
+                                                 [0.0, 0.0, 0.0, 0.25]]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -28,8 +32,8 @@ def test_chebyshev_matches_cosine_form(n):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_chebyshev_leading_coefficient(n):
-    # 2^(n-1) exactly; the recurrence only doubles and subtracts integers
-    assert chebyshev_t(n).coeffs[-1] == 2.0 ** (n - 1)
+    # x^n = 2^(1-n) T_n + lower terms, exactly; the recurrence only halves and adds
+    assert monomial_to_chebyshev(n)[n, n] == 2.0 ** (1 - n)
 
 
 def test_extrema_values():
@@ -50,82 +54,38 @@ def test_extrema_alternation(n):
     assert np.abs(vals - expected).max() <= 1e-12
 
 
-def test_eval_horner():
-    p = Polynomial([1.0, 0.0, 2.0])
+def test_eval_clenshaw():
+    p = ChebyshevSeries(ncheb.poly2cheb([1.0, 0.0, 2.0]))
     assert p(3.0) == 19.0
     assert chebyshev_t(5)(1.0) == pytest.approx(1.0, abs=1e-14)
     assert abs(chebyshev_t(4)(np.cos(np.pi / 8))) <= 1e-12
 
 
-def test_compose_affine_examples():
-    t2 = chebyshev_t(2)
-    flipped = compose_affine(t2, -1.0, 0.0)
-    assert np.allclose(flipped.coeffs, t2.coeffs, atol=1e-15)
-    p = compose_affine(chebyshev_t(1), 2.0, 1.0)
-    assert p.coeffs.tolist() == [1.0, 2.0]
-    q = compose_affine(chebyshev_t(3), -1.0, 0.0)
-    assert np.allclose(q.coeffs, [0.0, 3.0, 0.0, -4.0], atol=1e-15)
-
-
-def test_compose_affine_matches_pointwise():
-    rng = np.random.Generator(np.random.PCG64(42))
-    x = np.linspace(-1.0, 1.0, 37)
-    for _ in range(25):
-        deg = int(rng.integers(0, 9))
-        p = Polynomial(rng.normal(size=deg + 1))
-        a = float(rng.uniform(-2.0, 2.0)) or 1.0
-        c = float(rng.uniform(-1.0, 1.0))
-        composed = compose_affine(p, a, c)
-        assert np.abs(composed(x) - p(a * x + c)).max() <= 1e-12 * (
-            1.0 + np.abs(p.coeffs).max()
-        )
-
-
-def test_compose_affine_rejects_constant_map():
-    with pytest.raises(ValueError):
-        compose_affine(chebyshev_t(3), 0.0, 0.5)
-
-
-def test_compose_affine_preserves_degree():
-    p = Polynomial([1.0, -2.0, 0.0, 5.0])
-    assert compose_affine(p, 0.5, 0.25).degree == p.degree
-
-
-def test_degree_trims_roundoff():
-    p = Polynomial([1.0, 1.0, 1e-15])
-    assert p.degree == 1
-    assert Polynomial([0.0]).degree == 0
-
-
-def test_product_degree_adds():
-    p = Polynomial([1.0, 2.0, 3.0])
-    q = Polynomial([-1.0, 4.0])
-    assert (p * q).degree == 3
-    assert (2.0 * p).coeffs.tolist() == [2.0, 4.0, 6.0]
-
-
 def test_arithmetic_and_derivative():
-    p = Polynomial([0.0, 0.0, 1.0])
-    q = Polynomial([1.0, 1.0])
-    assert (p - q).coeffs.tolist() == [-1.0, -1.0, 1.0]
+    p = ChebyshevSeries([0.5, 0.0, 0.5])  # x^2
+    q = ChebyshevSeries([1.0, 1.0])  # 1 + x
+    assert (p - q).coeffs.tolist() == [-0.5, -1.0, 0.5]
     assert (p + q)(2.0) == 7.0
     assert p.deriv().coeffs.tolist() == [0.0, 2.0]
-    assert Polynomial([3.0]).deriv().coeffs.tolist() == [0.0]
+    assert ChebyshevSeries([3.0]).deriv().coeffs.tolist() == [0.0]
+    assert p.degree == 2 and ChebyshevSeries([2.0, 0.0]).degree == 0
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        Polynomial([])
+        ChebyshevSeries([])
     with pytest.raises(ValueError):
-        Polynomial([1.0, np.nan])
+        ChebyshevSeries([[1.0, 2.0]])
     with pytest.raises(ValueError):
-        chebyshev_t(-1)
+        monomial_to_chebyshev(-1)
     with pytest.raises(ValueError):
         chebyshev_extrema(0)
 
 
 # The kernels above run on plain arrays; numpy.polynomial is their reference.
 # Each must match it exactly, shape included: same operations, same order.
+# Only the sum and difference keep the exactly zero trailing coefficients
+# that numpy trims.
 
 def reference_series():
     """Seeded coefficient arrays of degree 0..40, some ending in exact zeros."""
@@ -147,67 +107,68 @@ def same(ours, ref):
     return np.shape(ours) == np.shape(ref) and bool(np.array_equal(ours, ref))
 
 
-def test_evaluation_matches_polyval():
+def padded(ref, size):
+    out = np.zeros(size)
+    out[: ref.size] = ref
+    return out
+
+
+def test_evaluation_matches_chebval():
     x = np.linspace(-1.3, 1.1, 17)
     for c in reference_series():
-        p = Polynomial(c)
+        p = ChebyshevSeries(c)
         for arg in (0.37, -1.0, x, x.tolist(), tuple(x[:3]), x.reshape(1, -1)):
-            assert same(p(arg), npoly.polyval(arg, c))
-        assert type(p(0.37)) is type(npoly.polyval(0.37, c))
+            assert same(p(arg), ncheb.chebval(arg, c))
 
 
-def test_derivative_matches_polyder():
+def test_derivative_matches_chebder():
     for c in reference_series():
-        assert same(Polynomial(c).deriv().coeffs, npoly.polyder(c))
+        assert same(ChebyshevSeries(c).deriv().coeffs, ncheb.chebder(c))
 
 
 def test_sum_and_difference_match_polyadd_and_polysub():
+    # coefficientwise, in any basis: chebadd and chebsub are these functions
     series = reference_series()
     rng = np.random.Generator(np.random.PCG64(7))
     for c in series:
         for d in (series[int(i)] for i in rng.integers(0, len(series), 4)):
-            assert same((Polynomial(c) + Polynomial(d)).coeffs, npoly.polyadd(c, d))
-            assert same((Polynomial(c) - Polynomial(d)).coeffs, npoly.polysub(c, d))
-        # leading terms cancel: the result is trimmed as numpy trims it
-        assert same((Polynomial(c) - Polynomial(c)).coeffs, npoly.polysub(c, c))
-        assert same((Polynomial(c) + Polynomial(-c)).coeffs, npoly.polyadd(c, -c))
-
-
-def test_product_and_trim_match_polymul_and_polytrim():
-    series = reference_series()
-    for c, d in zip(series, series[::-1]):
-        assert same((Polynomial(c) * Polynomial(d)).coeffs, npoly.polymul(c, d))
-        rough = c + 1e-13 * (np.arange(c.size) % 2)
-        assert same(Polynomial(rough).trimmed().coeffs,
-                    npoly.polytrim(rough, tol=1e-12))
-    # a trailing coefficient exactly at the cut is trimmed
-    edge = np.array([1.0, 2.0, 1e-12])
-    assert same(Polynomial(edge).trimmed().coeffs, npoly.polytrim(edge, tol=1e-12))
+            size = max(c.size, d.size)
+            ours = (ChebyshevSeries(c) + ChebyshevSeries(d)).coeffs
+            assert same(ours, padded(npoly.polyadd(c, d), size))
+            assert same(ours, padded(ncheb.chebadd(c, d), size))
+            ours = (ChebyshevSeries(c) - ChebyshevSeries(d)).coeffs
+            assert same(ours, padded(npoly.polysub(c, d), size))
+            assert same(ours, padded(ncheb.chebsub(c, d), size))
+        assert not np.any((ChebyshevSeries(c) - ChebyshevSeries(c)).coeffs)
 
 
 def test_chebyshev_matches_cheb2poly_of_basis_vector():
+    # column k of the basis matrix is x^k in the Chebyshev basis: poly2cheb
+    # of the k-th basis vector, which cheb2poly maps back to it exactly
     for n in range(41):
-        assert same(chebyshev_t(n).coeffs, ncheb.cheb2poly(np.eye(n + 1)[n]))
+        m = monomial_to_chebyshev(n)
+        for k in range(n + 1):
+            e = np.eye(n + 1)[k]
+            assert same(m[:, k], padded(ncheb.poly2cheb(e), n + 1))
+            assert same(padded(ncheb.cheb2poly(m[:, k]), n + 1), e)
 
 
 def test_chebyshev_series_conversion_matches_cheb2poly():
+    # the matrix product sums in another order than poly2cheb's Horner
+    # loop, and cheb2poly rounds on the way back, so both agree to a few
+    # units of the sum of the magnitudes of the terms
+    eps = np.finfo(float).eps
     for c in reference_series():
-        assert same(chebyshev_to_monomial(c), ncheb.cheb2poly(c))
+        m = monomial_to_chebyshev(c.size - 1)
+        cheb = m @ c
+        bound = 4 * c.size * eps * (np.abs(m) @ np.abs(c))
+        assert np.all(np.abs(cheb - padded(ncheb.poly2cheb(c), c.size)) <= bound)
+        back = padded(ncheb.cheb2poly(cheb), c.size)
+        assert np.all(np.abs(back - c) <= 4 * c.size * eps
+                      * (np.abs(np.linalg.inv(m)) @ np.abs(cheb) + np.abs(c)))
 
 
-def compose_affine_reference(c, a, shift):
-    """p(a x + shift) by numpy.polynomial's polymul/polyadd Horner loop."""
-    lin = np.array([shift, a])
-    out = np.array([c[-1]])
-    for coef in c[-2::-1]:
-        out = npoly.polyadd(npoly.polymul(out, lin), np.array([coef]))
-    return out
-
-
-def test_compose_affine_matches_polymul_polyadd_loop():
-    rng = np.random.Generator(np.random.PCG64(11))
-    for c in reference_series():
-        for a, shift in ((-1.0, 0.0), (float(rng.uniform(-2.0, 2.0)),
-                                       float(rng.uniform(-1.0, 1.0)))):
-            assert same(compose_affine(Polynomial(c), a, shift).coeffs,
-                        compose_affine_reference(c, a, shift))
+def test_basis_matrix_is_shared_and_read_only():
+    assert monomial_to_chebyshev(5) is monomial_to_chebyshev(5)
+    with pytest.raises(ValueError):
+        monomial_to_chebyshev(5)[0, 0] = 2.0

@@ -7,21 +7,19 @@ import pytest
 
 from tdiscrim import (
     Design,
+    ChebyshevSeries,
     DiscriminationProblem,
-    Polynomial,
     RatioInterval,
     RegimeError,
     appendix_identity,
     bbar_limit,
     canonical_weights,
     chebyshev_extrema,
-    chebyshev_t,
     closed_form_psi,
     critical_b,
     d1_optimal_start,
     equivalence_system,
     maximin_design,
-    moment_matrix,
     r_value,
     remez,
     solve_at,
@@ -38,12 +36,13 @@ from tdiscrim import checks, continuation
 from tdiscrim.closed_form import in_explicit_regime
 from tdiscrim.continuation import _path
 from tdiscrim.errors import check_degree, check_ratio
+from tdiscrim.polynomials import monomial_to_chebyshev
 
 NAN = float("nan")
 INF = float("inf")
 
 _DESIGN = Design([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
-_PSI = Polynomial([-0.5, 0.0, 1.0])
+_PSI = ChebyshevSeries([0.0, 0.0, 0.5])
 
 # (entry point, call with degree n and otherwise valid arguments, smallest n)
 DEGREE_ENTRY_POINTS = [
@@ -56,12 +55,11 @@ DEGREE_ENTRY_POINTS = [
     ("zero_b_family", lambda n: zero_b_family(n, 0.5), 2),
     ("_path", _path, 3),
     ("DiscriminationProblem", lambda n: DiscriminationProblem(n, b=0.1), 2),
-    ("moment_matrix", lambda n: moment_matrix(_DESIGN, n), 0),
     ("maximin_design", lambda n: maximin_design(n, RatioInterval.whole_line()), 2),
     ("r_value", lambda n: r_value(n, 0.1), 2),
     ("target_polynomial", lambda n: target_polynomial(n, 0.1), 2),
     ("closed_form_psi", lambda n: closed_form_psi(n, 0.1), 2),
-    ("chebyshev_t", chebyshev_t, 0),
+    ("monomial_to_chebyshev", monomial_to_chebyshev, 0),
     ("chebyshev_extrema", chebyshev_extrema, 1),
     ("bbar_limit", bbar_limit, 2),
     ("solve_at", lambda n: solve_at(n, 0.1), 3),
@@ -158,7 +156,7 @@ class TestNanInverseRatio:
 
 
 class TestNanRatio:
-    """A NaN b fails by name wherever it enters, not inside Polynomial."""
+    """A NaN b fails by name wherever it enters, not inside the arithmetic."""
 
     @pytest.mark.parametrize("call", [
         lambda: remez(5, NAN),
@@ -177,6 +175,37 @@ class TestNanRatio:
             support_points(3, np.float64(2.0))
         assert "|b| = 2.0 " in str(err.value)
         assert "np.float64" not in str(err.value)
+
+
+class TestInfiniteRatio:
+    """An infinite b or bbar is a bad argument where no regime applies."""
+
+    @pytest.mark.parametrize("x", [INF, -INF])
+    @pytest.mark.parametrize("name,call", [
+        ("b", lambda x: remez(5, x)),
+        ("b", lambda x: verification_report(t_optimal_design(3, 0.3).design, 3, x)),
+        ("b", lambda x: DiscriminationProblem(3, b=x)),
+        ("b", lambda x: t_criterion(_DESIGN, DiscriminationProblem(3, b=x))),
+        ("b", lambda x: target_polynomial(5, x)),
+        ("bbar", lambda x: DiscriminationProblem(3, bbar=x).fixed_part()),
+    ])
+    def test_infinite_is_an_argument_error(self, name, call, x):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got -?inf$") as err:
+            call(x)
+        assert not isinstance(err.value, RegimeError)
+
+    @pytest.mark.parametrize("x", [INF, -INF])
+    def test_regime_entry_points_keep_regime_error(self, x):
+        for call in (lambda: closed_form_psi(5, x), lambda: support_points(5, x),
+                     lambda: t_optimal_design(5, x)):
+            with pytest.raises(RegimeError):
+                call()
+
+    def test_check_ratio_rejects_infinities_when_asked(self):
+        for x in (INF, -INF):
+            with pytest.raises(ValueError, match="^b must be finite"):
+                check_ratio(x, "b", finite=True)
+        assert check_ratio(0.25, "b", finite=True) == 0.25
 
 
 def test_one_global_inequality_tolerance():
