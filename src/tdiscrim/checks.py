@@ -23,11 +23,6 @@ EQUIVALENCE_TOL = 1e-10
 ALTERNATION_TOL = 1e-8
 CRITERION_REL_TOL = 1e-8
 INEQUALITY_TOL = 1e-8
-# Scan resolution for the global inequality; local maxima are then polished
-# through the derivative roots, so this only needs to bracket them.
-SCAN_POINTS = 2000
-_SCAN_GRID = -np.cos(np.linspace(0.0, np.pi, SCAN_POINTS))
-_SCAN_GRID.flags.writeable = False
 
 
 def equivalence_system(design: Design, psi: ChebyshevSeries, n: int) -> np.ndarray:
@@ -101,9 +96,10 @@ def global_inequality(subject, psi_norm_sq: float | None = None, *,
     """Margin max over [-1,1] of psi^2 minus its design-weighted mean square.
 
     subject is either the error polynomial itself (then psi_norm_sq is
-    required) or any object with psi() and design() methods. The maximum is
-    taken over a SCAN_POINTS grid plus the critical points of psi, which a
-    caller already holding psi.critical_points() passes as critical_points.
+    required) or any object with psi() and design() methods. Every local
+    maximum of psi^2 on [-1, 1] is an endpoint or a real root of psi', so
+    the maximum is taken over the critical points of psi alone; a caller
+    already holding psi.critical_points() passes them as critical_points.
     At a true optimum the margin is zero to solver precision: no point of
     the interval beats the support. A positive margin quantifies the
     violation.
@@ -120,8 +116,7 @@ def global_inequality(subject, psi_norm_sq: float | None = None, *,
             raise ValueError("psi_norm_sq is required when passing a bare polynomial")
     if critical_points is None:
         critical_points = psi.critical_points()
-    cand = np.concatenate([_SCAN_GRID, critical_points])
-    vals = psi(cand)
+    vals = psi(critical_points)
     return float(np.max(vals * vals) - psi_norm_sq)
 
 

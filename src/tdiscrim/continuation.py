@@ -9,20 +9,24 @@ interior support points, and the weights (endpoints -1 and 1 stay in the
 support throughout, and the last weight is implied). At bbar = 0 the state
 is known in closed form.
 
-Every request goes through one path engine per degree, SolutionPath. It
-keeps converged states that passed the global-inequality screen, at most
-one per bucket of width bbar_limit(n) / CACHE_BUCKETS, and continues each
-request from the stored state nearest in bbar, or from the bbar = 0 state
-when that is nearer. Each continuation step predicts along the analytic
-tangent and corrects with Newton. A step whose correction converges
-quickly doubles the next one; a step is halved whenever its candidate
-state stops being a valid design or Newton fails.
+The problem is symmetric under x -> -x, which maps x^n + b x^(n-1) to
+(-1)^n (x^n - b x^(n-1)): the state at -bbar is the mirror of the state at
+bbar. Every request goes through one path engine per degree, SolutionPath,
+which walks only bbar >= 0 and answers bbar < 0 with the exact mirror of
+the state at |bbar|. It keeps converged states with bbar >= 0 that passed
+the global-inequality screen, at most one per bucket of width
+bbar_limit(n) / CACHE_BUCKETS, and continues each request from the stored
+state nearest in bbar, or from the bbar = 0 state when that is nearer.
+Each continuation step predicts along the analytic tangent and corrects
+with Newton. A step whose correction converges quickly doubles the next
+one; a step is halved whenever its candidate state stops being a valid
+design or Newton fails.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.chebyshev import cheb2poly
@@ -41,8 +45,8 @@ NEWTON_MAX_ITER = 40
 NEWTON_CONTRACTION = 0.5
 # A correction that converges within this many Newton steps doubles the next step.
 FAST_NEWTON_ITER = 4
-# Buckets per side of zero; the cache holds at most 2 * CACHE_BUCKETS + 1
-# states per degree.
+# Buckets on [0, bbar_limit(n)]; only bbar >= 0 is stored, so the cache holds
+# at most CACHE_BUCKETS + 1 states per degree.
 CACHE_BUCKETS = 32
 
 
@@ -52,14 +56,17 @@ class ContinuationState:
 
     q holds the n-1 free coefficients of psi, interior_points the support
     between the fixed endpoints, weights the first n-1 design weights (the
-    last is one minus their sum). Construction validates the design part:
-    ordering, interval membership, positivity.
+    last is one minus their sum, unless the state was mirrored from one
+    whose last weight it knows exactly). Construction validates the design
+    part: ordering, interval membership, positivity.
     """
 
     q: np.ndarray
     interior_points: np.ndarray
     weights: np.ndarray
     bbar: float
+    _last_weight: float | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self) -> None:
         q = np.atleast_1d(np.asarray(self.q, dtype=float))
@@ -98,8 +105,26 @@ class ContinuationState:
 
     def design(self) -> Design:
         pts = np.concatenate([[-1.0], self.interior_points, [1.0]])
-        wts = np.concatenate([self.weights, [1.0 - self.weights.sum()]])
-        return Design(pts, wts)
+        last = self._last_weight
+        if last is None:
+            last = 1.0 - self.weights.sum()
+        return Design(pts, np.concatenate([self.weights, [last]]))
+
+
+def _mirrored(state: ContinuationState) -> ContinuationState:
+    """The state at -bbar, from the state at bbar.
+
+    psi at -bbar is (-1)^(n-1) psi(-x) at bbar, so q_j changes sign with
+    n-1+j, and the design is reflected through x = 0. Every entry is a sign
+    change or a reordering, so the mirror is exact: its design is
+    state.design().reflected() to the bit.
+    """
+    n = state.n
+    q = np.where((n - 1 + np.arange(n - 1)) % 2, -state.q, state.q)
+    wts = state.design().weights[::-1]
+    out = ContinuationState(q, -state.interior_points[::-1], wts[:-1], -state.bbar)
+    out._last_weight = float(wts[-1])
+    return out
 
 
 def bbar_limit(n: int) -> float:
@@ -266,13 +291,17 @@ def _walk(n: int, theta: np.ndarray, b_from: float, b_to: float,
     the first one tries the whole distance. A failed correction halves the
     step, one that converges within FAST_NEWTON_ITER Newton steps doubles
     the next. Floating-point events raise no warning: a non-finite iterate
-    fails its step instead.
+    fails its step instead. When b_from is b_to, theta is returned as it is
+    (as a copy) if its residual is at most tol, so that a state solved once
+    answers every later request at that bbar with the same bits.
     """
     th = np.asarray(theta, dtype=float)
     cur, end = float(b_from), float(b_to)
     h = abs(end - cur)
     with np.errstate(all="ignore"):
         if cur == end:
+            if np.abs(_gradient_raw(n, th, end)).max() <= tol:
+                return _state_from(n, th.copy(), end)
             return _newton(n, th, end, tol)[0]
         while cur != end:
             tangent = _tangent(n, th, cur)
@@ -299,11 +328,12 @@ def _walk(n: int, theta: np.ndarray, b_from: float, b_to: float,
 class SolutionPath:
     """The path engine of one degree: checked states and the walk between them.
 
-    Stores only states whose global-inequality margin is at most
-    INEQUALITY_TOL, as private copies of their theta, and at most one per
-    bucket of width bbar_limit(n) / CACHE_BUCKETS: the latest one solved
-    there. Use _path(n) rather than building one, so that every caller in
-    the process shares it.
+    Walks only bbar >= 0: a request at bbar < 0 gets the mirror of the state
+    at -bbar. Stores only states with bbar >= 0 whose global-inequality
+    margin is at most INEQUALITY_TOL, as private copies of their theta, and
+    at most one per bucket of width bbar_limit(n) / CACHE_BUCKETS: the
+    latest one solved there. Use _path(n) rather than building one, so that
+    every caller in the process shares it.
     """
 
     def __init__(self, n: int) -> None:
@@ -329,8 +359,15 @@ class SolutionPath:
             )
 
     def solve(self, bbar: float, tol: float) -> tuple[ContinuationState, float]:
-        """The state at bbar with residual at most tol, and its inequality margin."""
+        """The state at bbar with residual at most tol, and its inequality margin.
+
+        At bbar < 0 this is the mirror of the state at -bbar, whose margin
+        it shares.
+        """
         self.check(bbar)
+        if bbar < 0.0:
+            state, margin = self.solve(-bbar, tol)
+            return _mirrored(state), margin
         start, theta = min([(0.0, self.anchor), *self.states.values()],
                            key=lambda s: abs(s[0] - bbar))
         state = _walk(self.n, theta, start, bbar, tol)
@@ -369,9 +406,10 @@ def solve_at(n: int, bbar: float, tol: float = STATIONARITY_TOL, *,
              inequality_tol: float = INEQUALITY_TOL) -> ContinuationState:
     """The path state at inverse ratio bbar.
 
-    Continues from the checked state nearest in bbar that an earlier request
-    for degree n left in this process, or from the known state at bbar = 0.
-    The returned state has stationarity residual at most tol; when
+    Continues from the checked state nearest in |bbar| that an earlier
+    request for degree n left in this process, or from the known state at
+    bbar = 0; at bbar < 0 the state is the exact mirror of the one at
+    -bbar. The returned state has stationarity residual at most tol; when
     check_inequality is set the converged design is also screened against
     the whole interval, and a violation raises OptimalityError rather than
     returning a merely stationary point.
@@ -383,9 +421,11 @@ def solve_at(n: int, bbar: float, tol: float = STATIONARITY_TOL, *,
 def trajectory(n: int, grid, tol: float = 1e-9) -> list[tuple[float, Design]]:
     """Optimal designs along a sorted grid of inverse ratios.
 
-    Grid values are solved outward from zero through the path engine, so
-    each can continue from a neighbour already solved, and each is screened
-    as solve_at screens: a merely stationary point raises OptimalityError.
+    Each distinct |bbar| of the grid is solved once, outward from zero
+    through the path engine, so each can continue from a neighbour already
+    solved, and each is screened as solve_at screens: a merely stationary
+    point raises OptimalityError. A negative grid value gets the reflection
+    of the design at its magnitude.
     """
     path = _path(n)
     g = np.atleast_1d(np.asarray(grid, dtype=float))
@@ -395,11 +435,23 @@ def trajectory(n: int, grid, tol: float = 1e-9) -> list[tuple[float, Design]]:
         raise ValueError("grid must be sorted ascending")
     path.check(g[0])
     path.check(g[-1])
-    designs = {}
-    for i in np.argsort(np.abs(g), kind="stable"):
-        state, margin = path.solve(float(g[i]), tol)
-        designs[i] = _screened(state, margin, INEQUALITY_TOL).design()
-    return [(float(v), designs[i]) for i, v in enumerate(g)]
+    mags = np.abs(g)
+    pos = np.unique(g[g >= 0.0])
+    if pos.size:
+        # linspace rounds mirrored values up to a few ulps of the largest
+        # |value| apart; a magnitude that close to a non-negative grid value
+        # is that value, far below the solver's tolerance
+        hi = np.minimum(np.searchsorted(pos, mags), pos.size - 1)
+        near = np.where(np.abs(pos[hi - 1] - mags) < np.abs(pos[hi] - mags),
+                        pos[hi - 1], pos[hi])
+        slack = 4.0 * np.finfo(float).eps * mags.max()
+        mags = np.where(np.abs(near - mags) <= slack, near, mags)
+    states = {}
+    for m in np.unique(mags):
+        state, margin = path.solve(float(m), tol)
+        states[m] = _screened(state, margin, INEQUALITY_TOL)
+    return [(float(v), states[m].design() if v >= 0.0 else states[m].design().reflected())
+            for v, m in zip(g, mags)]
 
 
 def taylor_coefficients(n: int, bbar0: float, order: int = 3, *,

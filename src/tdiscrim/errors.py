@@ -2,6 +2,10 @@
 
 import math
 
+# The largest degree any entry point accepts. tests/test_high_degree.py holds
+# the closed form, the criterion and Remez to an mpmath oracle up to it.
+MAX_DEGREE = 40
+
 
 class RegimeError(ValueError):
     """Parameter outside the validity window of the requested construction."""
@@ -30,9 +34,11 @@ class OptimalityError(SolverError):
 
 
 def check_degree(n, minimum: int) -> int:
-    """int(n), after checking that n is an integer >= minimum; NaN and inf are not."""
+    """int(n), after checking that n is an integer from minimum to MAX_DEGREE; NaN is not."""
     if not (math.isfinite(n) and n == int(n) and n >= minimum):
         raise ValueError(f"n must be an integer >= {minimum}")
+    if n > MAX_DEGREE:
+        raise ValueError(f"n = {int(n)} exceeds the maximum degree {MAX_DEGREE}")
     return int(n)
 
 

@@ -12,7 +12,7 @@ from tdiscrim.checks import (
 )
 from tdiscrim.closed_form import critical_b, t_optimal_design, zero_b_family
 from tdiscrim.designs import Design
-from tdiscrim.minimax import closed_form_psi
+from tdiscrim.minimax import closed_form_psi, remez
 from tdiscrim.polynomials import ChebyshevSeries
 
 
@@ -112,6 +112,27 @@ class TestGlobalInequality:
     def test_requires_level_for_bare_polynomial(self):
         with pytest.raises(ValueError):
             global_inequality(chebyshev_t(3))
+
+
+class TestCriticalPointMaximum:
+    """global_inequality reads psi^2 at the critical points only.
+
+    Every local maximum of psi^2 on [-1, 1] is an endpoint or a real root of
+    psi', so a dense scan must find nothing higher.
+    """
+
+    SCAN = -np.cos(np.linspace(0.0, np.pi, 200_001))
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_dense_scan_finds_nothing_higher(self, n):
+        bc = critical_b(n)
+        polys = [closed_form_psi(n, s * bc) for s in (0.5, -0.5, 1.0, -1.0)]
+        polys += [remez(n, r * bc).psi for r in (1.5, 4.0, -3.0, 50.0)]
+        for psi in polys:
+            top = float(np.max(psi(psi.critical_points()) ** 2))
+            scan = float(np.max(psi(self.SCAN) ** 2))
+            assert scan - top <= 1e-12 * top
+            assert global_inequality(psi, 0.0) == top
 
 
 class TestVerificationReport:

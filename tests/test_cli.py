@@ -66,6 +66,12 @@ class TestDesign:
         assert out == ""
         assert "trajectory" in err
 
+    def test_degree_beyond_the_maximum_is_argument_error(self, capsys):
+        code, out, err = run_cli(capsys, "design", "--n", "41", "--b", "0.1")
+        assert code == 2
+        assert out == ""
+        assert "n = 41 exceeds the maximum degree 40" in err
+
     def test_bad_alpha_is_argument_error(self, capsys):
         code, _, _ = run_cli(capsys, "design", "--n", "3", "--b", "0",
                              "--alpha", "2")
@@ -133,6 +139,22 @@ class TestTrajectory:
         )
         assert "RuntimeWarning" not in proc.stderr
         assert proc.returncode in (0, 4)
+
+    def test_symmetric_grid_prints_mirrored_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "trajectory", "--n", "5",
+                               "--bbar-min", "-0.9", "--bbar-max", "0.9",
+                               "--steps", "9")
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")]
+                for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 9
+        # the middle row, bbar = 0, is its own mirror
+        for low, high in zip(rows[:4], rows[:4:-1]):
+            assert low[0] == pytest.approx(-high[0], rel=1e-15, abs=0.0)
+            # t_1..t_5, then w_1..w_5, then the criterion
+            assert low[1:6] == [-t for t in high[5:0:-1]]
+            assert low[6:11] == high[10:5:-1]
+            assert low[11] == pytest.approx(high[11], rel=1e-12)
 
     def test_bad_steps(self, capsys):
         code, _, _ = run_cli(capsys, "trajectory", "--n", "3",

@@ -367,3 +367,93 @@ class TestSharedGeometry:
         ref = -np.linalg.solve(_jacobian_raw(n, theta, bbar),
                                _dgrad_dbbar(n, theta, bbar))
         assert np.array_equal(_tangent(n, theta, bbar), ref)
+
+
+class TestMirror:
+    """x -> -x maps the problem at -bbar onto the one at bbar."""
+
+    SHARES = (0.05, 0.3, 0.6, 0.95, 1.0)
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 12, 16, 20])
+    def test_negative_ratio_is_the_exact_mirror(self, n):
+        lim = bbar_limit(n)
+        for s in self.SHARES:
+            for tol in (continuation.STATIONARITY_TOL, 1e-12):
+                down = solve_at(n, -s * lim, tol)
+                up = solve_at(n, s * lim, tol).design().reflected()
+                assert np.array_equal(down.design().points, up.points)
+                assert np.array_equal(down.design().weights, up.weights)
+                assert down.bbar == -s * lim
+                assert np.abs(stationarity_residual(down)).max() <= tol
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 12])
+    def test_mirror_matches_a_direct_walk(self, n, fresh_cache):
+        # the walk itself knows nothing of the mirror: it crosses to bbar < 0
+        lim = bbar_limit(n)
+        for s in self.SHARES:
+            mirror = solve_at(n, -s * lim)
+            direct = _walk(n, continuation._path(n).anchor, 0.0, -s * lim,
+                           continuation.STATIONARITY_TOL)
+            assert np.abs(mirror.theta - direct.theta).max() <= 1e-9
+            assert abs(inequality_margin(mirror) - inequality_margin(direct)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    # bbar = +-0 is the anchor itself, one ratio, not a mirrored pair
+    @given(n=st.sampled_from([3, 4, 5, 8, 12]),
+           share=st.floats(0.0, 1.0, exclude_min=True))
+    def test_mirror_property(self, n, share):
+        x = share * bbar_limit(n)
+        up, down = solve_at(n, x), solve_at(n, -x)
+        signs = (-1.0) ** (n - 1 + np.arange(n - 1))
+        assert np.array_equal(down.q, signs * up.q)
+        assert np.array_equal(down.interior_points, -up.interior_points[::-1])
+        assert np.array_equal(down.design().weights, up.design().weights[::-1])
+        grid = np.linspace(-1.0, 1.0, 101)
+        assert np.allclose(down.psi()(grid), (-1.0) ** (n - 1) * up.psi()(-grid),
+                           rtol=0.0, atol=1e-14 * np.abs(up.psi()(grid)).max())
+
+    def test_exact_hit_returns_the_stored_bits(self, fresh_cache):
+        first = solve_at(5, 0.6)
+        assert np.array_equal(solve_at(5, 0.6).theta, first.theta)
+        assert np.array_equal(solve_at(5, -0.6).design().points,
+                              first.design().reflected().points)
+
+
+class TestWorkCount:
+    @pytest.mark.parametrize("n", [3, 5, 8, 12])
+    def test_symmetric_trajectory_walks_each_magnitude_once(self, n, fresh_cache,
+                                                            monkeypatch):
+        calls = []
+        walk = continuation._walk
+
+        def counted(*args):
+            calls.append(args[3])
+            return walk(*args)
+
+        monkeypatch.setattr(continuation, "_walk", counted)
+        asymmetric = 0
+        for s in (0.33, 0.5, 0.71, 0.95, 1.0):
+            continuation._PATHS.clear()
+            calls.clear()
+            grid = np.linspace(-s * bbar_limit(n), s * bbar_limit(n), 9)
+            # linspace often rounds mirrored values a few ulps apart
+            asymmetric += np.unique(np.abs(grid)).size > 5
+            rows = trajectory(n, grid)
+            assert len(calls) == 5
+            assert all(b >= 0.0 for b in calls)
+            for (g, d), (h, e) in zip(rows, rows[::-1]):
+                assert g == pytest.approx(-h, rel=1e-14, abs=0.0)
+                if g < 0.0:
+                    ref = e.reflected()
+                    assert np.array_equal(d.points, ref.points)
+                    assert np.array_equal(d.weights, ref.weights)
+        assert asymmetric > 0
+
+    def test_cache_keeps_only_nonnegative_ratios(self, fresh_cache):
+        lim = bbar_limit(3)
+        requests = np.random.default_rng(3).permutation(np.linspace(-lim, lim, 2000))
+        for x in requests:
+            solve_at(3, x)
+        states = continuation._PATHS[3].states
+        assert all(key >= 0 and bbar >= 0.0 for key, (bbar, _) in states.items())
+        assert len(states) <= continuation.CACHE_BUCKETS + 1

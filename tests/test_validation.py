@@ -35,7 +35,7 @@ from tdiscrim import (
 from tdiscrim import checks, continuation
 from tdiscrim.closed_form import in_explicit_regime
 from tdiscrim.continuation import _path
-from tdiscrim.errors import check_degree, check_ratio
+from tdiscrim.errors import MAX_DEGREE, check_degree, check_ratio
 from tdiscrim.polynomials import monomial_to_chebyshev
 
 NAN = float("nan")
@@ -85,6 +85,23 @@ def test_every_degree_entry_point_rejects_a_bad_n(name, call, minimum, bad):
 def test_every_degree_entry_point_accepts_its_minimum(name, call, minimum):
     call(minimum)
     call(float(minimum))
+
+
+@pytest.mark.parametrize("name,call,minimum", DEGREE_ENTRY_POINTS,
+                         ids=[e[0] for e in DEGREE_ENTRY_POINTS])
+@pytest.mark.parametrize("n", [MAX_DEGREE + 1, float(MAX_DEGREE + 1), 1000])
+def test_every_degree_entry_point_rejects_n_beyond_the_maximum(name, call, minimum, n):
+    with pytest.raises(ValueError, match=rf"^n = {int(n)} exceeds the maximum "
+                                         rf"degree {MAX_DEGREE}$") as err:
+        call(n)
+    assert err.type is ValueError
+
+
+def test_maximum_degree_is_inclusive():
+    assert MAX_DEGREE == 40
+    assert check_degree(MAX_DEGREE, 2) == check_degree(float(MAX_DEGREE), 0) == 40
+    assert closed_form_psi(MAX_DEGREE, 0.0).coeffs.size == MAX_DEGREE + 1
+    assert bbar_limit(MAX_DEGREE) > 0.0
 
 
 def test_check_degree_returns_a_python_int():
