@@ -1,11 +1,13 @@
-"""Path following for designs beyond the closed-form regime.
+"""The path of designs beyond the closed-form regime.
 
 For |b| above the critical ratio the design is no longer explicit, but it
-solves a smooth stationarity system in the inverse ratio bbar = 1/b. At
-bbar = 0 (b = infinity) the system is solved by a known design built on
-Chebyshev extrema of degree n - 1, and from that anchor a predictor-
-corrector walk tracks the solution across the whole bbar interval, meeting
-the closed-form designs exactly at the two regime boundaries.
+moves smoothly with the inverse ratio bbar = 1/b and solves a
+stationarity system there. At bbar = 0 (b = infinity) the design is known,
+built on the Chebyshev extrema of degree n - 1. Elsewhere it sits on the
+alternance of the minimax error of x^(n-1) + bbar x^n: a Remez exchange,
+started from the nearest design already solved, finds the points, and one
+linear solve the weights. The path meets the closed-form designs exactly
+at the two regime boundaries.
 """
 
 import numpy as np
@@ -32,7 +34,7 @@ def main():
     print(f"  residual: {np.max(np.abs(stationarity_residual(anchor))):.2e}")
 
     lim = bbar_limit(n)
-    print(f"\nWalking to the boundary bbar = 1/b* = {lim:.6f}")
+    print(f"\nAt the boundary bbar = 1/b* = {lim:.6f}")
     state = solve_at(n, lim)
     closed = t_optimal_design(n, critical_b(n)).design
     gap_p = np.max(np.abs(state.design().points - closed.points))

@@ -2,9 +2,9 @@
 
 Given the model pair of degrees n - 2 and n on [-1, 1], this package
 computes the designs that separate the two models fastest: explicitly for
-small values of the leading-coefficient ratio, by numerical continuation
-beyond that, worst-case versions over ratio intervals, and independent
-optimality checks for all of them. A small simulation module measures what
+small values of the leading-coefficient ratio, from the Remez alternance
+of the dual approximation problem beyond that, worst-case versions over
+ratio intervals, and independent optimality checks for all of them. A small simulation module measures what
 the optimal design buys in terms of F-test power.
 """
 

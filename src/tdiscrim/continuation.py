@@ -1,50 +1,52 @@
-"""Path following for optimal discrimination designs at large ratios.
+"""Optimal discrimination designs at large ratios, along the inverse ratio bbar.
 
 Past the explicit window the problem is parametrized by the inverse ratio
-bbar = 1/b, running over a symmetric interval around zero. The optimal
-design and its error polynomial psi(x) = q . (1, x, ..., x^(n-2))
-+ x^(n-1) + bbar x^n solve a stationarity system: the weighted mean square
-H of psi over the design is stationary in the free coefficients q, the
-interior support points, and the weights (endpoints -1 and 1 stay in the
-support throughout, and the last weight is implied). At bbar = 0 the state
-is known in closed form.
+bbar = 1/b, running over a symmetric interval around zero. A path state is
+the optimal design together with its error polynomial
+psi(x) = q . (1, x, ..., x^(n-2)) + x^(n-1) + bbar x^n. T-optimality is
+dual to uniform approximation here: psi is the minimax error of
+x^(n-1) + bbar x^n against degree n - 2, the design sits on its n
+alternance points (endpoints -1 and 1 among them), and its weights make
+psi orthogonal over the support to every polynomial of degree n - 2. Each
+state is built that way: a Remez exchange gives psi and the points, one
+n x n linear solve the weights. The weighted mean square H of psi over the
+design is then stationary in q, the interior points and the weights, which
+stationarity_residual checks. At bbar = 0 the state is known in closed
+form, and at |bbar| = bbar_limit(n) it is the closed-form design at the
+critical ratio.
 
 The problem is symmetric under x -> -x, which maps x^n + b x^(n-1) to
 (-1)^n (x^n - b x^(n-1)): the state at -bbar is the mirror of the state at
 bbar. Every request goes through one path engine per degree, SolutionPath,
-which walks only bbar >= 0 and answers bbar < 0 with the exact mirror of
-the state at |bbar|. It keeps converged states with bbar >= 0 that passed
-the global-inequality screen, at most one per bucket of width
-bbar_limit(n) / CACHE_BUCKETS, and continues each request from the stored
-state nearest in bbar, or from the bbar = 0 state when that is nearer.
-Each continuation step predicts along the analytic tangent and corrects
-with Newton. A step whose correction converges quickly doubles the next
-one; a step is halved whenever its candidate state stops being a valid
-design or Newton fails.
+which solves only bbar >= 0 and answers bbar < 0 with the exact mirror of
+the state at |bbar|. It keeps solved states with bbar >= 0 that passed the
+global-inequality screen, at most one per bucket of width
+bbar_limit(n) / CACHE_BUCKETS, and starts the exchange of each request
+from the support of the stored state nearest in bbar, or of the bbar = 0
+state when that is nearer.
 """
 
 from __future__ import annotations
 
-import math
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.chebyshev import cheb2poly
+from numpy.polynomial.chebyshev import chebvander
 
 from .checks import INEQUALITY_TOL, global_inequality
-from .closed_form import critical_b, REGIME_SLACK
-from .designs import Design
+from .closed_form import REGIME_SLACK, critical_b, in_explicit_regime, support_points
+from .designs import Design, DiscriminationProblem
 from .errors import (ConvergenceError, OptimalityError, RegimeError,
                      check_degree, check_ratio)
+from .minimax import _exchange, _exchanges
 from .polynomials import ChebyshevSeries, monomial_to_chebyshev
 
-MIN_STEP = 1e-6
 STATIONARITY_TOL = 1e-10
-NEWTON_MAX_ITER = 40
-# Each Newton residual must be at most this share of the one before.
-NEWTON_CONTRACTION = 0.5
-# A correction that converges within this many Newton steps doubles the next step.
-FAST_NEWTON_ITER = 4
+# The path's exchange stops once the largest error over the candidates
+# exceeds the alternation level by at most this share of it.
+EXCHANGE_TOL = 1e-12
+MAX_EXCHANGES = 100
 # Buckets on [0, bbar_limit(n)]; only bbar >= 0 is stored, so the cache holds
 # at most CACHE_BUCKETS + 1 states per degree.
 CACHE_BUCKETS = 32
@@ -54,11 +56,13 @@ CACHE_BUCKETS = 32
 class ContinuationState:
     """One point on the solution path.
 
-    q holds the n-1 free coefficients of psi, interior_points the support
-    between the fixed endpoints, weights the first n-1 design weights (the
-    last is one minus their sum, unless the state was mirrored from one
-    whose last weight it knows exactly). Construction validates the design
-    part: ordering, interval membership, positivity.
+    q holds the n-1 free monomial coefficients of psi, interior_points the
+    support between the fixed endpoints, weights the first n-1 design
+    weights. The last weight is one minus their sum, and psi() converts q,
+    unless the state knows them: a state the path engine solved carries its
+    last weight and psi as the Chebyshev series it was solved with.
+    Construction validates the design part: ordering, interval membership,
+    positivity.
     """
 
     q: np.ndarray
@@ -67,6 +71,8 @@ class ContinuationState:
     bbar: float
     _last_weight: float | None = field(default=None, init=False, repr=False,
                                        compare=False)
+    _psi: np.ndarray | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self) -> None:
         q = np.atleast_1d(np.asarray(self.q, dtype=float))
@@ -99,7 +105,9 @@ class ContinuationState:
         return np.concatenate([self.q, self.interior_points, self.weights])
 
     def psi(self) -> ChebyshevSeries:
-        """psi as a Chebyshev series, converted from q through the degree's basis matrix."""
+        """psi as a Chebyshev series: the one the state was solved with, else converted from q."""
+        if self._psi is not None:
+            return ChebyshevSeries(self._psi.copy())
         c = np.concatenate([self.q, [1.0, self.bbar]])
         return ChebyshevSeries(monomial_to_chebyshev(self.n) @ c)
 
@@ -111,19 +119,47 @@ class ContinuationState:
         return Design(pts, np.concatenate([self.weights, [last]]))
 
 
-def _mirrored(state: ContinuationState) -> ContinuationState:
-    """The state at -bbar, from the state at bbar.
+def _carrying(psi: np.ndarray, points: np.ndarray, weights: np.ndarray,
+              bbar: float) -> ContinuationState:
+    """The state on the design (points, weights) whose psi has Chebyshev coefficients psi.
 
-    psi at -bbar is (-1)^(n-1) psi(-x) at bbar, so q_j changes sign with
-    n-1+j, and the design is reflected through x = 0. Every entry is a sign
-    change or a reordering, so the mirror is exact: its design is
-    state.design().reflected() to the bit.
+    q is converted from psi; the state keeps psi and the last weight as
+    given, so that its copies and mirrors agree with it to the bit.
+    """
+    n = psi.size - 1
+    q = np.linalg.solve(monomial_to_chebyshev(n), psi)[: n - 1]
+    state = ContinuationState(q, points[1:-1], weights[:-1], bbar)
+    state._psi, state._last_weight = psi, float(weights[-1])
+    return state
+
+
+def _copy(state: ContinuationState) -> ContinuationState:
+    """A copy of a solved state that shares no array the caller could change.
+
+    Its psi stays shared: psi() hands out copies of it.
+    """
+    out = copy.copy(state)
+    out.q, out.interior_points, out.weights = (
+        state.q.copy(), state.interior_points.copy(), state.weights.copy())
+    return out
+
+
+def _mirrored(state: ContinuationState) -> ContinuationState:
+    """The state at -bbar, from a solved state at bbar.
+
+    psi at -bbar is (-1)^(n-1) psi(-x) at bbar, so the coefficient of x^j
+    and of T_j changes sign with n-1+j, and the design is reflected through
+    x = 0. Every entry is a sign change or a reordering, so the mirror is
+    exact: its design is state.design().reflected() to the bit.
     """
     n = state.n
-    q = np.where((n - 1 + np.arange(n - 1)) % 2, -state.q, state.q)
-    wts = state.design().weights[::-1]
-    out = ContinuationState(q, -state.interior_points[::-1], wts[:-1], -state.bbar)
-    out._last_weight = float(wts[-1])
+    out = copy.copy(state)
+    out.q = np.where((n - 1 + np.arange(n - 1)) % 2, -state.q, state.q)
+    out._psi = np.where((n - 1 + np.arange(n + 1)) % 2, -state._psi, state._psi)
+    out.interior_points = -state.interior_points[::-1]
+    wts = np.append(state.weights, state._last_weight)[::-1]
+    out.weights, out._last_weight = wts[:-1], float(wts[-1])
+    out.bbar = -state.bbar
     return out
 
 
@@ -139,90 +175,22 @@ def d1_optimal_start(n: int) -> ContinuationState:
     and 1/(n-1) inside; psi is 2^(2-n) T_(n-1), whose leading coefficient is
     exactly one as the parametrization requires.
     """
-    path = _path(n)
-    return _state_from(path.n, path.anchor.copy(), 0.0)
+    return _copy(_path(n).anchor[0])
 
 
-def _split(n: int, theta: np.ndarray):
-    return theta[: n - 1], theta[n - 1 : 2 * n - 3], theta[2 * n - 3 :]
-
-
-def _state_from(n: int, theta: np.ndarray, bbar: float) -> ContinuationState:
-    q, t, w = _split(n, theta)
-    return ContinuationState(q, t, w, bbar)
-
-
-def _geometry(n: int, theta: np.ndarray, bbar: float):
-    """Common evaluations: full weights, powers 0..n of the full points, psi, psi', psi''.
-
-    psi and its derivatives come from one Vandermonde matrix of the support,
-    whose first n - 1 columns are also the fitted basis at the points.
-    """
-    q, t, w = _split(n, theta)
+def _gradient_raw(n: int, theta: np.ndarray, bbar: float) -> np.ndarray:
+    """Gradient of H in (q, interior points, first n - 1 weights), all in monomial form."""
+    q, t, w = theta[: n - 1], theta[n - 1 : 2 * n - 3], theta[2 * n - 3 :]
     pts = np.concatenate([[-1.0], t, [1.0]])
     wts = np.concatenate([w, [1.0 - w.sum()]])
     powers = np.vander(pts, n + 1, increasing=True)
     c = np.concatenate([q, [1.0, bbar]])
-    k = np.arange(n + 1)
     pv = powers @ c
-    dv = powers[:, :n] @ (k[1:] * c[1:])
-    ddv = powers[:, : n - 1] @ (k[2:] * k[1:-1] * c[2:])
-    return wts, powers, pv, dv, ddv
-
-
-# The three kernels below take the _geometry of (theta, bbar) as geo when the
-# caller has built it already for this iterate; without it they build it.
-
-def _gradient_raw(n: int, theta: np.ndarray, bbar: float, geo=None) -> np.ndarray:
-    wts, powers, pv, dv, _ = _geometry(n, theta, bbar) if geo is None else geo
+    dv = powers[:, :n] @ (np.arange(1, n + 1) * c[1:])
     gq = 2.0 * ((wts * pv) @ powers[:, : n - 1])
     gt = 2.0 * wts[1:-1] * pv[1:-1] * dv[1:-1]
     gw = pv[:-1] ** 2 - pv[-1] ** 2
     return np.concatenate([gq, gt, gw])
-
-
-def _jacobian_raw(n: int, theta: np.ndarray, bbar: float, geo=None) -> np.ndarray:
-    wts, powers, pv, dv, ddv = _geometry(n, theta, bbar) if geo is None else geo
-    d = 3 * n - 4
-    jac = np.zeros((d, d))
-    sq = slice(0, n - 1)
-    st = slice(n - 1, 2 * n - 3)
-    sw = slice(2 * n - 3, d)
-
-    vand = powers[:, : n - 1]
-    jac[sq, sq] = 2.0 * (vand.T * wts) @ vand
-
-    # d/dt_k of dH/dq_j: product rule through psi(t_k) t_k^j
-    dvand = np.zeros((n - 2, n - 1))
-    dvand[:, 1:] = powers[1:-1, : n - 2] * np.arange(1, n - 1)
-    block_qt = 2.0 * wts[1:-1, None] * (
-        dv[1:-1, None] * vand[1:-1] + pv[1:-1, None] * dvand
-    )
-    jac[sq, st] = block_qt.T
-    jac[st, sq] = block_qt
-
-    block_qw = 2.0 * (pv[:-1, None] * vand[:-1] - pv[-1] * vand[-1][None, :])
-    jac[sq, sw] = block_qw.T
-    jac[sw, sq] = block_qw
-
-    diag_tt = 2.0 * wts[1:-1] * (dv[1:-1] ** 2 + pv[1:-1] * ddv[1:-1])
-    jac[st, st] = np.diag(diag_tt)
-
-    # t_k pairs only with its own weight (index k among the free weights)
-    block_tw = np.zeros((n - 2, n - 1))
-    block_tw[np.arange(n - 2), np.arange(1, n - 1)] = 2.0 * pv[1:-1] * dv[1:-1]
-    jac[st, sw] = block_tw
-    jac[sw, st] = block_tw.T
-    return jac
-
-
-def _dgrad_dbbar(n: int, theta: np.ndarray, bbar: float, geo=None) -> np.ndarray:
-    wts, powers, pv, dv, _ = _geometry(n, theta, bbar) if geo is None else geo
-    xn = powers[:, n]
-    dq = 2.0 * ((wts * xn) @ powers[:, : n - 1])
-    dt = 2.0 * wts[1:-1] * (xn[1:-1] * dv[1:-1] + pv[1:-1] * n * powers[1:-1, n - 1])
-    dw = 2.0 * (pv[:-1] * xn[:-1] - pv[-1])
-    return np.concatenate([dq, dt, dw])
 
 
 def stationarity_residual(state: ContinuationState) -> np.ndarray:
@@ -242,112 +210,75 @@ def inequality_margin(state: ContinuationState) -> float:
     return global_inequality(state)
 
 
-def _newton(n: int, theta: np.ndarray, bbar: float,
-            tol: float) -> tuple[ContinuationState, int]:
-    """Newton's method on the stationarity system at fixed bbar.
+def _alternance(n: int, bbar: float,
+                start: np.ndarray) -> tuple[ContinuationState, float]:
+    """The state at bbar and its relative margin, by an exchange from the points start.
 
-    Iterates while each residual is at most NEWTON_CONTRACTION times the one
-    before. Once they stop falling the iterate sits at its rounding floor,
-    so the result does not depend on where the iteration started; it is
-    returned, with the number of steps taken, when its residual is at most
-    tol. A non-finite residual, or residuals that stop falling above tol,
-    raise ConvergenceError.
+    The path engine asks only for bbar >= 0. psi is the minimax error of
+    x^(n-1) + bbar x^n, whose top Chebyshev coefficients come from
+    DiscriminationProblem, so that a denormal bbar needs no b = 1/bbar. The
+    exchange stops once its gap is at most EXCHANGE_TOL of the deviation,
+    and the support is the n-point alternance among the candidates of that
+    last psi. At |b| = critical_b(n), where -1 is a double extremum and the
+    exchange finds no clean n-point set, the support is the closed-form
+    design's and psi is solved on it once. The weights solve
+    sum_i w_i (-1)^i T_k(x_i) = 0 for k <= n-2 and sum_i w_i = 1. The
+    relative margin is the largest psi^2 over the critical points of psi,
+    less H, over H.
     """
-    th = np.array(theta, dtype=float)
-    last = np.inf
-    for it in range(NEWTON_MAX_ITER):
-        geo = _geometry(n, th, bbar)
-        g = _gradient_raw(n, th, bbar, geo)
-        res = float(np.abs(g).max())
-        if not np.isfinite(res):
-            raise ConvergenceError("newton iterate diverged")
-        if res == 0.0 or not res <= NEWTON_CONTRACTION * last:
-            if res <= tol:
-                return _state_from(n, th, bbar), it
-            raise ConvergenceError(f"newton residual stopped falling at {res!r}")
-        last = res
-        th = th - np.linalg.solve(_jacobian_raw(n, th, bbar, geo), g)
-    raise ConvergenceError(f"newton residual stalled at {res!r}")
-
-
-def _tangent(n: int, theta: np.ndarray, bbar: float) -> np.ndarray:
-    """d theta / d bbar on the path, from the implicit function theorem."""
-    geo = _geometry(n, theta, bbar)
-    try:
-        tangent = -np.linalg.solve(_jacobian_raw(n, theta, bbar, geo),
-                                   _dgrad_dbbar(n, theta, bbar, geo))
-    except np.linalg.LinAlgError:
-        tangent = np.full(theta.size, np.nan)
-    if not np.all(np.isfinite(tangent)):
-        raise ConvergenceError(f"no path tangent at bbar = {bbar!r}")
-    return tangent
-
-
-def _walk(n: int, theta: np.ndarray, b_from: float, b_to: float,
-          tol: float) -> ContinuationState:
-    """Continue the path from b_from, where theta solves it, to b_to.
-
-    Each step predicts along the analytic tangent and corrects with Newton;
-    the first one tries the whole distance. A failed correction halves the
-    step, one that converges within FAST_NEWTON_ITER Newton steps doubles
-    the next. Floating-point events raise no warning: a non-finite iterate
-    fails its step instead. When b_from is b_to, theta is returned as it is
-    (as a copy) if its residual is at most tol, so that a state solved once
-    answers every later request at that bbar with the same bits.
-    """
-    th = np.asarray(theta, dtype=float)
-    cur, end = float(b_from), float(b_to)
-    h = abs(end - cur)
-    with np.errstate(all="ignore"):
-        if cur == end:
-            if np.abs(_gradient_raw(n, th, end)).max() <= tol:
-                return _state_from(n, th.copy(), end)
-            return _newton(n, th, end, tol)[0]
-        while cur != end:
-            tangent = _tangent(n, th, cur)
-            while True:
-                h = min(h, abs(end - cur))
-                nxt = end if h == abs(end - cur) else cur + math.copysign(h, end - cur)
-                try:
-                    state, iters = _newton(n, th + tangent * (nxt - cur), nxt, tol)
-                    break
-                except (ValueError, ConvergenceError, np.linalg.LinAlgError):
-                    h *= 0.5
-                    # written so that a NaN step, from a NaN target, ends the loop
-                    if not h >= MIN_STEP:
-                        raise ConvergenceError(
-                            f"continuation step collapsed below {MIN_STEP} "
-                            f"near bbar = {cur!r}"
-                        ) from None
-            th, cur = state.theta, nxt
-            if iters <= FAST_NEWTON_ITER:
-                h *= 2.0
-    return state
+    top = DiscriminationProblem(n, bbar=bbar).fixed_part().coeffs[n - 1 :]
+    explicit = bbar > 0.0 and in_explicit_regime(n, 1.0 / bbar)
+    if explicit:
+        start = support_points(n, 1.0 / bbar)
+        start[0] = -1.0
+    iterates = zip(range(MAX_EXCHANGES), _exchanges(top, start))
+    for _, (_, level, psi, cand, vals) in iterates:
+        dev = float(np.abs(vals).max())
+        if explicit or dev - abs(level) <= EXCHANGE_TOL * dev:
+            break
+    else:
+        raise ConvergenceError(
+            f"no alternance within {MAX_EXCHANGES} exchanges at bbar = {bbar!r}")
+    pts = start if explicit else _exchange(cand, vals, n)
+    a = np.ones((n, n))
+    a[:-1] = chebvander(pts, n - 2).T * (-1.0) ** np.arange(n)
+    w = np.linalg.solve(a, np.eye(n)[-1])
+    if pts[0] != -1.0 or pts[-1] != 1.0 or not np.all(w > 0.0):
+        raise ConvergenceError(
+            f"the alternance at bbar = {bbar!r} is not a design on both endpoints")
+    pv = psi(pts)
+    h = float(np.sum(w * pv * pv))
+    return _carrying(psi.coeffs, pts, w, bbar), (dev * dev - h) / h
 
 
 class SolutionPath:
-    """The path engine of one degree: checked states and the walk between them.
+    """The path engine of one degree: checked states, and the exchange that adds to them.
 
-    Walks only bbar >= 0: a request at bbar < 0 gets the mirror of the state
-    at -bbar. Stores only states with bbar >= 0 whose global-inequality
-    margin is at most INEQUALITY_TOL, as private copies of their theta, and
-    at most one per bucket of width bbar_limit(n) / CACHE_BUCKETS: the
-    latest one solved there. Use _path(n) rather than building one, so that
-    every caller in the process shares it.
+    Solves only bbar >= 0: a request at bbar < 0 gets the mirror of the
+    state at -bbar. Stores only states with bbar >= 0 whose
+    global-inequality margin relative to their H is at most INEQUALITY_TOL,
+    with that margin, and at most one per bucket of width
+    bbar_limit(n) / CACHE_BUCKETS: the latest one solved there. Hands out
+    copies only. Use _path(n) rather than building one, so that every
+    caller in the process shares it.
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.limit = bbar_limit(n)
         self.width = self.limit / CACHE_BUCKETS
-        # the bbar = 0 state, see d1_optimal_start
+        # the bbar = 0 state, see d1_optimal_start; -cos(j pi / (n-1)) as
+        # the sine of a signed angle, so that the support is symmetric to the bit
         j = np.arange(1, n - 1)
-        interior = -np.cos(j * np.pi / (n - 1))
-        w = np.full(n - 1, 1.0 / (n - 1))
-        w[0] = 1.0 / (2.0 * (n - 1))
-        q = 0.5 ** (n - 2) * cheb2poly(np.eye(n)[n - 1])[: n - 1]
-        self.anchor = np.concatenate([q, interior, w])
-        self.states: dict[int, tuple[float, np.ndarray]] = {}
+        pts = np.concatenate(
+            [[-1.0], np.sin((2 * j - (n - 1)) * np.pi / (2 * (n - 1))), [1.0]])
+        w = np.full(n, 1.0 / (n - 1))
+        w[0] = w[-1] = 0.5 / (n - 1)
+        psi = np.zeros(n + 1)
+        psi[n - 1] = 0.5 ** (n - 2)
+        anchor = _carrying(psi, pts, w, 0.0)
+        self.anchor = (anchor, inequality_margin(anchor) / h_form(anchor))
+        self.states: dict[int, tuple[ContinuationState, float]] = {}
 
     def check(self, bbar: float) -> None:
         """Raise RegimeError for bbar off the path interval, ValueError for NaN."""
@@ -359,22 +290,30 @@ class SolutionPath:
             )
 
     def solve(self, bbar: float, tol: float) -> tuple[ContinuationState, float]:
-        """The state at bbar with residual at most tol, and its inequality margin.
+        """The state at bbar with residual at most tol, and its margin relative to H.
 
-        At bbar < 0 this is the mirror of the state at -bbar, whose margin
-        it shares.
+        A stored state at bbar itself is handed out when its residual is at
+        most tol, and solved again from its own support otherwise. At
+        bbar < 0 this is the mirror of the state at -bbar, whose margin it
+        shares.
         """
         self.check(bbar)
         if bbar < 0.0:
             state, margin = self.solve(-bbar, tol)
             return _mirrored(state), margin
-        start, theta = min([(0.0, self.anchor), *self.states.values()],
-                           key=lambda s: abs(s[0] - bbar))
-        state = _walk(self.n, theta, start, bbar, tol)
-        margin = inequality_margin(state)
-        if margin <= INEQUALITY_TOL:
-            self.states[round(bbar / self.width)] = (state.bbar, state.theta)
-        return state, margin
+        state, margin = min([self.anchor, *self.states.values()],
+                            key=lambda s: abs(s[0].bbar - bbar))
+        if state.bbar != bbar or np.abs(stationarity_residual(state)).max() > tol:
+            start = np.concatenate([[-1.0], state.interior_points, [1.0]])
+            state, margin = _alternance(self.n, bbar, start)
+            res = float(np.abs(stationarity_residual(state)).max())
+            if not res <= tol:
+                raise ConvergenceError(
+                    f"stationarity residual {res!r} above {tol!r} at bbar = {bbar!r}",
+                    last=state)
+            if margin <= INEQUALITY_TOL:
+                self.states[round(bbar / self.width)] = (state, margin)
+        return _copy(state), margin
 
 
 _PATHS: dict[int, SolutionPath] = {}
@@ -391,10 +330,11 @@ def _path(n: int) -> SolutionPath:
 
 def _screened(state: ContinuationState, margin: float,
               inequality_tol: float) -> ContinuationState:
+    """state, unless its margin relative to H exceeds inequality_tol."""
     if margin > inequality_tol:
         raise OptimalityError(
             f"stationary point at bbar = {state.bbar!r} violates the global "
-            f"inequality by {margin!r}",
+            f"inequality by {margin!r} of its criterion value",
             margin=margin,
             last=state,
         )
@@ -406,13 +346,13 @@ def solve_at(n: int, bbar: float, tol: float = STATIONARITY_TOL, *,
              inequality_tol: float = INEQUALITY_TOL) -> ContinuationState:
     """The path state at inverse ratio bbar.
 
-    Continues from the checked state nearest in |bbar| that an earlier
-    request for degree n left in this process, or from the known state at
-    bbar = 0; at bbar < 0 the state is the exact mirror of the one at
-    -bbar. The returned state has stationarity residual at most tol; when
-    check_inequality is set the converged design is also screened against
-    the whole interval, and a violation raises OptimalityError rather than
-    returning a merely stationary point.
+    Starts the exchange from the checked state nearest in |bbar| that an
+    earlier request for degree n left in this process, or from the known
+    state at bbar = 0; at bbar < 0 the state is the exact mirror of the one
+    at -bbar. The returned state has stationarity residual at most tol;
+    when check_inequality is set the design is also screened against the
+    whole interval, relative to its criterion value H, and a violation
+    raises OptimalityError rather than returning a merely stationary point.
     """
     state, margin = _path(n).solve(float(bbar), tol)
     return _screened(state, margin, inequality_tol) if check_inequality else state
@@ -422,10 +362,10 @@ def trajectory(n: int, grid, tol: float = 1e-9) -> list[tuple[float, Design]]:
     """Optimal designs along a sorted grid of inverse ratios.
 
     Each distinct |bbar| of the grid is solved once, outward from zero
-    through the path engine, so each can continue from a neighbour already
-    solved, and each is screened as solve_at screens: a merely stationary
-    point raises OptimalityError. A negative grid value gets the reflection
-    of the design at its magnitude.
+    through the path engine, so each exchange can start from a neighbour
+    already solved, and each is screened as solve_at screens: a merely
+    stationary point raises OptimalityError. A negative grid value gets the
+    reflection of the design at its magnitude.
     """
     path = _path(n)
     g = np.atleast_1d(np.asarray(grid, dtype=float))
@@ -461,8 +401,8 @@ def taylor_coefficients(n: int, bbar0: float, order: int = 3, *,
 
     Central finite differences of converged states with one Richardson level.
     Row k-1 holds the k-th Taylor coefficient (k-th derivative over k!).
-    Validation tool only; the solver itself uses the analytic tangent. The
-    whole stencil, bbar0 +/- 2 step, must stay inside the path interval.
+    Validation tool only: the path states come from the alternance, not
+    from these coefficients. The whole stencil, bbar0 +/- 2 step, must stay inside the path interval.
     """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")

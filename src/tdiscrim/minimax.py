@@ -148,16 +148,33 @@ def _exchange(cand: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
     return np.asarray(xs)
 
 
+def _exchanges(top: np.ndarray, ref: np.ndarray):
+    """Remez iterates for the reduced target top[0] T_(n-1) + top[1] T_n, from reference ref.
+
+    ref holds n points (the approximating space has dimension n - 1). For
+    each reference in turn this yields the solution p on it, the signed
+    level, psi (the reduced target minus p, so psi carries no
+    cancellation), the critical points of psi and its values there; the
+    next reference is exchanged from those. The caller owns the stop rule.
+    """
+    n = ref.size
+    while True:
+        p, level = _solve_reference(ref, top, n)
+        psi = ChebyshevSeries(np.concatenate([-p, top]))
+        cand = psi.critical_points()
+        vals = psi(cand)
+        yield p, level, psi, cand, vals
+        ref = _exchange(cand, vals, n)
+
+
 def remez(n: int, b: float, tol: float = 1e-12, max_iter: int = 100) -> BestApproxResult:
     """Exchange iteration for the minimax approximant of x^n + b x^(n-1).
 
     Works modulo degree n - 2, where the target is its top two Chebyshev
-    terms, and forms psi as that reduced target minus the solution on the
-    reference, so psi carries no cancellation. References carry n points
-    (the approximating space has dimension n - 1). Starts from the Chebyshev
-    extrema of degree n, dropping the end the target is least strained at,
-    and stops when the largest error over the current candidates exceeds
-    the alternation level by at most tol relative to that error.
+    terms (see _exchanges). Starts from the Chebyshev extrema of degree n,
+    dropping the end the target is least strained at, and stops when the
+    largest error over the current candidates exceeds the alternation
+    level by at most tol relative to that error.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -169,11 +186,8 @@ def remez(n: int, b: float, tol: float = 1e-12, max_iter: int = 100) -> BestAppr
     ext = chebyshev_extrema(n)
     ref = ext[1:] if b >= 0 else ext[:-1]
     last: BestApproxResult | None = None
-    for it in range(1, max_iter + 1):
-        p, level = _solve_reference(ref, top, n)
-        psi = ChebyshevSeries(np.concatenate([-p, top]))
-        cand = psi.critical_points()
-        vals = psi(cand)
+    for it, (p, level, psi, cand, vals) in zip(range(1, max_iter + 1),
+                                               _exchanges(top, ref)):
         dev = float(np.abs(vals).max())
         keep = _extremal(cand, vals, EXTREMAL_TOL)
         last = BestApproxResult(
@@ -182,7 +196,6 @@ def remez(n: int, b: float, tol: float = 1e-12, max_iter: int = 100) -> BestAppr
         )
         if dev - abs(level) <= tol * dev:
             return last
-        ref = _exchange(cand, vals, n)
     raise ConvergenceError(
         f"no equioscillation within {max_iter} iterations "
         f"(gap {dev - abs(level)!r})",

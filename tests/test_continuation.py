@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as ncheb
@@ -12,12 +7,6 @@ from tdiscrim import continuation
 from tdiscrim.closed_form import critical_b, t_optimal_design
 from tdiscrim.continuation import (
     ContinuationState,
-    _dgrad_dbbar,
-    _gradient_raw,
-    _jacobian_raw,
-    _newton,
-    _tangent,
-    _walk,
     bbar_limit,
     d1_optimal_start,
     h_form,
@@ -27,8 +16,9 @@ from tdiscrim.continuation import (
     taylor_coefficients,
     trajectory,
 )
-from tdiscrim.designs import DiscriminationProblem, t_criterion
-from tdiscrim.errors import OptimalityError, RegimeError
+from tdiscrim.checks import INEQUALITY_TOL
+from tdiscrim.designs import Design, DiscriminationProblem, _fit, t_criterion
+from tdiscrim.errors import ConvergenceError, OptimalityError, RegimeError
 
 
 @pytest.fixture
@@ -40,7 +30,7 @@ def fresh_cache():
 
 
 def cold_solve(n, bbar):
-    """solve_at from an empty path cache, walking from bbar = 0."""
+    """solve_at from an empty path cache, exchanging from the bbar = 0 support."""
     continuation._PATHS.clear()
     return solve_at(n, bbar)
 
@@ -97,6 +87,14 @@ class TestAnchor:
             d1_optimal_start(2)
 
 
+@pytest.mark.parametrize("n", range(3, 41))
+def test_anchor_design_is_its_own_mirror(n):
+    d = solve_at(n, 0.0).design()
+    r = d.reflected()
+    assert np.array_equal(d.points, r.points)
+    assert np.array_equal(d.weights, r.weights)
+
+
 def test_h_form_vanishes_when_psi_interpolates():
     # nearly all weight on the middle point and psi(0) = 0
     eps = 1e-13
@@ -105,31 +103,17 @@ def test_h_form_vanishes_when_psi_interpolates():
 
 
 def test_nan_target_ends_the_walk():
-    # a NaN target makes every step NaN; the walk must fail, not halve forever,
-    # so it runs in a child process that a timeout kills if it hangs
-    code = ("import math\n"
-            "from tdiscrim.continuation import _path, _walk\n"
-            "from tdiscrim.errors import ConvergenceError\n"
-            "try:\n"
-            "    _walk(5, _path(5).anchor, 0.0, math.nan, 1e-10)\n"
-            "except ConvergenceError as exc:\n"
-            "    print(exc)\n")
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "step collapsed" in proc.stdout
+    # a NaN start makes every iterate NaN; the exchange must fail at once,
+    # without a floating-point warning
+    with pytest.raises(ConvergenceError, match="degenerate reference"):
+        continuation._alternance(5, 0.5, np.full(5, np.nan))
 
 
 def test_stationarity_residual_detects_perturbation():
     st = d1_optimal_start(4)
-    theta = st.theta.copy()
-    theta[0] += 1e-3
-    from tdiscrim.continuation import _state_from
-
-    assert np.abs(stationarity_residual(_state_from(4, theta, 0.0))).max() > 1e-5
+    moved = ContinuationState(st.q + np.array([1e-3, 0.0, 0.0]),
+                              st.interior_points, st.weights, 0.0)
+    assert np.abs(stationarity_residual(moved)).max() > 1e-5
 
 
 class TestSolveAt:
@@ -230,7 +214,9 @@ class TestTrajectory:
             assert np.abs(d.weights - ref.weights).max() <= 1e-9
 
     def test_screens_every_state(self, fresh_cache, monkeypatch):
-        monkeypatch.setattr(continuation, "inequality_margin", lambda state: 1.0)
+        alternance = continuation._alternance
+        monkeypatch.setattr(continuation, "_alternance",
+                            lambda *args: (alternance(*args)[0], 1.0))
         with pytest.raises(OptimalityError):
             trajectory(4, [0.0, 0.3])
         with pytest.raises(OptimalityError):
@@ -240,28 +226,6 @@ class TestTrajectory:
 
 
 class TestTangentAndTaylor:
-    def test_first_order_matches_analytic_tangent(self):
-        st = solve_at(4, 0.3, check_inequality=False)
-        tangent = -np.linalg.solve(
-            _jacobian_raw(4, st.theta, 0.3), _dgrad_dbbar(4, st.theta, 0.3)
-        )
-        tc = taylor_coefficients(4, 0.3, order=1)
-        assert np.abs(tc[0] - tangent).max() <= 1e-6
-
-    def test_predictor_error_quarters_when_step_halves(self):
-        bbar0 = 0.3
-        st = solve_at(4, bbar0, check_inequality=False)
-        tangent = -np.linalg.solve(
-            _jacobian_raw(4, st.theta, bbar0), _dgrad_dbbar(4, st.theta, bbar0)
-        )
-
-        def predictor_error(h):
-            exact = _walk(4, st.theta, bbar0, bbar0 + h, 1e-12)
-            return np.linalg.norm(st.theta + tangent * h - exact.theta)
-
-        ratio = predictor_error(0.1) / predictor_error(0.05)
-        assert 3.0 <= ratio <= 5.5
-
     def test_second_order_improves_prediction(self):
         bbar0, h = 0.4, 0.1
         tc = taylor_coefficients(4, bbar0, order=2, step=1e-3)
@@ -306,8 +270,10 @@ class TestPathCache:
         assert np.abs(stationarity_residual(st_)).max() <= 1e-12
         # a stored state converged more loosely is corrected, not handed out
         path = continuation._PATHS[4]
-        (key, (bbar, theta)), = path.states.items()
-        path.states[key] = (bbar, theta + 1e-7)
+        (key, (state, margin)), = path.states.items()
+        moved = ContinuationState(state.q, state.interior_points + 1e-7,
+                                  state.weights, state.bbar)
+        path.states[key] = (moved, margin)
         st_ = solve_at(4, x, tol=1e-12)
         assert np.abs(stationarity_residual(st_)).max() <= 1e-12
 
@@ -330,45 +296,6 @@ class TestPathCache:
         assert len(continuation._PATHS[3].states) <= 2 * continuation.CACHE_BUCKETS + 1
 
 
-class TestSharedGeometry:
-    # _newton and _tangent build the geometry of each iterate once and pass
-    # it to every kernel; the result must be exactly that of kernels building
-    # it themselves.
-
-    @staticmethod
-    def unfused_newton(n, theta, bbar, tol):
-        th = np.array(theta, dtype=float)
-        last = np.inf
-        for it in range(continuation.NEWTON_MAX_ITER):
-            g = _gradient_raw(n, th, bbar)
-            res = float(np.abs(g).max())
-            if res == 0.0 or not res <= continuation.NEWTON_CONTRACTION * last:
-                assert res <= tol
-                return th, it
-            last = res
-            th = th - np.linalg.solve(_jacobian_raw(n, th, bbar), g)
-        raise AssertionError("reference Newton did not settle")
-
-    @pytest.mark.parametrize("n", [3, 5, 8, 12])
-    def test_newton_from_perturbed_state(self, n):
-        bbar = 0.6 * bbar_limit(n)
-        theta = solve_at(n, bbar, check_inequality=False).theta
-        rng = np.random.Generator(np.random.PCG64(n))
-        start = theta * (1.0 + 1e-4 * rng.standard_normal(theta.size))
-        state, iters = _newton(n, start, bbar, 1e-10)
-        ref, ref_iters = self.unfused_newton(n, start, bbar, 1e-10)
-        assert iters == ref_iters >= 2
-        assert np.array_equal(state.theta, ref)
-
-    @pytest.mark.parametrize("n", [3, 5, 8, 12])
-    def test_tangent(self, n):
-        bbar = -0.4 * bbar_limit(n)
-        theta = solve_at(n, bbar, check_inequality=False).theta
-        ref = -np.linalg.solve(_jacobian_raw(n, theta, bbar),
-                               _dgrad_dbbar(n, theta, bbar))
-        assert np.array_equal(_tangent(n, theta, bbar), ref)
-
-
 class TestMirror:
     """x -> -x maps the problem at -bbar onto the one at bbar."""
 
@@ -388,14 +315,19 @@ class TestMirror:
 
     @pytest.mark.parametrize("n", [3, 5, 8, 12])
     def test_mirror_matches_a_direct_walk(self, n, fresh_cache):
-        # the walk itself knows nothing of the mirror: it crosses to bbar < 0
+        # the exchange itself knows nothing of the mirror: run it at bbar < 0
+        # from the bbar = 0 support; at the limit it is the closed form
         lim = bbar_limit(n)
-        for s in self.SHARES:
+        start = d1_optimal_start(n).design().points
+        for s in self.SHARES[:-1]:
             mirror = solve_at(n, -s * lim)
-            direct = _walk(n, continuation._path(n).anchor, 0.0, -s * lim,
-                           continuation.STATIONARITY_TOL)
+            direct = continuation._alternance(n, -s * lim, start)[0]
             assert np.abs(mirror.theta - direct.theta).max() <= 1e-9
             assert abs(inequality_margin(mirror) - inequality_margin(direct)) <= 1e-12
+        cf = t_optimal_design(n, -critical_b(n)).design
+        mirror = solve_at(n, -lim).design()
+        assert np.abs(mirror.points - cf.points).max() <= 1e-12
+        assert np.abs(mirror.weights - cf.weights).max() <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     # bbar = +-0 is the anchor itself, one ratio, not a mirrored pair
@@ -424,13 +356,13 @@ class TestWorkCount:
     def test_symmetric_trajectory_walks_each_magnitude_once(self, n, fresh_cache,
                                                             monkeypatch):
         calls = []
-        walk = continuation._walk
+        alternance = continuation._alternance
 
         def counted(*args):
-            calls.append(args[3])
-            return walk(*args)
+            calls.append(args[1])
+            return alternance(*args)
 
-        monkeypatch.setattr(continuation, "_walk", counted)
+        monkeypatch.setattr(continuation, "_alternance", counted)
         asymmetric = 0
         for s in (0.33, 0.5, 0.71, 0.95, 1.0):
             continuation._PATHS.clear()
@@ -439,8 +371,10 @@ class TestWorkCount:
             # linspace often rounds mirrored values a few ulps apart
             asymmetric += np.unique(np.abs(grid)).size > 5
             rows = trajectory(n, grid)
-            assert len(calls) == 5
-            assert all(b >= 0.0 for b in calls)
+            # five magnitudes: bbar = 0 is the stored anchor, the other
+            # four take one exchange each
+            assert len(calls) == 4
+            assert all(b > 0.0 for b in calls)
             for (g, d), (h, e) in zip(rows, rows[::-1]):
                 assert g == pytest.approx(-h, rel=1e-14, abs=0.0)
                 if g < 0.0:
@@ -455,5 +389,38 @@ class TestWorkCount:
         for x in requests:
             solve_at(3, x)
         states = continuation._PATHS[3].states
-        assert all(key >= 0 and bbar >= 0.0 for key, (bbar, _) in states.items())
+        assert all(key >= 0 and state.bbar >= 0.0 for key, (state, _) in states.items())
         assert len(states) <= continuation.CACHE_BUCKETS + 1
+
+
+class TestRelativeScreen:
+    """The screen compares the margin with INEQUALITY_TOL times H, which shrinks like 4^-n."""
+
+    @staticmethod
+    def fitted_state(design, bbar):
+        """The state on design whose psi is the weighted least-squares residual there.
+
+        psi is the top two Chebyshev terms of the fixed part less the fit of
+        the reduced target, so that nothing cancels at high degree.
+        """
+        n = design.support_size
+        g, coef, _ = _fit(design, DiscriminationProblem(n, bbar=bbar))
+        psi = np.concatenate([-coef, g[n - 1 :]])
+        return continuation._carrying(psi, design.points, design.weights, bbar)
+
+    @pytest.mark.parametrize("n", [16, 30, 40])
+    def test_one_moved_point_fails(self, n):
+        bbar = 0.5 * bbar_limit(n)
+        d = solve_at(n, bbar).design()
+        optimal = self.fitted_state(d, bbar)
+        continuation._screened(optimal, inequality_margin(optimal) / h_form(optimal),
+                               INEQUALITY_TOL)
+        for k in (1, n // 3, n - 2):
+            pts = d.points.copy()
+            pts[k] *= 1.0 + 1e-6
+            moved = self.fitted_state(Design(pts, d.weights), bbar)
+            margin = inequality_margin(moved)
+            # the absolute margin is far below the tolerance: only H scales it
+            assert margin < 1e-10
+            with pytest.raises(OptimalityError):
+                continuation._screened(moved, margin / h_form(moved), INEQUALITY_TOL)

@@ -3,7 +3,10 @@
 The oracle is mpmath at 50 digits: the closed-form optimal values
 (1 + |b|/n)^(2n) / 2^(2n-2) and their square roots, and the error
 polynomials, summed by the Chebyshev three-term recurrence from their
-coefficients.
+coefficients. Beyond the critical ratio the path route (solve_at,
+trajectory, maximin) is held to remez, whose deviation is held to mpmath
+here: the optimal criterion in the bbar parametrization is bbar^2 times
+its deviation squared.
 """
 
 import mpmath as mp
@@ -13,16 +16,24 @@ import pytest
 from tdiscrim import (
     Design,
     DiscriminationProblem,
+    RatioInterval,
     bbar_limit,
     closed_form_psi,
     critical_b,
+    h_form,
+    inequality_margin,
+    maximin_design,
+    r_value,
     remez,
+    solve_at,
     support_points,
     t_criterion,
     t_optimal_design,
+    trajectory,
     verification_report,
     zero_b_family,
 )
+from tdiscrim import continuation
 
 DEGREES = range(3, 41)
 DPS = 50
@@ -114,3 +125,86 @@ def test_closed_form_psi_peaks_on_the_support(n):
             assert max(np.abs(crit - x).min() for x in support) <= 1e-12
             for x in support:
                 assert rel(abs(mp_chebval(x, psi.coeffs)), level) <= 1e-13
+
+
+PATH_DEGREES = (16, 20, 25, 26, 30, 40)
+PATH_SHARES = (0.05, 0.2, 0.5, 0.95, 1.0, -1.0, -0.5)
+
+
+def path_gap(design, n, bbar):
+    """Relative gap of the design's criterion to the optimum at bbar != 0.
+
+    In the bbar parametrization the optimum is bbar^2 times remez's
+    deviation squared at b = 1/bbar.
+    """
+    value = t_criterion(design, DiscriminationProblem(n, bbar=bbar))
+    return abs(value / (bbar * bbar * remez(n, 1.0 / bbar).deviation ** 2) - 1.0)
+
+
+@pytest.fixture
+def fresh_paths():
+    continuation._PATHS.clear()
+    yield
+    continuation._PATHS.clear()
+
+
+@pytest.mark.parametrize("n", PATH_DEGREES)
+@pytest.mark.parametrize("share", PATH_SHARES)
+def test_solve_at_reaches_the_optimum(n, share, fresh_paths):
+    bbar = share * bbar_limit(n)
+    for _ in ("cold", "stored"):
+        state = solve_at(n, bbar)
+        assert path_gap(state.design(), n, bbar) <= 1e-10
+        # psi is the Chebyshev series the state was solved with: its margin
+        # relative to H is at the rounding floor at every degree
+        assert inequality_margin(state) <= 1e-10 * h_form(state)
+
+
+@pytest.mark.parametrize("n", PATH_DEGREES)
+def test_symmetric_trajectory_reaches_the_optimum(n, fresh_paths):
+    grid = np.linspace(-bbar_limit(n), bbar_limit(n), 9)
+    rows = trajectory(n, grid)
+    assert [g for g, _ in rows] == grid.tolist()
+    for g, d in rows:
+        if g == 0.0:
+            # psi is 2^(2-n) T_(n-1), alternating on the whole support
+            value = t_criterion(d, DiscriminationProblem(n, bbar=0.0))
+            assert value == pytest.approx(0.25 ** (n - 2), rel=1e-12)
+        else:
+            assert path_gap(d, n, g) <= 1e-10
+
+
+@pytest.mark.parametrize("n", PATH_DEGREES)
+def test_maximin_on_a_ray_reaches_the_optimum(n, fresh_paths):
+    b0 = 1.0 / (0.5 * bbar_limit(n))
+    optimum = remez(n, b0).deviation ** 2
+    assert abs(r_value(n, b0) / optimum - 1.0) <= 1e-10
+    for ray, b in ((RatioInterval.ray_up(b0), b0), (RatioInterval.ray_down(b0), -b0)):
+        value = t_criterion(maximin_design(n, ray), DiscriminationProblem(n, b=b))
+        assert abs(value / optimum - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+def test_solve_at_n25_at_a_fifth_of_the_limit(sign, fresh_paths):
+    # the monomial Newton walk returned a design 1.7e-3 off here, silently
+    bbar = sign * 0.2 * bbar_limit(25)
+    assert path_gap(solve_at(25, bbar).design(), 25, bbar) <= 1e-10
+
+
+def test_trajectory_n26_reaches_the_optimum(fresh_paths):
+    # the Newton walk exited cleanly with designs 1.4e-5 below the optimum
+    for g, d in trajectory(26, np.linspace(-5.0, 5.0, 5)):
+        if g != 0.0:
+            assert path_gap(d, 26, g) <= 1e-10
+
+
+@pytest.mark.parametrize("n", (24, 30, 40))
+def test_results_do_not_depend_on_request_order(n, fresh_paths):
+    # at n = 24 the Newton walk's designs moved by up to 1.7e-3 with the order
+    bbars = np.array([0.9, -0.1, 0.45, -0.7, 0.2, 1.0, -0.33]) * bbar_limit(n)
+    first = [solve_at(n, x).design() for x in bbars]
+    continuation._PATHS.clear()
+    second = [solve_at(n, x).design() for x in bbars[::-1]][::-1]
+    for a, b in zip(first, second):
+        assert np.abs(a.points - b.points).max() <= 1e-12
+        assert np.abs(a.weights - b.weights).max() <= 1e-12
