@@ -5,9 +5,9 @@ moves smoothly with the inverse ratio bbar = 1/b and solves a
 stationarity system there. At bbar = 0 (b = infinity) the design is known,
 built on the Chebyshev extrema of degree n - 1. Elsewhere it sits on the
 alternance of the minimax error of x^(n-1) + bbar x^n: a Remez exchange,
-started from the nearest design already solved, finds the points, and one
-linear solve the weights. The path meets the closed-form designs exactly
-at the two regime boundaries.
+started from a fixed interpolant of the support in bbar that each degree
+builds once, finds the points, and one linear solve the weights. The path
+meets the closed-form designs exactly at the two regime boundaries.
 """
 
 import numpy as np

@@ -19,11 +19,12 @@ The problem is symmetric under x -> -x, which maps x^n + b x^(n-1) to
 (-1)^n (x^n - b x^(n-1)): the state at -bbar is the mirror of the state at
 bbar. Every request goes through one path engine per degree, SolutionPath,
 which solves only bbar >= 0 and answers bbar < 0 with the exact mirror of
-the state at |bbar|. It keeps solved states with bbar >= 0 that passed the
-global-inequality screen, at most one per bucket of width
-bbar_limit(n) / CACHE_BUCKETS, and starts the exchange of each request
-from the support of the stored state nearest in bbar, or of the bbar = 0
-state when that is nearer.
+the state at |bbar|. The engine keeps no solved state. When first built it
+solves the support at TABLE_NODES Chebyshev-Lobatto nodes in
+s = bbar / bbar_limit(n) and keeps the Chebyshev interpolant of the
+interior points in s, a fixed start table; each request starts its
+exchange from the table at its own s. A result is then a function of n and
+bbar alone, whatever was requested before it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import copy
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebvander
+from numpy.polynomial.chebyshev import chebfit, chebval, chebvander
 
 from .checks import INEQUALITY_TOL, global_inequality
 from .closed_form import REGIME_SLACK, critical_b, in_explicit_regime, support_points
@@ -47,9 +48,9 @@ STATIONARITY_TOL = 1e-10
 # exceeds the alternation level by at most this share of it.
 EXCHANGE_TOL = 1e-12
 MAX_EXCHANGES = 100
-# Buckets on [0, bbar_limit(n)]; only bbar >= 0 is stored, so the cache holds
-# at most CACHE_BUCKETS + 1 states per degree.
-CACHE_BUCKETS = 32
+# Chebyshev-Lobatto nodes in s = bbar / bbar_limit(n) of each degree's start
+# table; the support is analytic in s, so the interpolant converges geometrically.
+TABLE_NODES = 16
 
 
 @dataclass
@@ -124,24 +125,13 @@ def _carrying(psi: np.ndarray, points: np.ndarray, weights: np.ndarray,
     """The state on the design (points, weights) whose psi has Chebyshev coefficients psi.
 
     q is converted from psi; the state keeps psi and the last weight as
-    given, so that its copies and mirrors agree with it to the bit.
+    given, so that its mirror agrees with it to the bit.
     """
     n = psi.size - 1
     q = np.linalg.solve(monomial_to_chebyshev(n), psi)[: n - 1]
     state = ContinuationState(q, points[1:-1], weights[:-1], bbar)
     state._psi, state._last_weight = psi, float(weights[-1])
     return state
-
-
-def _copy(state: ContinuationState) -> ContinuationState:
-    """A copy of a solved state that shares no array the caller could change.
-
-    Its psi stays shared: psi() hands out copies of it.
-    """
-    out = copy.copy(state)
-    out.q, out.interior_points, out.weights = (
-        state.q.copy(), state.interior_points.copy(), state.weights.copy())
-    return out
 
 
 def _mirrored(state: ContinuationState) -> ContinuationState:
@@ -173,9 +163,19 @@ def d1_optimal_start(n: int) -> ContinuationState:
 
     Support at the extrema of T_(n-1) with weight 1/(2(n-1)) on each endpoint
     and 1/(n-1) inside; psi is 2^(2-n) T_(n-1), whose leading coefficient is
-    exactly one as the parametrization requires.
+    exactly one as the parametrization requires. Built afresh on each call.
     """
-    return _copy(_path(n).anchor[0])
+    n = check_degree(n, 3)
+    # -cos(j pi / (n-1)) as the sine of a signed angle, so that the support
+    # is symmetric to the bit
+    j = np.arange(1, n - 1)
+    pts = np.concatenate(
+        [[-1.0], np.sin((2 * j - (n - 1)) * np.pi / (2 * (n - 1))), [1.0]])
+    w = np.full(n, 1.0 / (n - 1))
+    w[0] = w[-1] = 0.5 / (n - 1)
+    psi = np.zeros(n + 1)
+    psi[n - 1] = 0.5 ** (n - 2)
+    return _carrying(psi, pts, w, 0.0)
 
 
 def _gradient_raw(n: int, theta: np.ndarray, bbar: float) -> np.ndarray:
@@ -252,33 +252,25 @@ def _alternance(n: int, bbar: float,
 
 
 class SolutionPath:
-    """The path engine of one degree: checked states, and the exchange that adds to them.
+    """The path engine of one degree: a fixed start table, and the exchange run from it.
 
-    Solves only bbar >= 0: a request at bbar < 0 gets the mirror of the
-    state at -bbar. Stores only states with bbar >= 0 whose
-    global-inequality margin relative to their H is at most INEQUALITY_TOL,
-    with that margin, and at most one per bucket of width
-    bbar_limit(n) / CACHE_BUCKETS: the latest one solved there. Hands out
-    copies only. Use _path(n) rather than building one, so that every
-    caller in the process shares it.
+    The table interpolates the support at TABLE_NODES Chebyshev-Lobatto
+    nodes in s = bbar / limit: the anchor at s = 0, the closed form at
+    s = 1, and between them exchanges chained from node to node. Nothing
+    else is kept. Use _path(n), so that every caller shares the table.
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.limit = bbar_limit(n)
-        self.width = self.limit / CACHE_BUCKETS
-        # the bbar = 0 state, see d1_optimal_start; -cos(j pi / (n-1)) as
-        # the sine of a signed angle, so that the support is symmetric to the bit
-        j = np.arange(1, n - 1)
-        pts = np.concatenate(
-            [[-1.0], np.sin((2 * j - (n - 1)) * np.pi / (2 * (n - 1))), [1.0]])
-        w = np.full(n, 1.0 / (n - 1))
-        w[0] = w[-1] = 0.5 / (n - 1)
-        psi = np.zeros(n + 1)
-        psi[n - 1] = 0.5 ** (n - 2)
-        anchor = _carrying(psi, pts, w, 0.0)
-        self.anchor = (anchor, inequality_margin(anchor) / h_form(anchor))
-        self.states: dict[int, tuple[ContinuationState, float]] = {}
+        anchor = d1_optimal_start(n)
+        self.anchor_margin = inequality_margin(anchor) / h_form(anchor)
+        x = -np.cos(np.arange(TABLE_NODES) * np.pi / (TABLE_NODES - 1))
+        pts = [anchor.interior_points]
+        for s in (1.0 + x[1:]) / 2.0:
+            start = np.concatenate([[-1.0], pts[-1], [1.0]])
+            pts.append(_alternance(n, s * self.limit, start)[0].interior_points)
+        self.table = chebfit(x, np.array(pts), TABLE_NODES - 1)
 
     def check(self, bbar: float) -> None:
         """Raise RegimeError for bbar off the path interval, ValueError for NaN."""
@@ -289,31 +281,31 @@ class SolutionPath:
                 f"[-{self.limit!r}, {self.limit!r}] for n = {self.n}"
             )
 
+    def start(self, bbar: float) -> np.ndarray:
+        """The support the exchange at bbar > 0 starts from: the table at its s."""
+        x = 2.0 * min(bbar / self.limit, 1.0) - 1.0
+        return np.concatenate([[-1.0], chebval(x, self.table), [1.0]])
+
     def solve(self, bbar: float, tol: float) -> tuple[ContinuationState, float]:
         """The state at bbar with residual at most tol, and its margin relative to H.
 
-        A stored state at bbar itself is handed out when its residual is at
-        most tol, and solved again from its own support otherwise. At
-        bbar < 0 this is the mirror of the state at -bbar, whose margin it
+        At bbar < 0 this is the mirror of the state at -bbar, whose margin it
         shares.
         """
         self.check(bbar)
         if bbar < 0.0:
             state, margin = self.solve(-bbar, tol)
             return _mirrored(state), margin
-        state, margin = min([self.anchor, *self.states.values()],
-                            key=lambda s: abs(s[0].bbar - bbar))
-        if state.bbar != bbar or np.abs(stationarity_residual(state)).max() > tol:
-            start = np.concatenate([[-1.0], state.interior_points, [1.0]])
-            state, margin = _alternance(self.n, bbar, start)
-            res = float(np.abs(stationarity_residual(state)).max())
-            if not res <= tol:
-                raise ConvergenceError(
-                    f"stationarity residual {res!r} above {tol!r} at bbar = {bbar!r}",
-                    last=state)
-            if margin <= INEQUALITY_TOL:
-                self.states[round(bbar / self.width)] = (state, margin)
-        return _copy(state), margin
+        if bbar == 0.0:
+            state, margin = d1_optimal_start(self.n), self.anchor_margin
+        else:
+            state, margin = _alternance(self.n, bbar, self.start(bbar))
+        res = float(np.abs(stationarity_residual(state)).max())
+        if not res <= tol:
+            raise ConvergenceError(
+                f"stationarity residual {res!r} above {tol!r} at bbar = {bbar!r}",
+                last=state)
+        return state, margin
 
 
 _PATHS: dict[int, SolutionPath] = {}
@@ -346,12 +338,12 @@ def solve_at(n: int, bbar: float, tol: float = STATIONARITY_TOL, *,
              inequality_tol: float = INEQUALITY_TOL) -> ContinuationState:
     """The path state at inverse ratio bbar.
 
-    Starts the exchange from the checked state nearest in |bbar| that an
-    earlier request for degree n left in this process, or from the known
-    state at bbar = 0; at bbar < 0 the state is the exact mirror of the one
-    at -bbar. The returned state has stationarity residual at most tol;
-    when check_inequality is set the design is also screened against the
-    whole interval, relative to its criterion value H, and a violation
+    Starts the exchange from the start table of degree n, which the first
+    request for n builds; at bbar = 0 the state is the known one, and at
+    bbar < 0 the exact mirror of the one at -bbar, so the result depends on
+    n and bbar alone. The returned state has stationarity residual at most
+    tol; when check_inequality is set the design is also screened against
+    the whole interval, relative to its criterion value H, and a violation
     raises OptimalityError rather than returning a merely stationary point.
     """
     state, margin = _path(n).solve(float(bbar), tol)
@@ -361,11 +353,9 @@ def solve_at(n: int, bbar: float, tol: float = STATIONARITY_TOL, *,
 def trajectory(n: int, grid, tol: float = 1e-9) -> list[tuple[float, Design]]:
     """Optimal designs along a sorted grid of inverse ratios.
 
-    Each distinct |bbar| of the grid is solved once, outward from zero
-    through the path engine, so each exchange can start from a neighbour
-    already solved, and each is screened as solve_at screens: a merely
-    stationary point raises OptimalityError. A negative grid value gets the
-    reflection of the design at its magnitude.
+    Each distinct |bbar| of the grid is solved once, as solve_at solves and
+    screens it: a merely stationary point raises OptimalityError. A
+    negative grid value gets the reflection of the design at its magnitude.
     """
     path = _path(n)
     g = np.atleast_1d(np.asarray(grid, dtype=float))

@@ -158,7 +158,12 @@ def _fit(design: Design, problem: DiscriminationProblem):
 
 
 def best_l2_coefficients(design: Design, problem: DiscriminationProblem) -> ChebyshevSeries:
-    """Weighted-L2-closest polynomial of degree <= n - 2 to the fixed part."""
+    """Weighted-L2-closest polynomial of degree <= n - 2 to the fixed part.
+
+    problem.fixed_part() minus this cancels nearly all of psi at high
+    degree (a relative margin of 3e-5 at the optimum at n = 40); form psi
+    as the fixed part's top two Chebyshev terms less _fit's coefficients.
+    """
     g, coef, _ = _fit(design, problem)
     return ChebyshevSeries(g[: problem.n - 1] + coef)
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as ncheb
@@ -18,6 +23,7 @@ from tdiscrim.continuation import (
 )
 from tdiscrim.checks import INEQUALITY_TOL
 from tdiscrim.designs import Design, DiscriminationProblem, _fit, t_criterion
+from tdiscrim.minimax import remez
 from tdiscrim.errors import ConvergenceError, OptimalityError, RegimeError
 
 
@@ -30,7 +36,7 @@ def fresh_cache():
 
 
 def cold_solve(n, bbar):
-    """solve_at from an empty path cache, exchanging from the bbar = 0 support."""
+    """solve_at on a freshly built path engine."""
     continuation._PATHS.clear()
     return solve_at(n, bbar)
 
@@ -221,8 +227,6 @@ class TestTrajectory:
             trajectory(4, [0.0, 0.3])
         with pytest.raises(OptimalityError):
             solve_at(4, 0.3)
-        # a state failing the screen is never stored
-        assert continuation._PATHS[4].states == {}
 
 
 class TestTangentAndTaylor:
@@ -251,31 +255,69 @@ class TestTangentAndTaylor:
             taylor_coefficients(3, bbar_limit(3), order=1)
 
 
+def path_gap(design, n, bbar):
+    """Relative gap of the design's criterion to remez's optimum at bbar != 0."""
+    value = t_criterion(design, DiscriminationProblem(n, bbar=bbar))
+    return abs(value / (bbar * bbar * remez(n, 1.0 / bbar).deviation ** 2) - 1.0)
+
+
 class TestPathCache:
+    """The path engine keeps a fixed start table and no solved state."""
+
     @settings(max_examples=30, deadline=None)
-    @given(n=st.sampled_from([3, 5, 8]),
-           shares=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6))
-    def test_results_do_not_depend_on_request_order(self, n, shares):
-        continuation._PATHS.clear()
+    @given(n=st.sampled_from([3, 5, 8, 16, 30, 40]),
+           shares=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_results_do_not_depend_on_request_order(self, n, shares, seed):
         lim = bbar_limit(n)
-        warm = [solve_at(n, s * lim).theta for s in shares]
-        for s, theta in zip(shares, warm):
-            assert np.abs(theta - cold_solve(n, s * lim).theta).max() <= 1e-9
         continuation._PATHS.clear()
+        first = [solve_at(n, s * lim) for s in shares]
+        order = np.random.default_rng(seed).permutation(len(shares))
+        shuffled = {k: solve_at(n, shares[k] * lim) for k in order}
+        continuation._PATHS.clear()
+        cleared = {k: solve_at(n, shares[k] * lim) for k in reversed(range(len(shares)))}
+        for k, state in enumerate(first):
+            for other in (shuffled[k], cleared[k]):
+                assert np.array_equal(state.theta, other.theta)
+                assert np.array_equal(state.design().points, other.design().points)
+                assert np.array_equal(state.design().weights, other.design().weights)
+                assert np.array_equal(state.psi().coeffs, other.psi().coeffs)
+        continuation._PATHS.clear()
+
+    def test_a_fresh_interpreter_gives_the_same_bits(self):
+        pairs = [(5, 0.3), (16, -0.7), (40, 0.95)]
+        script = ("from tdiscrim import bbar_limit, solve_at\n"
+                  "for n, s in %r:\n"
+                  "    st = solve_at(n, s * bbar_limit(n))\n"
+                  "    print(' '.join(float(v).hex() for v in st.theta))\n" % pairs)
+        env = dict(os.environ)
+        src = str(Path(continuation.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        here = [" ".join(float(v).hex() for v in solve_at(n, s * bbar_limit(n)).theta)
+                for n, s in pairs]
+        assert proc.stdout.splitlines() == here
 
     def test_requested_tol_holds_on_exact_hit(self, fresh_cache):
         x = 0.7
         solve_at(4, x)
         st_ = solve_at(4, x, tol=1e-12)
         assert np.abs(stationarity_residual(st_)).max() <= 1e-12
-        # a stored state converged more loosely is corrected, not handed out
-        path = continuation._PATHS[4]
-        (key, (state, margin)), = path.states.items()
-        moved = ContinuationState(state.q, state.interior_points + 1e-7,
-                                  state.weights, state.bbar)
-        path.states[key] = (moved, margin)
-        st_ = solve_at(4, x, tol=1e-12)
-        assert np.abs(stationarity_residual(st_)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [30, 40])
+    def test_a_corrupted_start_table_still_reaches_the_optimum(self, n, fresh_cache,
+                                                             monkeypatch):
+        # the absolute stationarity test cannot tell a start 1e-4 off at
+        # these degrees; the exchange from it must still reach the optimum
+        path = continuation._path(n)
+        monkeypatch.setattr(path, "table", path.table * (1.0 + 1e-4))
+        bbar = 0.5 * bbar_limit(n)
+        start = path.start(bbar)
+        state = solve_at(n, bbar)
+        assert np.abs(state.design().points - start).max() > 1e-6
+        assert path_gap(state.design(), n, bbar) <= 1e-10
 
     def test_returned_states_do_not_alias_the_cache(self, fresh_cache):
         first = solve_at(5, 0.6)
@@ -287,13 +329,6 @@ class TestPathCache:
         anchor = d1_optimal_start(5)
         anchor.q[:] = 1.0
         assert np.abs(d1_optimal_start(5).theta - solve_at(5, 0.0).theta).max() <= 1e-12
-
-    def test_stored_states_stay_bounded(self, fresh_cache):
-        lim = bbar_limit(3)
-        requests = np.random.default_rng(3).permutation(np.linspace(-lim, lim, 2000))
-        for x in requests:
-            solve_at(3, x)
-        assert len(continuation._PATHS[3].states) <= 2 * continuation.CACHE_BUCKETS + 1
 
 
 class TestMirror:
@@ -362,16 +397,16 @@ class TestWorkCount:
             calls.append(args[1])
             return alternance(*args)
 
+        continuation._path(n)
         monkeypatch.setattr(continuation, "_alternance", counted)
         asymmetric = 0
         for s in (0.33, 0.5, 0.71, 0.95, 1.0):
-            continuation._PATHS.clear()
             calls.clear()
             grid = np.linspace(-s * bbar_limit(n), s * bbar_limit(n), 9)
             # linspace often rounds mirrored values a few ulps apart
             asymmetric += np.unique(np.abs(grid)).size > 5
             rows = trajectory(n, grid)
-            # five magnitudes: bbar = 0 is the stored anchor, the other
+            # five magnitudes: bbar = 0 is the known anchor, the other
             # four take one exchange each
             assert len(calls) == 4
             assert all(b > 0.0 for b in calls)
@@ -383,14 +418,27 @@ class TestWorkCount:
                     assert np.array_equal(d.weights, ref.weights)
         assert asymmetric > 0
 
-    def test_cache_keeps_only_nonnegative_ratios(self, fresh_cache):
-        lim = bbar_limit(3)
-        requests = np.random.default_rng(3).permutation(np.linspace(-lim, lim, 2000))
-        for x in requests:
-            solve_at(3, x)
-        states = continuation._PATHS[3].states
-        assert all(key >= 0 and state.bbar >= 0.0 for key, (state, _) in states.items())
-        assert len(states) <= continuation.CACHE_BUCKETS + 1
+    @pytest.mark.parametrize("n, most", [(3, 1), (5, 1), (8, 1), (12, 2), (16, 2),
+                                         (20, 2), (30, 2), (40, 2)])
+    def test_start_table_leaves_at_most_two_exchanges(self, n, most, monkeypatch):
+        # with TABLE_NODES = 16 the exchange stops on the start's own
+        # reference, or one exchange later
+        continuation._path(n)
+        exchanges = continuation._exchanges
+        count = []
+
+        def counted(*args):
+            for it in exchanges(*args):
+                count.append(1)
+                yield it
+
+        monkeypatch.setattr(continuation, "_exchanges", counted)
+        per_solve = []
+        for s in np.arange(1, 20) * 0.05:
+            count.clear()
+            solve_at(n, s * bbar_limit(n))
+            per_solve.append(len(count))
+        assert max(per_solve) == most
 
 
 class TestRelativeScreen:
