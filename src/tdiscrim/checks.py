@@ -91,29 +91,17 @@ def alternation_check(design: Design, psi: ChebyshevSeries,
     )
 
 
-def global_inequality(subject, psi_norm_sq: float | None = None, *,
+def global_inequality(psi: ChebyshevSeries, psi_norm_sq: float, *,
                       critical_points: np.ndarray | None = None) -> float:
-    """Margin max over [-1,1] of psi^2 minus its design-weighted mean square.
+    """Margin max over [-1,1] of psi^2 minus psi_norm_sq, its design-weighted mean square.
 
-    subject is either the error polynomial itself (then psi_norm_sq is
-    required) or any object with psi() and design() methods. Every local
-    maximum of psi^2 on [-1, 1] is an endpoint or a real root of psi', so
-    the maximum is taken over the critical points of psi alone; a caller
-    already holding psi.critical_points() passes them as critical_points.
-    At a true optimum the margin is zero to solver precision: no point of
-    the interval beats the support. A positive margin quantifies the
-    violation.
+    Every local maximum of psi^2 on [-1, 1] is an endpoint or a real root
+    of psi', so the maximum is taken over the critical points of psi alone;
+    a caller already holding psi.critical_points() passes them as
+    critical_points. At a true optimum the margin is zero to solver
+    precision: no point of the interval beats the support. A positive
+    margin quantifies the violation.
     """
-    if hasattr(subject, "psi"):
-        psi = subject.psi()
-        if psi_norm_sq is None:
-            d = subject.design()
-            pv = psi(d.points)
-            psi_norm_sq = float(np.sum(d.weights * pv * pv))
-    else:
-        psi = subject
-        if psi_norm_sq is None:
-            raise ValueError("psi_norm_sq is required when passing a bare polynomial")
     if critical_points is None:
         critical_points = psi.critical_points()
     vals = psi(critical_points)

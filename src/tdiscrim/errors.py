@@ -25,7 +25,7 @@ class ConvergenceError(SolverError):
 
 
 class OptimalityError(SolverError):
-    """A converged stationary point failed the global optimality inequality."""
+    """A solved design failed the global optimality inequality by margin, relative to H."""
 
     def __init__(self, message: str, *, margin: float | None = None, last=None):
         super().__init__(message)

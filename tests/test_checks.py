@@ -110,7 +110,7 @@ class TestGlobalInequality:
         assert global_inequality(psi, 0.5 * psi(1.0) ** 2) > 0.0
 
     def test_requires_level_for_bare_polynomial(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             global_inequality(chebyshev_t(3))
 
 

@@ -222,19 +222,21 @@ class TestTrajectory:
     def test_screens_every_state(self, fresh_cache, monkeypatch):
         alternance = continuation._alternance
         monkeypatch.setattr(continuation, "_alternance",
-                            lambda *args: (alternance(*args)[0], 1.0))
+                            lambda *args: (alternance(*args)[0], 2.0 * INEQUALITY_TOL))
         with pytest.raises(OptimalityError):
             trajectory(4, [0.0, 0.3])
         with pytest.raises(OptimalityError):
             solve_at(4, 0.3)
+        with pytest.raises(OptimalityError):
+            taylor_coefficients(4, 0.3)
 
 
 class TestTangentAndTaylor:
     def test_second_order_improves_prediction(self):
         bbar0, h = 0.4, 0.1
         tc = taylor_coefficients(4, bbar0, order=2, step=1e-3)
-        base = solve_at(4, bbar0, check_inequality=False).theta
-        exact = solve_at(4, bbar0 + h, check_inequality=False).theta
+        base = solve_at(4, bbar0).theta
+        exact = solve_at(4, bbar0 + h).theta
         err1 = np.linalg.norm(base + tc[0] * h - exact)
         err2 = np.linalg.norm(base + tc[0] * h + tc[1] * h * h - exact)
         assert err2 < err1
@@ -303,7 +305,7 @@ class TestPathCache:
     def test_requested_tol_holds_on_exact_hit(self, fresh_cache):
         x = 0.7
         solve_at(4, x)
-        st_ = solve_at(4, x, tol=1e-12)
+        st_ = solve_at(4, x)
         assert np.abs(stationarity_residual(st_)).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [30, 40])
@@ -318,6 +320,28 @@ class TestPathCache:
         state = solve_at(n, bbar)
         assert np.abs(state.design().points - start).max() > 1e-6
         assert path_gap(state.design(), n, bbar) <= 1e-10
+
+    @pytest.mark.parametrize("n", [30, 40])
+    def test_a_state_stopped_on_a_corrupted_start_is_refused(self, n, fresh_cache,
+                                                           monkeypatch):
+        # the exchange stops on the corrupted start's own reference; its
+        # stationarity residual is far below 1e-10 at these degrees, but the
+        # relative margin refuses the state on every route
+        path = continuation._path(n)
+        monkeypatch.setattr(path, "table", path.table * (1.0 + 1e-4))
+        monkeypatch.setattr(continuation, "EXCHANGE_TOL", 1.0)
+        bbar = 0.5 * bbar_limit(n)
+        with pytest.raises(OptimalityError) as err:
+            solve_at(n, bbar)
+        assert np.abs(stationarity_residual(err.value.last)).max() < 1e-10
+        # a mirrored state is screened at the requested ratio
+        with pytest.raises(OptimalityError, match=f"bbar = {-bbar!r} ") as err:
+            solve_at(n, -bbar)
+        assert err.value.last.bbar == -bbar
+        with pytest.raises(OptimalityError):
+            taylor_coefficients(n, bbar)
+        with pytest.raises(OptimalityError):
+            trajectory(n, [-bbar, bbar])
 
     def test_returned_states_do_not_alias_the_cache(self, fresh_cache):
         first = solve_at(5, 0.6)
@@ -340,13 +364,12 @@ class TestMirror:
     def test_negative_ratio_is_the_exact_mirror(self, n):
         lim = bbar_limit(n)
         for s in self.SHARES:
-            for tol in (continuation.STATIONARITY_TOL, 1e-12):
-                down = solve_at(n, -s * lim, tol)
-                up = solve_at(n, s * lim, tol).design().reflected()
-                assert np.array_equal(down.design().points, up.points)
-                assert np.array_equal(down.design().weights, up.weights)
-                assert down.bbar == -s * lim
-                assert np.abs(stationarity_residual(down)).max() <= tol
+            down = solve_at(n, -s * lim)
+            up = solve_at(n, s * lim).design().reflected()
+            assert np.array_equal(down.design().points, up.points)
+            assert np.array_equal(down.design().weights, up.weights)
+            assert down.bbar == -s * lim
+            assert np.abs(stationarity_residual(down)).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 5, 8, 12])
     def test_mirror_matches_a_direct_walk(self, n, fresh_cache):
@@ -461,8 +484,7 @@ class TestRelativeScreen:
         bbar = 0.5 * bbar_limit(n)
         d = solve_at(n, bbar).design()
         optimal = self.fitted_state(d, bbar)
-        continuation._screened(optimal, inequality_margin(optimal) / h_form(optimal),
-                               INEQUALITY_TOL)
+        continuation._screened(optimal, inequality_margin(optimal) / h_form(optimal))
         for k in (1, n // 3, n - 2):
             pts = d.points.copy()
             pts[k] *= 1.0 + 1e-6
@@ -471,4 +493,4 @@ class TestRelativeScreen:
             # the absolute margin is far below the tolerance: only H scales it
             assert margin < 1e-10
             with pytest.raises(OptimalityError):
-                continuation._screened(moved, margin / h_form(moved), INEQUALITY_TOL)
+                continuation._screened(moved, margin / h_form(moved))

@@ -172,6 +172,13 @@ class TestNanInverseRatio:
         assert "np.float64" not in str(err.value)
 
 
+@pytest.mark.parametrize("step", [NAN, INF, -INF, 0.0, -1e-4])
+def test_taylor_step_must_be_a_positive_finite_number(step):
+    with pytest.raises(ValueError, match=r"^step must be a positive finite number") as err:
+        taylor_coefficients(5, 0.1, step=step)
+    assert not isinstance(err.value, RegimeError)
+
+
 class TestNanRatio:
     """A NaN b fails by name wherever it enters, not inside the arithmetic."""
 
@@ -226,6 +233,14 @@ class TestInfiniteRatio:
 
 
 def test_one_global_inequality_tolerance():
-    assert continuation.INEQUALITY_TOL is checks.INEQUALITY_TOL
-    default = inspect.signature(solve_at).parameters["inequality_tol"].default
-    assert default == checks.INEQUALITY_TOL == 1e-8
+    # the path screens by one relative margin, and no caller can set its tolerance
+    assert continuation.INEQUALITY_TOL is checks.INEQUALITY_TOL == 1e-8
+
+    def bare(f):
+        sig = inspect.signature(f)
+        params = [p.replace(annotation=p.empty) for p in sig.parameters.values()]
+        return str(sig.replace(parameters=params, return_annotation=sig.empty))
+
+    assert bare(solve_at) == "(n, bbar)"
+    assert bare(trajectory) == "(n, grid)"
+    assert bare(taylor_coefficients) == "(n, bbar0, order=3, *, step=0.0001)"
