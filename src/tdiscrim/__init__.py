@@ -31,7 +31,6 @@ from .continuation import (
     h_form,
     inequality_margin,
     solve_at,
-    stationarity_residual,
     taylor_coefficients,
     trajectory,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "r_value",
     "remez",
     "solve_at",
-    "stationarity_residual",
     "support_points",
     "t_criterion",
     "t_optimal_design",

@@ -83,7 +83,7 @@ def alternation_check(design: Design, psi: ChebyshevSeries,
     alternates = bool(np.all(vals[:-1] * vals[1:] < 0.0)) if vals.size > 1 else True
     spread = float(mags.max() - mags.min())
     return AlternationReport(
-        passed=alternates and spread <= tol,
+        passed=alternates and bool(spread <= tol),
         signs=signs,
         magnitudes=mags,
         spread=spread,

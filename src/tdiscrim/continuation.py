@@ -13,12 +13,18 @@ n x n linear solve the weights. At bbar = 0 the state is known in closed
 form, and at |bbar| = bbar_limit(n) it is the closed-form design at the
 critical ratio.
 
+A state holds what the engine solves and nothing else: psi's n + 1
+Chebyshev coefficients, the whole design and bbar. The monomial
+coefficients q, and theta, which lists q, the interior points and the
+first n - 1 weights, are derived from them on request; q loses accuracy
+at high degree (see ContinuationState).
+
 Before any caller sees a state, it passes one acceptance rule, from the
 equivalence theorem (Atkinson & Fedorov, 1975): no point of [-1, 1] may
 beat the support. The state's relative margin, the largest psi^2 over the critical
 points of psi less the criterion value H, over H, must be at most
-INEQUALITY_TOL; else OptimalityError. The margin is free of scale, unlike
-the absolute stationarity_residual, which shrinks like 4^-n.
+INEQUALITY_TOL; else OptimalityError. The margin is free of scale, so it
+holds at every degree although H shrinks like 4^-n.
 
 The problem is symmetric under x -> -x, which maps x^n + b x^(n-1) to
 (-1)^n (x^n - b x^(n-1)): the state at -bbar is the mirror of the state at
@@ -34,8 +40,7 @@ bbar alone, whatever was requested before it.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebfit, chebval, chebvander
@@ -59,104 +64,69 @@ TABLE_NODES = 16
 
 @dataclass
 class ContinuationState:
-    """One point on the solution path.
+    """One point on the solution path: psi, the design and bbar.
 
-    q holds the n-1 free monomial coefficients of psi, interior_points the
-    support between the fixed endpoints, weights the first n-1 design
-    weights. The last weight is one minus their sum, and psi() converts q,
-    unless the state knows them: a state the path engine solved carries its
-    last weight and psi as the Chebyshev series it was solved with. q is
-    lossy at high degree: evaluated exactly, it misses the state's own psi
-    by 2.6e-3 of sup |psi| at n = 40.
-    Construction validates the design part: ordering, interval membership,
-    positivity.
+    coeffs holds the n + 1 Chebyshev coefficients of psi, the error
+    polynomial the state was solved with; points and weights hold the whole
+    design, both endpoints and all n weights; bbar is the inverse ratio.
+    Construction validates the design through Design and requires -1 and 1
+    in the support and n + 1 finite coefficients.
+    q and theta are derived on request. q is lossy at high degree: evaluated
+    exactly, it misses psi by 9.9e-11 of sup |psi| at n = 20, 1.1e-6 at
+    n = 30 and 2.6e-3 at n = 40.
     """
 
-    q: np.ndarray
-    interior_points: np.ndarray
+    coeffs: np.ndarray
+    points: np.ndarray
     weights: np.ndarray
     bbar: float
-    _last_weight: float | None = field(default=None, init=False, repr=False,
-                                       compare=False)
-    _psi: np.ndarray | None = field(default=None, init=False, repr=False,
-                                    compare=False)
 
     def __post_init__(self) -> None:
-        q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        t = np.atleast_1d(np.asarray(self.interior_points, dtype=float))
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        n = q.size + 1
-        if n < 3:
-            raise ValueError("need n >= 3 (q must have at least 2 entries)")
-        if t.size != n - 2 or w.size != n - 1:
-            raise ValueError("inconsistent state dimensions")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(t))
-                and np.all(np.isfinite(w)) and np.isfinite(self.bbar)):
-            raise ValueError("state entries must be finite")
-        full = np.concatenate([[-1.0], t, [1.0]])
-        if np.any(np.diff(full) <= 0.0):
-            raise ValueError("support points must be strictly increasing in (-1, 1)")
-        if np.any(w <= 0.0) or w.sum() >= 1.0:
-            raise ValueError("weights must be positive with positive remainder")
-        self.q = q
-        self.interior_points = t
-        self.weights = w
-        self.bbar = float(self.bbar)
+        d = Design(self.points, self.weights)
+        c = np.asarray(self.coeffs, dtype=float)
+        if d.support_size < 3 or d.points[0] != -1.0 or d.points[-1] != 1.0:
+            raise ValueError("the support needs at least 3 points and endpoints -1 and 1")
+        if c.shape != (d.support_size + 1,) or not np.all(np.isfinite(c)):
+            raise ValueError("psi needs n + 1 finite Chebyshev coefficients")
+        self.coeffs, self.points, self.weights = c, d.points, d.weights
+        self.bbar = check_ratio(self.bbar, "bbar", finite=True)
 
     @property
     def n(self) -> int:
-        return int(self.q.size) + 1
+        return int(self.points.size)
+
+    @property
+    def interior_points(self) -> np.ndarray:
+        return self.points[1:-1]
+
+    @property
+    def q(self) -> np.ndarray:
+        """The n - 1 free monomial coefficients of psi, solved from coeffs."""
+        return np.linalg.solve(monomial_to_chebyshev(self.n), self.coeffs)[: self.n - 1]
 
     @property
     def theta(self) -> np.ndarray:
-        return np.concatenate([self.q, self.interior_points, self.weights])
+        """q, then the interior points, then the first n - 1 weights."""
+        return np.concatenate([self.q, self.interior_points, self.weights[:-1]])
 
     def psi(self) -> ChebyshevSeries:
-        """psi as a Chebyshev series: the one the state was solved with, else converted from q."""
-        if self._psi is not None:
-            return ChebyshevSeries(self._psi.copy())
-        c = np.concatenate([self.q, [1.0, self.bbar]])
-        return ChebyshevSeries(monomial_to_chebyshev(self.n) @ c)
+        """psi as a Chebyshev series, on a copy of coeffs."""
+        return ChebyshevSeries(self.coeffs.copy())
 
     def design(self) -> Design:
-        pts = np.concatenate([[-1.0], self.interior_points, [1.0]])
-        last = self._last_weight
-        if last is None:
-            last = 1.0 - self.weights.sum()
-        return Design(pts, np.concatenate([self.weights, [last]]))
-
-
-def _carrying(psi: np.ndarray, points: np.ndarray, weights: np.ndarray,
-              bbar: float) -> ContinuationState:
-    """The state on the design (points, weights) whose psi has Chebyshev coefficients psi.
-
-    q is converted from psi; the state keeps psi and the last weight as
-    given, so that its mirror agrees with it to the bit.
-    """
-    n = psi.size - 1
-    q = np.linalg.solve(monomial_to_chebyshev(n), psi)[: n - 1]
-    state = ContinuationState(q, points[1:-1], weights[:-1], bbar)
-    state._psi, state._last_weight = psi, float(weights[-1])
-    return state
+        return Design(self.points.copy(), self.weights.copy())
 
 
 def _mirrored(state: ContinuationState) -> ContinuationState:
     """The state at -bbar, from a solved state at bbar.
 
-    psi at -bbar is (-1)^(n-1) psi(-x) at bbar, so the coefficient of x^j
-    and of T_j changes sign with n-1+j, and the design is reflected through
-    x = 0. Every entry is a sign change or a reordering, so the mirror is
-    exact: its design is state.design().reflected() to the bit.
+    psi at -bbar is (-1)^(n-1) psi(-x) at bbar, so the coefficient of T_j
+    changes sign with n-1+j, and the design is reflected through x = 0.
+    Every entry is a sign change or a reordering, so the mirror is exact.
     """
-    n = state.n
-    out = copy.copy(state)
-    out.q = np.where((n - 1 + np.arange(n - 1)) % 2, -state.q, state.q)
-    out._psi = np.where((n - 1 + np.arange(n + 1)) % 2, -state._psi, state._psi)
-    out.interior_points = -state.interior_points[::-1]
-    wts = np.append(state.weights, state._last_weight)[::-1]
-    out.weights, out._last_weight = wts[:-1], float(wts[-1])
-    out.bbar = -state.bbar
-    return out
+    signs = (-1.0) ** (state.n - 1 + np.arange(state.n + 1))
+    d = state.design().reflected()
+    return ContinuationState(signs * state.coeffs, d.points, d.weights, -state.bbar)
 
 
 def bbar_limit(n: int) -> float:
@@ -181,39 +151,13 @@ def d1_optimal_start(n: int) -> ContinuationState:
     w[0] = w[-1] = 0.5 / (n - 1)
     psi = np.zeros(n + 1)
     psi[n - 1] = 0.5 ** (n - 2)
-    return _carrying(psi, pts, w, 0.0)
-
-
-def _gradient_raw(n: int, theta: np.ndarray, bbar: float) -> np.ndarray:
-    """Gradient of H in (q, interior points, first n - 1 weights), all in monomial form."""
-    q, t, w = theta[: n - 1], theta[n - 1 : 2 * n - 3], theta[2 * n - 3 :]
-    pts = np.concatenate([[-1.0], t, [1.0]])
-    wts = np.concatenate([w, [1.0 - w.sum()]])
-    powers = np.vander(pts, n + 1, increasing=True)
-    c = np.concatenate([q, [1.0, bbar]])
-    pv = powers @ c
-    dv = powers[:, :n] @ (np.arange(1, n + 1) * c[1:])
-    gq = 2.0 * ((wts * pv) @ powers[:, : n - 1])
-    gt = 2.0 * wts[1:-1] * pv[1:-1] * dv[1:-1]
-    gw = pv[:-1] ** 2 - pv[-1] ** 2
-    return np.concatenate([gq, gt, gw])
-
-
-def stationarity_residual(state: ContinuationState) -> np.ndarray:
-    """Gradient of H in the free variables; zero on the solution path.
-
-    A validation tool: the path engine does not use it. The residual is
-    absolute and shrinks like 4^-n with H, so from about n = 20 it cannot
-    tell a wrong state from an optimal one; inequality_margin over h_form can.
-    """
-    return _gradient_raw(state.n, state.theta, state.bbar)
+    return ContinuationState(psi, pts, w, 0.0)
 
 
 def h_form(state: ContinuationState) -> float:
     """The weighted mean square of psi over the design; the criterion value."""
-    d = state.design()
-    pv = state.psi()(d.points)
-    return float(np.sum(d.weights * pv * pv))
+    pv = state.psi()(state.points)
+    return float(np.sum(state.weights * pv * pv))
 
 
 def inequality_margin(state: ContinuationState) -> float:
@@ -260,7 +204,7 @@ def _alternance(n: int, bbar: float,
     pv = psi(pts)
     h = float(np.sum(w * pv * pv))
     margin = global_inequality(psi, h, critical_points=cand) / h
-    return _carrying(psi.coeffs, pts, w, bbar), margin
+    return ContinuationState(psi.coeffs, pts, w, bbar), margin
 
 
 class SolutionPath:

@@ -16,7 +16,7 @@ import numpy as np
 from .closed_form import in_explicit_regime, t_optimal_design, zero_b_family
 from .continuation import solve_at
 from .designs import Design, DiscriminationProblem, t_criterion
-from .errors import check_degree
+from .errors import check_degree, check_ratio
 
 _KINDS = ("whole_line", "ray_up", "ray_down")
 
@@ -35,11 +35,12 @@ class RatioInterval:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
-        if not np.isfinite(self.b0) or self.b0 < 0.0:
+        b0 = check_ratio(self.b0, "b0", finite=True)
+        if b0 < 0.0:
             raise ValueError("b0 must be a nonnegative real")
-        if self.kind == "whole_line" and self.b0 != 0.0:
+        if self.kind == "whole_line" and b0 != 0.0:
             raise ValueError("whole_line takes no endpoint")
-        object.__setattr__(self, "b0", float(self.b0))
+        object.__setattr__(self, "b0", b0)
 
     @classmethod
     def whole_line(cls) -> "RatioInterval":
@@ -91,8 +92,8 @@ def r_value(n: int, b: float) -> float:
     ray endpoints the worst case.
     """
     n = check_degree(n, 2)
-    b = float(b)
-    if not np.isfinite(b) or b < 0.0:
+    b = check_ratio(b, "b", finite=True)
+    if b < 0.0:
         raise ValueError("b must be a nonnegative real")
     if in_explicit_regime(n, b):
         return float((1.0 + b / n) ** (2 * n) / 2.0 ** (2 * n - 2))

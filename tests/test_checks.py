@@ -80,6 +80,11 @@ class TestAlternation:
         assert np.all(rep.signs[:-1] * rep.signs[1:] == -1)
         assert rep.spread <= 1e-12
 
+    def test_numpy_tolerance_gives_a_python_bool(self):
+        d = t_optimal_design(5, 0.4).design
+        rep = alternation_check(d, closed_form_psi(5, 0.4), np.float64(1e-12))
+        assert type(rep.passed) is bool and bool(rep)
+
     def test_passes_on_family_support(self):
         d = zero_b_family(4, 0.3).design
         rep = alternation_check(d, closed_form_psi(4, 0.0))

@@ -17,11 +17,10 @@ from tdiscrim.continuation import (
     h_form,
     inequality_margin,
     solve_at,
-    stationarity_residual,
     taylor_coefficients,
     trajectory,
 )
-from tdiscrim.checks import INEQUALITY_TOL
+from tdiscrim.checks import INEQUALITY_TOL, alternation_check, equivalence_system
 from tdiscrim.designs import Design, DiscriminationProblem, _fit, t_criterion
 from tdiscrim.minimax import remez
 from tdiscrim.errors import ConvergenceError, OptimalityError, RegimeError
@@ -35,6 +34,20 @@ def fresh_cache():
     continuation._PATHS.clear()
 
 
+def assert_certified(state):
+    """The equivalence theorem holds on the state, relative to the scale of psi.
+
+    The weighted psi is orthogonal to degree n - 2 on the support, psi
+    alternates there with equal magnitude, and no point of [-1, 1] beats
+    the support by more than 1e-11 of H.
+    """
+    d, psi = state.design(), state.psi()
+    sup = np.abs(psi(psi.critical_points())).max()
+    assert np.abs(equivalence_system(d, psi, state.n)).max() <= 1e-12 * sup
+    assert alternation_check(d, psi, 1e-11 * sup)
+    assert inequality_margin(state) <= 1e-11 * h_form(state)
+
+
 def cold_solve(n, bbar):
     """solve_at on a freshly built path engine."""
     continuation._PATHS.clear()
@@ -42,6 +55,10 @@ def cold_solve(n, bbar):
 
 
 class TestState:
+    PSI = [0.0, 0.0, 0.5, 0.0]  # 2^(2-n) T_(n-1) at n = 3, the cubic anchor's psi
+    POINTS = [-1.0, 0.0, 1.0]
+    WEIGHTS = [0.25, 0.5, 0.25]
+
     def test_dimensions_and_views(self):
         st = d1_optimal_start(4)
         assert st.n == 4
@@ -51,14 +68,22 @@ class TestState:
         assert d.points[0] == -1.0 and d.points[-1] == 1.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ContinuationState([0.0, 0.0], [1.5], [0.3, 0.3], 0.0)
-        with pytest.raises(ValueError):
-            ContinuationState([0.0, 0.0], [0.0], [0.6, 0.6], 0.0)
-        with pytest.raises(ValueError):
-            ContinuationState([0.0, 0.0], [0.0, 0.1], [0.3, 0.3], 0.0)
-        with pytest.raises(ValueError):
-            ContinuationState([0.0], [], [0.5], 0.0)
+        ContinuationState(self.PSI, self.POINTS, self.WEIGHTS, 0.0)
+        cases = [
+            ("endpoints", self.PSI, [-0.9, 0.0, 1.0], self.WEIGHTS, 0.0),
+            ("endpoints", self.PSI, [-1.0, 0.0, 0.9], self.WEIGHTS, 0.0),
+            ("at least 3 points", [0.0, 0.0, 1.0], [-1.0, 1.0], [0.5, 0.5], 0.0),
+            ("increasing", self.PSI, [-1.0, 1.0, 1.0], self.WEIGHTS, 0.0),
+            ("positive", self.PSI, self.POINTS, [0.5, 0.0, 0.5], 0.0),
+            ("sum to one", self.PSI, self.POINTS, [0.25, 0.5, 0.3], 0.0),
+            ("n \\+ 1 finite", self.PSI[:-1], self.POINTS, self.WEIGHTS, 0.0),
+            ("n \\+ 1 finite", self.PSI + [0.0], self.POINTS, self.WEIGHTS, 0.0),
+            ("n \\+ 1 finite", [0.0, np.nan, 0.5, 0.0], self.POINTS, self.WEIGHTS, 0.0),
+            ("bbar must be a number", self.PSI, self.POINTS, self.WEIGHTS, np.nan),
+        ]
+        for match, coeffs, points, weights, bbar in cases:
+            with pytest.raises(ValueError, match=match):
+                ContinuationState(coeffs, points, weights, bbar)
 
 
 class TestAnchor:
@@ -79,8 +104,7 @@ class TestAnchor:
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_anchor_is_stationary(self, n):
-        st = d1_optimal_start(n)
-        assert np.abs(stationarity_residual(st)).max() <= 1e-9
+        assert_certified(d1_optimal_start(n))
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_anchor_h_value(self, n):
@@ -102,9 +126,10 @@ def test_anchor_design_is_its_own_mirror(n):
 
 
 def test_h_form_vanishes_when_psi_interpolates():
-    # nearly all weight on the middle point and psi(0) = 0
+    # nearly all weight on the middle point and psi(0) = 0: psi = x + x^2
     eps = 1e-13
-    st = ContinuationState([0.0, 1.0], [0.0], [eps, 1.0 - 2 * eps], 0.0)
+    st = ContinuationState([0.5, 1.0, 0.5, 0.0], [-1.0, 0.0, 1.0],
+                           [eps, 1.0 - 2 * eps, eps], 0.0)
     assert h_form(st) <= 1e-10
 
 
@@ -113,13 +138,6 @@ def test_nan_target_ends_the_walk():
     # without a floating-point warning
     with pytest.raises(ConvergenceError, match="degenerate reference"):
         continuation._alternance(5, 0.5, np.full(5, np.nan))
-
-
-def test_stationarity_residual_detects_perturbation():
-    st = d1_optimal_start(4)
-    moved = ContinuationState(st.q + np.array([1e-3, 0.0, 0.0]),
-                              st.interior_points, st.weights, 0.0)
-    assert np.abs(stationarity_residual(moved)).max() > 1e-5
 
 
 class TestSolveAt:
@@ -146,9 +164,7 @@ class TestSolveAt:
 
     @pytest.mark.parametrize("bbar", [0.15, 0.6, 1.2])
     def test_residual_and_margin(self, bbar):
-        st = solve_at(4, bbar)
-        assert np.abs(stationarity_residual(st)).max() <= 1e-10
-        assert inequality_margin(st) <= 1e-8
+        assert_certified(solve_at(4, bbar))
 
     def test_equioscillation_on_support(self):
         st = solve_at(5, 1.0)
@@ -305,14 +321,13 @@ class TestPathCache:
     def test_requested_tol_holds_on_exact_hit(self, fresh_cache):
         x = 0.7
         solve_at(4, x)
-        st_ = solve_at(4, x)
-        assert np.abs(stationarity_residual(st_)).max() <= 1e-12
+        assert_certified(solve_at(4, x))
 
     @pytest.mark.parametrize("n", [30, 40])
     def test_a_corrupted_start_table_still_reaches_the_optimum(self, n, fresh_cache,
                                                              monkeypatch):
-        # the absolute stationarity test cannot tell a start 1e-4 off at
-        # these degrees; the exchange from it must still reach the optimum
+        # a start table 1e-4 off at these degrees: the exchange from it
+        # must still reach the optimum
         path = continuation._path(n)
         monkeypatch.setattr(path, "table", path.table * (1.0 + 1e-4))
         bbar = 0.5 * bbar_limit(n)
@@ -324,16 +339,14 @@ class TestPathCache:
     @pytest.mark.parametrize("n", [30, 40])
     def test_a_state_stopped_on_a_corrupted_start_is_refused(self, n, fresh_cache,
                                                            monkeypatch):
-        # the exchange stops on the corrupted start's own reference; its
-        # stationarity residual is far below 1e-10 at these degrees, but the
+        # the exchange stops on the corrupted start's own reference; the
         # relative margin refuses the state on every route
         path = continuation._path(n)
         monkeypatch.setattr(path, "table", path.table * (1.0 + 1e-4))
         monkeypatch.setattr(continuation, "EXCHANGE_TOL", 1.0)
         bbar = 0.5 * bbar_limit(n)
-        with pytest.raises(OptimalityError) as err:
+        with pytest.raises(OptimalityError):
             solve_at(n, bbar)
-        assert np.abs(stationarity_residual(err.value.last)).max() < 1e-10
         # a mirrored state is screened at the requested ratio
         with pytest.raises(OptimalityError, match=f"bbar = {-bbar!r} ") as err:
             solve_at(n, -bbar)
@@ -346,12 +359,12 @@ class TestPathCache:
     def test_returned_states_do_not_alias_the_cache(self, fresh_cache):
         first = solve_at(5, 0.6)
         expected = first.theta.copy()
-        first.q[:] = 0.0
-        first.interior_points[:] = 0.0
+        first.coeffs[:] = 0.0
+        first.points[:] = 0.0
         first.weights[:] = 0.0
         assert np.abs(solve_at(5, 0.6).theta - expected).max() <= 1e-12
         anchor = d1_optimal_start(5)
-        anchor.q[:] = 1.0
+        anchor.coeffs[:] = 1.0
         assert np.abs(d1_optimal_start(5).theta - solve_at(5, 0.0).theta).max() <= 1e-12
 
 
@@ -369,7 +382,7 @@ class TestMirror:
             assert np.array_equal(down.design().points, up.points)
             assert np.array_equal(down.design().weights, up.weights)
             assert down.bbar == -s * lim
-            assert np.abs(stationarity_residual(down)).max() <= 1e-12
+            assert_certified(down)
 
     @pytest.mark.parametrize("n", [3, 5, 8, 12])
     def test_mirror_matches_a_direct_walk(self, n, fresh_cache):
@@ -394,13 +407,11 @@ class TestMirror:
     def test_mirror_property(self, n, share):
         x = share * bbar_limit(n)
         up, down = solve_at(n, x), solve_at(n, -x)
-        signs = (-1.0) ** (n - 1 + np.arange(n - 1))
-        assert np.array_equal(down.q, signs * up.q)
+        signs = (-1.0) ** (n - 1 + np.arange(n + 1))
+        assert np.array_equal(down.psi().coeffs, signs * up.psi().coeffs)
+        assert np.array_equal(down.q, signs[: n - 1] * up.q)
         assert np.array_equal(down.interior_points, -up.interior_points[::-1])
         assert np.array_equal(down.design().weights, up.design().weights[::-1])
-        grid = np.linspace(-1.0, 1.0, 101)
-        assert np.allclose(down.psi()(grid), (-1.0) ** (n - 1) * up.psi()(-grid),
-                           rtol=0.0, atol=1e-14 * np.abs(up.psi()(grid)).max())
 
     def test_exact_hit_returns_the_stored_bits(self, fresh_cache):
         first = solve_at(5, 0.6)
@@ -477,7 +488,7 @@ class TestRelativeScreen:
         n = design.support_size
         g, coef, _ = _fit(design, DiscriminationProblem(n, bbar=bbar))
         psi = np.concatenate([-coef, g[n - 1 :]])
-        return continuation._carrying(psi, design.points, design.weights, bbar)
+        return ContinuationState(psi, design.points, design.weights, bbar)
 
     @pytest.mark.parametrize("n", [16, 30, 40])
     def test_one_moved_point_fails(self, n):

@@ -208,3 +208,32 @@ def test_results_do_not_depend_on_request_order(n, fresh_paths):
     for a, b in zip(first, second):
         assert np.abs(a.points - b.points).max() <= 1e-12
         assert np.abs(a.weights - b.weights).max() <= 1e-12
+
+
+def q_error(n):
+    """Largest gap, over sup |psi|, between the state's q evaluated exactly and its psi.
+
+    At 0.5 bbar_limit(n), on 41 points of [-1, 1], both at DPS digits: q is
+    summed as q . (1, x, ..., x^(n-2)) + x^(n-1) + bbar x^n, psi by the
+    Chebyshev recurrence from the state's own coefficients.
+    """
+    state = solve_at(n, 0.5 * bbar_limit(n))
+    mono = [mp.mpf(float(c)) for c in state.q] + [mp.mpf(1), mp.mpf(state.bbar)]
+    with mp.workdps(DPS):
+        gaps, sup = [], mp.mpf(0)
+        for x in np.linspace(-1.0, 1.0, 41):
+            exact = mp_chebval(x, state.psi().coeffs)
+            gaps.append(abs(mp.polyval(mono[::-1], mp.mpf(float(x))) - exact))
+            sup = max(sup, abs(exact))
+        return float(max(gaps) / sup)
+
+
+@pytest.mark.parametrize("n", (3, 8, 12, 16, 20))
+def test_q_holds_up_to_n20(n, fresh_paths):
+    assert q_error(n) <= 1e-9
+
+
+def test_q_stops_holding_at_n30(fresh_paths):
+    # the monomial basis cancels about 0.3 n digits: at n = 30, q evaluated
+    # exactly misses psi by about 1e-6 of sup |psi|, and by 2.6e-3 at n = 40
+    assert q_error(30) > 1e-7

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tdiscrim import (
+    ContinuationState,
     Design,
     ChebyshevSeries,
     DiscriminationProblem,
@@ -33,6 +34,7 @@ from tdiscrim import (
     zero_b_family,
 )
 from tdiscrim import checks, continuation
+from tdiscrim.cli import main
 from tdiscrim.closed_form import in_explicit_regime
 from tdiscrim.continuation import _path
 from tdiscrim.errors import MAX_DEGREE, check_degree, check_ratio
@@ -201,6 +203,35 @@ class TestNanRatio:
         assert "np.float64" not in str(err.value)
 
 
+class TestMaximinRatios:
+    """r_value and RatioInterval check b and b0 with the shared helper, then their sign."""
+
+    @pytest.mark.parametrize("name,call", [
+        ("b", lambda x: r_value(5, x)),
+        ("b0", lambda x: RatioInterval.ray_up(x)),
+        ("b0", lambda x: RatioInterval.ray_down(x)),
+        ("b0", lambda x: RatioInterval("whole_line", x)),
+    ])
+    def test_nan_and_infinities_are_argument_errors(self, name, call):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got nan$"):
+            call(NAN)
+        for x in (INF, -INF):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got -?inf$") as err:
+                call(x)
+            assert not isinstance(err.value, RegimeError)
+
+    def test_a_negative_ratio_is_refused_by_sign(self):
+        with pytest.raises(ValueError, match="^b must be a nonnegative real$"):
+            r_value(5, -0.1)
+        with pytest.raises(ValueError, match="^b0 must be a nonnegative real$"):
+            RatioInterval.ray_up(-0.1)
+
+    @pytest.mark.parametrize("interval", ["geq:nan", "geq:inf", "leq:nan", "leq:-inf"])
+    def test_cli_exit_code_stays_two(self, interval, capsys):
+        assert main(["maximin", "--n", "3", "--interval", interval]) == 2
+        assert "b0 must be" in capsys.readouterr().err
+
+
 class TestInfiniteRatio:
     """An infinite b or bbar is a bad argument where no regime applies."""
 
@@ -242,5 +273,6 @@ def test_one_global_inequality_tolerance():
         return str(sig.replace(parameters=params, return_annotation=sig.empty))
 
     assert bare(solve_at) == "(n, bbar)"
+    assert bare(ContinuationState) == "(coeffs, points, weights, bbar)"
     assert bare(trajectory) == "(n, grid)"
     assert bare(taylor_coefficients) == "(n, bbar0, order=3, *, step=0.0001)"
