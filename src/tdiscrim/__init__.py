@@ -37,7 +37,6 @@ from .continuation import (
 from .designs import (
     Design,
     DiscriminationProblem,
-    best_l2_coefficients,
     t_criterion,
 )
 from .errors import ConvergenceError, OptimalityError, RegimeError, SolverError
@@ -86,7 +85,6 @@ __all__ = [
     "alternation_check",
     "appendix_identity",
     "bbar_limit",
-    "best_l2_coefficients",
     "canonical_weights",
     "chebyshev_extrema",
     "closed_form_psi",

@@ -1,9 +1,11 @@
-"""Independent optimality checks: moment residuals, alternation, identities.
+"""Optimality checks from the design alone: moment residuals, alternation, identities.
 
-These certify designs without reusing the formulas that built them. The
-moment residuals are accumulated with compensated summation from raw
-products, so a systematic error in a design construction cannot cancel
-against the same error here.
+The equivalence theorem (Atkinson & Fedorov, 1975) certifies a design by
+its own error polynomial psi_xi, the residual of its weighted fit, so no
+check rebuilds the optimal psi by the closed form or the Remez exchange
+that construct designs. The moment residuals are accumulated with
+compensated summation from raw products, so an inaccurate fit cannot
+cancel against itself here.
 """
 
 from __future__ import annotations
@@ -13,15 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import canonical_weights, in_explicit_regime
-from .designs import Design, DiscriminationProblem, t_criterion
+from .closed_form import canonical_weights
+from .designs import Design, DiscriminationProblem, error_polynomial
 from .errors import check_degree, check_ratio
-from .minimax import closed_form_psi, remez
 from .polynomials import ChebyshevSeries
 
 EQUIVALENCE_TOL = 1e-10
 ALTERNATION_TOL = 1e-8
-CRITERION_REL_TOL = 1e-8
 INEQUALITY_TOL = 1e-8
 
 
@@ -29,8 +29,9 @@ def equivalence_system(design: Design, psi: ChebyshevSeries, n: int) -> np.ndarr
     """Residuals sum_i w_i psi(x_i) x_i^k for k = 0..n-2.
 
     All must vanish at an optimal design whose error polynomial is psi: the
-    weighted error is orthogonal to every fittable monomial. Each residual is
-    a compensated sum of the raw per-point products.
+    weighted error is orthogonal to every fittable monomial. For the design's
+    own psi_xi these are the normal equations of its fit. Each residual is a
+    compensated sum of the raw per-point products.
     """
     n = check_degree(n, 2)
     pv = psi(design.points)
@@ -108,34 +109,29 @@ def global_inequality(psi: ChebyshevSeries, psi_norm_sq: float, *,
     return float(np.max(vals * vals) - psi_norm_sq)
 
 
-def criterion_matches_deviation(design: Design, n: int, b: float,
-                                deviation: float) -> tuple[bool, float]:
-    """Relative gap between the criterion value and the squared sup deviation."""
-    val = t_criterion(design, DiscriminationProblem(n, b=b))
-    gap = abs(val - deviation**2) / deviation**2
-    return gap <= CRITERION_REL_TOL, float(gap)
-
-
 def verification_report(design: Design, n: int, b: float) -> dict:
     """Run every optimality check against a design and return a JSON-able report.
 
-    The error polynomial is rebuilt independently: closed form inside the
-    explicit regime, Remez exchange outside it. Its critical points are
-    found once and serve both the deviation and the global inequality.
-    The tolerances scale with the problem: the equivalence residuals and
-    the alternation spread are compared to their constant times the sup
-    deviation, the inequality margin to its constant times its square.
+    By the equivalence theorem (Atkinson & Fedorov, 1975) the design alone
+    decides: xi is T-optimal if and only if max psi_xi^2 over [-1, 1] is at
+    most T(xi), where psi_xi is the residual of the design's own weighted
+    fit and T(xi) its design-weighted mean square. No optimal psi is built,
+    so the report shares no route with the constructions it checks.
+    equivalence_system checks the fit's normal equations and alternation
+    the equal-magnitude sign changes over the support;
+    criterion_matches_deviation and global_inequality are one certificate,
+    (dev^2 - T) / dev^2 and dev^2 - T, with dev the sup of |psi_xi| over
+    its critical points. The tolerances scale with the problem: the
+    residuals and the spread are compared to their constant times dev, the
+    absolute margin to its constant times dev^2.
     """
     n = check_degree(n, 2)
     b = check_ratio(b, "b", finite=True)
-    if in_explicit_regime(n, b):
-        psi, route = closed_form_psi(n, b), "closed_form"
-    else:
-        psi, route = remez(n, b).psi, "remez"
+    psi = error_polynomial(design, DiscriminationProblem(n, b=b))
     crit = psi.critical_points()
-    # sup |psi| over its critical points, which its extremal set attains;
-    # for the Remez route this is its deviation
     deviation = float(np.abs(psi(crit)).max())
+    pv = psi(design.points)
+    criterion = float(np.sum(design.weights * pv * pv))
 
     checks = []
     resid = equivalence_system(design, psi, n)
@@ -154,16 +150,14 @@ def verification_report(design: Design, n: int, b: float) -> dict:
         "tolerance": alt.tol,
         "passed": alt.passed,
     })
-    ok, gap = criterion_matches_deviation(design, n, b, deviation)
+    margin = global_inequality(psi, criterion, critical_points=crit)
+    gap = margin / deviation**2
     checks.append({
         "name": "criterion_matches_deviation",
         "value": gap,
-        "tolerance": CRITERION_REL_TOL,
-        "passed": ok,
+        "tolerance": INEQUALITY_TOL,
+        "passed": gap <= INEQUALITY_TOL,
     })
-    pv = psi(design.points)
-    margin = global_inequality(psi, float(np.sum(design.weights * pv * pv)),
-                               critical_points=crit)
     tol = INEQUALITY_TOL * deviation**2
     checks.append({
         "name": "global_inequality",
@@ -174,7 +168,6 @@ def verification_report(design: Design, n: int, b: float) -> dict:
     return {
         "n": n,
         "b": b,
-        "psi_route": route,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }

@@ -157,15 +157,17 @@ def _fit(design: Design, problem: DiscriminationProblem):
     return g, coef, y - a @ coef
 
 
-def best_l2_coefficients(design: Design, problem: DiscriminationProblem) -> ChebyshevSeries:
-    """Weighted-L2-closest polynomial of degree <= n - 2 to the fixed part.
+def error_polynomial(design: Design, problem: DiscriminationProblem) -> ChebyshevSeries:
+    """psi_xi: the fixed part less its weighted least-squares fit on the support.
 
-    problem.fixed_part() minus this cancels nearly all of psi at high
-    degree (a relative margin of 3e-5 at the optimum at n = 40); form psi
-    as the fixed part's top two Chebyshev terms less _fit's coefficients.
+    Formed as the fixed part's top two Chebyshev terms less _fit's
+    coefficients; subtracting the whole fit from the whole fixed part
+    cancels nearly all of psi at high degree. sum_i w_i psi_xi(x_i)^2 is
+    the criterion value.
     """
+    n = problem.n
     g, coef, _ = _fit(design, problem)
-    return ChebyshevSeries(g[: problem.n - 1] + coef)
+    return ChebyshevSeries(np.concatenate([-coef, g[n - 1 :]]))
 
 
 def t_criterion(design: Design, problem: DiscriminationProblem) -> float:

@@ -61,6 +61,10 @@ def _design_at(n: int, b0: float) -> Design:
         return zero_b_family(n, 0.5).design
     if in_explicit_regime(n, b0):
         return t_optimal_design(n, b0).design
+    if n == 2:
+        # psi = x^2 + b0 x - 1 is monotone on [-1, 1] for every b0 >= b_c = 2,
+        # so the design at b_c, {-1, 1} with weights 1/2, stays optimal
+        return Design(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
     return solve_at(n, 1.0 / b0).design()
 
 
@@ -88,7 +92,7 @@ def r_value(n: int, b: float) -> float:
 
     Inside the explicit regime this is the squared sup deviation
     (1 + b/n)^(2n) / 2^(2n-2); outside it the criterion of the
-    continuation design. Strictly increasing in b, which is what makes
+    continuation design, or b^2 at n = 2. Strictly increasing in b, which is what makes
     ray endpoints the worst case.
     """
     n = check_degree(n, 2)

@@ -1,7 +1,9 @@
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdiscrim.checks import (
     alternation_check,
@@ -11,6 +13,7 @@ from tdiscrim.checks import (
     verification_report,
 )
 from tdiscrim.closed_form import critical_b, t_optimal_design, zero_b_family
+from tdiscrim.continuation import bbar_limit, solve_at
 from tdiscrim.designs import Design
 from tdiscrim.minimax import closed_form_psi, remez
 from tdiscrim.polynomials import ChebyshevSeries
@@ -145,7 +148,6 @@ class TestVerificationReport:
         d = t_optimal_design(4, 0.3).design
         rep = verification_report(d, 4, 0.3)
         assert rep["passed"]
-        assert rep["psi_route"] == "closed_form"
         assert {c["name"] for c in rep["checks"]} == {
             "equivalence_system",
             "alternation",
@@ -169,5 +171,77 @@ class TestVerificationReport:
 
         state = solve_at(3, 1.0 / 1.5)
         rep = verification_report(state.design(), 3, 1.5)
-        assert rep["psi_route"] == "remez"
         assert rep["passed"]
+
+
+def optimum(n, kind, share):
+    """(design, b) of the optimum of one construction; share in (0, 1]."""
+    if kind == "closed_form":
+        b = share * critical_b(n)
+        return t_optimal_design(n, b).design, b
+    if kind == "closed_form_negative":
+        b = -share * critical_b(n)
+        return t_optimal_design(n, b).design, b
+    if kind == "zero_b_family":
+        return zero_b_family(n, share).design, 0.0
+    bbar = share * bbar_limit(n) * (1.0 if kind == "path" else -1.0)
+    return solve_at(n, bbar).design(), 1.0 / bbar
+
+
+KINDS = ("closed_form", "closed_form_negative", "zero_b_family", "path",
+         "path_negative")
+
+
+class TestCertificateFromTheDesign:
+    """The report passes every optimum and fails every design moved off it.
+
+    A 1e-6 move of one point, or a 1e-6 relative change of one weight,
+    moves psi_xi at first order, so max psi_xi^2 exceeds T(xi) by far more
+    than the tolerance at every degree n = 3..40.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 40), kind=st.sampled_from(KINDS),
+           share=st.floats(0.02, 1.0), index=st.integers(0, 40),
+           sign=st.sampled_from([1.0, -1.0]))
+    def test_optimum_passes_and_a_perturbation_fails(self, n, kind, share,
+                                                     index, sign):
+        design, b = optimum(n, kind, share)
+        assert verification_report(design, n, b)["passed"]
+        i = index % design.support_size
+        pts = design.points.copy()
+        pts[i] += sign * 1e-6
+        if not (-1.0 <= pts[i] <= 1.0 and np.all(np.diff(pts) > 0.0)):
+            pts[i] -= 2.0 * sign * 1e-6
+        moved = Design(pts, design.weights)
+        assert not verification_report(moved, n, b)["passed"]
+        wts = design.weights.copy()
+        wts[i] *= 1.0 + sign * 1e-6
+        reweighted = Design(design.points, wts / wts.sum())
+        assert not verification_report(reweighted, n, b)["passed"]
+
+
+def test_report_builds_no_optimal_psi(monkeypatch):
+    """Verdicts inside and beyond b_c hold with the Remez and closed-form psi gone."""
+    cases = []
+    for n in (3, 8, 20):
+        bc = critical_b(n)
+        for b in (0.5 * bc, -bc):
+            cases.append((t_optimal_design(n, b).design, n, b))
+        bbar = 0.5 * bbar_limit(n)
+        cases.append((solve_at(n, bbar).design(), n, 1.0 / bbar))
+        cases.append((solve_at(n, -bbar).design(), n, -1.0 / bbar))
+        control = Design(np.linspace(-1.0, 1.0, n + 1), np.full(n + 1, 1.0 / (n + 1)))
+        cases += [(control, n, 0.5 * bc), (control, n, 3.0 * bc)]
+    verdicts = [verification_report(*case)["passed"] for case in cases]
+    assert verdicts == [True, True, True, True, False, False] * 3
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("verification rebuilt the optimal psi")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tdiscrim"):
+            for attr in ("remez", "closed_form_psi"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, unavailable)
+    assert [verification_report(*case)["passed"] for case in cases] == verdicts

@@ -179,6 +179,14 @@ class TestMaximin:
         du, dd = Design.from_json(up), Design.from_json(down)
         assert np.allclose(dd.points, -du.points[::-1], atol=1e-15)
 
+    def test_degree_two_beyond_critical_ratio(self, capsys):
+        code, out, _ = run_cli(capsys, "maximin", "--n", "2",
+                               "--interval", "geq:5")
+        assert code == 0
+        d = Design.from_json(out)
+        assert d.points.tolist() == [-1.0, 1.0]
+        assert d.weights.tolist() == [0.5, 0.5]
+
     def test_bad_interval(self, capsys):
         code, _, _ = run_cli(capsys, "maximin", "--n", "3",
                              "--interval", "between:0,1")

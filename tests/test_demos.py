@@ -1,6 +1,5 @@
 """Every narrative script under demos/ runs to completion without warnings."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,12 +16,9 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs_clean(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+        capture_output=True, text=True, cwd=tmp_path, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""

@@ -7,7 +7,7 @@ from numpy.polynomial import chebyshev as ncheb
 from tdiscrim.designs import (
     Design,
     DiscriminationProblem,
-    best_l2_coefficients,
+    error_polynomial,
     t_criterion,
 )
 
@@ -100,26 +100,28 @@ class TestProblem:
 
 
 class TestBestL2:
+    """error_polynomial is the fixed part less its best weighted-L2 fit."""
+
     def test_symmetric_four_point(self):
         # target x^3 against span{1, x}: slope mu_4 / mu_2 = (3/8) / (1/2)
         d = Design([-1.0, -0.5, 0.5, 1.0], [1 / 6, 1 / 3, 1 / 3, 1 / 6])
-        fit = ncheb.cheb2poly(best_l2_coefficients(d, DiscriminationProblem(3, b=0.0)).coeffs)
-        assert fit[0] == pytest.approx(0.0, abs=1e-14)
-        assert fit[1] == pytest.approx(0.75, rel=1e-12)
+        psi = ncheb.cheb2poly(error_polynomial(d, DiscriminationProblem(3, b=0.0)).coeffs)
+        assert psi[0] == pytest.approx(0.0, abs=1e-14)
+        assert psi[1] == pytest.approx(-0.75, rel=1e-12)
+        assert psi[3] == pytest.approx(1.0, rel=1e-12)
 
     def test_single_point_interpolates(self):
         d = Design([0.5], [1.0])
         prob = DiscriminationProblem(2, b=0.0)
-        fit = best_l2_coefficients(d, prob)
+        fit = prob.fixed_part() - error_polynomial(d, prob)
         assert fit(0.5) == pytest.approx(0.25, rel=1e-12)
 
     def test_rank_deficient_two_points(self):
         d = Design([-1.0, 1.0], [0.5, 0.5])
         prob = DiscriminationProblem(4, b=0.0)
-        fit = best_l2_coefficients(d, prob)
-        g = prob.fixed_part()
+        psi = error_polynomial(d, prob)
         # interpolation is achievable, so the criterion must vanish
-        assert np.abs(g(d.points) - fit(d.points)).max() <= 1e-12
+        assert np.abs(psi(d.points)).max() <= 1e-12
 
 
 class TestCriterion:
@@ -169,8 +171,6 @@ class TestCriterion:
     def test_residual_orthogonality(self):
         d = Design([-1.0, -0.4, 0.1, 0.8, 1.0], [0.2] * 5)
         prob = DiscriminationProblem(5, b=0.3)
-        g = prob.fixed_part()
-        fit = best_l2_coefficients(d, prob)
-        res = g(d.points) - fit(d.points)
+        res = error_polynomial(d, prob)(d.points)
         for k in range(prob.n - 1):
             assert abs(np.sum(d.weights * res * d.points**k)) <= 1e-10

@@ -34,6 +34,7 @@ from tdiscrim import (
     zero_b_family,
 )
 from tdiscrim import continuation
+from tdiscrim.designs import error_polynomial
 
 DEGREES = range(3, 41)
 DPS = 50
@@ -107,9 +108,63 @@ def test_verification_report_passes_optima_and_fails_the_control(n):
     for b in (0.5 * bc, -0.5 * bc, bc):
         assert verification_report(t_optimal_design(n, b).design, n, b)["passed"]
     assert verification_report(zero_b_family(n, 0.3).design, n, 0.0)["passed"]
+    lim = bbar_limit(n)
+    for share in (0.05, -0.05, 0.5, -0.5, 0.95):
+        bbar = share * lim
+        assert verification_report(solve_at(n, bbar).design(), n, 1.0 / bbar)["passed"]
     control = Design(np.linspace(-1.0, 1.0, n), np.full(n, 1.0 / n))
     for b in (0.0, 0.5 * bc, 2.0 * bc):
         assert not verification_report(control, n, b)["passed"]
+
+
+def mp_fit_residual(design, n, b):
+    """x -> psi_xi(x) at DPS digits: x^n + b x^(n-1) less its weighted fit on T_0..T_(n-2)."""
+    with mp.workdps(DPS):
+        pts = [mp.mpf(float(x)) for x in design.points]
+        wts = [mp.mpf(float(w)) for w in design.weights]
+        b = mp.mpf(float(b))
+
+        def basis(x):
+            row = [mp.mpf(1), x]
+            while len(row) < n - 1:
+                row.append(2 * x * row[-1] - row[-2])
+            return row[: n - 1]
+
+        rows = [basis(x) for x in pts]
+        target = [x**n + b * x ** (n - 1) for x in pts]
+        gram = mp.matrix(n - 1, n - 1)
+        rhs = mp.matrix(n - 1, 1)
+        for row, y, w in zip(rows, target, wts):
+            for j in range(n - 1):
+                rhs[j] += w * row[j] * y
+                for k in range(n - 1):
+                    gram[j, k] += w * row[j] * row[k]
+        coef = mp.lu_solve(gram, rhs)
+
+    def psi(x):
+        with mp.workdps(DPS):
+            x = mp.mpf(float(x))
+            fit = sum(c * t for c, t in zip(coef, basis(x)))
+            return x**n + b * x ** (n - 1) - fit
+
+    return psi
+
+
+@pytest.mark.parametrize("n", (5, 20, 40))
+def test_error_polynomial_matches_a_high_precision_fit(n):
+    bc = critical_b(n)
+    bbar = 0.5 * bbar_limit(n)
+    cases = [(t_optimal_design(n, 0.5 * bc).design, 0.5 * bc),
+             (solve_at(n, bbar).design(), 1.0 / bbar)]
+    grid = -np.cos(np.linspace(0.0, np.pi, 4 * n + 1))
+    for design, b in cases:
+        psi = error_polynomial(design, DiscriminationProblem(n, b=b))
+        exact = mp_fit_residual(design, n, b)
+        xs = np.concatenate([grid, design.points, psi.critical_points()])
+        with mp.workdps(DPS):
+            sup = max(abs(exact(x)) for x in xs)
+            err = max(abs(mp_chebval(x, psi.coeffs) - exact(x)) for x in xs)
+        assert float(err / sup) <= 1e-12
 
 
 @pytest.mark.parametrize("n", DEGREES)

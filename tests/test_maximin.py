@@ -3,6 +3,7 @@ import pytest
 
 from tdiscrim.closed_form import critical_b, t_optimal_design, zero_b_family
 from tdiscrim.continuation import d1_optimal_start, solve_at
+from tdiscrim.checks import verification_report
 from tdiscrim.maximin import RatioInterval, maximin_design, r_value
 
 
@@ -65,6 +66,17 @@ class TestRays:
         assert np.abs(d.points - ref.points).max() <= 1e-12
         assert np.abs(d.weights - ref.weights).max() <= 1e-12
 
+    @pytest.mark.parametrize("b0", [2.5, 10.0])
+    def test_degree_two_beyond_critical_ratio(self, b0):
+        # psi = x^2 + b x - 1 is monotone on [-1, 1] for b >= 2, so the
+        # design at b_c stays optimal
+        up = maximin_design(2, RatioInterval.ray_up(b0))
+        down = maximin_design(2, RatioInterval.ray_down(b0))
+        assert up.points.tolist() == [-1.0, 1.0]
+        assert up.weights.tolist() == [0.5, 0.5]
+        assert verification_report(up, 2, b0)["passed"]
+        assert verification_report(down, 2, -b0)["passed"]
+
     @pytest.mark.parametrize("b0", [0.0, 0.4, 2.5])
     def test_ray_down_mirrors_ray_up(self, b0):
         up = maximin_design(4, RatioInterval.ray_up(b0))
@@ -96,6 +108,14 @@ class TestRValue:
     def test_strictly_increasing(self, n):
         grid = np.linspace(0.0, 3.0 * critical_b(n), 25)
         vals = [r_value(n, float(b)) for b in grid]
+        assert all(a < b for a, b in zip(vals, vals[1:]))
+
+    def test_degree_two_beyond_critical_ratio(self):
+        # the criterion of {-1, 1} with weights 1/2 is b^2, read through a
+        # weighted fit, so it holds to rounding
+        for b in (2.5, 10.0):
+            assert r_value(2, b) == pytest.approx(b * b, rel=1e-15)
+        vals = [r_value(2, b) for b in (1.9, critical_b(2), 2.0, 2.0 + 1e-9, 2.5)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_continuous_at_regime_boundary(self):

