@@ -3,7 +3,8 @@
 The leading coefficient ratio b = theta_{n-1} / theta_n controls everything.
 As long as |b| stays below the critical ratio n * tan(pi/2n)^2 the optimal
 design is known in closed form: shifted Chebyshev extrema carrying fixed
-trigonometric weights that do not depend on b at all.
+trigonometric weights that do not depend on b at all. Past that ratio
+optimal_design switches to the Remez alternance, continuously.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import numpy as np
 from tdiscrim import (
     DiscriminationProblem,
     critical_b,
+    optimal_design,
     t_criterion,
     t_optimal_design,
     zero_b_family,
@@ -49,6 +51,15 @@ def main():
         print(f"  alpha = {alpha:.2f}: {d.support_size} support points, "
               f"criterion = {val:.12f}")
     print(f"  reference value 1/2^6 = {1 / 64:.12f}")
+
+    print()
+    print("Across the critical ratio optimal_design changes construction,")
+    print("not design: at b*_5 and just past it the support nearly agrees")
+    bc = critical_b(5)
+    for b in (bc, bc * (1 + 1e-6), 2.0):
+        res = optimal_design(5, b)
+        pts = " ".join(f"{t:+.4f}" for t in res.design.points)
+        print(f"  b = {b:.6f} ({res.regime:>10}): support {pts}")
 
 
 if __name__ == "__main__":

@@ -17,14 +17,12 @@ import numpy as np
 from tdiscrim import (
     bbar_limit,
     critical_b,
-    d1_optimal_start,
-    h_form,
-    inequality_margin,
     solve_at,
     t_optimal_design,
     taylor_coefficients,
     trajectory,
 )
+from tdiscrim.continuation import d1_optimal_start, h_form, inequality_margin
 
 
 def main():

@@ -1,23 +1,21 @@
 """Optimal designs for discriminating between polynomial regression models.
 
 Given the model pair of degrees n - 2 and n on [-1, 1], this package
-computes the designs that separate the two models fastest: explicitly for
-small values of the leading-coefficient ratio, from the Remez alternance
-of the dual approximation problem beyond that, worst-case versions over
-ratio intervals, and independent optimality checks for all of them. A small simulation module measures what
-the optimal design buys in terms of F-test power.
+computes the designs that separate the two models fastest at any finite
+leading-coefficient ratio b (optimal_design): explicitly for small |b|,
+from the Remez alternance of the dual approximation problem beyond that.
+It adds worst-case versions over ratio intervals, independent optimality
+checks for all of them, and the F-test power the optimal design buys.
 """
 
 from .checks import (
     AlternationReport,
     alternation_check,
-    appendix_identity,
-    equivalence_system,
     global_inequality,
     verification_report,
 )
 from .closed_form import (
-    ClosedFormDesign,
+    OptimalDesign,
     canonical_weights,
     critical_b,
     support_points,
@@ -27,9 +25,6 @@ from .closed_form import (
 from .continuation import (
     ContinuationState,
     bbar_limit,
-    d1_optimal_start,
-    h_form,
-    inequality_margin,
     solve_at,
     taylor_coefficients,
     trajectory,
@@ -40,7 +35,7 @@ from .designs import (
     t_criterion,
 )
 from .errors import ConvergenceError, OptimalityError, RegimeError, SolverError
-from .maximin import RatioInterval, maximin_design, r_value
+from .maximin import RatioInterval, maximin_design, optimal_design, r_value
 from .minimax import (
     BestApproxResult,
     closed_form_psi,
@@ -69,13 +64,13 @@ __all__ = [
     "AlternationReport",
     "BestApproxResult",
     "ChebyshevSeries",
-    "ClosedFormDesign",
     "ContinuationState",
     "ConvergenceError",
     "Design",
     "DiscriminationProblem",
     "EQUIDISTANT_48",
     "ExactDesign",
+    "OptimalDesign",
     "OptimalityError",
     "PowerResult",
     "RatioInterval",
@@ -83,24 +78,20 @@ __all__ = [
     "SolverError",
     "T_OPTIMAL_48",
     "alternation_check",
-    "appendix_identity",
     "bbar_limit",
     "canonical_weights",
     "chebyshev_extrema",
     "closed_form_psi",
     "critical_b",
-    "d1_optimal_start",
-    "equivalence_system",
     "extremal_set",
     "f_critical",
     "f_test_power_analytic",
     "f_test_power_mc",
     "global_inequality",
-    "h_form",
-    "inequality_margin",
     "maximin_design",
     "noncentral_f_sf",
     "noncentrality",
+    "optimal_design",
     "r_value",
     "remez",
     "solve_at",

@@ -1,8 +1,8 @@
 """Command line interface with machine-readable output.
 
 Data goes to stdout as JSON or CSV; diagnostics go to stderr. Exit codes:
-0 success, 2 bad arguments or unreadable input, 3 parameter outside the
-regime of the requested construction, 4 solver failure. Identical
+0 success, 2 bad arguments or unreadable input, 3 inverse ratio outside
+the path interval of trajectory, 4 solver failure. Identical
 invocations (same arguments, same seed) produce byte-identical output.
 With --out the data goes to a file instead; a relative --out is resolved
 against $TDISCRIM_OUT_DIR when that is set.
@@ -21,11 +21,11 @@ import numpy as np
 from numpy.polynomial.chebyshev import cheb2poly
 
 from .checks import verification_report
-from .closed_form import critical_b, t_optimal_design, zero_b_family
+from .closed_form import critical_b, zero_b_family
 from .continuation import trajectory
 from .designs import Design, DiscriminationProblem, t_criterion
 from .errors import RegimeError, SolverError
-from .maximin import RatioInterval, maximin_design
+from .maximin import RatioInterval, maximin_design, optimal_design
 from .minimax import remez
 from .power import DEFAULT_REPS, DEFAULT_SEED, table1, table1_csv
 
@@ -56,18 +56,15 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_design(args) -> int:
-    if args.b == 0.0:
-        alpha = 0.5 if args.alpha is None else args.alpha
-        if args.alpha is None:
-            sys.stderr.write(
-                "b = 0: the optimal design is a family; using alpha = 0.5 "
-                "(choose another member with --alpha)\n"
-            )
-        res = zero_b_family(args.n, alpha)
+    if args.b == 0.0 and args.alpha is not None:
+        res = zero_b_family(args.n, args.alpha)
     else:
         if args.alpha is not None:
             sys.stderr.write("--alpha only selects among b = 0 optima; ignored\n")
-        res = t_optimal_design(args.n, args.b)
+        elif args.b == 0.0:
+            sys.stderr.write("b = 0: the optimal design is a family; using alpha = 0.5 "
+                             "(choose another member with --alpha)\n")
+        res = optimal_design(args.n, args.b)
     crit = t_criterion(res.design, DiscriminationProblem(args.n, b=args.b))
     sys.stdout.write(_design_payload(res.design, {
         "n": res.n,
@@ -144,6 +141,8 @@ def _cmd_remez(args) -> int:
         "b": args.b,
         # monomial coefficients, as the payload has always carried them
         "approximant": cheb2poly(res.approximant.coeffs).tolist(),
+        "approximant_chebyshev": res.approximant.coeffs.tolist(),
+        "psi_chebyshev": res.psi.coeffs.tolist(),
         "deviation": float(res.deviation),
         "extremal_points": res.extremal_points.tolist(),
         "signs": res.signs.tolist(),
@@ -174,9 +173,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_critical)
 
-    p = sub.add_parser("design", help="optimal design at a given ratio b")
+    p = sub.add_parser("design", help="optimal design at any finite ratio b")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--b", type=float, required=True,
+                   help="any finite ratio; beyond the critical ratio the regime is alternance")
     p.add_argument("--alpha", type=float, default=None,
                    help="family member at b = 0 (default 0.5)")
     p.set_defaults(func=_cmd_design)
@@ -201,7 +201,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, required=True)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("remez", help="minimax approximation backing the design")
+    p = sub.add_parser("remez", help="minimax approximation backing the design",
+                       description="approximant holds monomial coefficients, which lose "
+                       "digits as n grows (1e-5 of the deviation at n = 30); "
+                       "approximant_chebyshev and psi_chebyshev do not")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-12)
@@ -225,11 +228,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except RegimeError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        if args.command == "design":
-            sys.stderr.write(
-                "hint: beyond the critical ratio use the trajectory subcommand "
-                "with bbar = 1/b\n"
-            )
         return 3
     except SolverError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -88,10 +88,11 @@ def canonical_weights(n: int) -> np.ndarray:
 
 
 @dataclass
-class ClosedFormDesign:
-    """A design produced by the explicit construction, plus how it was built.
+class OptimalDesign:
+    """An optimal design at ratio b, plus the construction that built it.
 
-    regime is one of "positive_b", "negative_b", "zero_b_family"; alpha is the
+    regime is "positive_b", "negative_b", "zero_b_family" or, beyond the
+    critical ratio, "alternance" (maximin.optimal_design); alpha is the
     mixture parameter and is only set in the zero_b_family case.
     """
 
@@ -102,7 +103,7 @@ class ClosedFormDesign:
     alpha: float | None = None
 
 
-def t_optimal_design(n: int, b: float) -> ClosedFormDesign:
+def t_optimal_design(n: int, b: float) -> OptimalDesign:
     """The optimal design for 0 < |b| <= critical_b(n).
 
     For positive b the support is support_points(n, b) with canonical_weights;
@@ -119,11 +120,11 @@ def t_optimal_design(n: int, b: float) -> ClosedFormDesign:
     pts = support_points(n, b)
     wts = canonical_weights(n)
     if b > 0:
-        return ClosedFormDesign(Design(pts, wts), "positive_b", n, b)
-    return ClosedFormDesign(Design(pts, wts).reflected(), "negative_b", n, b)
+        return OptimalDesign(Design(pts, wts), "positive_b", n, b)
+    return OptimalDesign(Design(pts, wts).reflected(), "negative_b", n, b)
 
 
-def zero_b_family(n: int, alpha: float) -> ClosedFormDesign:
+def zero_b_family(n: int, alpha: float) -> OptimalDesign:
     """Member alpha of the optimal family at b = 0.
 
     alpha = 0 gives the explicit design (which omits -1), alpha = 1 its mirror
@@ -140,7 +141,7 @@ def zero_b_family(n: int, alpha: float) -> ClosedFormDesign:
     merged_pts, merged_wts = _mix(
         pts, (1.0 - alpha) * wts, mirror.points, alpha * mirror.weights
     )
-    return ClosedFormDesign(
+    return OptimalDesign(
         Design(merged_pts, merged_wts), "zero_b_family", n, 0.0, alpha
     )
 

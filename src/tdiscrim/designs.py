@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,8 +110,9 @@ class DiscriminationProblem:
 
     Exactly one of b (coefficient of x^(n-1), monic x^n) and bbar (coefficient
     of x^n, unit x^(n-1)) must be given; the two parametrizations cover small
-    and large ratios respectively. Either must be finite. scale multiplies
-    the fixed part.
+    and large ratios respectively. Either must be finite, and so must its
+    square, since criterion values grow like it. scale multiplies the fixed
+    part.
     """
 
     n: int
@@ -122,10 +124,11 @@ class DiscriminationProblem:
         self.n = check_degree(self.n, 2)
         if (self.b is None) == (self.bbar is None):
             raise ValueError("exactly one of b and bbar must be given")
-        if self.b is not None:
-            self.b = check_ratio(self.b, "b", finite=True)
-        if self.bbar is not None:
-            self.bbar = check_ratio(self.bbar, "bbar", finite=True)
+        name = "b" if self.bbar is None else "bbar"
+        x = check_ratio(getattr(self, name), name, finite=True)
+        if not math.isfinite(x * x):
+            raise ValueError(f"{name} = {x!r} is too large: its square overflows")
+        setattr(self, name, x)
         self.scale = float(self.scale)
 
     def fixed_part(self) -> ChebyshevSeries:

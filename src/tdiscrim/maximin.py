@@ -1,10 +1,9 @@
-"""Worst-case optimal designs over intervals of the unknown ratio.
+"""The optimal design at every finite ratio, and worst-case designs over ratio intervals.
 
-When the ratio b is only known to lie in some interval, the design
-maximizing the worst-case efficiency has a clean answer: over the whole
-line it is the Chebyshev-extrema design of degree n, and over a ray it is
-the optimal design at the ray's endpoint, because efficiency degrades
-monotonically away from the endpoint.
+optimal_design(n, b) is the one switch from b to its construction. Over
+the whole line the maximin design is the Chebyshev-extrema design of
+degree n; over a ray it is the optimal design at the ray's endpoint,
+because efficiency degrades monotonically away from the endpoint.
 """
 
 from __future__ import annotations
@@ -13,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import in_explicit_regime, t_optimal_design, zero_b_family
+from .closed_form import (OptimalDesign, in_explicit_regime, t_optimal_design,
+                          zero_b_family)
 from .continuation import solve_at
 from .designs import Design, DiscriminationProblem, t_criterion
 from .errors import check_degree, check_ratio
@@ -55,17 +55,24 @@ class RatioInterval:
         return cls("ray_down", b0)
 
 
-def _design_at(n: int, b0: float) -> Design:
-    """Optimal design at ratio b0 >= 0, whichever regime that lands in."""
-    if b0 == 0.0:
-        return zero_b_family(n, 0.5).design
-    if in_explicit_regime(n, b0):
-        return t_optimal_design(n, b0).design
+def optimal_design(n: int, b: float) -> OptimalDesign:
+    """The optimal design at any finite ratio b, by the construction that applies there.
+
+    b = 0: the alpha = 0.5 member of zero_b_family; 0 < |b| <= critical_b(n):
+    t_optimal_design; beyond, regime "alternance": solve_at(n, 1/b), or at
+    n = 2, {-1, 1} with weights 1/2 (psi = x^2 + b x - 1 is then monotone).
+    """
+    n = check_degree(n, 2)
+    b = check_ratio(b, "b", finite=True)
+    if b == 0.0:
+        return zero_b_family(n, 0.5)
+    if in_explicit_regime(n, b):
+        return t_optimal_design(n, b)
     if n == 2:
-        # psi = x^2 + b0 x - 1 is monotone on [-1, 1] for every b0 >= b_c = 2,
-        # so the design at b_c, {-1, 1} with weights 1/2, stays optimal
-        return Design(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
-    return solve_at(n, 1.0 / b0).design()
+        design = Design(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+    else:
+        design = solve_at(n, 1.0 / b).design()
+    return OptimalDesign(design, "alternance", n, b)
 
 
 def maximin_design(n: int, interval: RatioInterval) -> Design:
@@ -83,17 +90,17 @@ def maximin_design(n: int, interval: RatioInterval) -> Design:
         wts[0] = wts[-1] = 1.0 / (2.0 * n)
         return Design(pts, wts)
     if interval.kind == "ray_up":
-        return _design_at(n, interval.b0)
-    return _design_at(n, interval.b0).reflected()
+        return optimal_design(n, interval.b0).design
+    return optimal_design(n, interval.b0).design.reflected()
 
 
 def r_value(n: int, b: float) -> float:
     """Best attainable criterion value at ratio b >= 0.
 
     Inside the explicit regime this is the squared sup deviation
-    (1 + b/n)^(2n) / 2^(2n-2); outside it the criterion of the
-    continuation design, or b^2 at n = 2. Strictly increasing in b, which is what makes
-    ray endpoints the worst case.
+    (1 + b/n)^(2n) / 2^(2n-2); outside it the criterion of
+    optimal_design(n, b). Strictly increasing in b, which is what makes ray
+    endpoints the worst case.
     """
     n = check_degree(n, 2)
     b = check_ratio(b, "b", finite=True)
@@ -101,4 +108,4 @@ def r_value(n: int, b: float) -> float:
         raise ValueError("b must be a nonnegative real")
     if in_explicit_regime(n, b):
         return float((1.0 + b / n) ** (2 * n) / 2.0 ** (2 * n - 2))
-    return float(t_criterion(_design_at(n, b), DiscriminationProblem(n, b=b)))
+    return float(t_criterion(optimal_design(n, b).design, DiscriminationProblem(n, b=b)))

@@ -2,12 +2,25 @@ import json
 import subprocess
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from tdiscrim.cli import main
 from tdiscrim.closed_form import critical_b
+from tdiscrim.continuation import solve_at
 from tdiscrim.designs import Design
+from tdiscrim.minimax import remez, target_polynomial
+
+
+def mp_chebval(x, coeffs):
+    """sum_k coeffs[k] T_k(x) in the working precision of mpmath."""
+    prev, cur = mp.mpf(1), x
+    total = coeffs[0]
+    for c in coeffs[1:]:
+        total += c * cur
+        prev, cur = cur, 2 * x * cur - prev
+    return total
 
 
 def run_cli(capsys, *argv):
@@ -60,11 +73,26 @@ class TestDesign:
         assert code == 0
         assert len(payload["points"]) == 3
 
-    def test_outside_regime_exit_code_and_hint(self, capsys):
+    def test_beyond_critical_ratio_is_the_alternance(self, capsys):
         code, out, err = run_cli(capsys, "design", "--n", "3", "--b", "2")
-        assert code == 3
-        assert out == ""
-        assert "trajectory" in err
+        assert code == 0
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["regime"] == "alternance"
+        assert payload["alpha"] is None
+        d = Design.from_json(out)
+        state = solve_at(3, 0.5)
+        assert d.points.tolist() == state.points.tolist()
+        assert d.weights.tolist() == state.weights.tolist()
+
+    def test_degree_two_beyond_critical_ratio(self, capsys):
+        code, out, _ = run_cli(capsys, "design", "--n", "2", "--b", "5")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["regime"] == "alternance"
+        assert payload["points"] == [-1.0, 1.0]
+        assert payload["weights"] == [0.5, 0.5]
+        assert payload["criterion"] == pytest.approx(25.0, rel=1e-15)
 
     def test_degree_beyond_the_maximum_is_argument_error(self, capsys):
         code, out, err = run_cli(capsys, "design", "--n", "41", "--b", "0.1")
@@ -83,11 +111,12 @@ class TestDesign:
         assert out == ""
         assert "b must be a number" in err
 
-    def test_infinite_ratio_is_outside_regime(self, capsys):
+    def test_infinite_ratio_is_argument_error(self, capsys):
         for b in ("inf", "-inf"):
-            code, out, _ = run_cli(capsys, "design", "--n", "5", f"--b={b}")
-            assert code == 3
+            code, out, err = run_cli(capsys, "design", "--n", "5", f"--b={b}")
+            assert code == 2
             assert out == ""
+            assert "b must be finite" in err
 
 
 class TestTrajectory:
@@ -247,6 +276,30 @@ class TestRemez:
         signs = payload["signs"]
         assert all(a * b == -1 for a, b in zip(signs, signs[1:]))
 
+    def test_chebyshev_keys_carry_the_result_exactly(self, capsys):
+        code, out, _ = run_cli(capsys, "remez", "--n", "12", "--b", "3")
+        assert code == 0
+        payload = json.loads(out)
+        res = remez(12, 3.0)
+        assert payload["approximant_chebyshev"] == res.approximant.coeffs.tolist()
+        assert payload["psi_chebyshev"] == res.psi.coeffs.tolist()
+        assert len(payload["approximant_chebyshev"]) == 11
+        assert payload["psi_chebyshev"][11:] == target_polynomial(12, 3.0).coeffs[11:].tolist()
+
+    @pytest.mark.parametrize("n,holds", [(12, True), (20, True), (40, False)])
+    def test_monomial_approximant_loses_digits_at_high_degree(self, capsys, n, holds):
+        # share of the deviation by which the monomial coefficients, summed at
+        # 60 digits, miss the Chebyshev approximant: 7.9e-10 at n = 20, 1.5e-2 at n = 40
+        for b in (0.5 * critical_b(n), 3.0 * critical_b(n)):
+            payload = json.loads(run_cli(capsys, "remez", "--n", str(n), f"--b={b!r}")[1])
+            with mp.workdps(60):
+                mono = [mp.mpf(c) for c in payload["approximant"]][::-1]
+                cheb = [mp.mpf(c) for c in payload["approximant_chebyshev"]]
+                xs = [mp.cos(mp.pi * (k + mp.mpf(0.5)) / 400) for k in range(400)]
+                miss = max(abs(mp.polyval(mono, x) - mp_chebval(x, cheb)) for x in xs)
+            loss = float(miss) / payload["deviation"]
+            assert (loss <= 1e-8) if holds else (loss > 1e-4)
+
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "remez", "--n", "6", "--b", "0.2")
         _, out2, _ = run_cli(capsys, "remez", "--n", "6", "--b", "0.2")
@@ -262,7 +315,17 @@ class TestRemez:
 
 class TestNonNumericArguments:
     """NaN b or bbar is a bad argument (exit 2); infinite ones are outside (exit 3)
-    where a regime applies, and bad arguments where none does (remez, verify)."""
+    where a regime applies, and bad arguments where none does (design, remez, verify)."""
+
+    @pytest.mark.parametrize("b", ["1e200", "-1e200"])
+    def test_ratio_whose_square_overflows_is_argument_error(self, tmp_path, capsys, b):
+        f = tmp_path / "design.json"
+        f.write_text(run_cli(capsys, "maximin", "--n", "5", "--interval", "geq:1e200")[1])
+        for argv in (["design"], ["remez"], ["verify", "--design", str(f)]):
+            code, out, err = run_cli(capsys, *argv, "--n", "5", f"--b={b}")
+            assert code == 2
+            assert out == ""
+            assert "is too large: its square overflows" in err
 
     def test_nan_bbar_is_argument_error(self, capsys):
         code, out, err = run_cli(capsys, "trajectory", "--n", "5",

@@ -6,7 +6,9 @@ polynomials, summed by the Chebyshev three-term recurrence from their
 coefficients. Beyond the critical ratio the path route (solve_at,
 trajectory, maximin) is held to remez, whose deviation is held to mpmath
 here: the optimal criterion in the bbar parametrization is bbar^2 times
-its deviation squared.
+its deviation squared. There optimal_design and remez are also each held
+to mp_alternance, a 50-digit Remez iteration that shares no code with
+the package.
 """
 
 import mpmath as mp
@@ -20,9 +22,8 @@ from tdiscrim import (
     bbar_limit,
     closed_form_psi,
     critical_b,
-    h_form,
-    inequality_margin,
     maximin_design,
+    optimal_design,
     r_value,
     remez,
     solve_at,
@@ -34,6 +35,7 @@ from tdiscrim import (
     zero_b_family,
 )
 from tdiscrim import continuation
+from tdiscrim.continuation import h_form, inequality_margin
 from tdiscrim.designs import error_polynomial
 
 DEGREES = range(3, 41)
@@ -292,3 +294,95 @@ def test_q_stops_holding_at_n30(fresh_paths):
     # the monomial basis cancels about 0.3 n digits: at n = 30, q evaluated
     # exactly misses psi by about 1e-6 of sup |psi|, and by 2.6e-3 at n = 40
     assert q_error(30) > 1e-7
+
+
+def mp_alternance(n, bbar, start):
+    """The optimal design at bbar > 0 beyond the critical ratio, at DPS digits.
+
+    Shares no code with the package. A Remez iteration in the monomial
+    basis: solve p(t_i) + (-1)^i h = t_i^(n-1) + bbar t_i^n on the current
+    n points for the degree n - 2 polynomial p and the level h by mp.lu_solve,
+    then move each interior point by Newton on the exact derivative of
+    psi = x^(n-1) + bbar x^n - p. Two sweeps from the float support start.
+    The weights are the normalised barycentric ones,
+    w_i proportional to 1 / |prod_(j != i) (t_i - t_j)|. Returns the points,
+    the weights and the level |h|, after checking that |psi(t_i)| = |h|.
+    """
+    with mp.workdps(DPS):
+        bbar = mp.mpf(float(bbar))
+        pts = [mp.mpf(float(x)) for x in start]
+        for _ in range(2):
+            a = mp.matrix(n, n)
+            rhs = mp.matrix(n, 1)
+            for i, t in enumerate(pts):
+                for k in range(n - 1):
+                    a[i, k] = t**k
+                a[i, n - 1] = (-1) ** i
+                rhs[i] = t ** (n - 1) + bbar * t**n
+            sol = mp.lu_solve(a, rhs)
+            # psi's monomial coefficients, lowest first, and those of psi' and psi''
+            psi = [-sol[k] for k in range(n - 1)] + [mp.mpf(1), bbar]
+            d1 = [k * c for k, c in enumerate(psi)][1:]
+            d2 = [k * c for k, c in enumerate(d1)][1:]
+            for i in range(1, n - 1):
+                for _ in range(8):
+                    step = mp.polyval(d1[::-1], pts[i]) / mp.polyval(d2[::-1], pts[i])
+                    pts[i] -= step
+                    if abs(step) <= mp.mpf(10) ** (-DPS + 5):
+                        break
+        level = abs(sol[n - 1])
+        for t in pts:
+            assert abs(abs(mp.polyval(psi[::-1], t)) - level) <= mp.mpf(10) ** -30 * level
+        inv = [1 / abs(mp.fprod(t - u for u in pts if u is not t)) for t in pts]
+        total = mp.fsum(inv)
+        return pts, [w / total for w in inv], level
+
+
+@pytest.mark.parametrize("n", (5, 12, 20, 30, 40))
+@pytest.mark.parametrize("share", (0.05, 0.5, 0.95))
+def test_alternance_routes_match_a_50_digit_oracle(n, share):
+    bbar = share * bbar_limit(n)
+    b = 1.0 / bbar
+    design = optimal_design(n, b).design
+    pts, wts, level = mp_alternance(n, bbar, design.points)
+    with mp.workdps(DPS):
+        deviation = level / mp.mpf(bbar)
+        for sign in (1.0, -1.0):
+            d = optimal_design(n, sign * b).design
+            value = t_criterion(d, DiscriminationProblem(n, b=sign * b))
+            assert rel(np.sqrt(value), deviation) <= 1e-11
+            if sign < 0.0:
+                d = d.reflected()
+            assert max(abs(x - t) for x, t in zip(d.points, pts)) <= 1e-13
+            assert max(rel(w, v) for w, v in zip(d.weights, wts)) <= 1e-11
+        res = remez(n, b)
+        assert res.extremal_points.size == n
+        assert max(abs(x - t) for x, t in zip(res.extremal_points, pts)) <= 1e-13
+        assert rel(res.deviation, deviation) <= 1e-11
+
+
+SWEEP_SHARES = (0.01, 0.5, 0.999, 1.0, 1.0 + 1e-9, 1.001, 1.05, 1.5, 3.0, 10.0, 1e3, 1e6)
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_optimal_design_passes_the_certificate_at_every_ratio(n):
+    bc = critical_b(n)
+    assert verification_report(optimal_design(n, 0.0).design, n, 0.0)["passed"]
+    for share in SWEEP_SHARES:
+        for b in (share * bc, -share * bc):
+            res = optimal_design(n, b)
+            assert res.regime == ("alternance" if share > 1.0 else
+                                  "positive_b" if b > 0.0 else "negative_b")
+            assert verification_report(res.design, n, b)["passed"]
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_optimal_design_is_continuous_across_the_critical_ratio(n):
+    bc = critical_b(n)
+    for delta in (1e-9, 1e-6):
+        for sign in (1.0, -1.0):
+            closed = t_optimal_design(n, sign * bc).design
+            beyond = optimal_design(n, sign * bc * (1.0 + delta))
+            assert beyond.regime == "alternance"
+            assert np.abs(beyond.design.points - closed.points).max() <= delta
+            assert np.abs(beyond.design.weights - closed.weights).max() <= delta

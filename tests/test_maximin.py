@@ -4,7 +4,55 @@ import pytest
 from tdiscrim.closed_form import critical_b, t_optimal_design, zero_b_family
 from tdiscrim.continuation import d1_optimal_start, solve_at
 from tdiscrim.checks import verification_report
-from tdiscrim.maximin import RatioInterval, maximin_design, r_value
+from tdiscrim.designs import DiscriminationProblem, t_criterion
+from tdiscrim.maximin import RatioInterval, maximin_design, optimal_design, r_value
+
+
+class TestOptimalDesign:
+    """One switch from b to its construction, in every regime."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 12])
+    def test_each_regime_is_its_construction(self, n):
+        bc = critical_b(n)
+        zero = optimal_design(n, 0.0)
+        ref = zero_b_family(n, 0.5)
+        assert (zero.regime, zero.alpha, zero.b) == ("zero_b_family", 0.5, 0.0)
+        assert zero.design.points.tolist() == ref.design.points.tolist()
+        assert zero.design.weights.tolist() == ref.design.weights.tolist()
+        for b in (0.5 * bc, -0.5 * bc, bc, -bc):
+            res, ref = optimal_design(n, b), t_optimal_design(n, b)
+            assert (res.regime, res.n, res.b, res.alpha) == (ref.regime, n, b, None)
+            assert res.design.points.tolist() == ref.design.points.tolist()
+            assert res.design.weights.tolist() == ref.design.weights.tolist()
+        for b in (1.5 * bc, -1.5 * bc):
+            res = optimal_design(n, b)
+            assert (res.regime, res.n, res.b, res.alpha) == ("alternance", n, b, None)
+            if n == 2:
+                assert res.design.points.tolist() == [-1.0, 1.0]
+                assert res.design.weights.tolist() == [0.5, 0.5]
+            else:
+                ref = solve_at(n, 1.0 / b).design()
+                assert res.design.points.tolist() == ref.points.tolist()
+                assert res.design.weights.tolist() == ref.weights.tolist()
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 20])
+    def test_negative_ratio_is_the_exact_mirror(self, n):
+        for share in (0.3, 1.0, 1.0 + 1e-9, 2.0, 1e4):
+            b = share * critical_b(n)
+            up = optimal_design(n, b).design.reflected()
+            down = optimal_design(n, -b).design
+            assert down.points.tolist() == up.points.tolist()
+            assert down.weights.tolist() == up.weights.tolist()
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_rays_and_r_value_read_it(self, n):
+        for b0 in (0.0, 0.5 * critical_b(n), 4.0 * critical_b(n)):
+            d = optimal_design(n, b0).design
+            assert maximin_design(n, RatioInterval.ray_up(b0)).points.tolist() == d.points.tolist()
+            assert (maximin_design(n, RatioInterval.ray_down(b0)).points.tolist()
+                    == d.reflected().points.tolist())
+            if b0 > critical_b(n):
+                assert r_value(n, b0) == t_criterion(d, DiscriminationProblem(n, b=b0))
 
 
 class TestRatioInterval:

@@ -12,15 +12,13 @@ from tdiscrim import (
     DiscriminationProblem,
     RatioInterval,
     RegimeError,
-    appendix_identity,
     bbar_limit,
     canonical_weights,
     chebyshev_extrema,
     closed_form_psi,
     critical_b,
-    d1_optimal_start,
-    equivalence_system,
     maximin_design,
+    optimal_design,
     r_value,
     remez,
     solve_at,
@@ -34,9 +32,10 @@ from tdiscrim import (
     zero_b_family,
 )
 from tdiscrim import checks, continuation
+from tdiscrim.checks import appendix_identity, equivalence_system
 from tdiscrim.cli import main
 from tdiscrim.closed_form import in_explicit_regime
-from tdiscrim.continuation import _path
+from tdiscrim.continuation import _path, d1_optimal_start
 from tdiscrim.errors import MAX_DEGREE, check_degree, check_ratio
 from tdiscrim.polynomials import monomial_to_chebyshev
 
@@ -69,6 +68,7 @@ DEGREE_ENTRY_POINTS = [
     ("d1_optimal_start", d1_optimal_start, 3),
     ("support_points", lambda n: support_points(n, 0.1), 2),
     ("remez", lambda n: remez(n, 0.1), 2),
+    ("optimal_design", lambda n: optimal_design(n, 0.1), 2),
 ]
 
 
@@ -186,6 +186,7 @@ class TestNanRatio:
         lambda: DiscriminationProblem(5, b=NAN),
         lambda: t_criterion(_DESIGN, DiscriminationProblem(3, b=NAN)),
         lambda: target_polynomial(5, NAN),
+        lambda: optimal_design(5, NAN),
     ])
     def test_nan_is_an_argument_error(self, call):
         with pytest.raises(ValueError, match="^b must be a number") as err:
@@ -239,6 +240,7 @@ class TestInfiniteRatio:
         ("b", lambda x: t_criterion(_DESIGN, DiscriminationProblem(3, b=x))),
         ("b", lambda x: target_polynomial(5, x)),
         ("bbar", lambda x: DiscriminationProblem(3, bbar=x).fixed_part()),
+        ("b", lambda x: optimal_design(5, x)),
     ])
     def test_infinite_is_an_argument_error(self, name, call, x):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got -?inf$") as err:
@@ -259,6 +261,38 @@ class TestInfiniteRatio:
         assert check_ratio(0.25, "b", finite=True) == 0.25
 
 
+class TestHugeRatio:
+    """A ratio whose square overflows is a bad argument: criterion values grow like it."""
+
+    @pytest.mark.parametrize("x", [1e200, -1e200])
+    @pytest.mark.parametrize("name,call", [
+        ("b", lambda x: DiscriminationProblem(5, b=x)),
+        ("bbar", lambda x: DiscriminationProblem(5, bbar=x)),
+        ("b", lambda x: remez(5, x)),
+        ("b", lambda x: target_polynomial(5, x)),
+        ("b", lambda x: verification_report(maximin_design(5, RatioInterval.whole_line()), 5, x)),
+        ("b", lambda x: t_criterion(optimal_design(5, x).design, DiscriminationProblem(5, b=x))),
+    ])
+    def test_is_an_argument_error(self, name, call, x):
+        with pytest.raises(ValueError, match=rf"^{name} = -?1e\+200 is too large") as err:
+            call(x)
+        assert not isinstance(err.value, RegimeError)
+
+    def test_r_value_overflows_no_more(self):
+        with pytest.raises(ValueError, match=r"^b = 1e\+160 is too large"):
+            r_value(5, 1e160)
+
+    @pytest.mark.parametrize("b", [1.3e154, -1.3e154])
+    def test_largest_ratios_stay_finite_and_verified(self, b):
+        # 1.3e154 squared is still finite; RuntimeWarnings are errors in this suite
+        for n in range(2, MAX_DEGREE + 1):
+            design = optimal_design(n, b).design
+            assert verification_report(design, n, b)["passed"]
+            value = t_criterion(design, DiscriminationProblem(n, b=b))
+            assert np.isfinite(value) and 0.0 < value <= (1.0 + 1e-12) * b * b
+            assert np.isfinite(remez(n, b).deviation)
+
+
 def test_one_global_inequality_tolerance():
     # the path screens by one relative margin, and no caller can set its tolerance
     assert continuation.INEQUALITY_TOL is checks.INEQUALITY_TOL == 1e-8
@@ -272,3 +306,20 @@ def test_one_global_inequality_tolerance():
     assert bare(ContinuationState) == "(coeffs, points, weights, bbar)"
     assert bare(trajectory) == "(n, grid)"
     assert bare(taylor_coefficients) == "(n, bbar0, order=3, *, step=0.0001)"
+
+
+def test_package_namespace_is_the_workflow():
+    import tdiscrim
+
+    names = tdiscrim.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names) == 44
+    for name in names:
+        getattr(tdiscrim, name)
+    assert {"optimal_design", "OptimalDesign"} <= set(names)
+    tools = {"h_form", "inequality_margin", "appendix_identity", "equivalence_system",
+             "d1_optimal_start"}
+    assert not ({"ClosedFormDesign"} | tools) & set(names)
+    assert not hasattr(tdiscrim, "ClosedFormDesign")
+    # the validation tools stay importable from their modules
+    assert all(hasattr(checks, n) or hasattr(continuation, n) for n in tools)
