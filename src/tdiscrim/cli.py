@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -30,6 +31,8 @@ from .minimax import remez
 from .power import DEFAULT_REPS, DEFAULT_SEED, table1, table1_csv
 
 OUT_DIR_ENV = "TDISCRIM_OUT_DIR"
+# argparse takes "-1e-3" or "-inf" for an option; no option here looks like a number
+NEGATIVE_NUMBER = re.compile(r"^-(inf(inity)?|nan|(\d[\d_]*\.?|\.\d)[\d_]*(e[-+]?[\d_]+)?)$", re.I)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -215,6 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None, help="CSV destination (default stdout)")
     p.set_defaults(func=_cmd_power)
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 

@@ -3,7 +3,7 @@
 Past the explicit window the problem is parametrized by the inverse ratio
 bbar = 1/b, running over a symmetric interval around zero. A path state is
 the optimal design together with its error polynomial
-psi(x) = q . (1, x, ..., x^(n-2)) + x^(n-1) + bbar x^n. T-optimality is
+psi(x) = x^(n-1) + bbar x^n - p(x), p of degree n - 2. T-optimality is
 dual to uniform approximation here: psi is the minimax error of
 x^(n-1) + bbar x^n against degree n - 2, the design sits on its n
 alternance points (endpoints -1 and 1 among them), and its weights make
@@ -14,10 +14,7 @@ form, and at |bbar| = bbar_limit(n) it is the closed-form design at the
 critical ratio.
 
 A state holds what the engine solves and nothing else: psi's n + 1
-Chebyshev coefficients, the whole design and bbar. The monomial
-coefficients q, and theta, which lists q, the interior points and the
-first n - 1 weights, are derived from them on request; q loses accuracy
-at high degree (see ContinuationState).
+Chebyshev coefficients, the whole design and bbar.
 
 Before any caller sees a state, it passes one acceptance rule, from the
 equivalence theorem (Atkinson & Fedorov, 1975): no point of [-1, 1] may
@@ -40,10 +37,11 @@ bbar alone, whatever was requested before it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebfit, chebval, chebvander
+from numpy.polynomial.chebyshev import chebder, chebfit, chebval, chebvander
 
 from .checks import INEQUALITY_TOL, global_inequality
 from .closed_form import REGIME_SLACK, critical_b, in_explicit_regime, support_points
@@ -51,15 +49,20 @@ from .designs import Design, DiscriminationProblem
 from .errors import (ConvergenceError, OptimalityError, RegimeError,
                      check_degree, check_ratio)
 from .minimax import _exchange, _exchanges
-from .polynomials import ChebyshevSeries, monomial_to_chebyshev
+from .polynomials import ChebyshevSeries
 
 # The path's exchange stops once the largest error over the candidates
 # exceeds the alternation level by at most this share of it.
 EXCHANGE_TOL = 1e-12
 MAX_EXCHANGES = 100
-# Chebyshev-Lobatto nodes in s = bbar / bbar_limit(n) of each degree's start
-# table; the support is analytic in s, so the interpolant converges geometrically.
+# Chebyshev-Lobatto nodes of each degree's start table, in s = bbar / bbar_limit(n),
+# and of taylor_coefficients' window; the support is analytic in bbar, so
+# both interpolants converge geometrically.
 TABLE_NODES = 16
+LOBATTO = -np.cos(np.arange(TABLE_NODES) * np.pi / (TABLE_NODES - 1))
+# Distance from the real axis to the path's nearest complex singularity near
+# bbar = 0, measured at n = 5..40: a series about bbar0 converges within |bbar0 - 1.15i|.
+SINGULARITY_HEIGHT = 1.15
 
 
 @dataclass
@@ -71,9 +74,6 @@ class ContinuationState:
     design, both endpoints and all n weights; bbar is the inverse ratio.
     Construction validates the design through Design and requires -1 and 1
     in the support and n + 1 finite coefficients.
-    q and theta are derived on request. q is lossy at high degree: evaluated
-    exactly, it misses psi by 9.9e-11 of sup |psi| at n = 20, 1.1e-6 at
-    n = 30 and 2.6e-3 at n = 40.
     """
 
     coeffs: np.ndarray
@@ -98,16 +98,6 @@ class ContinuationState:
     @property
     def interior_points(self) -> np.ndarray:
         return self.points[1:-1]
-
-    @property
-    def q(self) -> np.ndarray:
-        """The n - 1 free monomial coefficients of psi, solved from coeffs."""
-        return np.linalg.solve(monomial_to_chebyshev(self.n), self.coeffs)[: self.n - 1]
-
-    @property
-    def theta(self) -> np.ndarray:
-        """q, then the interior points, then the first n - 1 weights."""
-        return np.concatenate([self.q, self.interior_points, self.weights[:-1]])
 
     def psi(self) -> ChebyshevSeries:
         """psi as a Chebyshev series, on a copy of coeffs."""
@@ -221,12 +211,11 @@ class SolutionPath:
         self.limit = bbar_limit(n)
         anchor = d1_optimal_start(n)
         self.anchor_margin = inequality_margin(anchor) / h_form(anchor)
-        x = -np.cos(np.arange(TABLE_NODES) * np.pi / (TABLE_NODES - 1))
         pts = [anchor.interior_points]
-        for s in (1.0 + x[1:]) / 2.0:
+        for s in (1.0 + LOBATTO[1:]) / 2.0:
             start = np.concatenate([[-1.0], pts[-1], [1.0]])
             pts.append(_alternance(n, s * self.limit, start)[0].interior_points)
-        self.table = chebfit(x, np.array(pts), TABLE_NODES - 1)
+        self.table = chebfit(LOBATTO, np.array(pts), TABLE_NODES - 1)
 
     def check(self, bbar: float) -> None:
         """Raise RegimeError for bbar off the path interval, ValueError for NaN."""
@@ -328,42 +317,26 @@ def trajectory(n: int, grid) -> list[tuple[float, Design]]:
             for v, m in zip(g, mags)]
 
 
-def taylor_coefficients(n: int, bbar0: float, order: int = 3, *,
-                        step: float = 1e-4) -> np.ndarray:
-    """Derivative coefficients of the path theta(bbar) at bbar0, orders 1..order.
+def taylor_coefficients(n: int, bbar0: float, order: int = 3) -> np.ndarray:
+    """Taylor coefficients in bbar of psi's Chebyshev coefficients, interior points and weights.
 
-    Central finite differences of screened states with one Richardson level;
-    a state that fails the screen raises OptimalityError.
-    Row k-1 holds the k-th Taylor coefficient (k-th derivative over k!).
-    Validation tool only: the path states come from the alternance, not
-    from these coefficients. The whole stencil, bbar0 +/- 2 step, must stay inside the path interval.
+    Row k-1 of the (order, 3n - 1) result holds the k-th derivative at
+    bbar0 over k!, for order <= 3, of the Chebyshev interpolant of screened
+    states at the LOBATTO nodes of the window bbar0 +/- r, cut to the path
+    interval; r = |bbar0 - SINGULARITY_HEIGHT i| / 4 is a quarter of the
+    series' radius. A state that fails the screen raises OptimalityError.
+    Validation tool only: the path states come from the alternance.
     """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
-    if not 0.0 < step < np.inf:
-        raise ValueError(f"step must be a positive finite number, got {step!r}")
-    path = _path(n)
-    path.check(abs(bbar0) + 2.0 * step)
-    cache: dict[float, np.ndarray] = {0.0: path.solve(bbar0).theta}
-
-    def theta_at(db: float) -> np.ndarray:
-        if db not in cache:
-            cache[db] = path.solve(bbar0 + db).theta
-        return cache[db]
-
-    def d1(h):
-        return (theta_at(h) - theta_at(-h)) / (2.0 * h)
-
-    def d2(h):
-        return (theta_at(h) - 2.0 * cache[0.0] + theta_at(-h)) / h**2
-
-    def d3(h):
-        return (theta_at(2 * h) - 2.0 * theta_at(h)
-                + 2.0 * theta_at(-h) - theta_at(-2 * h)) / (2.0 * h**3)
-
-    rows = [(4.0 * d1(step / 2) - d1(step)) / 3.0]
-    if order >= 2:
-        rows.append((4.0 * d2(step / 2) - d2(step)) / 3.0 / 2.0)
-    if order >= 3:
-        rows.append((4.0 * d3(step / 2) - d3(step)) / 3.0 / 6.0)
-    return np.vstack(rows)
+    path, bbar0 = _path(n), float(bbar0)
+    path.check(bbar0)
+    r = math.hypot(bbar0, SINGULARITY_HEIGHT) / 4.0
+    lo, hi = max(bbar0 - r, -path.limit), min(bbar0 + r, path.limit)
+    mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+    states = [path.solve(float(b)) for b in mid + half * LOBATTO]
+    fit = chebfit(LOBATTO, np.array([np.concatenate([s.coeffs, s.interior_points, s.weights])
+                                     for s in states]), TABLE_NODES - 1)
+    x0 = (bbar0 - mid) / half
+    return np.array([chebval(x0, chebder(fit, k, 1.0 / half)) / math.factorial(k)
+                     for k in range(1, order + 1)])

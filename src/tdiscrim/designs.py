@@ -82,8 +82,11 @@ class Design:
         obj = json.loads(source) if isinstance(source, (str, bytes)) else source
         if not isinstance(obj, dict) or "points" not in obj or "weights" not in obj:
             raise ValueError("design JSON must be an object with points and weights")
-        return cls(np.asarray(obj["points"], dtype=float),
-                   np.asarray(obj["weights"], dtype=float))
+        try:
+            return cls(np.asarray(obj["points"], dtype=float),
+                       np.asarray(obj["weights"], dtype=float))
+        except TypeError:
+            raise ValueError("design points and weights must be lists of numbers") from None
 
     def to_csv(self) -> str:
         # repr of a float is the shortest string that round-trips the bits

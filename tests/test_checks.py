@@ -183,7 +183,9 @@ def optimum(n, kind, share):
         b = -share * critical_b(n)
         return t_optimal_design(n, b).design, b
     if kind == "zero_b_family":
-        return zero_b_family(n, share).design, 0.0
+        # alpha near 1 leaves a weight near 0 on x = 1, whose 1e-6 relative
+        # change keeps the design optimal; cap alpha as share's 0.02 floor does
+        return zero_b_family(n, min(share, 0.98)).design, 0.0
     bbar = share * bbar_limit(n) * (1.0 if kind == "path" else -1.0)
     return solve_at(n, bbar).design(), 1.0 / bbar
 

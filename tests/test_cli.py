@@ -251,6 +251,18 @@ class TestVerify:
                                "--n", "3", "--b", "0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("design", [{"points": {}, "weights": [1.0]},
+                                        {"points": [0.0], "weights": {"w": 1.0}},
+                                        {"points": [{}], "weights": [1.0]}])
+    def test_object_for_a_list_is_argument_error(self, tmp_path, capsys, design):
+        f = tmp_path / "design.json"
+        f.write_text(json.dumps(design))
+        code, out, err = run_cli(capsys, "verify", "--design", str(f),
+                                 "--n", "3", "--b", "0.5")
+        assert code == 2
+        assert out == ""
+        assert "lists of numbers" in err
+
 
 class TestRemez:
     def test_payload(self, capsys):
@@ -427,6 +439,35 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0"
+
+    @pytest.mark.parametrize("argv", [
+        ["design", "--n", "5", "--b", "-1e-3"],
+        ["design", "--b", "-1E+0", "--n", "5"],
+        ["design", "--n", "5", "--b", "-.5"],
+        ["remez", "--n", "5", "--b", "-inf"],
+        ["remez", "--n", "5", "--b", "-NaN"],
+        ["trajectory", "--n", "5", "--bbar-min", "-1e-1", "--bbar-max", "0.1",
+         "--steps", "2"],
+    ])
+    def test_negative_float_literals_are_values(self, capsys, argv):
+        # each value after an option, spaced or joined by =, is the same argument
+        joined = []
+        for arg in argv:
+            if joined and joined[-1].startswith("--") and not arg.startswith("--"):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        spaced = run_cli(capsys, *argv)
+        assert "expected one argument" not in spaced[2]
+        assert spaced == run_cli(capsys, *joined)
+
+    def test_negative_float_in_verify_is_a_value(self, tmp_path, capsys):
+        f = tmp_path / "design.json"
+        f.write_text(run_cli(capsys, "design", "--n", "5", "--b", "-0.001")[1])
+        spaced = run_cli(capsys, "verify", "--design", str(f), "--n", "5", "--b", "-1e-3")
+        assert spaced[0] == 0 and json.loads(spaced[1])["passed"] is True
+        assert spaced == run_cli(capsys, "verify", "--design", str(f), "--n", "5",
+                                 "--b=-1e-3")
 
     def test_shared_parser_keeps_no_state_between_calls(self, capsys):
         _, first, _ = run_cli(capsys, "critical", "--n", "5")

@@ -48,6 +48,15 @@ def assert_certified(state):
     assert inequality_margin(state) <= 1e-11 * h_form(state)
 
 
+def state_vector(state):
+    """psi's Chebyshev coefficients, the interior points and the weights, in one array.
+
+    The endpoints are -1 and 1 in every state; the columns of
+    taylor_coefficients follow this order.
+    """
+    return np.concatenate([state.coeffs, state.interior_points, state.weights])
+
+
 def cold_solve(n, bbar):
     """solve_at on a freshly built path engine."""
     continuation._PATHS.clear()
@@ -62,7 +71,7 @@ class TestState:
     def test_dimensions_and_views(self):
         st = d1_optimal_start(4)
         assert st.n == 4
-        assert st.theta.size == 8
+        assert st.interior_points.size == 2 and st.weights.size == 4
         assert st.psi().coeffs.size == 5
         d = st.design()
         assert d.points[0] == -1.0 and d.points[-1] == 1.0
@@ -144,7 +153,7 @@ class TestSolveAt:
     def test_zero_returns_anchor(self):
         st = solve_at(5, 0.0)
         ref = d1_optimal_start(5)
-        assert np.abs(st.theta - ref.theta).max() <= 1e-9
+        assert np.abs(state_vector(st) - state_vector(ref)).max() <= 1e-9
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_boundary_matches_closed_form(self, n):
@@ -250,16 +259,16 @@ class TestTrajectory:
 class TestTangentAndTaylor:
     def test_second_order_improves_prediction(self):
         bbar0, h = 0.4, 0.1
-        tc = taylor_coefficients(4, bbar0, order=2, step=1e-3)
-        base = solve_at(4, bbar0).theta
-        exact = solve_at(4, bbar0 + h).theta
+        tc = taylor_coefficients(4, bbar0, order=2)
+        base = state_vector(solve_at(4, bbar0))
+        exact = state_vector(solve_at(4, bbar0 + h))
         err1 = np.linalg.norm(base + tc[0] * h - exact)
         err2 = np.linalg.norm(base + tc[0] * h + tc[1] * h * h - exact)
         assert err2 < err1
 
     def test_third_order_row_shape(self):
         tc = taylor_coefficients(3, 0.2, order=3)
-        assert tc.shape == (3, 5)
+        assert tc.shape == (3, 8)
         assert np.all(np.isfinite(tc))
 
     def test_order_gate(self):
@@ -269,8 +278,29 @@ class TestTangentAndTaylor:
             taylor_coefficients(3, 0.2, order=0)
 
     def test_stencil_must_fit_interval(self):
+        # the interpolation nodes, the stencil of the derivatives, are cut to
+        # the path interval: beyond it RegimeError, at either end a one-sided window
+        lim = bbar_limit(3)
         with pytest.raises(RegimeError):
-            taylor_coefficients(3, bbar_limit(3), order=1)
+            taylor_coefficients(3, 1.01 * lim, order=1)
+        for bbar0 in (lim, -lim):
+            assert np.all(np.isfinite(taylor_coefficients(3, bbar0)))
+
+    @pytest.mark.parametrize("n", [5, 12, 20, 40])
+    @pytest.mark.parametrize("share", [0.0, 0.5, -0.5, 0.9])
+    def test_series_converges_at_its_order(self, n, share):
+        # halving h cuts a degree-K series' error by about 2^(K+1): measured
+        # 3.9-4.1 at K = 1 and 15.8-16.2 at K = 3
+        bbar0 = share * bbar_limit(n)
+        tc = taylor_coefficients(n, bbar0)
+        r = np.hypot(bbar0, continuation.SINGULARITY_HEIGHT) / 4.0
+        base = state_vector(solve_at(n, bbar0))
+        for order, least in ((1, 3.0), (3, 10.0)):
+            errs = []
+            for h in (r / 8.0, r / 16.0):
+                series = base + sum(tc[k] * h ** (k + 1) for k in range(order))
+                errs.append(np.abs(series - state_vector(solve_at(n, bbar0 + h))).max())
+            assert errs[0] >= least * errs[1]
 
 
 def path_gap(design, n, bbar):
@@ -296,7 +326,7 @@ class TestPathCache:
         cleared = {k: solve_at(n, shares[k] * lim) for k in reversed(range(len(shares)))}
         for k, state in enumerate(first):
             for other in (shuffled[k], cleared[k]):
-                assert np.array_equal(state.theta, other.theta)
+                assert np.array_equal(state_vector(state), state_vector(other))
                 assert np.array_equal(state.design().points, other.design().points)
                 assert np.array_equal(state.design().weights, other.design().weights)
                 assert np.array_equal(state.psi().coeffs, other.psi().coeffs)
@@ -307,15 +337,18 @@ class TestPathCache:
         script = ("from tdiscrim import bbar_limit, solve_at\n"
                   "for n, s in %r:\n"
                   "    st = solve_at(n, s * bbar_limit(n))\n"
-                  "    print(' '.join(float(v).hex() for v in st.theta))\n" % pairs)
+                  "    vec = list(st.coeffs) + list(st.points) + list(st.weights)\n"
+                  "    print(' '.join(float(v).hex() for v in vec))\n" % pairs)
         env = dict(os.environ)
         src = str(Path(continuation.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        here = [" ".join(float(v).hex() for v in solve_at(n, s * bbar_limit(n)).theta)
-                for n, s in pairs]
+        states = [solve_at(n, s * bbar_limit(n)) for n, s in pairs]
+        here = [" ".join(float(v).hex() for v in np.concatenate([st.coeffs, st.points,
+                                                                  st.weights]))
+                for st in states]
         assert proc.stdout.splitlines() == here
 
     def test_requested_tol_holds_on_exact_hit(self, fresh_cache):
@@ -358,14 +391,15 @@ class TestPathCache:
 
     def test_returned_states_do_not_alias_the_cache(self, fresh_cache):
         first = solve_at(5, 0.6)
-        expected = first.theta.copy()
+        expected = state_vector(first)
         first.coeffs[:] = 0.0
         first.points[:] = 0.0
         first.weights[:] = 0.0
-        assert np.abs(solve_at(5, 0.6).theta - expected).max() <= 1e-12
+        assert np.abs(state_vector(solve_at(5, 0.6)) - expected).max() <= 1e-12
         anchor = d1_optimal_start(5)
         anchor.coeffs[:] = 1.0
-        assert np.abs(d1_optimal_start(5).theta - solve_at(5, 0.0).theta).max() <= 1e-12
+        assert np.abs(state_vector(d1_optimal_start(5))
+                      - state_vector(solve_at(5, 0.0))).max() <= 1e-12
 
 
 class TestMirror:
@@ -393,7 +427,7 @@ class TestMirror:
         for s in self.SHARES[:-1]:
             mirror = solve_at(n, -s * lim)
             direct = continuation._alternance(n, -s * lim, start)[0]
-            assert np.abs(mirror.theta - direct.theta).max() <= 1e-9
+            assert np.abs(state_vector(mirror) - state_vector(direct)).max() <= 1e-9
             assert abs(inequality_margin(mirror) - inequality_margin(direct)) <= 1e-12
         cf = t_optimal_design(n, -critical_b(n)).design
         mirror = solve_at(n, -lim).design()
@@ -409,13 +443,12 @@ class TestMirror:
         up, down = solve_at(n, x), solve_at(n, -x)
         signs = (-1.0) ** (n - 1 + np.arange(n + 1))
         assert np.array_equal(down.psi().coeffs, signs * up.psi().coeffs)
-        assert np.array_equal(down.q, signs[: n - 1] * up.q)
         assert np.array_equal(down.interior_points, -up.interior_points[::-1])
         assert np.array_equal(down.design().weights, up.design().weights[::-1])
 
     def test_exact_hit_returns_the_stored_bits(self, fresh_cache):
         first = solve_at(5, 0.6)
-        assert np.array_equal(solve_at(5, 0.6).theta, first.theta)
+        assert np.array_equal(state_vector(solve_at(5, 0.6)), state_vector(first))
         assert np.array_equal(solve_at(5, -0.6).design().points,
                               first.design().reflected().points)
 

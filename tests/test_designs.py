@@ -76,6 +76,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             Design.from_json(json.dumps({"points": [0.0]}))
 
+    @pytest.mark.parametrize("obj", [{"points": {}, "weights": [1.0]},
+                                     {"points": [0.0], "weights": {"w": 1.0}},
+                                     {"points": [{}, 1.0], "weights": [0.5, 0.5]}])
+    def test_json_object_for_a_list_is_a_value_error(self, obj):
+        with pytest.raises(ValueError, match="lists of numbers"):
+            Design.from_json(json.dumps(obj))
+
 
 class TestProblem:
     def test_requires_exactly_one_ratio(self):

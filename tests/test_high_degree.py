@@ -6,9 +6,10 @@ polynomials, summed by the Chebyshev three-term recurrence from their
 coefficients. Beyond the critical ratio the path route (solve_at,
 trajectory, maximin) is held to remez, whose deviation is held to mpmath
 here: the optimal criterion in the bbar parametrization is bbar^2 times
-its deviation squared. There optimal_design and remez are also each held
-to mp_alternance, a 50-digit Remez iteration that shares no code with
-the package.
+its deviation squared. There optimal_design, remez and the path's psi
+are also each held to mp_alternance, a 50-digit Remez iteration that
+shares no code with the package, and taylor_coefficients to mp_taylor, a
+polynomial fit through nine of its states at 90 digits.
 """
 
 import mpmath as mp
@@ -29,6 +30,7 @@ from tdiscrim import (
     solve_at,
     support_points,
     t_criterion,
+    taylor_coefficients,
     t_optimal_design,
     trajectory,
     verification_report,
@@ -267,51 +269,23 @@ def test_results_do_not_depend_on_request_order(n, fresh_paths):
         assert np.abs(a.weights - b.weights).max() <= 1e-12
 
 
-def q_error(n):
-    """Largest gap, over sup |psi|, between the state's q evaluated exactly and its psi.
-
-    At 0.5 bbar_limit(n), on 41 points of [-1, 1], both at DPS digits: q is
-    summed as q . (1, x, ..., x^(n-2)) + x^(n-1) + bbar x^n, psi by the
-    Chebyshev recurrence from the state's own coefficients.
-    """
-    state = solve_at(n, 0.5 * bbar_limit(n))
-    mono = [mp.mpf(float(c)) for c in state.q] + [mp.mpf(1), mp.mpf(state.bbar)]
-    with mp.workdps(DPS):
-        gaps, sup = [], mp.mpf(0)
-        for x in np.linspace(-1.0, 1.0, 41):
-            exact = mp_chebval(x, state.psi().coeffs)
-            gaps.append(abs(mp.polyval(mono[::-1], mp.mpf(float(x))) - exact))
-            sup = max(sup, abs(exact))
-        return float(max(gaps) / sup)
-
-
-@pytest.mark.parametrize("n", (3, 8, 12, 16, 20))
-def test_q_holds_up_to_n20(n, fresh_paths):
-    assert q_error(n) <= 1e-9
-
-
-def test_q_stops_holding_at_n30(fresh_paths):
-    # the monomial basis cancels about 0.3 n digits: at n = 30, q evaluated
-    # exactly misses psi by about 1e-6 of sup |psi|, and by 2.6e-3 at n = 40
-    assert q_error(30) > 1e-7
-
-
-def mp_alternance(n, bbar, start):
-    """The optimal design at bbar > 0 beyond the critical ratio, at DPS digits.
+def mp_alternance(n, bbar, start, dps=DPS, sweeps=2):
+    """The optimal design at bbar beyond the critical ratio, at dps digits.
 
     Shares no code with the package. A Remez iteration in the monomial
     basis: solve p(t_i) + (-1)^i h = t_i^(n-1) + bbar t_i^n on the current
     n points for the degree n - 2 polynomial p and the level h by mp.lu_solve,
     then move each interior point by Newton on the exact derivative of
-    psi = x^(n-1) + bbar x^n - p. Two sweeps from the float support start.
-    The weights are the normalised barycentric ones,
+    psi = x^(n-1) + bbar x^n - p. sweeps sweeps from the float support start;
+    bbar may be an mpf. The weights are the normalised barycentric ones,
     w_i proportional to 1 / |prod_(j != i) (t_i - t_j)|. Returns the points,
-    the weights and the level |h|, after checking that |psi(t_i)| = |h|.
+    the weights, the level |h| and psi's monomial coefficients, lowest
+    first, after checking that |psi(t_i)| = |h|.
     """
-    with mp.workdps(DPS):
-        bbar = mp.mpf(float(bbar))
+    with mp.workdps(dps):
+        bbar = mp.mpf(bbar)
         pts = [mp.mpf(float(x)) for x in start]
-        for _ in range(2):
+        for _ in range(sweeps):
             a = mp.matrix(n, n)
             rhs = mp.matrix(n, 1)
             for i, t in enumerate(pts):
@@ -328,14 +302,14 @@ def mp_alternance(n, bbar, start):
                 for _ in range(8):
                     step = mp.polyval(d1[::-1], pts[i]) / mp.polyval(d2[::-1], pts[i])
                     pts[i] -= step
-                    if abs(step) <= mp.mpf(10) ** (-DPS + 5):
+                    if abs(step) <= mp.mpf(10) ** (-dps + 5):
                         break
         level = abs(sol[n - 1])
         for t in pts:
             assert abs(abs(mp.polyval(psi[::-1], t)) - level) <= mp.mpf(10) ** -30 * level
         inv = [1 / abs(mp.fprod(t - u for u in pts if u is not t)) for t in pts]
         total = mp.fsum(inv)
-        return pts, [w / total for w in inv], level
+        return pts, [w / total for w in inv], level, psi
 
 
 @pytest.mark.parametrize("n", (5, 12, 20, 30, 40))
@@ -344,7 +318,7 @@ def test_alternance_routes_match_a_50_digit_oracle(n, share):
     bbar = share * bbar_limit(n)
     b = 1.0 / bbar
     design = optimal_design(n, b).design
-    pts, wts, level = mp_alternance(n, bbar, design.points)
+    pts, wts, level, psi = mp_alternance(n, bbar, design.points)
     with mp.workdps(DPS):
         deviation = level / mp.mpf(bbar)
         for sign in (1.0, -1.0):
@@ -359,6 +333,50 @@ def test_alternance_routes_match_a_50_digit_oracle(n, share):
         assert res.extremal_points.size == n
         assert max(abs(x - t) for x, t in zip(res.extremal_points, pts)) <= 1e-13
         assert rel(res.deviation, deviation) <= 1e-11
+        # the path's psi, in the Chebyshev form it was solved in, against the
+        # oracle's monomial psi; measured worst 5.0e-13 of the level, at n = 12
+        coeffs = solve_at(n, bbar).coeffs
+        gap = max(abs(mp_chebval(x, coeffs) - mp.polyval(psi[::-1], mp.mpf(float(x))))
+                  for x in np.linspace(-1.0, 1.0, 41))
+        assert gap <= mp.mpf(1e-11) * level
+
+
+TAYLOR_DPS = 90
+
+
+def mp_taylor(n, bbar0, order=3, h="1e-9"):
+    """Taylor coefficients of the interior points and the weights at bbar0, orders 1..order.
+
+    mp_alternance at TAYLOR_DPS digits and five sweeps solves bbar0 + j h,
+    j = -4..4, and the coefficients are those of the exact degree-8
+    polynomial through the nine states: its truncation error is of order
+    h^(9-k) and its rounding about 10^-TAYLOR_DPS / h^k at order k.
+    """
+    start = solve_at(n, bbar0).points
+    with mp.workdps(TAYLOR_DPS):
+        h = mp.mpf(h)
+        states = []
+        for j in range(-4, 5):
+            pts, wts, _, _ = mp_alternance(n, mp.mpf(bbar0) + j * h, start,
+                                           dps=TAYLOR_DPS, sweeps=5)
+            states.append(pts[1:-1] + wts)
+        fit = mp.inverse(mp.matrix([[mp.mpf(j) ** k for k in range(9)] for j in range(-4, 5)]))
+        return np.array([[float(mp.fsum(fit[k, j] * states[j][c] for j in range(9)) / h**k)
+                          for c in range(len(states[0]))]
+                         for k in range(1, order + 1)])
+
+
+@pytest.mark.parametrize("n", (5, 12))
+@pytest.mark.parametrize("share", (0.0, 0.3, -0.3, 0.9, 0.99))
+def test_taylor_coefficients_match_a_90_digit_oracle(n, share):
+    # each order's error relative to the row's largest entry; measured worst
+    # at n <= 20: 5e-11, 1.2e-8 and 5.5e-7 for orders 1, 2 and 3, all at s = 0.99
+    bbar0 = share * bbar_limit(n)
+    ref = mp_taylor(n, bbar0)
+    # the columns past psi's n + 1 Chebyshev coefficients
+    got = taylor_coefficients(n, bbar0)[:, n + 1 :]
+    for k, bound in enumerate((1e-9, 1e-7, 1e-5)):
+        assert np.abs(got[k] - ref[k]).max() <= bound * np.abs(ref[k]).max()
 
 
 SWEEP_SHARES = (0.01, 0.5, 0.999, 1.0, 1.0 + 1e-9, 1.001, 1.05, 1.5, 3.0, 10.0, 1e3, 1e6)

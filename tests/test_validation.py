@@ -170,13 +170,6 @@ class TestNanInverseRatio:
         assert "np.float64" not in str(err.value)
 
 
-@pytest.mark.parametrize("step", [NAN, INF, -INF, 0.0, -1e-4])
-def test_taylor_step_must_be_a_positive_finite_number(step):
-    with pytest.raises(ValueError, match=r"^step must be a positive finite number") as err:
-        taylor_coefficients(5, 0.1, step=step)
-    assert not isinstance(err.value, RegimeError)
-
-
 class TestNanRatio:
     """A NaN b fails by name wherever it enters, not inside the arithmetic."""
 
@@ -305,7 +298,13 @@ def test_one_global_inequality_tolerance():
     assert bare(solve_at) == "(n, bbar)"
     assert bare(ContinuationState) == "(coeffs, points, weights, bbar)"
     assert bare(trajectory) == "(n, grid)"
-    assert bare(taylor_coefficients) == "(n, bbar0, order=3, *, step=0.0001)"
+    assert bare(taylor_coefficients) == "(n, bbar0, order=3)"
+
+
+def test_a_state_exposes_only_what_it_holds():
+    # psi stays in Chebyshev form: no monomial view q, nor theta built on it
+    state = solve_at(5, 0.3)
+    assert not hasattr(state, "q") and not hasattr(state, "theta")
 
 
 def test_package_namespace_is_the_workflow():
