@@ -6,7 +6,7 @@ moves smoothly with the inverse ratio bbar = 1/b. At bbar = 0
 degree n - 1. Elsewhere it sits on the alternance of the minimax error of
 x^(n-1) + bbar x^n: a Remez exchange, started from a fixed interpolant of
 the support in bbar that each degree builds once, finds the points, and
-one linear solve the weights. Every design is returned only if no point
+the weights are their normalised barycentric weights. Every design is returned only if no point
 of [-1, 1] beats its support, by a margin taken relative to the criterion
 value. The path meets the closed-form designs exactly at the two regime
 boundaries, and its Taylor series in bbar, read off a Chebyshev

@@ -5,7 +5,9 @@ its own error polynomial psi_xi, the residual of its weighted fit, so no
 check rebuilds the optimal psi by the closed form or the Remez exchange
 that construct designs. The moment residuals are accumulated with
 compensated summation from raw products, so an inaccurate fit cannot
-cancel against itself here.
+cancel against itself here. verification_report evaluates psi_xi once
+per point set, at its critical points and at the support, and runs every
+check on those values.
 """
 
 from __future__ import annotations
@@ -34,7 +36,11 @@ def equivalence_system(design: Design, psi: ChebyshevSeries, n: int) -> np.ndarr
     compensated sum of the raw per-point products.
     """
     n = check_degree(n, 2)
-    pv = psi(design.points)
+    return _moment_residuals(design, psi(design.points), n)
+
+
+def _moment_residuals(design: Design, pv: np.ndarray, n: int) -> np.ndarray:
+    """equivalence_system's residuals, psi being pv at the support."""
     out = np.empty(n - 1)
     for k in range(n - 1):
         terms = design.weights * pv * design.points**k
@@ -78,7 +84,11 @@ def alternation_check(design: Design, psi: ChebyshevSeries,
     spread is the largest magnitude difference across support points; the
     check passes when signs strictly alternate and spread <= tol.
     """
-    vals = np.asarray(psi(design.points), dtype=float)
+    return _alternation(np.asarray(psi(design.points), dtype=float), tol)
+
+
+def _alternation(vals: np.ndarray, tol: float) -> AlternationReport:
+    """alternation_check's report, psi being vals at the support."""
     signs = np.sign(vals).astype(int)
     mags = np.abs(vals)
     alternates = bool(np.all(vals[:-1] * vals[1:] < 0.0)) if vals.size > 1 else True
@@ -92,20 +102,16 @@ def alternation_check(design: Design, psi: ChebyshevSeries,
     )
 
 
-def global_inequality(psi: ChebyshevSeries, psi_norm_sq: float, *,
-                      critical_points: np.ndarray | None = None) -> float:
+def global_inequality(psi: ChebyshevSeries, psi_norm_sq: float) -> float:
     """Margin max over [-1,1] of psi^2 minus psi_norm_sq, its design-weighted mean square.
 
     Every local maximum of psi^2 on [-1, 1] is an endpoint or a real root
-    of psi', so the maximum is taken over the critical points of psi alone;
-    a caller already holding psi.critical_points() passes them as
-    critical_points. At a true optimum the margin is zero to solver
-    precision: no point of the interval beats the support. A positive
-    margin quantifies the violation.
+    of psi', so the maximum is taken over the critical points of psi alone.
+    At a true optimum the margin is zero to solver precision: no point of
+    the interval beats the support. A positive margin quantifies the
+    violation.
     """
-    if critical_points is None:
-        critical_points = psi.critical_points()
-    vals = psi(critical_points)
+    vals = psi(psi.critical_points())
     return float(np.max(vals * vals) - psi_norm_sq)
 
 
@@ -121,20 +127,22 @@ def verification_report(design: Design, n: int, b: float) -> dict:
     the equal-magnitude sign changes over the support;
     criterion_matches_deviation and global_inequality are one certificate,
     (dev^2 - T) / dev^2 and dev^2 - T, with dev the sup of |psi_xi| over
-    its critical points. The tolerances scale with the problem: the
-    residuals and the spread are compared to their constant times dev, the
-    absolute margin to its constant times dev^2.
+    its critical points. psi_xi is evaluated once at its critical points
+    and once at the support, and every check reads those two arrays. The
+    tolerances scale with the problem: the residuals and the spread are
+    compared to their constant times dev, the absolute margin to its
+    constant times dev^2.
     """
     n = check_degree(n, 2)
     b = check_ratio(b, "b", finite=True)
     psi = error_polynomial(design, DiscriminationProblem(n, b=b))
-    crit = psi.critical_points()
-    deviation = float(np.abs(psi(crit)).max())
+    cv = psi(psi.critical_points())
+    deviation = float(np.abs(cv).max())
     pv = psi(design.points)
     criterion = float(np.sum(design.weights * pv * pv))
 
     checks = []
-    resid = equivalence_system(design, psi, n)
+    resid = _moment_residuals(design, pv, n)
     worst = float(np.abs(resid).max())
     tol = EQUIVALENCE_TOL * deviation
     checks.append({
@@ -143,14 +151,14 @@ def verification_report(design: Design, n: int, b: float) -> dict:
         "tolerance": tol,
         "passed": worst <= tol,
     })
-    alt = alternation_check(design, psi, ALTERNATION_TOL * deviation)
+    alt = _alternation(pv, ALTERNATION_TOL * deviation)
     checks.append({
         "name": "alternation",
         "value": alt.spread,
         "tolerance": alt.tol,
         "passed": alt.passed,
     })
-    margin = global_inequality(psi, criterion, critical_points=crit)
+    margin = float(np.max(cv * cv) - criterion)
     gap = margin / deviation**2
     checks.append({
         "name": "criterion_matches_deviation",

@@ -8,9 +8,11 @@ dual to uniform approximation here: psi is the minimax error of
 x^(n-1) + bbar x^n against degree n - 2, the design sits on its n
 alternance points (endpoints -1 and 1 among them), and its weights make
 psi orthogonal over the support to every polynomial of degree n - 2. Each
-state is built that way: a Remez exchange gives psi and the points, one
-n x n linear solve the weights. At bbar = 0 the state is known in closed
-form, and at |bbar| = bbar_limit(n) it is the closed-form design at the
+state is built that way: a Remez exchange gives psi and the points, and
+the weights are the points' normalised barycentric weights,
+w_i proportional to 1 / prod_(j != i) |x_i - x_j| (Berrut & Trefethen,
+SIAM Review 46, 2004). At bbar = 0 the state is known in closed form,
+and at |bbar| = bbar_limit(n) it is the closed-form design at the
 critical ratio.
 
 A state holds what the engine solves and nothing else: psi's n + 1
@@ -41,7 +43,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebfit, chebval, chebvander
+from numpy.polynomial.chebyshev import chebder, chebfit, chebval
 
 from .checks import INEQUALITY_TOL, global_inequality
 from .closed_form import REGIME_SLACK, critical_b, in_explicit_regime, support_points
@@ -166,10 +168,13 @@ def _alternance(n: int, bbar: float,
     and the support is the n-point alternance among the candidates of that
     last psi. At |b| = critical_b(n), where -1 is a double extremum and the
     exchange finds no clean n-point set, the support is the closed-form
-    design's and psi is solved on it once. The weights solve
-    sum_i w_i (-1)^i T_k(x_i) = 0 for k <= n-2 and sum_i w_i = 1. The
-    relative margin is the largest psi^2 over the critical points of psi,
-    less H, over H.
+    design's and psi is solved on it once. The weights, which make
+    sum_i w_i (-1)^i p(x_i) vanish for every p of degree n - 2 and sum to
+    one, are the normalised barycentric weights
+    w_i = exp(-sum_(j != i) log|x_i - x_j|) / sum (Berrut & Trefethen, SIAM
+    Review 46, 2004): the (n-1)-th divided difference of such a p is zero.
+    The relative margin is the largest psi^2 over the critical points of
+    psi, less H, over H; the last exchange has already evaluated psi there.
     """
     top = DiscriminationProblem(n, bbar=bbar).fixed_part().coeffs[n - 1 :]
     explicit = bbar > 0.0 and in_explicit_regime(n, 1.0 / bbar)
@@ -185,15 +190,17 @@ def _alternance(n: int, bbar: float,
         raise ConvergenceError(
             f"no alternance within {MAX_EXCHANGES} exchanges at bbar = {bbar!r}")
     pts = start if explicit else _exchange(cand, vals, n)
-    a = np.ones((n, n))
-    a[:-1] = chebvander(pts, n - 2).T * (-1.0) ** np.arange(n)
-    w = np.linalg.solve(a, np.eye(n)[-1])
+    gaps = np.abs(np.subtract.outer(pts, pts))
+    np.fill_diagonal(gaps, 1.0)
+    logs = np.log(gaps).sum(axis=1)
+    w = np.exp(logs.min() - logs)
+    w /= w.sum()
     if pts[0] != -1.0 or pts[-1] != 1.0 or not np.all(w > 0.0):
         raise ConvergenceError(
             f"the alternance at bbar = {bbar!r} is not a design on both endpoints")
     pv = psi(pts)
     h = float(np.sum(w * pv * pv))
-    margin = global_inequality(psi, h, critical_points=cand) / h
+    margin = (float(np.max(vals * vals)) - h) / h
     return ContinuationState(psi.coeffs, pts, w, bbar), margin
 
 

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,19 +41,24 @@ class Design:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = np.atleast_1d(np.asarray(self.points, dtype=float))
-        wts = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        try:
+            pts = np.atleast_1d(np.asarray(self.points, dtype=float))
+            wts = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        except TypeError:
+            raise ValueError("design points and weights must be lists of numbers") from None
         if pts.ndim != 1 or wts.ndim != 1:
             raise ValueError("points and weights must be one-dimensional")
         if pts.size == 0 or pts.size != wts.size:
             raise ValueError("points and weights must be non-empty and equally long")
-        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
+        # at these sizes builtins over the Python floats beat numpy's reductions
+        p, w = pts.tolist(), wts.tolist()
+        if not all(map(math.isfinite, p + w)):
             raise ValueError("points and weights must be finite")
-        if pts.min() < -1.0 - POINT_TOL or pts.max() > 1.0 + POINT_TOL:
+        if min(p) < -1.0 - POINT_TOL or max(p) > 1.0 + POINT_TOL:
             raise ValueError("support points must lie in [-1, 1]")
-        if pts.size > 1 and np.any(np.diff(pts) <= 0.0):
+        if any(map(operator.ge, p, p[1:])):
             raise ValueError("support points must be strictly increasing")
-        if np.any(wts <= 0.0):
+        if min(w) <= 0.0:
             raise ValueError("weights must be positive")
         s = float(np.sum(wts))
         if abs(s - 1.0) > WEIGHT_SUM_TOL:
@@ -82,11 +88,7 @@ class Design:
         obj = json.loads(source) if isinstance(source, (str, bytes)) else source
         if not isinstance(obj, dict) or "points" not in obj or "weights" not in obj:
             raise ValueError("design JSON must be an object with points and weights")
-        try:
-            return cls(np.asarray(obj["points"], dtype=float),
-                       np.asarray(obj["weights"], dtype=float))
-        except TypeError:
-            raise ValueError("design points and weights must be lists of numbers") from None
+        return cls(obj["points"], obj["weights"])
 
     def to_csv(self) -> str:
         # repr of a float is the shortest string that round-trips the bits
@@ -102,6 +104,8 @@ class Design:
             rows = rows[1:]
         if not rows:
             raise ValueError("no design rows in CSV")
+        if any(len(r) < 2 for r in rows):
+            raise ValueError("every design row in CSV needs a point and a weight")
         pts = np.array([float(r[0]) for r in rows])
         wts = np.array([float(r[1]) for r in rows])
         return cls(pts, wts)

@@ -45,6 +45,55 @@ class TestDesignValidation:
         d = Design([0.25], [1.0])
         assert d.support_size == 1
 
+    # (points, weights, message): the first failing check names the fault
+    NAN, INF = float("nan"), float("inf")
+    INVALID = [
+        ([NAN, 1.0], [0.5, 0.5], "finite"),
+        ([-1.0, INF], [0.5, 0.5], "finite"),
+        ([-INF, 1.0], [0.5, 0.5], "finite"),
+        ([-1.0, 1.0], [NAN, 0.5], "finite"),
+        ([-1.0, 1.0], [0.5, INF], "finite"),
+        ([-1.0, 1.0], [-INF, 0.5], "finite"),
+        ([[-1.0, 1.0]], [0.5, 0.5], "one-dimensional"),
+        ([-1.0, 1.0], [[0.5, 0.5]], "one-dimensional"),
+        ([], [], "non-empty"),
+        ([-1.0, 1.0], [1.0], "equally long"),
+        ([-1.0, 1.0 + 2e-12], [0.5, 0.5], r"lie in \[-1, 1\]"),
+        ([-1.0 - 2e-12, 1.0], [0.5, 0.5], r"lie in \[-1, 1\]"),
+        ([0.5, 0.5], [0.5, 0.5], "strictly increasing"),
+        ([0.5, -0.5], [0.5, 0.5], "strictly increasing"),
+        ([-1.0, 0.0, -0.5], [0.3, 0.3, 0.4], "strictly increasing"),
+        ([-1.0, 1.0], [1.0, 0.0], "positive"),
+        ([-1.0, 1.0], [1.5, -0.5], "positive"),
+        ([-1.0, 1.0], [0.5, 0.5 + 2e-12], "sum to one"),
+        ([-1.0, 1.0], [0.5, 0.5 - 2e-12], "sum to one"),
+        # precedence
+        ([NAN, 1.0], [1.5, -0.5], "finite"),
+        ([-1.0, 1.0], [NAN, -0.5], "finite"),
+        ([1.5, 0.5], [0.5, 0.5], r"lie in \[-1, 1\]"),
+        ([0.5, -0.5], [1.5, -0.5], "strictly increasing"),
+        ([-1.0, 1.0], [0.0, 0.5], "positive"),
+        ({}, [1.0], "lists of numbers"),
+        ([0.0], {"w": 1.0}, "lists of numbers"),
+        ([{}, 1.0], [0.5, 0.5], "lists of numbers"),
+    ]
+
+    @pytest.mark.parametrize("points, weights, message", INVALID)
+    def test_rejects_with_the_first_failing_check(self, points, weights, message):
+        with pytest.raises(ValueError, match=message):
+            Design(points, weights)
+
+    @pytest.mark.parametrize("points, weights", [
+        ([-1.0 - 1e-12, 1.0 + 1e-12], [0.5, 0.5]),
+        ([-1.0, 1.0], [0.5, 0.5 + 5e-13]),
+        ([-1.0, 1.0], [0.5, 0.5 - 5e-13]),
+        (np.float64(0.25), np.float64(1.0)),
+    ])
+    def test_accepts_the_tolerance_edges(self, points, weights):
+        d = Design(points, weights)
+        assert d.points.dtype == d.weights.dtype == np.float64
+        assert d.points.ndim == d.weights.ndim == 1
+
     def test_reflection(self):
         d = Design([-1.0, 0.25, 1.0], [0.2, 0.3, 0.5])
         r = d.reflected()
@@ -75,6 +124,12 @@ class TestSerialization:
     def test_json_requires_keys(self):
         with pytest.raises(ValueError):
             Design.from_json(json.dumps({"points": [0.0]}))
+
+    @pytest.mark.parametrize("text", ["point,weight\n0.5\n",
+                                      "point,weight\n-1.0,0.5\n1.0\n"])
+    def test_csv_row_without_a_weight_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="point and a weight"):
+            Design.from_csv(text)
 
     @pytest.mark.parametrize("obj", [{"points": {}, "weights": [1.0]},
                                      {"points": [0.0], "weights": {"w": 1.0}},

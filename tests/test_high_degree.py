@@ -6,8 +6,8 @@ polynomials, summed by the Chebyshev three-term recurrence from their
 coefficients. Beyond the critical ratio the path route (solve_at,
 trajectory, maximin) is held to remez, whose deviation is held to mpmath
 here: the optimal criterion in the bbar parametrization is bbar^2 times
-its deviation squared. There optimal_design, remez and the path's psi
-are also each held to mp_alternance, a 50-digit Remez iteration that
+its deviation squared. There optimal_design, remez, trajectory and the
+path's psi are also each held to mp_alternance, a 50-digit Remez iteration that
 shares no code with the package, and taylor_coefficients to mp_taylor, a
 polynomial fit through nine of its states at 90 digits.
 """
@@ -339,6 +339,18 @@ def test_alternance_routes_match_a_50_digit_oracle(n, share):
         gap = max(abs(mp_chebval(x, coeffs) - mp.polyval(psi[::-1], mp.mpf(float(x))))
                   for x in np.linspace(-1.0, 1.0, 41))
         assert gap <= mp.mpf(1e-11) * level
+
+
+@pytest.mark.parametrize("n", (5, 12))
+@pytest.mark.parametrize("share", (0.5, 0.95))
+def test_trajectory_ends_match_a_50_digit_oracle(n, share):
+    # the end rows of a symmetric grid: the state at share * limit and its mirror
+    bbar = share * bbar_limit(n)
+    rows = trajectory(n, np.linspace(-bbar, bbar, 5))
+    pts, wts, _, _ = mp_alternance(n, bbar, rows[-1][1].points)
+    for d in (rows[0][1].reflected(), rows[-1][1]):
+        assert max(abs(x - t) for x, t in zip(d.points, pts)) <= 1e-13
+        assert max(rel(w, v) for w, v in zip(d.weights, wts)) <= 1e-11
 
 
 TAYLOR_DPS = 90
