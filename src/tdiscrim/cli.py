@@ -27,7 +27,7 @@ from .continuation import trajectory
 from .designs import Design, DiscriminationProblem, t_criterion
 from .errors import RegimeError, SolverError
 from .maximin import RatioInterval, maximin_design, optimal_design
-from .minimax import remez
+from .minimax import EXCHANGE_TOL, remez
 from .power import DEFAULT_REPS, DEFAULT_SEED, table1, table1_csv
 
 OUT_DIR_ENV = "TDISCRIM_OUT_DIR"
@@ -210,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        "approximant_chebyshev and psi_chebyshev do not")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=EXCHANGE_TOL)
     p.set_defaults(func=_cmd_remez)
 
     p = sub.add_parser("power", help="F-test power table, simulated and exact")

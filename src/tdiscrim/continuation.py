@@ -15,7 +15,7 @@ SIAM Review 46, 2004). At bbar = 0 the state is known in closed form,
 and at |bbar| = bbar_limit(n) it is the closed-form design at the
 critical ratio.
 
-A state holds what the engine solves and nothing else: psi's n + 1
+A state holds what the path solves and nothing else: psi's n + 1
 Chebyshev coefficients, the whole design and bbar.
 
 Before any caller sees a state, it passes one acceptance rule, from the
@@ -27,18 +27,18 @@ holds at every degree although H shrinks like 4^-n.
 
 The problem is symmetric under x -> -x, which maps x^n + b x^(n-1) to
 (-1)^n (x^n - b x^(n-1)): the state at -bbar is the mirror of the state at
-bbar. Every request goes through one path engine per degree, SolutionPath,
-which solves only bbar >= 0 and answers bbar < 0 with the exact mirror of
-the state at |bbar|. The engine keeps no solved state. When first built it
-solves the support at TABLE_NODES Chebyshev-Lobatto nodes in
-s = bbar / bbar_limit(n) and keeps the Chebyshev interpolant of the
-interior points in s, a fixed start table; each request starts its
-exchange from the table at its own s. A result is then a function of n and
-bbar alone, whatever was requested before it.
+bbar. Every request solves only bbar >= 0 and answers bbar < 0 with the
+exact mirror of the state at |bbar|. No solved state is kept. The first
+request for a degree solves the support at TABLE_NODES Chebyshev-Lobatto
+nodes in s = bbar / bbar_limit(n), and the Chebyshev interpolant of the
+interior points in s is cached, read-only, as the degree's start table;
+each request starts its exchange from the table at its own s. A result is
+then a function of n and bbar alone, whatever was requested before it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,13 +50,9 @@ from .closed_form import REGIME_SLACK, critical_b, in_explicit_regime, support_p
 from .designs import Design, DiscriminationProblem
 from .errors import (ConvergenceError, OptimalityError, RegimeError,
                      check_degree, check_ratio)
-from .minimax import _exchange, _exchanges
-from .polynomials import ChebyshevSeries
+from .minimax import EXCHANGE_TOL, MAX_EXCHANGES, _exchange, _exchanges
+from .polynomials import ChebyshevSeries, chebyshev_extrema
 
-# The path's exchange stops once the largest error over the candidates
-# exceeds the alternation level by at most this share of it.
-EXCHANGE_TOL = 1e-12
-MAX_EXCHANGES = 100
 # Chebyshev-Lobatto nodes of each degree's start table, in s = bbar / bbar_limit(n),
 # and of taylor_coefficients' window; the support is analytic in bbar, so
 # both interpolants converge geometrically.
@@ -117,8 +113,8 @@ def _mirrored(state: ContinuationState) -> ContinuationState:
     Every entry is a sign change or a reordering, so the mirror is exact.
     """
     signs = (-1.0) ** (state.n - 1 + np.arange(state.n + 1))
-    d = state.design().reflected()
-    return ContinuationState(signs * state.coeffs, d.points, d.weights, -state.bbar)
+    return ContinuationState(signs * state.coeffs, -state.points[::-1],
+                             state.weights[::-1].copy(), -state.bbar)
 
 
 def bbar_limit(n: int) -> float:
@@ -134,11 +130,7 @@ def d1_optimal_start(n: int) -> ContinuationState:
     exactly one as the parametrization requires. Built afresh on each call.
     """
     n = check_degree(n, 3)
-    # -cos(j pi / (n-1)) as the sine of a signed angle, so that the support
-    # is symmetric to the bit
-    j = np.arange(1, n - 1)
-    pts = np.concatenate(
-        [[-1.0], np.sin((2 * j - (n - 1)) * np.pi / (2 * (n - 1))), [1.0]])
+    pts = chebyshev_extrema(n - 1)
     w = np.full(n, 1.0 / (n - 1))
     w[0] = w[-1] = 0.5 / (n - 1)
     psi = np.zeros(n + 1)
@@ -161,7 +153,7 @@ def _alternance(n: int, bbar: float,
                 start: np.ndarray) -> tuple[ContinuationState, float]:
     """The state at bbar and its relative margin, by an exchange from the points start.
 
-    The path engine asks only for bbar >= 0. psi is the minimax error of
+    The path asks only for bbar >= 0. psi is the minimax error of
     x^(n-1) + bbar x^n, whose top Chebyshev coefficients come from
     DiscriminationProblem, so that a denormal bbar needs no b = 1/bbar. The
     exchange stops once its gap is at most EXCHANGE_TOL of the deviation,
@@ -204,67 +196,54 @@ def _alternance(n: int, bbar: float,
     return ContinuationState(psi.coeffs, pts, w, bbar), margin
 
 
-class SolutionPath:
-    """The path engine of one degree: a fixed start table, and the exchange run from it.
+@functools.cache
+def _table(n: int) -> tuple[np.ndarray, float]:
+    """The start table of degree n and the anchor's relative margin, built once per degree.
 
-    The table interpolates the support at TABLE_NODES Chebyshev-Lobatto
-    nodes in s = bbar / limit: the anchor at s = 0, the closed form at
-    s = 1, and between them exchanges chained from node to node. Nothing
-    else is kept. Use _path(n), so that every caller shares the table.
+    The table interpolates the support's interior points at TABLE_NODES
+    Chebyshev-Lobatto nodes in s = bbar / bbar_limit(n): the anchor at
+    s = 0, the closed form at s = 1, and between them exchanges chained from
+    node to node. It is shared by every caller, so it is read-only. Rejects
+    n that is not an integer >= 3.
     """
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.limit = bbar_limit(n)
-        anchor = d1_optimal_start(n)
-        self.anchor_margin = inequality_margin(anchor) / h_form(anchor)
-        pts = [anchor.interior_points]
-        for s in (1.0 + LOBATTO[1:]) / 2.0:
-            start = np.concatenate([[-1.0], pts[-1], [1.0]])
-            pts.append(_alternance(n, s * self.limit, start)[0].interior_points)
-        self.table = chebfit(LOBATTO, np.array(pts), TABLE_NODES - 1)
-
-    def check(self, bbar: float) -> None:
-        """Raise RegimeError for bbar off the path interval, ValueError for NaN."""
-        bbar = check_ratio(bbar, "bbar")
-        if abs(bbar) > self.limit * (1.0 + REGIME_SLACK):
-            raise RegimeError(
-                f"|bbar| = {abs(bbar)!r} outside the path interval "
-                f"[-{self.limit!r}, {self.limit!r}] for n = {self.n}"
-            )
-
-    def start(self, bbar: float) -> np.ndarray:
-        """The support the exchange at bbar > 0 starts from: the table at its s."""
-        x = 2.0 * min(bbar / self.limit, 1.0) - 1.0
-        return np.concatenate([[-1.0], chebval(x, self.table), [1.0]])
-
-    def solve(self, bbar: float) -> ContinuationState:
-        """The state at bbar, screened by its margin relative to H.
-
-        At bbar < 0 this is the mirror of the state at -bbar, screened by the
-        margin the two share, so that an OptimalityError names bbar and
-        carries the state at it.
-        """
-        self.check(bbar)
-        if bbar == 0.0:
-            state, margin = d1_optimal_start(self.n), self.anchor_margin
-        else:
-            state, margin = _alternance(self.n, abs(bbar), self.start(abs(bbar)))
-            if bbar < 0.0:
-                state = _mirrored(state)
-        return _screened(state, margin)
-
-
-_PATHS: dict[int, SolutionPath] = {}
-
-
-def _path(n: int) -> SolutionPath:
-    """The shared path engine of degree n; rejects n that is not an integer >= 3."""
     n = check_degree(n, 3)
-    path = _PATHS.get(n)
-    if path is None:
-        path = _PATHS[n] = SolutionPath(n)
-    return path
+    anchor = d1_optimal_start(n)
+    limit = bbar_limit(n)
+    pts = [anchor.interior_points]
+    for s in (1.0 + LOBATTO[1:]) / 2.0:
+        start = np.concatenate([[-1.0], pts[-1], [1.0]])
+        pts.append(_alternance(n, s * limit, start)[0].interior_points)
+    table = chebfit(LOBATTO, np.array(pts), TABLE_NODES - 1)
+    table.flags.writeable = False
+    return table, inequality_margin(anchor) / h_form(anchor)
+
+
+def _check(n: int, bbar: float) -> None:
+    """Raise RegimeError for bbar off the path interval of degree n, ValueError for NaN."""
+    bbar = check_ratio(bbar, "bbar")
+    limit = bbar_limit(n)
+    if abs(bbar) > limit * (1.0 + REGIME_SLACK):
+        raise RegimeError(
+            f"|bbar| = {abs(bbar)!r} outside the path interval "
+            f"[-{limit!r}, {limit!r}] for n = {n}"
+        )
+
+
+def _solve(n: int, bbar: float) -> ContinuationState:
+    """The state at bbar on the path interval, screened by its margin relative to H.
+
+    The anchor at bbar = 0; otherwise an exchange from the start table at
+    s = |bbar| / bbar_limit(n). At bbar < 0 this is the mirror of the state
+    at -bbar, screened by the margin the two share, so that an
+    OptimalityError names bbar and carries the state at it.
+    """
+    table, anchor_margin = _table(n)
+    if bbar == 0.0:
+        return _screened(d1_optimal_start(n), anchor_margin)
+    x = 2.0 * min(abs(bbar) / bbar_limit(n), 1.0) - 1.0
+    start = np.concatenate([[-1.0], chebval(x, table), [1.0]])
+    state, margin = _alternance(n, abs(bbar), start)
+    return _screened(_mirrored(state) if bbar < 0.0 else state, margin)
 
 
 def _screened(state: ContinuationState, margin: float) -> ContinuationState:
@@ -289,7 +268,9 @@ def solve_at(n: int, bbar: float) -> ContinuationState:
     at most INEQUALITY_TOL, so that no point of [-1, 1] beats its support;
     otherwise OptimalityError.
     """
-    return _path(n).solve(float(bbar))
+    n, bbar = check_degree(n, 3), float(bbar)
+    _check(n, bbar)
+    return _solve(n, bbar)
 
 
 def trajectory(n: int, grid) -> list[tuple[float, Design]]:
@@ -300,14 +281,14 @@ def trajectory(n: int, grid) -> list[tuple[float, Design]]:
     OptimalityError. A negative grid value gets the reflection of the
     design at its magnitude.
     """
-    path = _path(n)
+    n = check_degree(n, 3)
     g = np.atleast_1d(np.asarray(grid, dtype=float))
     if g.ndim != 1 or g.size == 0:
         raise ValueError("grid must be a non-empty one-dimensional sequence")
     if np.any(np.diff(g) < 0):
         raise ValueError("grid must be sorted ascending")
-    path.check(g[0])
-    path.check(g[-1])
+    _check(n, g[0])
+    _check(n, g[-1])
     mags = np.abs(g)
     pos = np.unique(g[g >= 0.0])
     if pos.size:
@@ -319,7 +300,7 @@ def trajectory(n: int, grid) -> list[tuple[float, Design]]:
                         pos[hi - 1], pos[hi])
         slack = 4.0 * np.finfo(float).eps * mags.max()
         mags = np.where(np.abs(near - mags) <= slack, near, mags)
-    states = {m: path.solve(float(m)) for m in np.unique(mags)}
+    states = {m: _solve(n, float(m)) for m in np.unique(mags)}
     return [(float(v), states[m].design() if v >= 0.0 else states[m].design().reflected())
             for v, m in zip(g, mags)]
 
@@ -336,12 +317,13 @@ def taylor_coefficients(n: int, bbar0: float, order: int = 3) -> np.ndarray:
     """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
-    path, bbar0 = _path(n), float(bbar0)
-    path.check(bbar0)
+    n, bbar0 = check_degree(n, 3), float(bbar0)
+    _check(n, bbar0)
+    limit = bbar_limit(n)
     r = math.hypot(bbar0, SINGULARITY_HEIGHT) / 4.0
-    lo, hi = max(bbar0 - r, -path.limit), min(bbar0 + r, path.limit)
+    lo, hi = max(bbar0 - r, -limit), min(bbar0 + r, limit)
     mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-    states = [path.solve(float(b)) for b in mid + half * LOBATTO]
+    states = [_solve(n, float(b)) for b in mid + half * LOBATTO]
     fit = chebfit(LOBATTO, np.array([np.concatenate([s.coeffs, s.interior_points, s.weights])
                                      for s in states]), TABLE_NODES - 1)
     x0 = (bbar0 - mid) / half

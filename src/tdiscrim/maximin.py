@@ -17,6 +17,7 @@ from .closed_form import (OptimalDesign, in_explicit_regime, t_optimal_design,
 from .continuation import solve_at
 from .designs import Design, DiscriminationProblem, t_criterion
 from .errors import check_degree, check_ratio
+from .polynomials import chebyshev_extrema
 
 _KINDS = ("whole_line", "ray_up", "ray_down")
 
@@ -85,7 +86,7 @@ def maximin_design(n: int, interval: RatioInterval) -> Design:
     """
     n = check_degree(n, 2)
     if interval.kind == "whole_line":
-        pts = np.cos((n - np.arange(n + 1)) * np.pi / n)
+        pts = chebyshev_extrema(n)
         wts = np.full(n + 1, 1.0 / n)
         wts[0] = wts[-1] = 1.0 / (2.0 * n)
         return Design(pts, wts)

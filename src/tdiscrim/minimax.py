@@ -27,6 +27,11 @@ from .polynomials import ChebyshevSeries, chebyshev_extrema
 CLUSTER_RADIUS = 1e-7
 # Relative distance below sup |psi| within which a candidate is extremal.
 EXTREMAL_TOL = 1e-9
+# An exchange stops once the largest error over the candidates exceeds the
+# alternation level by at most this share of it, or fails after this many
+# references; remez and the continuation path share both.
+EXCHANGE_TOL = 1e-12
+MAX_EXCHANGES = 100
 
 
 @dataclass
@@ -79,8 +84,8 @@ def closed_form_psi(n: int, b: float) -> ChebyshevSeries:
     return ChebyshevSeries(c)
 
 
-def extremal_set(psi: ChebyshevSeries, tol: float = EXTREMAL_TOL) -> np.ndarray:
-    """All x in [-1, 1] with |psi(x)| >= (1 - tol) * sup |psi|, clustered.
+def extremal_set(psi: ChebyshevSeries) -> np.ndarray:
+    """All x in [-1, 1] with |psi(x)| >= (1 - EXTREMAL_TOL) * sup |psi|, clustered.
 
     psi must be nonconstant. Candidates come from the stationary points of
     psi plus the endpoints; near-duplicates within CLUSTER_RADIUS collapse
@@ -89,14 +94,14 @@ def extremal_set(psi: ChebyshevSeries, tol: float = EXTREMAL_TOL) -> np.ndarray:
     if psi.degree < 1:
         raise ValueError("psi must be nonconstant")
     cand = psi.critical_points()
-    return cand[_extremal(cand, psi(cand), tol)]
+    return cand[_extremal(cand, psi(cand))]
 
 
-def _extremal(cand: np.ndarray, vals: np.ndarray, tol: float) -> np.ndarray:
+def _extremal(cand: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Indices of extremal_set's points among sorted candidates, psi there being vals."""
     mags = np.abs(vals)
     out: list[int] = []
-    for i in np.flatnonzero(mags >= (1.0 - tol) * float(mags.max())):
+    for i in np.flatnonzero(mags >= (1.0 - EXTREMAL_TOL) * float(mags.max())):
         if out and cand[i] - cand[out[-1]] <= CLUSTER_RADIUS:
             if mags[i] > mags[out[-1]]:
                 out[-1] = i
@@ -167,7 +172,8 @@ def _exchanges(top: np.ndarray, ref: np.ndarray):
         ref = _exchange(cand, vals, n)
 
 
-def remez(n: int, b: float, tol: float = 1e-12, max_iter: int = 100) -> BestApproxResult:
+def remez(n: int, b: float, tol: float = EXCHANGE_TOL,
+          max_iter: int = MAX_EXCHANGES) -> BestApproxResult:
     """Exchange iteration for the minimax approximant of x^n + b x^(n-1).
 
     Works modulo degree n - 2, where the target is its top two Chebyshev
@@ -189,7 +195,7 @@ def remez(n: int, b: float, tol: float = 1e-12, max_iter: int = 100) -> BestAppr
     for it, (p, level, psi, cand, vals) in zip(range(1, max_iter + 1),
                                                _exchanges(top, ref)):
         dev = float(np.abs(vals).max())
-        keep = _extremal(cand, vals, EXTREMAL_TOL)
+        keep = _extremal(cand, vals)
         last = BestApproxResult(
             ChebyshevSeries(target[: n - 1] + p), psi, dev, cand[keep],
             np.sign(vals[keep]).astype(int), iterations=it,

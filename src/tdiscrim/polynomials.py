@@ -136,6 +136,10 @@ def monomial_to_chebyshev(n: int) -> np.ndarray:
 
 
 def chebyshev_extrema(n: int) -> np.ndarray:
-    """The n + 1 extremal points of T_n on [-1, 1], increasing: -cos(i pi / n)."""
+    """The n + 1 extremal points of T_n on [-1, 1], increasing: -cos(i pi / n).
+
+    Computed as the sine of the centred angle (2i - n) pi / 2n, so that the
+    points are symmetric to the bit, with an exact 0 at even n.
+    """
     n = check_degree(n, 1)
-    return -np.cos(np.arange(n + 1) * np.pi / n)
+    return np.sin((2 * np.arange(n + 1) - n) * np.pi / (2 * n))

@@ -26,14 +26,6 @@ from tdiscrim.minimax import remez
 from tdiscrim.errors import ConvergenceError, OptimalityError, RegimeError
 
 
-@pytest.fixture
-def fresh_cache():
-    """Empty the shared path cache before and after the test."""
-    continuation._PATHS.clear()
-    yield
-    continuation._PATHS.clear()
-
-
 def assert_certified(state):
     """The equivalence theorem holds on the state, relative to the scale of psi.
 
@@ -58,8 +50,8 @@ def state_vector(state):
 
 
 def cold_solve(n, bbar):
-    """solve_at on a freshly built path engine."""
-    continuation._PATHS.clear()
+    """solve_at on a freshly built start table."""
+    continuation._table.cache_clear()
     return solve_at(n, bbar)
 
 
@@ -253,7 +245,7 @@ class TestTrajectory:
             trajectory(3, [0.0, 1.2])
 
     @pytest.mark.parametrize("n", [3, 5, 8, 12])
-    def test_matches_solve_at(self, n, fresh_cache):
+    def test_matches_solve_at(self, n, fresh_table):
         grid = np.linspace(-bbar_limit(n), bbar_limit(n), 9)
         rows = trajectory(n, grid)
         for g, d in rows:
@@ -261,7 +253,7 @@ class TestTrajectory:
             assert np.abs(d.points - ref.points).max() <= 1e-9
             assert np.abs(d.weights - ref.weights).max() <= 1e-9
 
-    def test_screens_every_state(self, fresh_cache, monkeypatch):
+    def test_screens_every_state(self, fresh_table, monkeypatch):
         alternance = continuation._alternance
         monkeypatch.setattr(continuation, "_alternance",
                             lambda *args: (alternance(*args)[0], 2.0 * INEQUALITY_TOL))
@@ -335,11 +327,11 @@ class TestPathCache:
            seed=st.integers(0, 2**32 - 1))
     def test_results_do_not_depend_on_request_order(self, n, shares, seed):
         lim = bbar_limit(n)
-        continuation._PATHS.clear()
+        continuation._table.cache_clear()
         first = [solve_at(n, s * lim) for s in shares]
         order = np.random.default_rng(seed).permutation(len(shares))
         shuffled = {k: solve_at(n, shares[k] * lim) for k in order}
-        continuation._PATHS.clear()
+        continuation._table.cache_clear()
         cleared = {k: solve_at(n, shares[k] * lim) for k in reversed(range(len(shares)))}
         for k, state in enumerate(first):
             for other in (shuffled[k], cleared[k]):
@@ -347,7 +339,7 @@ class TestPathCache:
                 assert np.array_equal(state.design().points, other.design().points)
                 assert np.array_equal(state.design().weights, other.design().weights)
                 assert np.array_equal(state.psi().coeffs, other.psi().coeffs)
-        continuation._PATHS.clear()
+        continuation._table.cache_clear()
 
     def test_a_fresh_interpreter_gives_the_same_bits(self):
         pairs = [(5, 0.3), (16, -0.7), (40, 0.95)]
@@ -368,31 +360,36 @@ class TestPathCache:
                 for st in states]
         assert proc.stdout.splitlines() == here
 
-    def test_requested_tol_holds_on_exact_hit(self, fresh_cache):
+    def test_requested_tol_holds_on_exact_hit(self, fresh_table):
         x = 0.7
         solve_at(4, x)
         assert_certified(solve_at(4, x))
 
+    @staticmethod
+    def corrupt_table(n, monkeypatch):
+        """Make the start table of degree n 1e-4 off; return its start at s = 0.5."""
+        table, margin = continuation._table(n)
+        corrupted = table * (1.0 + 1e-4)
+        monkeypatch.setattr(continuation, "_table", lambda n: (corrupted, margin))
+        return np.concatenate([[-1.0], ncheb.chebval(0.0, corrupted), [1.0]])
+
     @pytest.mark.parametrize("n", [30, 40])
-    def test_a_corrupted_start_table_still_reaches_the_optimum(self, n, fresh_cache,
+    def test_a_corrupted_start_table_still_reaches_the_optimum(self, n, fresh_table,
                                                              monkeypatch):
         # a start table 1e-4 off at these degrees: the exchange from it
         # must still reach the optimum
-        path = continuation._path(n)
-        monkeypatch.setattr(path, "table", path.table * (1.0 + 1e-4))
+        start = self.corrupt_table(n, monkeypatch)
         bbar = 0.5 * bbar_limit(n)
-        start = path.start(bbar)
         state = solve_at(n, bbar)
         assert np.abs(state.design().points - start).max() > 1e-6
         assert path_gap(state.design(), n, bbar) <= 1e-10
 
     @pytest.mark.parametrize("n", [30, 40])
-    def test_a_state_stopped_on_a_corrupted_start_is_refused(self, n, fresh_cache,
+    def test_a_state_stopped_on_a_corrupted_start_is_refused(self, n, fresh_table,
                                                            monkeypatch):
         # the exchange stops on the corrupted start's own reference; the
         # relative margin refuses the state on every route
-        path = continuation._path(n)
-        monkeypatch.setattr(path, "table", path.table * (1.0 + 1e-4))
+        self.corrupt_table(n, monkeypatch)
         monkeypatch.setattr(continuation, "EXCHANGE_TOL", 1.0)
         bbar = 0.5 * bbar_limit(n)
         with pytest.raises(OptimalityError):
@@ -406,7 +403,7 @@ class TestPathCache:
         with pytest.raises(OptimalityError):
             trajectory(n, [-bbar, bbar])
 
-    def test_returned_states_do_not_alias_the_cache(self, fresh_cache):
+    def test_returned_states_do_not_alias_the_cache(self, fresh_table):
         first = solve_at(5, 0.6)
         expected = state_vector(first)
         first.coeffs[:] = 0.0
@@ -436,7 +433,7 @@ class TestMirror:
             assert_certified(down)
 
     @pytest.mark.parametrize("n", [3, 5, 8, 12])
-    def test_mirror_matches_a_direct_walk(self, n, fresh_cache):
+    def test_mirror_matches_a_direct_walk(self, n, fresh_table):
         # the exchange itself knows nothing of the mirror: run it at bbar < 0
         # from the bbar = 0 support; at the limit it is the closed form
         lim = bbar_limit(n)
@@ -463,7 +460,7 @@ class TestMirror:
         assert np.array_equal(down.interior_points, -up.interior_points[::-1])
         assert np.array_equal(down.design().weights, up.design().weights[::-1])
 
-    def test_exact_hit_returns_the_stored_bits(self, fresh_cache):
+    def test_exact_hit_returns_the_stored_bits(self, fresh_table):
         first = solve_at(5, 0.6)
         assert np.array_equal(state_vector(solve_at(5, 0.6)), state_vector(first))
         assert np.array_equal(solve_at(5, -0.6).design().points,
@@ -472,7 +469,7 @@ class TestMirror:
 
 class TestWorkCount:
     @pytest.mark.parametrize("n", [3, 5, 8, 12])
-    def test_symmetric_trajectory_walks_each_magnitude_once(self, n, fresh_cache,
+    def test_symmetric_trajectory_walks_each_magnitude_once(self, n, fresh_table,
                                                             monkeypatch):
         calls = []
         alternance = continuation._alternance
@@ -481,7 +478,7 @@ class TestWorkCount:
             calls.append(args[1])
             return alternance(*args)
 
-        continuation._path(n)
+        continuation._table(n)
         monkeypatch.setattr(continuation, "_alternance", counted)
         asymmetric = 0
         for s in (0.33, 0.5, 0.71, 0.95, 1.0):
@@ -507,7 +504,7 @@ class TestWorkCount:
     def test_start_table_leaves_at_most_two_exchanges(self, n, most, monkeypatch):
         # with TABLE_NODES = 16 the exchange stops on the start's own
         # reference, or one exchange later
-        continuation._path(n)
+        continuation._table(n)
         exchanges = continuation._exchanges
         count = []
 

@@ -200,16 +200,9 @@ def path_gap(design, n, bbar):
     return abs(value / (bbar * bbar * remez(n, 1.0 / bbar).deviation ** 2) - 1.0)
 
 
-@pytest.fixture
-def fresh_paths():
-    continuation._PATHS.clear()
-    yield
-    continuation._PATHS.clear()
-
-
 @pytest.mark.parametrize("n", PATH_DEGREES)
 @pytest.mark.parametrize("share", PATH_SHARES)
-def test_solve_at_reaches_the_optimum(n, share, fresh_paths):
+def test_solve_at_reaches_the_optimum(n, share, fresh_table):
     bbar = share * bbar_limit(n)
     for _ in ("cold", "stored"):
         state = solve_at(n, bbar)
@@ -220,7 +213,7 @@ def test_solve_at_reaches_the_optimum(n, share, fresh_paths):
 
 
 @pytest.mark.parametrize("n", PATH_DEGREES)
-def test_symmetric_trajectory_reaches_the_optimum(n, fresh_paths):
+def test_symmetric_trajectory_reaches_the_optimum(n, fresh_table):
     grid = np.linspace(-bbar_limit(n), bbar_limit(n), 9)
     rows = trajectory(n, grid)
     assert [g for g, _ in rows] == grid.tolist()
@@ -234,7 +227,7 @@ def test_symmetric_trajectory_reaches_the_optimum(n, fresh_paths):
 
 
 @pytest.mark.parametrize("n", PATH_DEGREES)
-def test_maximin_on_a_ray_reaches_the_optimum(n, fresh_paths):
+def test_maximin_on_a_ray_reaches_the_optimum(n, fresh_table):
     b0 = 1.0 / (0.5 * bbar_limit(n))
     optimum = remez(n, b0).deviation ** 2
     assert abs(r_value(n, b0) / optimum - 1.0) <= 1e-10
@@ -244,13 +237,13 @@ def test_maximin_on_a_ray_reaches_the_optimum(n, fresh_paths):
 
 
 @pytest.mark.parametrize("sign", (1.0, -1.0))
-def test_solve_at_n25_at_a_fifth_of_the_limit(sign, fresh_paths):
+def test_solve_at_n25_at_a_fifth_of_the_limit(sign, fresh_table):
     # the monomial Newton walk returned a design 1.7e-3 off here, silently
     bbar = sign * 0.2 * bbar_limit(25)
     assert path_gap(solve_at(25, bbar).design(), 25, bbar) <= 1e-10
 
 
-def test_trajectory_n26_reaches_the_optimum(fresh_paths):
+def test_trajectory_n26_reaches_the_optimum(fresh_table):
     # the Newton walk exited cleanly with designs 1.4e-5 below the optimum
     for g, d in trajectory(26, np.linspace(-5.0, 5.0, 5)):
         if g != 0.0:
@@ -258,11 +251,11 @@ def test_trajectory_n26_reaches_the_optimum(fresh_paths):
 
 
 @pytest.mark.parametrize("n", (24, 30, 40))
-def test_results_do_not_depend_on_request_order(n, fresh_paths):
+def test_results_do_not_depend_on_request_order(n, fresh_table):
     # at n = 24 the Newton walk's designs moved by up to 1.7e-3 with the order
     bbars = np.array([0.9, -0.1, 0.45, -0.7, 0.2, 1.0, -0.33]) * bbar_limit(n)
     first = [solve_at(n, x).design() for x in bbars]
-    continuation._PATHS.clear()
+    continuation._table.cache_clear()
     second = [solve_at(n, x).design() for x in bbars[::-1]][::-1]
     for a, b in zip(first, second):
         assert np.abs(a.points - b.points).max() <= 1e-12

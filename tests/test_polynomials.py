@@ -54,6 +54,15 @@ def test_extrema_alternation(n):
     assert np.abs(vals - expected).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 41))
+def test_extrema_are_symmetric_to_the_bit(n):
+    e = chebyshev_extrema(n)
+    assert np.array_equal(e, -e[::-1])
+    assert e[0] == -1.0 and e[-1] == 1.0
+    if n % 2 == 0:
+        assert e[n // 2] == 0.0
+
+
 def test_eval_clenshaw():
     p = ChebyshevSeries(ncheb.poly2cheb([1.0, 0.0, 2.0]))
     assert p(3.0) == 19.0

@@ -31,11 +31,11 @@ from tdiscrim import (
     verification_report,
     zero_b_family,
 )
-from tdiscrim import checks, continuation
+from tdiscrim import checks, continuation, minimax
 from tdiscrim.checks import appendix_identity, equivalence_system
 from tdiscrim.cli import main
 from tdiscrim.closed_form import in_explicit_regime
-from tdiscrim.continuation import _path, d1_optimal_start
+from tdiscrim.continuation import _table, d1_optimal_start
 from tdiscrim.errors import MAX_DEGREE, check_degree, check_ratio
 from tdiscrim.polynomials import monomial_to_chebyshev
 
@@ -54,7 +54,7 @@ DEGREE_ENTRY_POINTS = [
     ("canonical_weights", canonical_weights, 2),
     ("t_optimal_design", lambda n: t_optimal_design(n, 0.1), 2),
     ("zero_b_family", lambda n: zero_b_family(n, 0.5), 2),
-    ("_path", _path, 3),
+    ("_table", _table, 3),
     ("DiscriminationProblem", lambda n: DiscriminationProblem(n, b=0.1), 2),
     ("maximin_design", lambda n: maximin_design(n, RatioInterval.whole_line()), 2),
     ("r_value", lambda n: r_value(n, 0.1), 2),
@@ -299,6 +299,27 @@ def test_one_global_inequality_tolerance():
     assert bare(ContinuationState) == "(coeffs, points, weights, bbar)"
     assert bare(trajectory) == "(n, grid)"
     assert bare(taylor_coefficients) == "(n, bbar0, order=3)"
+
+
+def test_one_exchange_budget_and_no_path_object():
+    # remez and the path stop their exchanges by one budget, defined in minimax
+    assert continuation.EXCHANGE_TOL is minimax.EXCHANGE_TOL == 1e-12
+    assert continuation.MAX_EXCHANGES is minimax.MAX_EXCHANGES == 100
+    defaults = inspect.signature(remez).parameters
+    assert defaults["tol"].default is minimax.EXCHANGE_TOL
+    assert defaults["max_iter"].default is minimax.MAX_EXCHANGES
+    # the path keeps one cached start table per degree: no engine class, no
+    # module-level container and no accessor
+    classes = [k for k, v in vars(continuation).items()
+               if isinstance(v, type) and v.__module__ == continuation.__name__]
+    assert classes == ["ContinuationState"]
+    assert not [k for k, v in vars(continuation).items()
+                if isinstance(v, (dict, list, set)) and not k.startswith("__")]
+    assert not hasattr(continuation, "_path")
+    table = _table(5)[0]
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
 
 
 def test_a_state_exposes_only_what_it_holds():
