@@ -30,10 +30,15 @@ The problem is symmetric under x -> -x, which maps x^n + b x^(n-1) to
 bbar. Every request solves only bbar >= 0 and answers bbar < 0 with the
 exact mirror of the state at |bbar|. No solved state is kept. The first
 request for a degree solves the support at TABLE_NODES Chebyshev-Lobatto
-nodes in s = bbar / bbar_limit(n), and the Chebyshev interpolant of the
-interior points in s is cached, read-only, as the degree's start table;
-each request starts its exchange from the table at its own s. A result is
-then a function of n and bbar alone, whatever was requested before it.
+nodes in u = asinh(bbar / SINGULARITY_HEIGHT) over the path half-width, and
+the Chebyshev interpolant of the interior points in u is cached, read-only,
+as the degree's start table; each request starts its exchange from the
+table at its own u. In u the path's complex singularity near bbar = 0 lies
+far from the real interval, so the interpolant converges fast enough that
+at n = 3..40 the exchange stops on its first iterate (Hale & Trefethen,
+SIAM J. Numer. Anal. 46, 2008, on maps that move a singularity away from a
+Chebyshev interpolant). A result is then a function of n and bbar alone, whatever
+was requested before it.
 """
 
 from __future__ import annotations
@@ -53,14 +58,26 @@ from .errors import (ConvergenceError, OptimalityError, RegimeError,
 from .minimax import EXCHANGE_TOL, MAX_EXCHANGES, _exchange, _exchanges
 from .polynomials import ChebyshevSeries, chebyshev_extrema
 
-# Chebyshev-Lobatto nodes of each degree's start table, in s = bbar / bbar_limit(n),
-# and of taylor_coefficients' window; the support is analytic in bbar, so
-# both interpolants converge geometrically.
-TABLE_NODES = 16
-LOBATTO = -np.cos(np.arange(TABLE_NODES) * np.pi / (TABLE_NODES - 1))
 # Distance from the real axis to the path's nearest complex singularity near
-# bbar = 0, measured at n = 5..40: a series about bbar0 converges within |bbar0 - 1.15i|.
+# bbar = 0, measured at n = 5..40: a series about bbar0 converges within
+# |bbar0 - 1.15i|. It also sets the start table's coordinate
+# u = asinh(bbar / SINGULARITY_HEIGHT), in which that singularity sits far
+# from the real interval.
 SINGULARITY_HEIGHT = 1.15
+# Chebyshev-Lobatto nodes of each degree's start table, in u, and of
+# taylor_coefficients' window, in bbar; the support is analytic in bbar, so
+# both interpolants converge geometrically.
+TABLE_NODES = 24
+WINDOW_NODES = 16
+
+
+def _lobatto(m: int) -> np.ndarray:
+    """The m Chebyshev-Lobatto nodes on [-1, 1], ascending."""
+    return -np.cos(np.arange(m) * np.pi / (m - 1))
+
+
+LOBATTO = _lobatto(TABLE_NODES)
+WINDOW = _lobatto(WINDOW_NODES)
 
 
 @dataclass
@@ -201,21 +218,49 @@ def _table(n: int) -> tuple[np.ndarray, float]:
     """The start table of degree n and the anchor's relative margin, built once per degree.
 
     The table interpolates the support's interior points at TABLE_NODES
-    Chebyshev-Lobatto nodes in s = bbar / bbar_limit(n): the anchor at
-    s = 0, the closed form at s = 1, and between them exchanges chained from
-    node to node. It is shared by every caller, so it is read-only. Rejects
-    n that is not an integer >= 3.
+    Chebyshev-Lobatto nodes in u = asinh(bbar / SINGULARITY_HEIGHT) over
+    [0, _u_limit(n)]: the anchor at bbar = 0, the closed form at exactly
+    bbar_limit(n), and between them exchanges chained from node to node at
+    bbar = SINGULARITY_HEIGHT sinh(u). The last node is the limit itself,
+    not its sinh round trip, which lands up to two ulps off it, so that
+    _alternance takes its explicit branch there at exactly the critical
+    ratio. It is shared by every caller, so it is read-only. Rejects n that
+    is not an integer >= 3.
     """
     n = check_degree(n, 3)
     anchor = d1_optimal_start(n)
-    limit = bbar_limit(n)
+    nodes = SINGULARITY_HEIGHT * np.sinh(_u_limit(n) * (1.0 + LOBATTO[1:]) / 2.0)
+    nodes[-1] = bbar_limit(n)
     pts = [anchor.interior_points]
-    for s in (1.0 + LOBATTO[1:]) / 2.0:
+    for bbar in nodes:
         start = np.concatenate([[-1.0], pts[-1], [1.0]])
-        pts.append(_alternance(n, s * limit, start)[0].interior_points)
+        pts.append(_alternance(n, float(bbar), start)[0].interior_points)
     table = chebfit(LOBATTO, np.array(pts), TABLE_NODES - 1)
     table.flags.writeable = False
     return table, inequality_margin(anchor) / h_form(anchor)
+
+
+def _u_limit(n: int) -> float:
+    """The start table's coordinate u = asinh(bbar / SINGULARITY_HEIGHT) at bbar_limit(n)."""
+    return math.asinh(bbar_limit(n) / SINGULARITY_HEIGHT)
+
+
+def _coordinate(n: int, bbar: float) -> float:
+    """Where the start table of degree n is read for bbar >= 0, in [-1, 1].
+
+    u = asinh(bbar / SINGULARITY_HEIGHT) mapped from [0, _u_limit(n)] onto
+    [-1, 1], clipped at the table's last node.
+    """
+    return 2.0 * min(math.asinh(bbar / SINGULARITY_HEIGHT) / _u_limit(n), 1.0) - 1.0
+
+
+def _lookup(table: np.ndarray, x: float) -> np.ndarray:
+    """The Chebyshev series whose coefficient rows are table, at x in [-1, 1].
+
+    One product of the basis T_k(x) = cos(k acos x) with the table; it
+    equals chebval(x, table) to rounding at a tenth of its cost.
+    """
+    return np.cos(np.arange(table.shape[0]) * math.acos(x)) @ table
 
 
 def _check(n: int, bbar: float) -> None:
@@ -232,16 +277,16 @@ def _check(n: int, bbar: float) -> None:
 def _solve(n: int, bbar: float) -> ContinuationState:
     """The state at bbar on the path interval, screened by its margin relative to H.
 
-    The anchor at bbar = 0; otherwise an exchange from the start table at
-    s = |bbar| / bbar_limit(n). At bbar < 0 this is the mirror of the state
-    at -bbar, screened by the margin the two share, so that an
-    OptimalityError names bbar and carries the state at it.
+    The anchor at bbar = 0; otherwise an exchange from the start table read
+    at u = asinh(|bbar| / SINGULARITY_HEIGHT), clipped to its last node. At
+    bbar < 0 this is the mirror of the state at -bbar, screened by the
+    margin the two share, so that an OptimalityError names bbar and carries
+    the state at it.
     """
     table, anchor_margin = _table(n)
     if bbar == 0.0:
         return _screened(d1_optimal_start(n), anchor_margin)
-    x = 2.0 * min(abs(bbar) / bbar_limit(n), 1.0) - 1.0
-    start = np.concatenate([[-1.0], chebval(x, table), [1.0]])
+    start = np.concatenate([[-1.0], _lookup(table, _coordinate(n, abs(bbar))), [1.0]])
     state, margin = _alternance(n, abs(bbar), start)
     return _screened(_mirrored(state) if bbar < 0.0 else state, margin)
 
@@ -310,9 +355,9 @@ def taylor_coefficients(n: int, bbar0: float, order: int = 3) -> np.ndarray:
 
     Row k-1 of the (order, 3n - 1) result holds the k-th derivative at
     bbar0 over k!, for order <= 3, of the Chebyshev interpolant of screened
-    states at the LOBATTO nodes of the window bbar0 +/- r, cut to the path
-    interval; r = |bbar0 - SINGULARITY_HEIGHT i| / 4 is a quarter of the
-    series' radius. A state that fails the screen raises OptimalityError.
+    states at the WINDOW_NODES Chebyshev-Lobatto nodes of the window
+    bbar0 +/- r, cut to the path interval; r = |bbar0 - SINGULARITY_HEIGHT i| / 4
+    is a quarter of the series' radius. A state that fails the screen raises OptimalityError.
     Validation tool only: the path states come from the alternance.
     """
     if order not in (1, 2, 3):
@@ -323,9 +368,9 @@ def taylor_coefficients(n: int, bbar0: float, order: int = 3) -> np.ndarray:
     r = math.hypot(bbar0, SINGULARITY_HEIGHT) / 4.0
     lo, hi = max(bbar0 - r, -limit), min(bbar0 + r, limit)
     mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-    states = [_solve(n, float(b)) for b in mid + half * LOBATTO]
-    fit = chebfit(LOBATTO, np.array([np.concatenate([s.coeffs, s.interior_points, s.weights])
-                                     for s in states]), TABLE_NODES - 1)
+    states = [_solve(n, float(b)) for b in mid + half * WINDOW]
+    fit = chebfit(WINDOW, np.array([np.concatenate([s.coeffs, s.interior_points, s.weights])
+                                    for s in states]), WINDOW_NODES - 1)
     x0 = (bbar0 - mid) / half
     return np.array([chebval(x0, chebder(fit, k, 1.0 / half)) / math.factorial(k)
                      for k in range(1, order + 1)])

@@ -9,7 +9,8 @@ from numpy.polynomial import chebyshev as ncheb
 from hypothesis import given, settings, strategies as st
 
 from tdiscrim import continuation
-from tdiscrim.closed_form import canonical_weights, critical_b, t_optimal_design
+from tdiscrim.closed_form import (canonical_weights, critical_b, in_explicit_regime,
+                                  t_optimal_design)
 from tdiscrim.continuation import (
     ContinuationState,
     bbar_limit,
@@ -367,11 +368,15 @@ class TestPathCache:
 
     @staticmethod
     def corrupt_table(n, monkeypatch):
-        """Make the start table of degree n 1e-4 off; return its start at s = 0.5."""
+        """Make the start table of degree n 1e-4 off; return its start at s = 0.5.
+
+        The start is read where _solve reads it for bbar = 0.5 bbar_limit(n).
+        """
         table, margin = continuation._table(n)
         corrupted = table * (1.0 + 1e-4)
         monkeypatch.setattr(continuation, "_table", lambda n: (corrupted, margin))
-        return np.concatenate([[-1.0], ncheb.chebval(0.0, corrupted), [1.0]])
+        x = continuation._coordinate(n, 0.5 * bbar_limit(n))
+        return np.concatenate([[-1.0], continuation._lookup(corrupted, x), [1.0]])
 
     @pytest.mark.parametrize("n", [30, 40])
     def test_a_corrupted_start_table_still_reaches_the_optimum(self, n, fresh_table,
@@ -499,11 +504,10 @@ class TestWorkCount:
                     assert np.array_equal(d.weights, ref.weights)
         assert asymmetric > 0
 
-    @pytest.mark.parametrize("n, most", [(3, 1), (5, 1), (8, 1), (12, 2), (16, 2),
-                                         (20, 2), (30, 2), (40, 2)])
-    def test_start_table_leaves_at_most_two_exchanges(self, n, most, monkeypatch):
-        # with TABLE_NODES = 16 the exchange stops on the start's own
-        # reference, or one exchange later
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_start_table_leaves_one_exchange(self, n, monkeypatch):
+        # in u = asinh(bbar / SINGULARITY_HEIGHT) the start table is close
+        # enough that the exchange stops on the start's own reference
         continuation._table(n)
         exchanges = continuation._exchanges
         count = []
@@ -515,11 +519,51 @@ class TestWorkCount:
 
         monkeypatch.setattr(continuation, "_exchanges", counted)
         per_solve = []
-        for s in np.arange(1, 20) * 0.05:
+        for s in [1e-12, 1e-9, 1e-6, 1e-3, 0.01, *np.arange(1, 21) * 0.05]:
             count.clear()
             solve_at(n, s * bbar_limit(n))
             per_solve.append(len(count))
-        assert max(per_solve) == most
+        assert per_solve == [1] * len(per_solve)
+
+
+class TestStartTable:
+    @pytest.mark.parametrize("n", [3, 12, 40])
+    def test_last_node_is_the_critical_ratio(self, n, fresh_table, monkeypatch):
+        solved = []
+        alternance = continuation._alternance
+
+        def recorded(*args):
+            solved.append(args[1])
+            return alternance(*args)
+
+        monkeypatch.setattr(continuation, "_alternance", recorded)
+        table, _ = continuation._table(n)
+        assert len(solved) == continuation.TABLE_NODES - 1
+        assert all(0.0 < a < b for a, b in zip(solved, solved[1:]))
+        assert solved[-1] == bbar_limit(n)
+        assert in_explicit_regime(n, 1.0 / solved[-1])
+        # the closed form at the critical ratio, read back at the last node
+        cf = t_optimal_design(n, critical_b(n)).design.points[1:-1]
+        assert np.abs(continuation._lookup(table, 1.0) - cf).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 12, 40])
+    def test_lookup_matches_chebval(self, n):
+        table, _ = continuation._table(n)
+        # relative to each column's sum of |coefficients|, which bounds the
+        # series on [-1, 1]: at odd n the middle point is 0 at bbar = 0
+        scale = np.abs(table).sum(axis=0)
+        xs = np.concatenate([[-1.0, 1.0], np.random.default_rng(21).uniform(-1.0, 1.0, 50)])
+        for x in xs:
+            ref = ncheb.chebval(x, table)
+            got = continuation._lookup(table, float(x))
+            assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+
+    def test_coordinate_spans_the_path_half_width(self):
+        for n in (3, 12, 40):
+            lim = bbar_limit(n)
+            assert continuation._coordinate(n, 0.0) == -1.0
+            assert continuation._coordinate(n, lim) == 1.0
+            assert continuation._coordinate(n, lim * (1.0 + 1e-13)) == 1.0
 
 
 class TestRelativeScreen:
