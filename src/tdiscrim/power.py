@@ -8,12 +8,13 @@ and by the exact noncentral F distribution, and the two must agree; every
 simulated figure carries its seed and generator so it can be reproduced
 bit for bit.
 
-The simulation draws, per replicate, the k group means and the pooled
-within-point sum of squares instead of all N responses. Together they are
-sufficient for the F statistic (the pure-error / lack-of-fit split), so
-the figures stay exact draws from the test's distribution at k + 1
-variates per replicate. scipy is imported only inside the two functions
-that need it, so importing the package loads none of it.
+The simulation draws, per replicate, the F statistic's own two parts: its
+numerator sum of squares, noncentral chi-square on 2 degrees of freedom
+with the test's noncentrality, and its independent residual sum of
+squares, central chi-square on N - 4 (Scheffe 1959, ch. 2). The figures
+stay exact draws from the test's distribution at 3 variates per replicate
+for any design. scipy is imported only inside the two functions that need
+it, so importing the package loads none of it.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ DEFAULT_LEVEL = 0.05
 DEFAULT_REPS = 100_000
 DEFAULT_SEED = 20260821
 # Generator.standard_normal draws ziggurat normals from PCG64 streams; per
-# chunk of replicates, the scaled group means come first, then the pooled
-# within-point sums of squares.
+# chunk of replicates, the normal pairs of the numerator come first, then
+# the residual sums of squares.
 RNG_INFO = {"bit_generator": "PCG64", "normals": "ziggurat",
-            "scheme": "group-means+pooled-chisquare"}
+            "scheme": "noncentral-pair+residual-chisquare"}
 
 _CHUNK = 1 << 15
 
@@ -153,51 +154,34 @@ def noncentrality(design: ExactDesign, theta3: float) -> float:
     return float(theta3) ** 2 * _line_projection_rss(design)
 
 
-def _cubic_basis(design: ExactDesign) -> np.ndarray:
-    """Orthonormal k x k basis for the count-weighted fit on the k points.
+def _f_test(design: ExactDesign, theta3: float,
+            level: float) -> tuple[float, int, float]:
+    """Noncentrality, residual degrees of freedom and critical value.
 
-    QR of the k x 4 Vandermonde matrix with row i scaled by sqrt(n_i):
-    columns 0-1 span the straight line, 2-3 complete the cubic and the
-    remaining k - 4 span the lack of fit left over by the cubic.
+    Checks theta3 and the design first. The points are strictly
+    increasing, so the cubic fit is identifiable exactly when there are at
+    least 4 of them.
     """
-    scaled = np.sqrt(design.counts)[:, None] * np.vander(design.points, 4,
-                                                         increasing=True)
-    if np.linalg.matrix_rank(scaled) < 4:
+    _check_theta3(theta3)
+    if design.points.size < 4:
         raise ValueError("design cannot support the cubic fit (need 4 distinct points)")
     if design.size <= 4:
         raise ValueError("design leaves no residual degrees of freedom (need N > 4 runs)")
-    basis, _ = np.linalg.qr(scaled, mode="complete")
-    return basis
+    dfd = design.size - 4
+    return noncentrality(design, theta3), dfd, f_critical(level, 2, dfd)
 
 
-def _lack_of_fit_f(means: np.ndarray, pure: np.ndarray | float,
-                   basis: np.ndarray, dfd: int) -> np.ndarray:
-    """F statistics from scaled group means and pooled within-point SS.
-
-    means holds one replicate per row, sqrt(n_i) times the mean response at
-    point i; pure is the within-point sum of squares. The cubic's residual
-    SS is pure plus the means' part outside the cubic, and the numerator is
-    their part inside the cubic but outside the line.
-    """
-    proj = means @ basis
-    extra = proj[:, 2:4]
-    rest = proj[:, 4:]
-    num = np.einsum("ij,ij->i", extra, extra)
-    rss_f = pure + np.einsum("ij,ij->i", rest, rest)
-    return (num / 2.0) / (rss_f / dfd)
+def _power(lam: float, dfd: int, crit: float, level: float) -> float:
+    if lam == 0.0:
+        # central case: the survival function at the level quantile is the level
+        return float(level)
+    return noncentral_f_sf(crit, 2, dfd, lam)
 
 
 def f_test_power_analytic(design: ExactDesign, theta3: float,
                           level: float = DEFAULT_LEVEL) -> float:
     """Exact rejection probability of the lack-of-fit test."""
-    _check_theta3(theta3)
-    _cubic_basis(design)
-    lam = noncentrality(design, theta3)
-    if lam == 0.0:
-        # central case: the survival function at the level quantile is the level
-        return float(level)
-    crit = f_critical(level, 2, design.size - 4)
-    return noncentral_f_sf(crit, 2, design.size - 4, lam)
+    return _power(*_f_test(design, theta3, level), level)
 
 
 def f_test_power_mc(design: ExactDesign, theta3: float, reps: int, seed: int,
@@ -223,32 +207,29 @@ def f_test_power_mc(design: ExactDesign, theta3: float, reps: int, seed: int,
 
     Notes
     -----
-    Each replicate draws the k scaled group means sqrt(n_i) * ybar_i, which
-    are normal with mean sqrt(n_i) * theta3 * x_i^3 and unit variance, and
-    then the pooled within-point sum of squares, chi-square on N - k
-    degrees of freedom (not drawn when every point has one run). These are
-    sufficient for the F statistic, so each replicate costs k + 1 draws
-    instead of N. Per chunk of replicates the means come first, then the
-    sums of squares (``RNG_INFO["scheme"]``).
+    The numerator sum of squares is the squared length of a 2-vector of
+    unit normals with mean of squared length lam, the noncentrality; the
+    normal law is rotation invariant, so each replicate draws a standard
+    normal pair and shifts its first entry by sqrt(lam). The residual sum
+    of squares is an independent chi-square on N - 4 degrees of freedom.
+    Each replicate costs 3 draws for any design. Per chunk of replicates
+    the pairs come first, then the residual sums (``RNG_INFO["scheme"]``).
     """
     reps = int(reps)
     if reps < 1000:
         raise ValueError("reps must be at least 1000")
-    _check_theta3(theta3)
-    basis = _cubic_basis(design)
-    k, nn = design.points.size, design.size
-    crit = f_critical(level, 2, nn - 4)
-    shift = np.sqrt(design.counts) * float(theta3) * design.points**3
+    lam, dfd, crit = _f_test(design, theta3, level)
+    shift = math.sqrt(lam)
     rng = np.random.Generator(np.random.PCG64(seed))
     hits = 0
     done = 0
     while done < reps:
         m = min(_CHUNK, reps - done)
-        means = rng.standard_normal((m, k))
-        means += shift
-        pure = rng.chisquare(nn - k, m) if nn > k else 0.0
-        fstat = _lack_of_fit_f(means, pure, basis, nn - 4)
-        hits += int(np.count_nonzero(fstat > crit))
+        pair = rng.standard_normal((m, 2))
+        pair[:, 0] += shift
+        num = np.einsum("ij,ij->i", pair, pair)
+        rss = rng.chisquare(dfd, m)
+        hits += int(np.count_nonzero((num / 2.0) / (rss / dfd) > crit))
         done += m
     est = hits / reps
     se = math.sqrt(est * (1.0 - est) / reps)
@@ -256,7 +237,7 @@ def f_test_power_mc(design: ExactDesign, theta3: float, reps: int, seed: int,
         theta3=float(theta3),
         estimate=est,
         std_error=se,
-        analytic=f_test_power_analytic(design, theta3, level),
+        analytic=_power(lam, dfd, crit, level),
     )
 
 

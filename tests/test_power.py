@@ -22,8 +22,9 @@ from tdiscrim.power import (
     table1_csv,
 )
 
-# designs beyond the two study designs: more than four points, and one run
-# per point (no pooled within-point sum of squares to draw)
+# designs beyond the two study designs: more than four points, unequal
+# counts, and one run per point (every residual degree of freedom is lack of
+# fit)
 SIX_BY_8 = ExactDesign(np.linspace(-1.0, 1.0, 6), [8] * 6)
 TWELVE_ON_5 = ExactDesign([-1.0, -0.5, 0.0, 0.5, 1.0], [3, 2, 2, 2, 3])
 TEN_SINGLE = ExactDesign(np.linspace(-1.0, 1.0, 10), [1] * 10)
@@ -172,12 +173,50 @@ class TestMonteCarloPower:
             f_test_power_analytic(three, 1.0)
 
 
+class _CountingNumpy:
+    """numpy with Generators that count the variates they return."""
+
+    def __init__(self):
+        self.draws = 0
+        counter = self
+
+        class CountingGenerator:
+            def __init__(self, gen):
+                self._gen = gen
+
+            def __getattr__(self, name):
+                attr = getattr(self._gen, name)
+
+                def call(*args, **kwargs):
+                    out = attr(*args, **kwargs)
+                    counter.draws += int(np.size(out))
+                    return out
+                return call
+
+        class Random:
+            def __getattr__(self, name):
+                return getattr(np.random, name)
+
+            @staticmethod
+            def Generator(*args, **kwargs):
+                return CountingGenerator(np.random.Generator(*args, **kwargs))
+
+        self.random = Random()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
 class TestSufficientStatistics:
-    def test_give_the_full_data_f_statistic(self):
-        # the F statistic of the two least-squares fits to all N responses
-        design = ExactDesign([-1.0, -0.6, 0.0, 0.3, 1.0], [3, 1, 4, 2, 2])
+    @pytest.mark.parametrize("design", [TWELVE_ON_5, SIX_BY_8],
+                             ids=["twelve-on-five", "six-points-x8"])
+    def test_full_data_f_parts_follow_their_chi_squares(self, design):
+        # the two fits to all N responses: the drop in RSS from the line to
+        # the cubic is noncentral chi-square(2, lam), the cubic's RSS is an
+        # independent central chi-square(N - 4)
+        theta3 = 1.5
         x = design.expanded()
-        y = np.random.default_rng(5).standard_normal((50, x.size)) + 1.5 * x**3
+        y = np.random.default_rng(5).standard_normal((20_000, x.size)) + theta3 * x**3
         vander = np.vander(x, 4, increasing=True)
 
         def rss(cols):
@@ -185,31 +224,40 @@ class TestSufficientStatistics:
             res = y.T - vander[:, :cols] @ coef
             return np.einsum("ij,ij->j", res, res)
 
-        expect = (rss(2) - rss(4)) / 2.0 / (rss(4) / (x.size - 4))
-        groups = np.split(y, np.cumsum(design.counts)[:-1], axis=1)
-        means = np.sqrt(design.counts) * np.column_stack(
-            [g.mean(axis=1) for g in groups]
-        )
-        pure = sum(((g - g.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
-                   for g in groups)
-        got = power._lack_of_fit_f(means, pure, power._cubic_basis(design),
-                                   x.size - 4)
-        np.testing.assert_allclose(got, expect, rtol=1e-10)
+        rss_line, rss_cubic = rss(2), rss(4)
+        lam = noncentrality(design, theta3)
+        num = stats.kstest(rss_line - rss_cubic, stats.ncx2(2, lam).cdf)
+        den = stats.kstest(rss_cubic, stats.chi2(x.size - 4).cdf)
+        assert num.pvalue > 1e-3, num
+        assert den.pvalue > 1e-3, den
 
-    def test_stream_draws_means_then_pooled_ss(self):
-        # the seeded stream: per chunk, the k scaled group means, then the
-        # pooled within-point sums of squares
-        design, theta3, reps = SIX_BY_8, 1.5, 20_000
-        crit = f_critical(0.05, 2, design.size - 4)
-        for seed in (12, 13, 14):
-            rng = np.random.Generator(np.random.PCG64(seed))
-            means = rng.standard_normal((reps, 6))
-            means += np.sqrt(design.counts) * theta3 * design.points**3
-            pure = rng.chisquare(design.size - 6, reps)
-            fstat = power._lack_of_fit_f(means, pure, power._cubic_basis(design),
-                                         design.size - 4)
-            hits = np.count_nonzero(fstat > crit)
-            assert f_test_power_mc(design, theta3, reps, seed).estimate == hits / reps
+    def test_stream_draws_pair_then_residual_ss(self):
+        # the seeded stream: per chunk of 2^15 replicates, the shifted
+        # normal pairs of the numerator, then the residual sums of squares
+        theta3, reps = 1.5, 40_000
+        for design in (SIX_BY_8, TEN_SINGLE):
+            dfd = design.size - 4
+            crit = f_critical(0.05, 2, dfd)
+            shift = np.sqrt(noncentrality(design, theta3))
+            for seed in (12, 13, 14):
+                rng = np.random.Generator(np.random.PCG64(seed))
+                hits = 0
+                for m in (32_768, reps - 32_768):
+                    pair = rng.standard_normal((m, 2))
+                    pair[:, 0] += shift
+                    num = np.einsum("ij,ij->i", pair, pair)
+                    rss = rng.chisquare(dfd, m)
+                    hits += np.count_nonzero((num / 2.0) / (rss / dfd) > crit)
+                got = f_test_power_mc(design, theta3, reps, seed).estimate
+                assert got == hits / reps, (design, seed)
+
+    @pytest.mark.parametrize("design", [T_OPTIMAL_48, TEN_SINGLE],
+                             ids=["t-optimal-48", "ten-single-runs"])
+    def test_three_variates_per_replicate(self, design, monkeypatch):
+        counting = _CountingNumpy()
+        monkeypatch.setattr(power, "np", counting)
+        f_test_power_mc(design, 1.0, 40_000, 9)
+        assert counting.draws == 120_000
 
     @pytest.mark.parametrize(
         "design, seed",
@@ -281,7 +329,7 @@ class TestTable:
     def test_csv_records_sampling_scheme(self):
         text = table1_csv({"T-optimal": []}, 10_000, 3)
         assert text.split("\n")[0] == (
-            "# rng=PCG64 normals=ziggurat scheme=group-means+pooled-chisquare"
+            "# rng=PCG64 normals=ziggurat scheme=noncentral-pair+residual-chisquare"
         )
 
     def test_csv_shape(self):
