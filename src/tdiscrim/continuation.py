@@ -173,31 +173,30 @@ def _alternance(n: int, bbar: float,
     The path asks only for bbar >= 0. psi is the minimax error of
     x^(n-1) + bbar x^n, whose top Chebyshev coefficients come from
     DiscriminationProblem, so that a denormal bbar needs no b = 1/bbar. The
-    exchange stops once its gap is at most EXCHANGE_TOL of the deviation,
-    and the support is the n-point alternance among the candidates of that
-    last psi. At |b| = critical_b(n), where -1 is a double extremum and the
-    exchange finds no clean n-point set, the support is the closed-form
-    design's and psi is solved on it once. The weights, which make
-    sum_i w_i (-1)^i p(x_i) vanish for every p of degree n - 2 and sum to
-    one, are the normalised barycentric weights
+    exchange is minimax._exchanges with EXCHANGE_TOL and MAX_EXCHANGES, and
+    the support is the n-point alternance among the candidates of its last
+    psi; a failure names bbar. At |b| = critical_b(n), where -1 is a double
+    extremum and the exchange finds no clean n-point set, the support is
+    the closed-form design's and psi is solved on it once. The weights,
+    which make sum_i w_i (-1)^i p(x_i) vanish for every p of degree n - 2
+    and sum to one, are the normalised barycentric weights
     w_i = exp(-sum_(j != i) log|x_i - x_j|) / sum (Berrut & Trefethen, SIAM
     Review 46, 2004): the (n-1)-th divided difference of such a p is zero.
     The relative margin is the largest psi^2 over the critical points of
     psi, less H, over H; the last exchange has already evaluated psi there.
     """
-    top = DiscriminationProblem(n, bbar=bbar).fixed_part().coeffs[n - 1 :]
+    target = DiscriminationProblem(n, bbar=bbar).fixed_part().coeffs
     explicit = bbar > 0.0 and in_explicit_regime(n, 1.0 / bbar)
     if explicit:
         start = support_points(n, 1.0 / bbar)
         start[0] = -1.0
-    iterates = zip(range(MAX_EXCHANGES), _exchanges(top, start))
-    for _, (_, level, psi, cand, vals) in iterates:
-        dev = float(np.abs(vals).max())
-        if explicit or dev - abs(level) <= EXCHANGE_TOL * dev:
-            break
-    else:
-        raise ConvergenceError(
-            f"no alternance within {MAX_EXCHANGES} exchanges at bbar = {bbar!r}")
+    # tol = 1 takes the first iterate on the closed-form support: the gap
+    # never exceeds the deviation
+    try:
+        _, _, psi, cand, vals = _exchanges(target, start, 1.0 if explicit else EXCHANGE_TOL,
+                                           MAX_EXCHANGES)
+    except ConvergenceError as err:
+        raise ConvergenceError(f"{err} at bbar = {bbar!r}", last=err.last) from err
     pts = start if explicit else _exchange(cand, vals, n)
     gaps = np.abs(np.subtract.outer(pts, pts))
     np.fill_diagonal(gaps, 1.0)

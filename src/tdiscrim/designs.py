@@ -7,7 +7,8 @@ part of the larger model and the span of T_0, ..., T_(n-2); the inner
 minimization is plain weighted least squares on the support. Modulo that
 span the fixed part is its top two Chebyshev terms,
 x^n + b x^(n-1) = 2^(1-n) (T_n + 2b T_(n-1)), so the residual is formed
-without the cancellation a monomial fit suffers at high degree.
+without the cancellation a monomial fit suffers at high degree. Each
+monomial's series comes from its closed form (_monomial), exact in floats.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 
 from .errors import check_degree, check_ratio
-from .polynomials import ChebyshevSeries, monomial_to_chebyshev
+from .polynomials import ChebyshevSeries
 
 POINT_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
@@ -118,14 +119,12 @@ class DiscriminationProblem:
     Exactly one of b (coefficient of x^(n-1), monic x^n) and bbar (coefficient
     of x^n, unit x^(n-1)) must be given; the two parametrizations cover small
     and large ratios respectively. Either must be finite, and so must its
-    square, since criterion values grow like it. scale multiplies the fixed
-    part.
+    square, since criterion values grow like it.
     """
 
     n: int
     b: float | None = None
     bbar: float | None = None
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         self.n = check_degree(self.n, 2)
@@ -136,16 +135,25 @@ class DiscriminationProblem:
         if not math.isfinite(x * x):
             raise ValueError(f"{name} = {x!r} is too large: its square overflows")
         setattr(self, name, x)
-        self.scale = float(self.scale)
 
     def fixed_part(self) -> ChebyshevSeries:
-        """The non-fittable part: scale * (x^n + b x^(n-1)) or scale * (x^(n-1) + bbar x^n)."""
-        m = monomial_to_chebyshev(self.n)
+        """The non-fittable part: x^n + b x^(n-1) or x^(n-1) + bbar x^n."""
+        hi, lo = _monomial(self.n, self.n + 1), _monomial(self.n - 1, self.n + 1)
         if self.b is not None:
-            c = m[:, self.n] + self.b * m[:, self.n - 1]
-        else:
-            c = self.bbar * m[:, self.n] + m[:, self.n - 1]
-        return ChebyshevSeries(self.scale * c)
+            return ChebyshevSeries(hi + self.b * lo)
+        return ChebyshevSeries(self.bbar * hi + lo)
+
+
+def _monomial(m: int, size: int) -> np.ndarray:
+    """The Chebyshev coefficients of x^m, zero-padded to size > m.
+
+    x^m = 2^(1-m) sum_k C(m, k) T_(m-2k), the T_0 term halved: binomial
+    coefficients times powers of two, exact while C(m, m // 2) < 2^53.
+    """
+    c = np.zeros(size)
+    c[m::-2] = [math.comb(m, k) * 2.0 ** (1 - m) for k in range(m // 2 + 1)]
+    c[0] *= 0.5
+    return c
 
 
 def _fit(design: Design, problem: DiscriminationProblem):

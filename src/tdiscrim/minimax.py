@@ -4,14 +4,16 @@ Two independent routes to the same object, both on Chebyshev series. The
 closed form expresses the error polynomial psi as a rescaled Chebyshev
 polynomial of an affine map of x, valid while |b| stays below the critical
 ratio. The Remez exchange iteration solves the same problem for every b,
-with the critical points of psi taken from its colleague matrix. The error
-polynomial equioscillates on its extremal set, and that set carries the
-optimal discrimination design, which is what ties this module to the rest
-of the package.
+with the critical points of psi taken from its colleague matrix, in one
+function for remez and the continuation path alike. The error polynomial
+equioscillates on its extremal set, and that set carries the optimal
+discrimination design, which is what ties this module to the rest of the
+package.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +31,7 @@ CLUSTER_RADIUS = 1e-7
 EXTREMAL_TOL = 1e-9
 # An exchange stops once the largest error over the candidates exceeds the
 # alternation level by at most this share of it, or fails after this many
-# references; remez and the continuation path share both.
+# references; _exchanges applies both, for remez and the continuation path.
 EXCHANGE_TOL = 1e-12
 MAX_EXCHANGES = 100
 
@@ -153,57 +155,59 @@ def _exchange(cand: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
     return np.asarray(xs)
 
 
-def _exchanges(top: np.ndarray, ref: np.ndarray):
-    """Remez iterates for the reduced target top[0] T_(n-1) + top[1] T_n, from reference ref.
+def _exchanges(target: np.ndarray, ref: np.ndarray, tol: float, max_iter: int):
+    """Remez exchange for the target's n + 1 Chebyshev coefficients from the n points ref.
 
-    ref holds n points (the approximating space has dimension n - 1). For
-    each reference in turn this yields the solution p on it, the signed
-    level, psi (the reduced target minus p, so psi carries no
-    cancellation), the critical points of psi and its values there; the
-    next reference is exchanged from those. The caller owns the stop rule.
+    On each reference it solves for p and the signed level against the
+    target's top two terms, psi being those less p (so no cancellation),
+    and exchanges the next reference from psi's critical points. Once the
+    largest |psi| there exceeds the level by at most tol of it, it returns
+    the count, p, psi, the critical points and psi there; after max_iter
+    references, ConvergenceError with the last iterate (_result) as last.
     """
     n = ref.size
-    while True:
+    top = target[n - 1 :]
+    for it in range(1, max_iter + 1):
         p, level = _solve_reference(ref, top, n)
         psi = ChebyshevSeries(np.concatenate([-p, top]))
         cand = psi.critical_points()
         vals = psi(cand)
-        yield p, level, psi, cand, vals
-        ref = _exchange(cand, vals, n)
+        dev = float(np.abs(vals).max())
+        if dev - abs(level) <= tol * dev:
+            return it, p, psi, cand, vals
+        if it < max_iter:
+            ref = _exchange(cand, vals, n)
+    raise ConvergenceError(
+        f"no equioscillation within {max_iter} iterations "
+        f"(gap {dev - abs(level)!r})",
+        last=_result(target, it, p, psi, cand, vals),
+    )
+
+
+def _result(target: np.ndarray, it: int, p: np.ndarray, psi: ChebyshevSeries,
+            cand: np.ndarray, vals: np.ndarray) -> BestApproxResult:
+    """The iterate of _exchanges as a BestApproxResult: approximant, psi and its extremal set."""
+    keep = _extremal(cand, vals)
+    return BestApproxResult(
+        ChebyshevSeries(target[: p.size] + p), psi, float(np.abs(vals).max()),
+        cand[keep], np.sign(vals[keep]).astype(int), iterations=it,
+    )
 
 
 def remez(n: int, b: float, tol: float = EXCHANGE_TOL,
           max_iter: int = MAX_EXCHANGES) -> BestApproxResult:
     """Exchange iteration for the minimax approximant of x^n + b x^(n-1).
 
-    Works modulo degree n - 2, where the target is its top two Chebyshev
-    terms (see _exchanges). Starts from the Chebyshev extrema of degree n,
-    dropping the end the target is least strained at, and stops when the
-    largest error over the current candidates exceeds the alternation
-    level by at most tol relative to that error.
+    Runs _exchanges from the Chebyshev extrema of degree n, dropping the
+    end the target is least strained at. It needs 0 < tol < 1: the gap
+    never exceeds the error, so a tol of 1 would stop on the first reference.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol!r}")
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     n = check_degree(n, 2)
     target = target_polynomial(n, b).coeffs
-    top = target[n - 1 :]
     ext = chebyshev_extrema(n)
     ref = ext[1:] if b >= 0 else ext[:-1]
-    last: BestApproxResult | None = None
-    for it, (p, level, psi, cand, vals) in zip(range(1, max_iter + 1),
-                                               _exchanges(top, ref)):
-        dev = float(np.abs(vals).max())
-        keep = _extremal(cand, vals)
-        last = BestApproxResult(
-            ChebyshevSeries(target[: n - 1] + p), psi, dev, cand[keep],
-            np.sign(vals[keep]).astype(int), iterations=it,
-        )
-        if dev - abs(level) <= tol * dev:
-            return last
-    raise ConvergenceError(
-        f"no equioscillation within {max_iter} iterations "
-        f"(gap {dev - abs(level)!r})",
-        last=last,
-    )
+    return _result(target, *_exchanges(target, ref, tol, max_iter))

@@ -16,7 +16,6 @@ the tests hold them to that reference.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,26 +112,6 @@ class ChebyshevSeries:
 
     def __sub__(self, other: "ChebyshevSeries") -> "ChebyshevSeries":
         return self + (-other)
-
-
-@functools.cache
-def monomial_to_chebyshev(n: int) -> np.ndarray:
-    """The (n+1) x (n+1) matrix whose column k holds the Chebyshev coefficients of x^k.
-
-    Built column by column from x T_0 = T_1 and x T_j = (T_(j-1) + T_(j+1)) / 2.
-    Every entry is 2^-k times a binomial coefficient, so it is exact in
-    floating point for every n up to 56. The array is shared and read-only.
-    """
-    n = check_degree(n, 0)
-    m = np.zeros((n + 1, n + 1))
-    m[0, 0] = 1.0
-    for k in range(1, n + 1):
-        prev = m[:, k - 1]
-        m[1, k] = prev[0]
-        m[:-1, k] += 0.5 * prev[1:]
-        m[2:, k] += 0.5 * prev[1:-1]
-    m.flags.writeable = False
-    return m
 
 
 def chebyshev_extrema(n: int) -> np.ndarray:

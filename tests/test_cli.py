@@ -324,6 +324,15 @@ class TestRemez:
         assert out == ""
         assert "tol" in err
 
+    @pytest.mark.parametrize("tol", ["1", "inf"])
+    def test_tolerance_of_one_or_more_is_argument_error(self, capsys, tol):
+        # it would stop on the first, unconverged reference
+        code, out, err = run_cli(capsys, "remez", "--n", "5", "--b", "1",
+                                 "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "tol" in err
+
 
 class TestNonNumericArguments:
     """NaN b or bbar is a bad argument (exit 2); infinite ones are outside (exit 3)

@@ -408,6 +408,16 @@ class TestPathCache:
         with pytest.raises(OptimalityError):
             trajectory(n, [-bbar, bbar])
 
+    def test_an_exhausted_budget_names_bbar_and_carries_the_iterate(self, fresh_table,
+                                                                   monkeypatch):
+        # one reference from a start 1e-4 off does not meet EXCHANGE_TOL
+        self.corrupt_table(30, monkeypatch)
+        monkeypatch.setattr(continuation, "MAX_EXCHANGES", 1)
+        bbar = 0.5 * bbar_limit(30)
+        with pytest.raises(ConvergenceError, match=f"bbar = {bbar!r}") as err:
+            solve_at(30, bbar)
+        assert err.value.last.iterations == 1
+
     def test_returned_states_do_not_alias_the_cache(self, fresh_table):
         first = solve_at(5, 0.6)
         expected = state_vector(first)
@@ -513,16 +523,16 @@ class TestWorkCount:
         count = []
 
         def counted(*args):
-            for it in exchanges(*args):
-                count.append(1)
-                yield it
+            found = exchanges(*args)
+            count.append(found[0])
+            return found
 
         monkeypatch.setattr(continuation, "_exchanges", counted)
         per_solve = []
         for s in [1e-12, 1e-9, 1e-6, 1e-3, 0.01, *np.arange(1, 21) * 0.05]:
             count.clear()
             solve_at(n, s * bbar_limit(n))
-            per_solve.append(len(count))
+            per_solve.append(sum(count))
         assert per_solve == [1] * len(per_solve)
 
 

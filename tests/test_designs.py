@@ -153,8 +153,27 @@ class TestProblem:
         assert ncheb.cheb2poly(g.coeffs).tolist() == [0.0, 0.0, 2.0, 1.0]
 
     def test_fixed_part_bbar_scaled(self):
-        g = DiscriminationProblem(4, bbar=0.5, scale=2.0).fixed_part()
-        assert ncheb.cheb2poly(g.coeffs).tolist() == [0.0, 0.0, 0.0, 2.0, 1.0]
+        g = DiscriminationProblem(4, bbar=0.5).fixed_part()
+        assert ncheb.cheb2poly(g.coeffs).tolist() == [0.0, 0.0, 0.0, 1.0, 0.5]
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_fixed_part_is_poly2cheb_of_the_monomial_target(self, n):
+        # at the dyadic ratios both routes are exact, so they agree to the
+        # bit; at the others each entry is one rounded product r * C(m, k) 2^(1-m),
+        # which poly2cheb reaches through rounded sums, up to 4.4 eps apart
+        eps = np.finfo(float).eps
+        exact, rounded = (-3.0, -1.0, -0.75, 0.0, 0.5, 1.0, 2.5e4), (-3.7, -1e-3, 0.29)
+        for r in exact + rounded:
+            for problem, mono in ((DiscriminationProblem(n, b=r), [r, 1.0]),
+                                  (DiscriminationProblem(n, bbar=r), [1.0, r])):
+                got = problem.fixed_part().coeffs
+                want = np.zeros(n + 1)
+                cheb = ncheb.poly2cheb(np.concatenate([np.zeros(n - 1), mono]))
+                want[: cheb.size] = cheb
+                if r in exact:
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.all(np.abs(got - want) <= 8 * eps * np.abs(want))
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -223,12 +242,6 @@ class TestCriterion:
             assert t_criterion(d, prob) == pytest.approx(
                 t_criterion(d.reflected(), prob), rel=1e-10
             )
-
-    def test_scale_squares(self):
-        d = Design([-1.0, -0.2, 0.7, 1.0], [0.25, 0.25, 0.25, 0.25])
-        base = t_criterion(d, DiscriminationProblem(3, b=0.5))
-        scaled = t_criterion(d, DiscriminationProblem(3, b=0.5, scale=3.0))
-        assert scaled == pytest.approx(9.0 * base, rel=1e-10)
 
     def test_residual_orthogonality(self):
         d = Design([-1.0, -0.4, 0.1, 0.8, 1.0], [0.2] * 5)

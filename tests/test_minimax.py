@@ -149,6 +149,17 @@ class TestRemez:
         with pytest.raises(ValueError):
             remez(3, 0.5, max_iter=0)
 
+    @pytest.mark.parametrize("tol", [1.0, 2.0, float("inf"), -1e-12, float("nan")])
+    def test_rejects_tol_outside_zero_one(self, tol):
+        # a tol of 1 or more would take the first, unconverged reference:
+        # its gap never exceeds its deviation
+        with pytest.raises(ValueError, match="tol"):
+            remez(8, 0.29, tol=tol)
+
+    def test_rejects_non_integer_budget(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            remez(8, 0.29, max_iter=2.5)
+
     def test_iteration_budget_reported(self):
         with pytest.raises(ConvergenceError) as err:
             remez(8, 0.29, max_iter=1)

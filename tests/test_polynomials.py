@@ -3,11 +3,8 @@ import pytest
 from numpy.polynomial import chebyshev as ncheb
 from numpy.polynomial import polynomial as npoly
 
-from tdiscrim.polynomials import (
-    ChebyshevSeries,
-    chebyshev_extrema,
-    monomial_to_chebyshev,
-)
+from tdiscrim.designs import _monomial
+from tdiscrim.polynomials import ChebyshevSeries, chebyshev_extrema
 
 
 def chebyshev_t(n):
@@ -16,11 +13,11 @@ def chebyshev_t(n):
 
 
 def test_chebyshev_low_degrees_exact():
-    # columns: 1, x, x^2 = (T_0 + T_2) / 2, x^3 = (3 T_1 + T_3) / 4
-    assert monomial_to_chebyshev(3).tolist() == [[1.0, 0.0, 0.5, 0.0],
-                                                 [0.0, 1.0, 0.0, 0.75],
-                                                 [0.0, 0.0, 0.5, 0.0],
-                                                 [0.0, 0.0, 0.0, 0.25]]
+    # 1, x, x^2 = (T_0 + T_2) / 2, x^3 = (3 T_1 + T_3) / 4
+    assert [_monomial(m, 4).tolist() for m in range(4)] == [[1.0, 0.0, 0.0, 0.0],
+                                                            [0.0, 1.0, 0.0, 0.0],
+                                                            [0.5, 0.0, 0.5, 0.0],
+                                                            [0.0, 0.75, 0.0, 0.25]]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -32,8 +29,8 @@ def test_chebyshev_matches_cosine_form(n):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_chebyshev_leading_coefficient(n):
-    # x^n = 2^(1-n) T_n + lower terms, exactly; the recurrence only halves and adds
-    assert monomial_to_chebyshev(n)[n, n] == 2.0 ** (1 - n)
+    # x^n = 2^(1-n) T_n + lower terms, exactly
+    assert _monomial(n, n + 1)[n] == 2.0 ** (1 - n)
 
 
 def test_extrema_values():
@@ -85,8 +82,6 @@ def test_validation():
         ChebyshevSeries([])
     with pytest.raises(ValueError):
         ChebyshevSeries([[1.0, 2.0]])
-    with pytest.raises(ValueError):
-        monomial_to_chebyshev(-1)
     with pytest.raises(ValueError):
         chebyshev_extrema(0)
 
@@ -152,32 +147,11 @@ def test_sum_and_difference_match_polyadd_and_polysub():
 
 
 def test_chebyshev_matches_cheb2poly_of_basis_vector():
-    # column k of the basis matrix is x^k in the Chebyshev basis: poly2cheb
-    # of the k-th basis vector, which cheb2poly maps back to it exactly
+    # x^k in the Chebyshev basis is poly2cheb of the k-th basis vector,
+    # which cheb2poly maps back to it exactly
     for n in range(41):
-        m = monomial_to_chebyshev(n)
         for k in range(n + 1):
             e = np.eye(n + 1)[k]
-            assert same(m[:, k], padded(ncheb.poly2cheb(e), n + 1))
-            assert same(padded(ncheb.cheb2poly(m[:, k]), n + 1), e)
-
-
-def test_chebyshev_series_conversion_matches_cheb2poly():
-    # the matrix product sums in another order than poly2cheb's Horner
-    # loop, and cheb2poly rounds on the way back, so both agree to a few
-    # units of the sum of the magnitudes of the terms
-    eps = np.finfo(float).eps
-    for c in reference_series():
-        m = monomial_to_chebyshev(c.size - 1)
-        cheb = m @ c
-        bound = 4 * c.size * eps * (np.abs(m) @ np.abs(c))
-        assert np.all(np.abs(cheb - padded(ncheb.poly2cheb(c), c.size)) <= bound)
-        back = padded(ncheb.cheb2poly(cheb), c.size)
-        assert np.all(np.abs(back - c) <= 4 * c.size * eps
-                      * (np.abs(np.linalg.inv(m)) @ np.abs(cheb) + np.abs(c)))
-
-
-def test_basis_matrix_is_shared_and_read_only():
-    assert monomial_to_chebyshev(5) is monomial_to_chebyshev(5)
-    with pytest.raises(ValueError):
-        monomial_to_chebyshev(5)[0, 0] = 2.0
+            c = _monomial(k, n + 1)
+            assert same(c, padded(ncheb.poly2cheb(e), n + 1))
+            assert same(padded(ncheb.cheb2poly(c), n + 1), e)

@@ -37,7 +37,6 @@ from tdiscrim.cli import main
 from tdiscrim.closed_form import in_explicit_regime
 from tdiscrim.continuation import _table, d1_optimal_start
 from tdiscrim.errors import MAX_DEGREE, check_degree, check_ratio
-from tdiscrim.polynomials import monomial_to_chebyshev
 
 NAN = float("nan")
 INF = float("inf")
@@ -60,7 +59,6 @@ DEGREE_ENTRY_POINTS = [
     ("r_value", lambda n: r_value(n, 0.1), 2),
     ("target_polynomial", lambda n: target_polynomial(n, 0.1), 2),
     ("closed_form_psi", lambda n: closed_form_psi(n, 0.1), 2),
-    ("monomial_to_chebyshev", monomial_to_chebyshev, 0),
     ("chebyshev_extrema", chebyshev_extrema, 1),
     ("bbar_limit", bbar_limit, 2),
     ("solve_at", lambda n: solve_at(n, 0.1), 3),
