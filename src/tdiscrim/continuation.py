@@ -32,8 +32,11 @@ exact mirror of the state at |bbar|. No solved state is kept. The first
 request for a degree solves the support at TABLE_NODES Chebyshev-Lobatto
 nodes in u = asinh(bbar / SINGULARITY_HEIGHT) over the path half-width, and
 the Chebyshev interpolant of the interior points in u is cached, read-only,
-as the degree's start table; each request starts its exchange from the
-table at its own u. In u the path's complex singularity near bbar = 0 lies
+as the degree's start table. Each request sends all its ratios through one
+stacked exchange, each row starting from the table at its own u; a request
+of more than STACK_ROWS ratios is cut into blocks of that many, and a
+failure is raised in the order of the request, as if its ratios were solved
+one at a time. In u the path's complex singularity near bbar = 0 lies
 far from the real interval, so the interpolant converges fast enough that
 at n = 3..40 the exchange stops on its first iterate (Hale & Trefethen,
 SIAM J. Numer. Anal. 46, 2008, on maps that move a singularity away from a
@@ -44,6 +47,7 @@ was requested before it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,9 +56,9 @@ from numpy.polynomial.chebyshev import chebder, chebfit, chebval
 
 from .checks import INEQUALITY_TOL, global_inequality
 from .closed_form import REGIME_SLACK, critical_b, in_explicit_regime, support_points
-from .designs import Design, DiscriminationProblem
+from .designs import Design, _monomial
 from .errors import (ConvergenceError, OptimalityError, RegimeError,
-                     check_degree, check_ratio)
+                     check_degree, check_integer, check_ratio)
 from .minimax import EXCHANGE_TOL, MAX_EXCHANGES, _exchange, _exchanges
 from .polynomials import ChebyshevSeries, chebyshev_extrema
 
@@ -69,6 +73,9 @@ SINGULARITY_HEIGHT = 1.15
 # both interpolants converge geometrically.
 TABLE_NODES = 24
 WINDOW_NODES = 16
+# Ratios solved by one stacked exchange: a longer request is cut into blocks
+# of this many, so that its stacks hold at most this many n x n matrices.
+STACK_ROWS = 64
 
 
 def _lobatto(m: int) -> np.ndarray:
@@ -166,16 +173,17 @@ def inequality_margin(state: ContinuationState) -> float:
     return global_inequality(state.psi(), h_form(state))
 
 
-def _alternance(n: int, bbar: float,
-                start: np.ndarray) -> tuple[ContinuationState, float]:
-    """The state at bbar and its relative margin, by an exchange from the points start.
+def _alternances(n: int, bbars, starts: np.ndarray):
+    """The state at each bbar and its relative margin, in turn, by one exchange from the starts.
 
     The path asks only for bbar >= 0. psi is the minimax error of
-    x^(n-1) + bbar x^n, whose top Chebyshev coefficients come from
-    DiscriminationProblem, so that a denormal bbar needs no b = 1/bbar. The
-    exchange is minimax._exchanges with EXCHANGE_TOL and MAX_EXCHANGES, and
-    the support is the n-point alternance among the candidates of its last
-    psi; a failure names bbar. At |b| = critical_b(n), where -1 is a double
+    x^(n-1) + bbar x^n, whose top Chebyshev coefficients come from the
+    monomials' closed form, so that a denormal bbar needs no b = 1/bbar.
+    The exchange is one minimax._exchanges call over all rows, with
+    EXCHANGE_TOL and MAX_EXCHANGES, and the support is the n-point
+    alternance among the candidates of a row's last psi; a failure names
+    bbar and is raised when its row is reached, so that the rows before it
+    are yielded first. At |b| = critical_b(n), where -1 is a double
     extremum and the exchange finds no clean n-point set, the support is
     the closed-form design's and psi is solved on it once. The weights,
     which make sum_i w_i (-1)^i p(x_i) vanish for every p of degree n - 2
@@ -185,31 +193,60 @@ def _alternance(n: int, bbar: float,
     The relative margin is the largest psi^2 over the critical points of
     psi, less H, over H; the last exchange has already evaluated psi there.
     """
-    target = DiscriminationProblem(n, bbar=bbar).fixed_part().coeffs
-    explicit = bbar > 0.0 and in_explicit_regime(n, 1.0 / bbar)
-    if explicit:
-        start = support_points(n, 1.0 / bbar)
-        start[0] = -1.0
+    ratios = [float(bbar) for bbar in bbars]
+    starts = np.array(starts, dtype=float)
+    targets = np.array(ratios)[:, None] * _monomial(n, n + 1) + _monomial(n - 1, n + 1)
+    explicit = [bbar > 0.0 and in_explicit_regime(n, 1.0 / bbar) for bbar in ratios]
+    for j, bbar in enumerate(ratios):
+        if explicit[j]:
+            starts[j] = support_points(n, 1.0 / bbar)
+            starts[j, 0] = -1.0
     # tol = 1 takes the first iterate on the closed-form support: the gap
     # never exceeds the deviation
-    try:
-        _, _, psi, cand, vals = _exchanges(target, start, 1.0 if explicit else EXCHANGE_TOL,
-                                           MAX_EXCHANGES)
-    except ConvergenceError as err:
-        raise ConvergenceError(f"{err} at bbar = {bbar!r}", last=err.last) from err
-    pts = start if explicit else _exchange(cand, vals, n)
-    gaps = np.abs(np.subtract.outer(pts, pts))
-    np.fill_diagonal(gaps, 1.0)
-    logs = np.log(gaps).sum(axis=1)
-    w = np.exp(logs.min() - logs)
-    w /= w.sum()
-    if pts[0] != -1.0 or pts[-1] != 1.0 or not np.all(w > 0.0):
-        raise ConvergenceError(
-            f"the alternance at bbar = {bbar!r} is not a design on both endpoints")
-    pv = psi(pts)
-    h = float(np.sum(w * pv * pv))
-    margin = (float(np.max(vals * vals)) - h) / h
-    return ContinuationState(psi.coeffs, pts, w, bbar), margin
+    tols = [1.0 if exp else EXCHANGE_TOL for exp in explicit]
+    rows = []
+    for bbar, start, exp, row in zip(ratios, starts, explicit,
+                                     _exchanges(targets, starts, tols, MAX_EXCHANGES)):
+        if isinstance(row, ConvergenceError):
+            err = ConvergenceError(f"{row} at bbar = {bbar!r}", last=row.last)
+            err.__cause__ = row
+            rows.append(err)
+            continue
+        _, _, psi, cand, vals = row
+        try:
+            rows.append((psi, vals, start if exp else _exchange(cand, vals, n)))
+        except ConvergenceError as err:
+            rows.append(err)
+    solved = [row[2] for row in rows if not isinstance(row, ConvergenceError)]
+    weights = iter(_barycentric(np.array(solved)) if solved else ())
+    for bbar, row in zip(ratios, rows):
+        if isinstance(row, ConvergenceError):
+            raise row
+        psi, vals, pts = row
+        w = next(weights)
+        if pts[0] != -1.0 or pts[-1] != 1.0 or not np.all(w > 0.0):
+            raise ConvergenceError(
+                f"the alternance at bbar = {bbar!r} is not a design on both endpoints")
+        pv = psi(pts)
+        h = float(np.sum(w * pv * pv))
+        margin = (float(np.max(vals * vals)) - h) / h
+        yield ContinuationState(psi.coeffs, pts, w, bbar), margin
+
+
+def _barycentric(pts: np.ndarray) -> np.ndarray:
+    """The normalised barycentric weights of each row of points, by the log-sum of _alternances."""
+    k, n = pts.shape
+    gaps = np.abs(pts[:, :, None] - pts[:, None, :])
+    gaps.reshape(k, -1)[:, :: n + 1] = 1.0
+    logs = np.log(gaps).sum(axis=2)
+    w = np.exp(logs.min(axis=1, keepdims=True) - logs)
+    w /= w.sum(axis=1, keepdims=True)
+    return w
+
+
+def _alternance(n: int, bbar: float, start: np.ndarray) -> tuple[ContinuationState, float]:
+    """The state at one bbar and its relative margin: _alternances on a stack of one row."""
+    return next(_alternances(n, [bbar], start[None]))
 
 
 @functools.cache
@@ -273,21 +310,33 @@ def _check(n: int, bbar: float) -> None:
         )
 
 
-def _solve(n: int, bbar: float) -> ContinuationState:
-    """The state at bbar on the path interval, screened by its margin relative to H.
+def _solve(n: int, bbars) -> list[ContinuationState]:
+    """The states at the ratios bbars on the path interval, each screened by its relative margin.
 
-    The anchor at bbar = 0; otherwise an exchange from the start table read
-    at u = asinh(|bbar| / SINGULARITY_HEIGHT), clipped to its last node. At
-    bbar < 0 this is the mirror of the state at -bbar, screened by the
-    margin the two share, so that an OptimalityError names bbar and carries
-    the state at it.
+    The anchor at bbar = 0; the other ratios are solved by one stacked
+    exchange per block of at most STACK_ROWS of them, each row starting
+    from the start table read at u = asinh(|bbar| / SINGULARITY_HEIGHT),
+    clipped to its last node. At bbar < 0 a state is the mirror of the one
+    at -bbar, screened by the margin the two share, so that an
+    OptimalityError names bbar and carries the state at it. Failures are
+    raised in the order of bbars, each before any later row is screened
+    and before the next block is solved.
     """
     table, anchor_margin = _table(n)
-    if bbar == 0.0:
-        return _screened(d1_optimal_start(n), anchor_margin)
-    start = np.concatenate([[-1.0], _lookup(table, _coordinate(n, abs(bbar))), [1.0]])
-    state, margin = _alternance(n, abs(bbar), start)
-    return _screened(_mirrored(state) if bbar < 0.0 else state, margin)
+    mags = [abs(bbar) for bbar in bbars if bbar != 0.0]
+    solved = itertools.chain.from_iterable(
+        _alternances(n, mags[i : i + STACK_ROWS],
+                     [np.concatenate([[-1.0], _lookup(table, _coordinate(n, m)), [1.0]])
+                      for m in mags[i : i + STACK_ROWS]])
+        for i in range(0, len(mags), STACK_ROWS))
+    states = []
+    for bbar in bbars:
+        if bbar == 0.0:
+            states.append(_screened(d1_optimal_start(n), anchor_margin))
+        else:
+            state, margin = next(solved)
+            states.append(_screened(_mirrored(state) if bbar < 0.0 else state, margin))
+    return states
 
 
 def _screened(state: ContinuationState, margin: float) -> ContinuationState:
@@ -314,21 +363,25 @@ def solve_at(n: int, bbar: float) -> ContinuationState:
     """
     n, bbar = check_degree(n, 3), float(bbar)
     _check(n, bbar)
-    return _solve(n, bbar)
+    return _solve(n, [bbar])[0]
 
 
 def trajectory(n: int, grid) -> list[tuple[float, Design]]:
     """Optimal designs along a sorted grid of inverse ratios.
 
-    Each distinct |bbar| of the grid is solved once and screened by the
+    Each distinct |bbar| of the grid is solved once, all of them in one
+    stacked exchange (one per block of STACK_ROWS), and screened by the
     rule solve_at applies: a margin above INEQUALITY_TOL raises
-    OptimalityError. A negative grid value gets the reflection of the
-    design at its magnitude.
+    OptimalityError, for the smallest magnitude that fails. A negative
+    grid value gets the reflection of the design at its magnitude. Every
+    grid value is checked before any is solved.
     """
     n = check_degree(n, 3)
     g = np.atleast_1d(np.asarray(grid, dtype=float))
     if g.ndim != 1 or g.size == 0:
         raise ValueError("grid must be a non-empty one-dimensional sequence")
+    for v in g.tolist():
+        check_ratio(v, "bbar")
     if np.any(np.diff(g) < 0):
         raise ValueError("grid must be sorted ascending")
     _check(n, g[0])
@@ -344,7 +397,8 @@ def trajectory(n: int, grid) -> list[tuple[float, Design]]:
                         pos[hi - 1], pos[hi])
         slack = 4.0 * np.finfo(float).eps * mags.max()
         mags = np.where(np.abs(near - mags) <= slack, near, mags)
-    states = {m: _solve(n, float(m)) for m in np.unique(mags)}
+    distinct = np.unique(mags).tolist()
+    states = dict(zip(distinct, _solve(n, distinct)))
     return [(float(v), states[m].design() if v >= 0.0 else states[m].design().reflected())
             for v, m in zip(g, mags)]
 
@@ -356,10 +410,13 @@ def taylor_coefficients(n: int, bbar0: float, order: int = 3) -> np.ndarray:
     bbar0 over k!, for order <= 3, of the Chebyshev interpolant of screened
     states at the WINDOW_NODES Chebyshev-Lobatto nodes of the window
     bbar0 +/- r, cut to the path interval; r = |bbar0 - SINGULARITY_HEIGHT i| / 4
-    is a quarter of the series' radius. A state that fails the screen raises OptimalityError.
-    Validation tool only: the path states come from the alternance.
+    is a quarter of the series' radius. The nodes are solved in one stacked
+    exchange. A state that fails the screen raises OptimalityError. order
+    follows the integer rule of n. Validation tool only: the path states
+    come from the alternance.
     """
-    if order not in (1, 2, 3):
+    order = check_integer(order, "order", 1)
+    if order > 3:
         raise ValueError("order must be 1, 2 or 3")
     n, bbar0 = check_degree(n, 3), float(bbar0)
     _check(n, bbar0)
@@ -367,7 +424,7 @@ def taylor_coefficients(n: int, bbar0: float, order: int = 3) -> np.ndarray:
     r = math.hypot(bbar0, SINGULARITY_HEIGHT) / 4.0
     lo, hi = max(bbar0 - r, -limit), min(bbar0 + r, limit)
     mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-    states = [_solve(n, float(b)) for b in mid + half * WINDOW]
+    states = _solve(n, (mid + half * WINDOW).tolist())
     fit = chebfit(WINDOW, np.array([np.concatenate([s.coeffs, s.interior_points, s.weights])
                                     for s in states]), WINDOW_NODES - 1)
     x0 = (bbar0 - mid) / half

@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 # The largest degree any entry point accepts. tests/test_high_degree.py holds
 # the closed form, the criterion and Remez to an mpmath oracle up to it.
 MAX_DEGREE = 40
@@ -33,13 +35,23 @@ class OptimalityError(SolverError):
         self.last = last
 
 
+def check_integer(value, name: str, minimum: int) -> int:
+    """int(value), after checking that it is an integer >= minimum.
+
+    A float with an integral value counts; NaN, infinities and bools do not.
+    """
+    if isinstance(value, (bool, np.bool_)) or not (
+            math.isfinite(value) and value == int(value) and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}")
+    return int(value)
+
+
 def check_degree(n, minimum: int) -> int:
-    """int(n), after checking that n is an integer from minimum to MAX_DEGREE; NaN is not."""
-    if not (math.isfinite(n) and n == int(n) and n >= minimum):
-        raise ValueError(f"n must be an integer >= {minimum}")
+    """check_integer for the degree n, which must also be at most MAX_DEGREE."""
+    n = check_integer(n, "n", minimum)
     if n > MAX_DEGREE:
-        raise ValueError(f"n = {int(n)} exceeds the maximum degree {MAX_DEGREE}")
-    return int(n)
+        raise ValueError(f"n = {n} exceeds the maximum degree {MAX_DEGREE}")
+    return n
 
 
 def check_ratio(value, name: str, *, finite: bool = False) -> float:

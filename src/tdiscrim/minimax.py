@@ -5,15 +5,16 @@ closed form expresses the error polynomial psi as a rescaled Chebyshev
 polynomial of an affine map of x, valid while |b| stays below the critical
 ratio. The Remez exchange iteration solves the same problem for every b,
 with the critical points of psi taken from its colleague matrix, in one
-function for remez and the continuation path alike. The error polynomial
-equioscillates on its extremal set, and that set carries the optimal
-discrimination design, which is what ties this module to the rest of the
-package.
+function for remez and the continuation path alike. That function works on
+a stack of references of one degree, each row stopping on its own:
+remez sends one row, a path request all its ratios in one call. The error
+polynomial equioscillates on its extremal set, and that set carries the
+optimal discrimination design, which is what ties this module to the rest
+of the package.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,8 @@ from numpy.polynomial import chebyshev as ncheb
 
 from .closed_form import _check_regime
 from .designs import DiscriminationProblem
-from .errors import ConvergenceError, check_degree
-from .polynomials import ChebyshevSeries, chebyshev_extrema
+from .errors import ConvergenceError, check_degree, check_integer
+from .polynomials import ChebyshevSeries, _critical_points, chebyshev_extrema
 
 # Two extremal-point candidates closer than this are one analytic extremum
 # split by the root finder; keep the larger.
@@ -112,20 +113,21 @@ def _extremal(cand: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return np.asarray(out)
 
 
-def _solve_reference(ref: np.ndarray, top: np.ndarray, n: int):
-    """Interpolate the target on ref with an alternating offset.
+def _solve_reference(refs: np.ndarray, tops: np.ndarray, n: int):
+    """Interpolate each row's target on its row of refs with an alternating offset.
 
-    Modulo degree n - 2 the target is top[0] T_(n-1) + top[1] T_n. Solves
-    for the degree <= n-2 Chebyshev coefficients p and the signed level h
-    such that p(x_i) + (-1)^i h equals that reduced target at x_i.
+    Modulo degree n - 2 the target of row j is tops[j, 0] T_(n-1) +
+    tops[j, 1] T_n. Solves, in one stacked call, for the degree <= n-2
+    Chebyshev coefficients p and the signed level h of each row such that
+    p(x_i) + (-1)^i h equals that reduced target at x_i.
     """
-    m = ref.size
-    a = np.empty((m, m))
-    v = ncheb.chebvander(ref, n)
-    a[:, : m - 1] = v[:, : n - 1]
-    a[:, m - 1] = (-1.0) ** np.arange(m)
-    sol = np.linalg.solve(a, v[:, n - 1 :] @ top)
-    return sol[:-1], float(sol[-1])
+    k, m = refs.shape
+    a = np.empty((k, m, m))
+    v = ncheb.chebvander(refs, n)
+    a[:, :, : m - 1] = v[:, :, : n - 1]
+    a[:, :, m - 1] = (-1.0) ** np.arange(m)
+    sol = np.linalg.solve(a, v[:, :, n - 1 :] @ tops[:, :, None])[:, :, 0]
+    return sol[:, :-1], sol[:, -1]
 
 
 def _exchange(cand: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
@@ -155,33 +157,51 @@ def _exchange(cand: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
     return np.asarray(xs)
 
 
-def _exchanges(target: np.ndarray, ref: np.ndarray, tol: float, max_iter: int):
-    """Remez exchange for the target's n + 1 Chebyshev coefficients from the n points ref.
+def _exchanges(targets: np.ndarray, refs: np.ndarray, tols, max_iter: int) -> list:
+    """Remez exchange for a stack of targets of one degree, each from its row of refs.
 
-    On each reference it solves for p and the signed level against the
-    target's top two terms, psi being those less p (so no cancellation),
-    and exchanges the next reference from psi's critical points. Once the
-    largest |psi| there exceeds the level by at most tol of it, it returns
-    the count, p, psi, the critical points and psi there; after max_iter
-    references, ConvergenceError with the last iterate (_result) as last.
+    Each target row holds n + 1 Chebyshev coefficients and each row of refs
+    n points. On each pass it solves the references of the rows still running in one
+    stacked call, for p and the signed level against the target's top two
+    terms, psi being those less p (so no cancellation), and exchanges the
+    next reference of each from psi's critical points. Row j stops once the
+    largest |psi| there exceeds its level by at most tols[j] of it; its
+    entry is then the count, p, psi, the critical points and psi there.
+    After max_iter references its entry is a ConvergenceError with the last
+    iterate (_result) as last, and a degenerate reference leaves the
+    ConvergenceError of _exchange. Each row's entry is the one a stack of
+    that row alone gives.
     """
-    n = ref.size
-    top = target[n - 1 :]
+    k, n = refs.shape
+    tops = targets[:, n - 1 :]
+    found: list = [None] * k
+    active, top = list(range(k)), tops
     for it in range(1, max_iter + 1):
-        p, level = _solve_reference(ref, top, n)
-        psi = ChebyshevSeries(np.concatenate([-p, top]))
-        cand = psi.critical_points()
-        vals = psi(cand)
-        dev = float(np.abs(vals).max())
-        if dev - abs(level) <= tol * dev:
-            return it, p, psi, cand, vals
-        if it < max_iter:
-            ref = _exchange(cand, vals, n)
-    raise ConvergenceError(
-        f"no equioscillation within {max_iter} iterations "
-        f"(gap {dev - abs(level)!r})",
-        last=_result(target, it, p, psi, cand, vals),
-    )
+        ps, levels = _solve_reference(refs, top, n)
+        psis = [ChebyshevSeries(c) for c in np.concatenate([-ps, top], axis=1)]
+        cands = _critical_points([psi.deriv().coeffs for psi in psis])
+        running, exchanged = [], []
+        for j, p, level, psi, cand in zip(active, ps, levels.tolist(), psis, cands):
+            vals = psi(cand)
+            dev = float(np.abs(vals).max())
+            if dev - abs(level) <= tols[j] * dev:
+                found[j] = it, p, psi, cand, vals
+            elif it == max_iter:
+                found[j] = ConvergenceError(
+                    f"no equioscillation within {max_iter} iterations "
+                    f"(gap {dev - abs(level)!r})",
+                    last=_result(targets[j], it, p, psi, cand, vals),
+                )
+            else:
+                try:
+                    exchanged.append(_exchange(cand, vals, n))
+                    running.append(j)
+                except ConvergenceError as err:
+                    found[j] = err
+        if not running:
+            break
+        active, refs, top = running, np.array(exchanged), tops[running]
+    return found
 
 
 def _result(target: np.ndarray, it: int, p: np.ndarray, psi: ChebyshevSeries,
@@ -201,13 +221,15 @@ def remez(n: int, b: float, tol: float = EXCHANGE_TOL,
     Runs _exchanges from the Chebyshev extrema of degree n, dropping the
     end the target is least strained at. It needs 0 < tol < 1: the gap
     never exceeds the error, so a tol of 1 would stop on the first reference.
+    max_iter follows the integer rule of n.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie strictly between 0 and 1, got {tol!r}")
-    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
-        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    max_iter = check_integer(max_iter, "max_iter", 1)
     n = check_degree(n, 2)
     target = target_polynomial(n, b).coeffs
     ext = chebyshev_extrema(n)
-    ref = ext[1:] if b >= 0 else ext[:-1]
-    return _result(target, *_exchanges(target, ref, tol, max_iter))
+    found = _exchanges(target[None], (ext[1:] if b >= 0 else ext[:-1])[None], [tol], max_iter)[0]
+    if isinstance(found, ConvergenceError):
+        raise found
+    return _result(target, *found)

@@ -11,7 +11,9 @@ The kernels act on plain arrays: at these sizes numpy.polynomial's per-call
 coercion costs more than the arithmetic. Evaluation, differentiation and
 the colleague matrix perform the floating-point operations of chebval,
 chebder and chebcompanion in the same order, so results agree bit for bit;
-the tests hold them to that reference.
+the tests hold them to that reference. The root finder takes a stack of
+derivative rows, so that an exchange over many references of one degree
+makes one eigenvalue call; one series is a stack of one row.
 """
 
 from __future__ import annotations
@@ -70,36 +72,8 @@ class ChebyshevSeries:
         return ChebyshevSeries(der)
 
     def critical_points(self) -> np.ndarray:
-        """Endpoints plus the real roots of p' inside [-1, 1], sorted.
-
-        The roots are the eigenvalues of the colleague matrix of p', rotated
-        as numpy's chebroots rotates it. Trailing coefficients of p' up to
-        1e-14 of its largest are cut first: they move the roots inside
-        [-1, 1] by rounding only, and left in they overflow the matrix.
-        Roots within 1e-9 of the real axis count as real, and those within
-        1e-12 outside [-1, 1] as endpoint roots.
-        """
-        d = self.deriv().coeffs
-        nz = np.flatnonzero(np.abs(d) > 1e-14 * np.abs(d).max())
-        d = d[: nz[-1] + 1] if nz.size else d[:1]
-        m = d.size - 1
-        if m == 0:
-            roots = np.empty(0)
-        elif m == 1:
-            roots = np.array([-d[0] / d[1]])
-        else:
-            mat = np.zeros((m, m))
-            scl = np.array([1.0] + [np.sqrt(0.5)] * (m - 1))
-            top = mat.reshape(-1)[1 :: m + 1]
-            bot = mat.reshape(-1)[m :: m + 1]
-            top[0] = np.sqrt(0.5)
-            top[1:] = 1 / 2
-            bot[...] = top
-            mat[:, -1] -= (d[:-1] / d[-1]) * (scl / scl[-1]) * 0.5
-            roots = np.linalg.eigvals(mat[::-1, ::-1])
-        real = roots.real[np.abs(roots.imag) <= 1e-9]
-        real = real[(real >= -1.0 - 1e-12) & (real <= 1.0 + 1e-12)]
-        return np.unique(np.concatenate(([-1.0, 1.0], np.clip(real, -1.0, 1.0))))
+        """Endpoints plus the real roots of p' inside [-1, 1], sorted; see _critical_points."""
+        return _critical_points([self.deriv().coeffs])[0]
 
     def __neg__(self) -> "ChebyshevSeries":
         return ChebyshevSeries(-self.coeffs)
@@ -112,6 +86,54 @@ class ChebyshevSeries:
 
     def __sub__(self, other: "ChebyshevSeries") -> "ChebyshevSeries":
         return self + (-other)
+
+
+def _critical_points(derivs) -> list[np.ndarray]:
+    """critical_points of a stack of series, from the coefficient rows of their derivatives.
+
+    The roots are the eigenvalues of the colleague matrix of each row,
+    rotated as numpy's chebroots rotates it. Trailing coefficients of a row
+    up to 1e-14 of its largest are cut first: they move the roots inside
+    [-1, 1] by rounding only, and left in they overflow the matrix. Rows
+    cut to one length share one eigvals call, which runs LAPACK's routine
+    on each matrix of the stack as on a single one. Roots within 1e-9 of the
+    real axis count as real, and those within 1e-12 outside [-1, 1] as
+    endpoint roots.
+    """
+    cut = []
+    for d in derivs:
+        mags = np.abs(d)
+        nz = np.flatnonzero(mags > 1e-14 * mags.max())
+        cut.append(d[: nz[-1] + 1] if nz.size else d[:1])
+    roots = [np.empty(0)] * len(cut)
+    for m in {d.size - 1 for d in cut} - {0}:
+        rows = [i for i, d in enumerate(cut) if d.size - 1 == m]
+        d = np.array([cut[i] for i in rows])
+        if m == 1:
+            found = -d[:, :1] / d[:, 1:]
+        else:
+            # each row of mat is a colleague matrix flattened row by row
+            mat = np.zeros((len(rows), m * m))
+            mat[:, 1 :: m + 1] = mat[:, m :: m + 1] = 1 / 2
+            mat[:, 1] = mat[:, m] = np.sqrt(0.5)
+            scl = np.array([1.0] + [np.sqrt(0.5)] * (m - 1))
+            mat[:, m - 1 :: m] -= (d[:, :-1] / d[:, -1:]) * (scl / scl[-1]) * 0.5
+            # reversing a flattened matrix reverses both its axes
+            found = np.linalg.eigvals(mat[:, ::-1].reshape(-1, m, m))
+        for i, r in zip(rows, found):
+            roots[i] = r
+    out = []
+    for r in roots:
+        real = r.real[np.abs(r.imag) <= 1e-9]
+        real = real[(real >= -1.0 - 1e-12) & (real <= 1.0 + 1e-12)]
+        pts = np.concatenate(([-1.0, 1.0], real.clip(-1.0, 1.0)))
+        # np.unique's sort and first-of-each-run mask, without its dispatch
+        pts.sort()
+        first = np.empty(pts.size, dtype=bool)
+        first[0] = True
+        np.not_equal(pts[1:], pts[:-1], out=first[1:])
+        out.append(pts[first])
+    return out
 
 
 def chebyshev_extrema(n: int) -> np.ndarray:

@@ -50,6 +50,20 @@ def state_vector(state):
     return np.concatenate([state.coeffs, state.interior_points, state.weights])
 
 
+def recorded(name, monkeypatch):
+    """Wrap continuation._alternances or _exchanges; return each call's ratios or targets."""
+    calls = []
+    inner = getattr(continuation, name)
+    rows = 1 if name == "_alternances" else 0
+
+    def counted(*args):
+        calls.append(list(args[rows]))
+        return inner(*args)
+
+    monkeypatch.setattr(continuation, name, counted)
+    return calls
+
+
 def cold_solve(n, bbar):
     """solve_at on a freshly built start table."""
     continuation._table.cache_clear()
@@ -255,9 +269,10 @@ class TestTrajectory:
             assert np.abs(d.weights - ref.weights).max() <= 1e-9
 
     def test_screens_every_state(self, fresh_table, monkeypatch):
-        alternance = continuation._alternance
-        monkeypatch.setattr(continuation, "_alternance",
-                            lambda *args: (alternance(*args)[0], 2.0 * INEQUALITY_TOL))
+        alternances = continuation._alternances
+        monkeypatch.setattr(continuation, "_alternances",
+                            lambda *args: ((state, 2.0 * INEQUALITY_TOL)
+                                           for state, _ in alternances(*args)))
         with pytest.raises(OptimalityError):
             trajectory(4, [0.0, 0.3])
         with pytest.raises(OptimalityError):
@@ -453,9 +468,12 @@ class TestMirror:
         # from the bbar = 0 support; at the limit it is the closed form
         lim = bbar_limit(n)
         start = d1_optimal_start(n).design().points
-        for s in self.SHARES[:-1]:
+        shares = self.SHARES[:-1]
+        walked = continuation._alternances(n, [-s * lim for s in shares],
+                                           np.tile(start, (len(shares), 1)))
+        for s, (direct, _) in zip(shares, walked):
             mirror = solve_at(n, -s * lim)
-            direct = continuation._alternance(n, -s * lim, start)[0]
+            assert direct.bbar == -s * lim
             assert np.abs(state_vector(mirror) - state_vector(direct)).max() <= 1e-9
             assert abs(inequality_margin(mirror) - inequality_margin(direct)) <= 1e-12
         cf = t_optimal_design(n, -critical_b(n)).design
@@ -486,15 +504,8 @@ class TestWorkCount:
     @pytest.mark.parametrize("n", [3, 5, 8, 12])
     def test_symmetric_trajectory_walks_each_magnitude_once(self, n, fresh_table,
                                                             monkeypatch):
-        calls = []
-        alternance = continuation._alternance
-
-        def counted(*args):
-            calls.append(args[1])
-            return alternance(*args)
-
         continuation._table(n)
-        monkeypatch.setattr(continuation, "_alternance", counted)
+        calls = recorded("_alternances", monkeypatch)
         asymmetric = 0
         for s in (0.33, 0.5, 0.71, 0.95, 1.0):
             calls.clear()
@@ -503,9 +514,9 @@ class TestWorkCount:
             asymmetric += np.unique(np.abs(grid)).size > 5
             rows = trajectory(n, grid)
             # five magnitudes: bbar = 0 is the known anchor, the other
-            # four take one exchange each
-            assert len(calls) == 4
-            assert all(b > 0.0 for b in calls)
+            # four are solved in one stacked call
+            assert [len(c) for c in calls] == [4]
+            assert all(b > 0.0 for b in calls[0])
             for (g, d), (h, e) in zip(rows, rows[::-1]):
                 assert g == pytest.approx(-h, rel=1e-14, abs=0.0)
                 if g < 0.0:
@@ -517,38 +528,107 @@ class TestWorkCount:
     @pytest.mark.parametrize("n", range(3, 41))
     def test_start_table_leaves_one_exchange(self, n, monkeypatch):
         # in u = asinh(bbar / SINGULARITY_HEIGHT) the start table is close
-        # enough that the exchange stops on the start's own reference
+        # enough that the exchange stops on the start's own reference, for a
+        # row alone or in a stack
         continuation._table(n)
         exchanges = continuation._exchanges
         count = []
 
         def counted(*args):
             found = exchanges(*args)
-            count.append(found[0])
+            count.append([row[0] for row in found])
             return found
 
         monkeypatch.setattr(continuation, "_exchanges", counted)
+        shares = [1e-12, 1e-9, 1e-6, 1e-3, 0.01, *np.arange(1, 21) * 0.05]
         per_solve = []
-        for s in [1e-12, 1e-9, 1e-6, 1e-3, 0.01, *np.arange(1, 21) * 0.05]:
+        for s in shares:
             count.clear()
             solve_at(n, s * bbar_limit(n))
-            per_solve.append(sum(count))
-        assert per_solve == [1] * len(per_solve)
+            per_solve.append(list(count))
+        assert per_solve == [[[1]]] * len(shares)
+        count.clear()
+        trajectory(n, np.array(shares) * bbar_limit(n))
+        assert count == [[1] * len(shares)]
+
+    def test_one_exchange_call_per_request(self, fresh_table, monkeypatch):
+        n, lim = 8, bbar_limit(8)
+        continuation._table(n)
+        calls = recorded("_exchanges", monkeypatch)
+        trajectory(n, np.linspace(-0.9 * lim, 0.9 * lim, 9))
+        assert [len(c) for c in calls] == [4]
+        calls.clear()
+        taylor_coefficients(n, 0.4 * lim)
+        assert [len(c) for c in calls] == [continuation.WINDOW_NODES]
+        calls.clear()
+        solve_at(n, 0.4 * lim)
+        assert [len(c) for c in calls] == [1]
+
+    def test_a_long_grid_is_cut_into_blocks(self, fresh_table, monkeypatch):
+        n, k = 5, 2 * continuation.STACK_ROWS + 1
+        continuation._table(n)
+        calls = recorded("_exchanges", monkeypatch)
+        grid = np.linspace(0.01, 1.0, k) * bbar_limit(n)
+        rows = trajectory(n, grid)
+        assert len(calls) == -(-k // continuation.STACK_ROWS) == 3
+        assert [len(c) for c in calls] == [continuation.STACK_ROWS] * 2 + [1]
+        for (g, d), bbar in zip(rows, grid):
+            state = solve_at(n, bbar)
+            assert g == bbar
+            assert np.array_equal(d.points, state.points)
+            assert np.array_equal(d.weights, state.weights)
+
+
+class TestStack:
+    """A path request solves its ratios in one stack; each row is the one-ratio solve."""
+
+    @pytest.mark.parametrize("n", [3, 12, 40])
+    def test_rows_equal_one_ratio_solves(self, n, monkeypatch):
+        lim = bbar_limit(n)
+        grid = np.concatenate([-np.geomspace(lim, 1e-9 * lim, 6), [0.0],
+                               np.linspace(0.05, 1.0, 9) * lim])
+        for g, d in trajectory(n, grid):
+            ref = solve_at(n, g).design()
+            assert np.array_equal(d.points, ref.points)
+            assert np.array_equal(d.weights, ref.weights)
+        stacked = [taylor_coefficients(n, s * lim) for s in (-1.0, 0.0, 0.3)]
+        # the same window solved one ratio per exchange
+        monkeypatch.setattr(continuation, "_solve", lambda n, bbars, solve=continuation._solve:
+                            [solve(n, [b])[0] for b in bbars])
+        for s, tc in zip((-1.0, 0.0, 0.3), stacked):
+            assert np.array_equal(taylor_coefficients(n, s * lim), tc)
+
+    @pytest.mark.parametrize("fails_first", ["screen", "exchange"])
+    def test_the_smaller_magnitude_fails_first(self, fails_first, fresh_table, monkeypatch):
+        # the smaller of two magnitudes fails one way, the larger the other;
+        # the error is the smaller one's, as when each is solved in turn
+        n, lim = 6, bbar_limit(6)
+        small, large = 0.2 * lim, 0.6 * lim
+        continuation._table(n)
+        exchanges = continuation._exchanges
+        unconverged = 0 if fails_first == "exchange" else -1
+
+        def failing(targets, *args):
+            found = exchanges(targets, *args)
+            found[unconverged] = ConvergenceError("no equioscillation (forced)")
+            return found
+
+        monkeypatch.setattr(continuation, "_exchanges", failing)
+        monkeypatch.setattr(continuation, "INEQUALITY_TOL", -1.0)
+        expected = OptimalityError if fails_first == "screen" else ConvergenceError
+        with pytest.raises(expected, match=f"bbar = {small!r}"):
+            trajectory(n, [-large, -small, small, large])
 
 
 class TestStartTable:
     @pytest.mark.parametrize("n", [3, 12, 40])
     def test_last_node_is_the_critical_ratio(self, n, fresh_table, monkeypatch):
-        solved = []
-        alternance = continuation._alternance
-
-        def recorded(*args):
-            solved.append(args[1])
-            return alternance(*args)
-
-        monkeypatch.setattr(continuation, "_alternance", recorded)
+        # the table is a chain: each node is a stack of one row, started
+        # from the node before
+        stacks = recorded("_alternances", monkeypatch)
         table, _ = continuation._table(n)
-        assert len(solved) == continuation.TABLE_NODES - 1
+        assert [len(rows) for rows in stacks] == [1] * (continuation.TABLE_NODES - 1)
+        solved = [rows[0] for rows in stacks]
         assert all(0.0 < a < b for a, b in zip(solved, solved[1:]))
         assert solved[-1] == bbar_limit(n)
         assert in_explicit_regime(n, 1.0 / solved[-1])

@@ -5,12 +5,13 @@ from numpy.polynomial import chebyshev as ncheb
 from tdiscrim.closed_form import critical_b, support_points
 from tdiscrim.errors import ConvergenceError, RegimeError
 from tdiscrim.minimax import (
+    _exchanges,
     closed_form_psi,
     extremal_set,
     remez,
     target_polynomial,
 )
-from tdiscrim.polynomials import ChebyshevSeries, chebyshev_extrema
+from tdiscrim.polynomials import ChebyshevSeries, _critical_points, chebyshev_extrema
 
 
 def monomial(p):
@@ -218,3 +219,51 @@ def test_closed_form_psi_rejects_nan_ratio():
     for b in (float("inf"), -float("inf")):
         with pytest.raises(RegimeError):
             closed_form_psi(5, b)
+
+
+def test_a_stack_of_exchanges_equals_its_rows():
+    # remez's starts at n = 8: b = 0 stops after 1 exchange, 0.5 and 3 b_c
+    # after 5, 10 b_c needs 6 and runs out of a budget of 5, and a NaN start
+    # leaves a degenerate reference
+    n, max_iter = 8, 5
+    shares = [0.0, 0.5, 10.0, -3.0]
+    targets = np.array([target_polynomial(n, s * critical_b(n)).coeffs for s in shares]
+                       + [target_polynomial(n, 1.0).coeffs])
+    ext = chebyshev_extrema(n)
+    refs = np.array([ext[1:] if s >= 0 else ext[:-1] for s in shares] + [np.full(n, np.nan)])
+    stacked = _exchanges(targets, refs, [1e-12] * len(refs), max_iter)
+    assert [row[0] for row in stacked if isinstance(row, tuple)] == [1, 5, 5]
+    for j, row in enumerate(stacked):
+        alone = _exchanges(targets[j : j + 1], refs[j : j + 1], [1e-12], max_iter)[0]
+        assert type(alone) is type(row)
+        if isinstance(row, ConvergenceError):
+            assert str(row) == str(alone)
+            if row.last is None:
+                continue
+            assert row.last.iterations == alone.last.iterations == max_iter
+            pairs = [(row.last.psi.coeffs, alone.last.psi.coeffs),
+                     (row.last.approximant.coeffs, alone.last.approximant.coeffs),
+                     (row.last.extremal_points, alone.last.extremal_points),
+                     (row.last.signs, alone.last.signs),
+                     (row.last.deviation, alone.last.deviation)]
+        else:
+            pairs = [(row[0], alone[0]), (row[1], alone[1]),
+                     (row[2].coeffs, alone[2].coeffs), (row[3], alone[3]), (row[4], alone[4])]
+        assert all(np.array_equal(a, b) for a, b in pairs)
+    assert [type(row) for row in stacked[2:]] == [ConvergenceError, tuple, ConvergenceError]
+    assert "within 5 iterations" in str(stacked[2])
+    assert "degenerate reference" in str(stacked[4])
+
+
+def test_a_stack_of_critical_points_equals_its_rows():
+    # rows whose cut leaves the same degree share one eigvals call
+    rng = np.random.Generator(np.random.PCG64(41))
+    for size in (2, 3, 8, 21):
+        rows = rng.normal(size=(6, size))
+        rows[1, -1] = 0.0
+        rows[2, -2:] = [1e-16, 0.0]
+        rows[3] = np.nan
+        rows[4] = 0.0
+        stacked = _critical_points(rows)
+        for row, pts in zip(rows, stacked):
+            assert np.array_equal(_critical_points([row])[0], pts)

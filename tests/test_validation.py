@@ -110,6 +110,31 @@ def test_check_degree_returns_a_python_int():
         assert k == 5 and type(k) is int
 
 
+class TestIntegerArguments:
+    """order and max_iter follow n's integer rule: an integral float counts, a bool does not."""
+
+    def test_an_integral_float_order_counts(self):
+        assert np.array_equal(taylor_coefficients(5, 0.1, order=2.0),
+                              taylor_coefficients(5, 0.1, order=2))
+
+    @pytest.mark.parametrize("order", [True, False, np.True_, 2.5, NAN, INF, 0, 4])
+    def test_order_rejects_a_bool_or_a_fraction(self, order):
+        with pytest.raises(ValueError, match="order must be"):
+            taylor_coefficients(5, 0.1, order=order)
+
+    @pytest.mark.parametrize("max_iter", [True, np.True_, 2.5, NAN, 0])
+    def test_max_iter_rejects_a_bool_or_a_fraction(self, max_iter):
+        with pytest.raises(ValueError, match="^max_iter must be an integer >= 1$"):
+            remez(5, 1.0, max_iter=max_iter)
+
+    def test_an_integral_float_budget_counts(self):
+        assert remez(5, 1.0, max_iter=100.0).iterations == remez(5, 1.0).iterations
+
+    def test_a_bool_is_no_degree(self):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1$"):
+            chebyshev_extrema(True)
+
+
 def test_check_ratio_names_the_parameter_and_passes_infinities():
     with pytest.raises(ValueError, match=r"^bbar must be a number, got nan$"):
         check_ratio(np.float64(NAN), "bbar")
@@ -153,6 +178,14 @@ class TestNanInverseRatio:
         with pytest.raises(ValueError, match="bbar must be a number") as err:
             call()
         assert not isinstance(err.value, RegimeError)
+
+    def test_a_nan_inside_a_grid_is_caught_before_any_solve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(continuation, "_exchanges",
+                            lambda *args: calls.append(args) or minimax._exchanges(*args))
+        with pytest.raises(ValueError, match="^bbar must be a number, got nan$"):
+            trajectory(5, [0.1, NAN, 0.3])
+        assert calls == []
 
     @pytest.mark.parametrize("bbar", [INF, -INF])
     def test_infinite_is_outside_the_path(self, bbar):
