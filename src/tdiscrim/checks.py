@@ -5,9 +5,10 @@ its own error polynomial psi_xi, the residual of its weighted fit, so no
 check rebuilds the optimal psi by the closed form or the Remez exchange
 that construct designs. The moment residuals are accumulated with
 compensated summation from raw products, so an inaccurate fit cannot
-cancel against itself here. verification_report evaluates psi_xi once
-per point set, at its critical points and at the support, and runs every
-check on those values.
+cancel against itself here; they form one matrix of terms, one row per
+moment. verification_report evaluates psi_xi in one Clenshaw pass over
+its critical points and the support together, and runs every check on
+those values.
 """
 
 from __future__ import annotations
@@ -41,11 +42,10 @@ def equivalence_system(design: Design, psi: ChebyshevSeries, n: int) -> np.ndarr
 
 def _moment_residuals(design: Design, pv: np.ndarray, n: int) -> np.ndarray:
     """equivalence_system's residuals, psi being pv at the support."""
-    out = np.empty(n - 1)
-    for k in range(n - 1):
-        terms = design.weights * pv * design.points**k
-        out[k] = math.fsum(terms.tolist())
-    return out
+    # x**k row by row: a broadcast power or repeated products round differently
+    x = design.points
+    terms = np.array([x**k for k in range(n - 1)]) * (design.weights * pv)
+    return np.array([math.fsum(row) for row in terms.tolist()])
 
 
 def appendix_identity(n: int, k: int) -> float:
@@ -127,8 +127,8 @@ def verification_report(design: Design, n: int, b: float) -> dict:
     the equal-magnitude sign changes over the support;
     criterion_matches_deviation and global_inequality are one certificate,
     (dev^2 - T) / dev^2 and dev^2 - T, with dev the sup of |psi_xi| over
-    its critical points. psi_xi is evaluated once at its critical points
-    and once at the support, and every check reads those two arrays. The
+    its critical points. psi_xi is evaluated in one pass over its critical
+    points and the support together, and every check reads those values. The
     tolerances scale with the problem: the residuals and the spread are
     compared to their constant times dev, the absolute margin to its
     constant times dev^2.
@@ -136,9 +136,10 @@ def verification_report(design: Design, n: int, b: float) -> dict:
     n = check_degree(n, 2)
     b = check_ratio(b, "b", finite=True)
     psi = error_polynomial(design, DiscriminationProblem(n, b=b))
-    cv = psi(psi.critical_points())
+    cp = psi.critical_points()
+    vals = psi(np.concatenate([cp, design.points]))
+    cv, pv = vals[: cp.size], vals[cp.size :]
     deviation = float(np.abs(cv).max())
-    pv = psi(design.points)
     criterion = float(np.sum(design.weights * pv * pv))
 
     checks = []

@@ -9,11 +9,20 @@ span the fixed part is its top two Chebyshev terms,
 x^n + b x^(n-1) = 2^(1-n) (T_n + 2b T_(n-1)), so the residual is formed
 without the cancellation a monomial fit suffers at high degree. Each
 monomial's series comes from its closed form (_monomial), exact in floats.
+
+On exactly n support points the residual space is one-dimensional, and
+t_criterion takes the value from its dual instead of the fit: the squared
+(n-1)-th divided difference of the fixed part over the sum of
+lambda_i^2 / w_i, lambda_i the divided-difference weights (Berrut &
+Trefethen, SIAM Review 46, 2004). That form is exact to a few ulps where
+the least-squares residual of a non-optimal design can lose every digit;
+other support sizes keep the fit.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -21,10 +30,9 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebvander
 
 from .errors import check_degree, check_ratio
-from .polynomials import ChebyshevSeries
+from .polynomials import ChebyshevSeries, _vander
 
 POINT_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
@@ -144,15 +152,19 @@ class DiscriminationProblem:
         return ChebyshevSeries(self.bbar * hi + lo)
 
 
+@functools.cache
 def _monomial(m: int, size: int) -> np.ndarray:
     """The Chebyshev coefficients of x^m, zero-padded to size > m.
 
     x^m = 2^(1-m) sum_k C(m, k) T_(m-2k), the T_0 term halved: binomial
     coefficients times powers of two, exact while C(m, m // 2) < 2^53.
+    Built once per (m, size) and shared, so it is read-only; callers
+    combine it into fresh arrays.
     """
     c = np.zeros(size)
     c[m::-2] = [math.comb(m, k) * 2.0 ** (1 - m) for k in range(m // 2 + 1)]
     c[0] *= 0.5
+    c.flags.writeable = False
     return c
 
 
@@ -167,7 +179,7 @@ def _fit(design: Design, problem: DiscriminationProblem):
     """
     n = problem.n
     g = problem.fixed_part().coeffs
-    v = chebvander(design.points, n)
+    v = _vander(design.points, n)
     sw = np.sqrt(design.weights)
     a = sw[:, None] * v[:, : n - 1]
     y = sw * (v[:, n - 1 :] @ g[n - 1 :])
@@ -191,8 +203,37 @@ def error_polynomial(design: Design, problem: DiscriminationProblem) -> Chebyshe
 def t_criterion(design: Design, problem: DiscriminationProblem) -> float:
     """Criterion value: weighted squared deviation of the fixed part from its best fit.
 
-    Computed as the explicit sum of squared root-weighted residuals, which is
-    nonnegative by construction and zero when the support can be interpolated.
+    On n support points the fit's residuals span one direction, that of
+    the divided-difference weights lambda_i = 1 / prod_(j != i) (x_i - x_j),
+    which annihilate every polynomial of degree n - 2, so the value is
+    dd^2 / sum_i lambda_i^2 / w_i, dd being the (n-1)-th divided difference
+    of the fixed part: sum x_i + b, or 1 + bbar sum x_i, the sum taken
+    exactly (math.fsum). Each lambda_i^2 / w_i is held in log space, base
+    2: a mantissa from frexp and an exact integer exponent, so that no
+    product of gaps, weight or dd^2 overflows or underflows on the way and
+    the value loses no digit to an exponential. On any other support the
+    value is the explicit sum of squared root-weighted residuals of _fit,
+    nonnegative by construction and zero when the support can be
+    interpolated.
     """
-    res = _fit(design, problem)[2]
-    return float(res @ res)
+    if design.support_size != problem.n:
+        res = _fit(design, problem)[2]
+        return float(res @ res)
+    x = design.points
+    if problem.b is not None:
+        dd = math.fsum([*x.tolist(), problem.b])
+    else:
+        dd = 1.0 + problem.bbar * math.fsum(x.tolist())
+    gaps = np.abs(x[:, None] - x)
+    gaps.reshape(-1)[:: x.size + 1] = 1.0
+    mg, eg = np.frexp(gaps)
+    mw, ew = np.frexp(design.weights)
+    mant = mg.prod(axis=1)
+    # lambda_i^2 / w_i = 2^-k_i / (mant_i^2 mw_i), summed from the largest power of two
+    k = 2 * eg.sum(axis=1) + ew
+    k0 = int(k.min())
+    s = float(np.ldexp(1.0 / (mant * mant * mw), k0 - k).sum())
+    # the value is dd^2 2^k0 / s; with k0 even, the square comes last
+    if k0 % 2:
+        s, k0 = 2.0 * s, k0 + 1
+    return math.ldexp(abs(dd) / math.sqrt(s), k0 // 2) ** 2

@@ -38,10 +38,19 @@ class OptimalityError(SolverError):
 def check_integer(value, name: str, minimum: int) -> int:
     """int(value), after checking that it is an integer >= minimum.
 
-    A float with an integral value counts; NaN, infinities and bools do not.
+    A float with an integral value counts; NaN, infinities, bools and
+    strings do not.
     """
-    if isinstance(value, (bool, np.bool_)) or not (
-            math.isfinite(value) and value == int(value) and value >= minimum):
+    if isinstance(value, (bool, np.bool_)):
+        ok = False
+    elif isinstance(value, (int, np.integer)):
+        ok = value >= minimum
+    else:
+        try:
+            ok = math.isfinite(value) and value == int(value) and value >= minimum
+        except TypeError:
+            ok = False
+    if not ok:
         raise ValueError(f"{name} must be an integer >= {minimum}")
     return int(value)
 

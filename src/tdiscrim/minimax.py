@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as ncheb
 
 from .closed_form import _check_regime
 from .designs import DiscriminationProblem
 from .errors import ConvergenceError, check_degree, check_integer
-from .polynomials import ChebyshevSeries, _critical_points, chebyshev_extrema
+from .polynomials import ChebyshevSeries, _critical_points, _vander, chebyshev_extrema
 
 # Two extremal-point candidates closer than this are one analytic extremum
 # split by the root finder; keep the larger.
@@ -123,7 +122,7 @@ def _solve_reference(refs: np.ndarray, tops: np.ndarray, n: int):
     """
     k, m = refs.shape
     a = np.empty((k, m, m))
-    v = ncheb.chebvander(refs, n)
+    v = _vander(refs, n)
     a[:, :, : m - 1] = v[:, :, : n - 1]
     a[:, :, m - 1] = (-1.0) ** np.arange(m)
     sol = np.linalg.solve(a, v[:, :, n - 1 :] @ tops[:, :, None])[:, :, 0]

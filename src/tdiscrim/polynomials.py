@@ -8,16 +8,19 @@ accuracy at every degree up to 40, where monomial coefficients cancel
 about 0.3 n digits.
 
 The kernels act on plain arrays: at these sizes numpy.polynomial's per-call
-coercion costs more than the arithmetic. Evaluation, differentiation and
-the colleague matrix perform the floating-point operations of chebval,
-chebder and chebcompanion in the same order, so results agree bit for bit;
-the tests hold them to that reference. The root finder takes a stack of
-derivative rows, so that an exchange over many references of one degree
-makes one eigenvalue call; one series is a stack of one row.
+coercion costs more than the arithmetic. Evaluation, differentiation, the
+pseudo-Vandermonde matrix and the colleague matrix perform the
+floating-point operations of chebval, chebder, chebvander and
+chebcompanion in the same order, so results agree bit for bit; the tests
+hold them to that reference. The colleague matrix's fixed entries are
+built once per size. The root finder takes a stack of derivative rows,
+so that an exchange over many references of one degree makes one
+eigenvalue call; one series is a stack of one row.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,12 +115,10 @@ def _critical_points(derivs) -> list[np.ndarray]:
         if m == 1:
             found = -d[:, :1] / d[:, 1:]
         else:
+            skeleton, scl = _colleague(m)
             # each row of mat is a colleague matrix flattened row by row
-            mat = np.zeros((len(rows), m * m))
-            mat[:, 1 :: m + 1] = mat[:, m :: m + 1] = 1 / 2
-            mat[:, 1] = mat[:, m] = np.sqrt(0.5)
-            scl = np.array([1.0] + [np.sqrt(0.5)] * (m - 1))
-            mat[:, m - 1 :: m] -= (d[:, :-1] / d[:, -1:]) * (scl / scl[-1]) * 0.5
+            mat = np.repeat(skeleton[None], len(rows), axis=0)
+            mat[:, m - 1 :: m] -= (d[:, :-1] / d[:, -1:]) * scl * 0.5
             # reversing a flattened matrix reverses both its axes
             found = np.linalg.eigvals(mat[:, ::-1].reshape(-1, m, m))
         for i, r in zip(rows, found):
@@ -134,6 +135,43 @@ def _critical_points(derivs) -> list[np.ndarray]:
         np.not_equal(pts[1:], pts[:-1], out=first[1:])
         out.append(pts[first])
     return out
+
+
+@functools.cache
+def _colleague(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The colleague matrix of size m without its last column's coefficient terms.
+
+    The matrix flattened row by row, with 1/2 on both off-diagonals and
+    sqrt(1/2) in the two entries next to the first diagonal entry, and the
+    scale that numpy's chebcompanion applies to the coefficients of the last
+    column. Built once per size and shared, so both are read-only.
+    """
+    mat = np.zeros(m * m)
+    mat[1 :: m + 1] = mat[m :: m + 1] = 1 / 2
+    mat[1] = mat[m] = np.sqrt(0.5)
+    scl = np.array([1.0] + [np.sqrt(0.5)] * (m - 1))
+    scl = scl / scl[-1]
+    mat.flags.writeable = scl.flags.writeable = False
+    return mat, scl
+
+
+def _vander(x, deg: int) -> np.ndarray:
+    """T_0..T_deg at x, along a new last axis: chebvander's recurrence for x of any shape.
+
+    The same operations in the same order as numpy's chebvander, on the
+    same memory layout, so the matrix and every product taken with it agree
+    bit for bit, without its per-call coercion. Adding 0.0 turns -0.0 into
+    0.0, as chebvander does.
+    """
+    x = np.asarray(x, dtype=float) + 0.0
+    v = np.empty((deg + 1,) + x.shape)
+    v[0] = x * 0 + 1
+    if deg > 0:
+        x2 = 2 * x
+        v[1] = x
+        for i in range(2, deg + 1):
+            v[i] = v[i - 1] * x2 - v[i - 2]
+    return np.moveaxis(v, 0, -1)
 
 
 def chebyshev_extrema(n: int) -> np.ndarray:

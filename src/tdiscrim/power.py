@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_integer
+
 THETA3_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
 DEFAULT_LEVEL = 0.05
 DEFAULT_REPS = 100_000
@@ -197,13 +199,15 @@ def f_test_power_mc(design: ExactDesign, theta3: float, reps: int, seed: int,
         which costs no generality since the test statistic is invariant
         to them).
     reps : int
-        Independent replications, at least 1000.
+        Independent replications, an integer >= 1000.
     seed : int
         Seeds a fresh PCG64 stream; identical seeds reproduce identical
-        estimates.
+        estimates. An integer >= 0.
 
-    Raises ValueError for a non-finite theta3, or for a design without 4
-    distinct points or with N <= 4 runs, before any draw.
+    Raises ValueError for reps or seed off the integer rule of n (an
+    integral float counts, a fraction, infinity, bool or string does not),
+    for a non-finite theta3, or for a design without 4 distinct points or
+    with N <= 4 runs, before any draw.
 
     Notes
     -----
@@ -215,9 +219,8 @@ def f_test_power_mc(design: ExactDesign, theta3: float, reps: int, seed: int,
     Each replicate costs 3 draws for any design. Per chunk of replicates
     the pairs come first, then the residual sums (``RNG_INFO["scheme"]``).
     """
-    reps = int(reps)
-    if reps < 1000:
-        raise ValueError("reps must be at least 1000")
+    reps = check_integer(reps, "reps", 1000)
+    seed = check_integer(seed, "seed", 0)
     lam, dfd, crit = _f_test(design, theta3, level)
     shift = math.sqrt(lam)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -246,10 +249,11 @@ def table1(reps: int = DEFAULT_REPS, seed: int = DEFAULT_SEED,
     """Power of both study designs over the standard theta3 grid.
 
     Each of the ten cells runs on its own substream derived from the master
-    seed, so the table is reproducible as a whole and cell by cell.
+    seed, so the table is reproducible as a whole and cell by cell. reps
+    must be an integer >= 10000 and seed an integer >= 0.
     """
-    if int(reps) < 10_000:
-        raise ValueError("reps must be at least 10000 for table output")
+    reps = check_integer(reps, "reps", 10_000)
+    seed = check_integer(seed, "seed", 0)
     designs = {"T-optimal": T_OPTIMAL_48, "Equidistant": EQUIDISTANT_48}
     cell_seeds = np.random.SeedSequence(seed).generate_state(
         len(designs) * len(THETA3_GRID), dtype=np.uint64

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 
 import numpy as np
@@ -55,6 +56,30 @@ class TestEquivalenceSystem:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             equivalence_system(Design([0.0], [1.0]), chebyshev_t(2), 1)
+
+    def test_equals_the_per_moment_compensated_sums(self):
+        rng = np.random.Generator(np.random.PCG64(25))
+        for n in range(2, 41):
+            for size in (1, n, 2 * n):
+                pts = np.sort(rng.uniform(-1.0, 1.0, size))
+                w = rng.uniform(0.1, 1.0, size)
+                d = Design(pts, w / w.sum())
+                psi = ChebyshevSeries(rng.normal(size=n + 1))
+                pv = psi(d.points)
+                ref = [math.fsum((d.weights * pv * d.points**k).tolist()) for k in range(n - 1)]
+                assert np.array_equal(equivalence_system(d, psi, n), ref)
+
+    def test_results_share_no_array_with_a_later_call(self):
+        d = t_optimal_design(6, 0.3).design
+        psi = closed_form_psi(6, 0.3)
+        first = [equivalence_system(d, psi, 6), psi.critical_points(),
+                 alternation_check(d, psi).signs, alternation_check(d, psi).magnitudes]
+        keep = [a.copy() for a in first]
+        for a in first:
+            a[...] = 7
+        again = [equivalence_system(d, psi, 6), psi.critical_points(),
+                 alternation_check(d, psi).signs, alternation_check(d, psi).magnitudes]
+        assert all(np.array_equal(a, b) for a, b in zip(again, keep))
 
 
 class TestAppendixIdentity:

@@ -7,6 +7,7 @@ from numpy.polynomial import chebyshev as ncheb
 from tdiscrim.designs import (
     Design,
     DiscriminationProblem,
+    _monomial,
     error_polynomial,
     t_criterion,
 )
@@ -179,6 +180,14 @@ class TestProblem:
         with pytest.raises(ValueError):
             DiscriminationProblem(1, b=1.0)
 
+    def test_cached_monomials_are_read_only_and_fixed_parts_fresh(self):
+        assert not _monomial(5, 6).flags.writeable
+        for problem in (DiscriminationProblem(5, b=0.3), DiscriminationProblem(5, bbar=0.3)):
+            before = problem.fixed_part().coeffs.copy()
+            got = problem.fixed_part().coeffs
+            got[:] = np.nan
+            assert np.array_equal(problem.fixed_part().coeffs, before)
+
 
 class TestBestL2:
     """error_polynomial is the fixed part less its best weighted-L2 fit."""
@@ -226,7 +235,8 @@ class TestCriterion:
         pts = np.sort(rng.uniform(-1.0, 1.0, 6))
         w = rng.uniform(0.1, 1.0, 6)
         d = Design(pts, w / w.sum())
-        for n, b in [(3, 0.4), (4, -0.2), (5, 0.0)]:
+        # n = 6 puts the criterion on its divided-difference route
+        for n, b in [(3, 0.4), (4, -0.2), (5, 0.0), (6, 0.1)]:
             prob = DiscriminationProblem(n, b=b)
             assert t_criterion(d, prob) == pytest.approx(
                 lstsq_criterion(d, prob), rel=1e-9, abs=1e-14

@@ -171,6 +171,23 @@ def test_error_polynomial_matches_a_high_precision_fit(n):
         assert float(err / sup) <= 1e-12
 
 
+@pytest.mark.parametrize("n", (20, 30, 40))
+def test_criterion_is_exact_on_non_optimal_n_point_designs(n):
+    # on n points t_criterion takes the divided-difference route, which a
+    # least-squares residual misses here by up to its whole value
+    b = 0.5 * critical_b(n)
+    rng = np.random.Generator(np.random.PCG64(n))
+    w = rng.uniform(0.1, 1.0, n)
+    cases = [Design(np.linspace(-1.0, 1.0, n), np.full(n, 1.0 / n)),
+             Design(np.sort(rng.uniform(-1.0, 1.0, n)), w / w.sum())]
+    for design in cases:
+        psi = mp_fit_residual(design, n, b)
+        with mp.workdps(DPS):
+            exact = sum(mp.mpf(float(w)) * psi(x) ** 2
+                        for x, w in zip(design.points, design.weights))
+        assert rel(t_criterion(design, DiscriminationProblem(n, b=b)), exact) <= 1e-13
+
+
 @pytest.mark.parametrize("n", DEGREES)
 def test_closed_form_psi_peaks_on_the_support(n):
     bc = critical_b(n)

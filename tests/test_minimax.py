@@ -258,7 +258,7 @@ def test_a_stack_of_exchanges_equals_its_rows():
 def test_a_stack_of_critical_points_equals_its_rows():
     # rows whose cut leaves the same degree share one eigvals call
     rng = np.random.Generator(np.random.PCG64(41))
-    for size in (2, 3, 8, 21):
+    for size in (2, 3, 8, 21, 41):
         rows = rng.normal(size=(6, size))
         rows[1, -1] = 0.0
         rows[2, -2:] = [1e-16, 0.0]
@@ -267,3 +267,25 @@ def test_a_stack_of_critical_points_equals_its_rows():
         stacked = _critical_points(rows)
         for row, pts in zip(rows, stacked):
             assert np.array_equal(_critical_points([row])[0], pts)
+            assert np.array_equal(colleague_reference(row), pts)
+
+
+def colleague_reference(d):
+    """critical_points from one derivative row, its colleague matrix built in full per call."""
+    mags = np.abs(d)
+    nz = np.flatnonzero(mags > 1e-14 * mags.max())
+    d = d[: nz[-1] + 1] if nz.size else d[:1]
+    m = d.size - 1
+    roots = np.empty(0)
+    if m == 1:
+        roots = -d[:1] / d[1:]
+    elif m > 1:
+        mat = np.zeros((1, m * m))
+        mat[:, 1 :: m + 1] = mat[:, m :: m + 1] = 1 / 2
+        mat[:, 1] = mat[:, m] = np.sqrt(0.5)
+        scl = np.array([1.0] + [np.sqrt(0.5)] * (m - 1))
+        mat[:, m - 1 :: m] -= (d[None, :-1] / d[None, -1:]) * (scl / scl[-1]) * 0.5
+        roots = np.linalg.eigvals(mat[:, ::-1].reshape(-1, m, m))[0]
+    real = roots.real[np.abs(roots.imag) <= 1e-9]
+    real = real[(real >= -1.0 - 1e-12) & (real <= 1.0 + 1e-12)]
+    return np.unique(np.concatenate(([-1.0, 1.0], real.clip(-1.0, 1.0))))

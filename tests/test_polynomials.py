@@ -4,7 +4,7 @@ from numpy.polynomial import chebyshev as ncheb
 from numpy.polynomial import polynomial as npoly
 
 from tdiscrim.designs import _monomial
-from tdiscrim.polynomials import ChebyshevSeries, chebyshev_extrema
+from tdiscrim.polynomials import ChebyshevSeries, _colleague, _vander, chebyshev_extrema
 
 
 def chebyshev_t(n):
@@ -123,6 +123,25 @@ def test_evaluation_matches_chebval():
         p = ChebyshevSeries(c)
         for arg in (0.37, -1.0, x, x.tolist(), tuple(x[:3]), x.reshape(1, -1)):
             assert same(p(arg), ncheb.chebval(arg, c))
+
+
+def test_vander_matches_chebvander():
+    # values and memory layout, so that every product taken with it agrees too
+    rng = np.random.Generator(np.random.PCG64(2013))
+    supports = [np.array([-1.0, -0.0, 0.0, 1.0]), np.sort(rng.uniform(-1.0, 1.0, 9)),
+                rng.uniform(-1.0, 1.0, (3, 7))]
+    for deg in range(42):
+        for x in supports:
+            ours, ref = _vander(x, deg), ncheb.chebvander(x, deg)
+            assert same(ours, ref) and ours.strides == ref.strides
+            c = rng.normal(size=deg + 1)
+            assert np.array_equal(ours @ c, ref @ c)
+
+
+def test_colleague_skeletons_are_cached_read_only():
+    mat, scl = _colleague(6)
+    assert _colleague(6)[0] is mat
+    assert not mat.flags.writeable and not scl.flags.writeable
 
 
 def test_derivative_matches_chebder():

@@ -162,8 +162,15 @@ class TestMonteCarloPower:
         assert a.estimate == b.estimate
 
     def test_reps_gate(self):
-        with pytest.raises(ValueError):
-            f_test_power_mc(T_OPTIMAL_48, 1.0, reps=10, seed=1)
+        # reps and seed follow the integer rule, checked before any draw
+        for reps, seed in [(10, 1), (1000.7, 1), (float("inf"), 1), ("2000", 1),
+                           (2000, 1.5), (2000, -1)]:
+            with pytest.raises(ValueError, match="^(reps|seed) must be an integer >= "):
+                f_test_power_mc(T_OPTIMAL_48, 1.0, reps=reps, seed=seed)
+
+    def test_integral_float_reps_and_seed_count(self):
+        assert (f_test_power_mc(T_OPTIMAL_48, 1.0, 2000.0, 5.0)
+                == f_test_power_mc(T_OPTIMAL_48, 1.0, 2000, 5))
 
     def test_rank_deficient_design_rejected(self):
         three = ExactDesign([-1.0, 0.0, 1.0], [16, 16, 16])
@@ -325,6 +332,10 @@ class TestTable:
     def test_reps_gate(self):
         with pytest.raises(ValueError):
             table1(reps=500)
+        with pytest.raises(ValueError, match="^reps must be an integer >= 10000$"):
+            table1(reps=10000.5)
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0$"):
+            table1(reps=10_000, seed=2.5)
 
     def test_csv_records_sampling_scheme(self):
         text = table1_csv({"T-optimal": []}, 10_000, 3)

@@ -37,6 +37,7 @@ from tdiscrim.cli import main
 from tdiscrim.closed_form import in_explicit_regime
 from tdiscrim.continuation import _table, d1_optimal_start
 from tdiscrim.errors import MAX_DEGREE, check_degree, check_ratio
+from tdiscrim.power import T_OPTIMAL_48, f_test_power_mc, table1
 
 NAN = float("nan")
 INF = float("inf")
@@ -111,7 +112,10 @@ def test_check_degree_returns_a_python_int():
 
 
 class TestIntegerArguments:
-    """order and max_iter follow n's integer rule: an integral float counts, a bool does not."""
+    """order, max_iter, reps and seed follow n's integer rule.
+
+    An integral float counts; a bool, a fraction or a string does not.
+    """
 
     def test_an_integral_float_order_counts(self):
         assert np.array_equal(taylor_coefficients(5, 0.1, order=2.0),
@@ -129,6 +133,20 @@ class TestIntegerArguments:
 
     def test_an_integral_float_budget_counts(self):
         assert remez(5, 1.0, max_iter=100.0).iterations == remez(5, 1.0).iterations
+
+    @pytest.mark.parametrize("reps", [1000.7, INF, NAN, "2000", True, 999])
+    def test_reps_rejects_a_fraction_a_string_or_too_few(self, reps):
+        with pytest.raises(ValueError, match="^reps must be an integer >= 1000$"):
+            f_test_power_mc(T_OPTIMAL_48, 1.0, reps, 1)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, INF, "7", np.True_])
+    def test_seed_rejects_a_fraction_a_string_or_a_negative(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0$"):
+            f_test_power_mc(T_OPTIMAL_48, 1.0, 1000, seed)
+
+    def test_table_reps_rejects_a_fraction(self):
+        with pytest.raises(ValueError, match="^reps must be an integer >= 10000$"):
+            table1(reps=10000.5)
 
     def test_a_bool_is_no_degree(self):
         with pytest.raises(ValueError, match="^n must be an integer >= 1$"):
