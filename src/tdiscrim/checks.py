@@ -6,7 +6,7 @@ check rebuilds the optimal psi by the closed form or the Remez exchange
 that construct designs. The moment residuals are accumulated with
 compensated summation from raw products, so an inaccurate fit cannot
 cancel against itself here; they form one matrix of terms, one row per
-moment. verification_report evaluates psi_xi in one Clenshaw pass over
+moment, from one broadcast power. verification_report evaluates psi_xi in one Clenshaw pass over
 its critical points and the support together, and runs every check on
 those values.
 """
@@ -42,9 +42,14 @@ def equivalence_system(design: Design, psi: ChebyshevSeries, n: int) -> np.ndarr
 
 def _moment_residuals(design: Design, pv: np.ndarray, n: int) -> np.ndarray:
     """equivalence_system's residuals, psi being pv at the support."""
-    # x**k row by row: a broadcast power or repeated products round differently
+    # x**k for a scalar k is pow(x, k), except x**2, which numpy takes as
+    # x * x: so one broadcast power, its k = 2 row set to x * x, holds the
+    # bits of each row's own x**k; repeated products would round differently
     x = design.points
-    terms = np.array([x**k for k in range(n - 1)]) * (design.weights * pv)
+    terms = x ** np.arange(n - 1.0)[:, None]
+    if n > 3:
+        terms[2] = x * x
+    terms *= design.weights * pv
     return np.array([math.fsum(row) for row in terms.tolist()])
 
 
@@ -89,14 +94,17 @@ def alternation_check(design: Design, psi: ChebyshevSeries,
 
 def _alternation(vals: np.ndarray, tol: float) -> AlternationReport:
     """alternation_check's report, psi being vals at the support."""
-    signs = np.sign(vals).astype(int)
-    mags = np.abs(vals)
-    alternates = bool(np.all(vals[:-1] * vals[1:] < 0.0)) if vals.size > 1 else True
-    spread = float(mags.max() - mags.min())
+    # the verdict and spread over Python floats: at these sizes numpy's
+    # reductions cost more; a NaN makes the spread NaN, as numpy's max would
+    v = vals.tolist()
+    m = [abs(x) for x in v]
+    alternates = all(a * b < 0.0 for a, b in zip(v, v[1:]))
+    total = sum(m)
+    spread = max(m) - min(m) if total == total else math.nan
     return AlternationReport(
         passed=alternates and bool(spread <= tol),
-        signs=signs,
-        magnitudes=mags,
+        signs=np.sign(vals).astype(int),
+        magnitudes=np.abs(vals),
         spread=spread,
         tol=tol,
     )

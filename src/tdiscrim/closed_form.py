@@ -5,11 +5,18 @@ explicitly: the support is carried by the extremal points of a shifted,
 rescaled Chebyshev polynomial and the weights are fixed trigonometric
 expressions independent of b. At b = 0 the optimal design is not unique;
 the solutions form a one-parameter family of mixtures between a left-heavy
-member and its mirror image.
+member and its mirror image, built pair by pair in closed form.
+
+Each degree's constants, critical_b, the cosines of support_points and
+canonical_weights, are computed once and cached read-only; the public
+functions validate n on every call and return fresh arrays. Every design
+returned, mirrored ones included, is validated once, by its one Design
+construction.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +27,16 @@ from .errors import RegimeError, check_degree, check_ratio
 # Multiplicative slack when testing |b| against the critical ratio, so that
 # a boundary value computed elsewhere in floating point is not rejected.
 REGIME_SLACK = 1e-12
-# Distinct mixture points closer than this merge into one support point.
-MERGE_TOL = 1e-12
 
 
 def critical_b(n: int) -> float:
     """Largest |b| for which the explicit design below is optimal: n tan^2(pi/2n)."""
-    n = check_degree(n, 2)
+    return _critical_b(check_degree(n, 2))
+
+
+@functools.cache
+def _critical_b(n: int) -> float:
+    """critical_b of a checked degree, computed once per degree."""
     t = np.tan(np.pi / (2 * n))
     return float(n * t * t)
 
@@ -61,22 +71,34 @@ def support_points(n: int, b: float) -> np.ndarray:
     first point reaches -1. Values are clipped to [-1, 1] to absorb the last
     bit of roundoff, which the regime check has already bounded.
     """
-    _check_regime(n, b)
-    beta = abs(b) / n
-    i = np.arange(1, n + 1)
-    pts = -(1.0 + beta) * np.cos(i * np.pi / n) - beta
-    pts = np.clip(pts, -1.0, 1.0)
+    beta = abs(_check_regime(n, b)) / n
+    pts = -(1.0 + beta) * _cosines(check_degree(n, 2)) - beta
+    np.clip(pts, -1.0, 1.0, out=pts)
     pts[-1] = 1.0
     return pts
+
+
+@functools.cache
+def _cosines(n: int) -> np.ndarray:
+    """cos(i pi / n), i = 1..n, built once per degree and shared, so read-only."""
+    c = np.cos(np.arange(1, n + 1) * np.pi / n)
+    c.flags.writeable = False
+    return c
 
 
 def canonical_weights(n: int) -> np.ndarray:
     """The b-independent weights attached to support_points, summing to one.
 
     w_i = (2/n) sin^2(i pi / 2n) for the lower half, mirrored as
-    w_(n-i) = (2/n) cos^2(i pi / 2n), and w_n = 1/n.
+    w_(n-i) = (2/n) cos^2(i pi / 2n), and w_n = 1/n. A fresh copy of the
+    degree's cached weights.
     """
-    n = check_degree(n, 2)
+    return _weights(check_degree(n, 2)).copy()
+
+
+@functools.cache
+def _weights(n: int) -> np.ndarray:
+    """canonical_weights of a checked degree, built once per degree and shared, so read-only."""
     w = np.empty(n)
     for i in range(1, n // 2 + 1):
         s = np.sin(i * np.pi / (2 * n))
@@ -84,6 +106,7 @@ def canonical_weights(n: int) -> np.ndarray:
         w[i - 1] = 2.0 / n * s * s
         w[n - i - 1] = 2.0 / n * c * c
     w[n - 1] = 1.0 / n
+    w.flags.writeable = False
     return w
 
 
@@ -118,10 +141,10 @@ def t_optimal_design(n: int, b: float) -> OptimalDesign:
             "use zero_b_family(n, alpha) to select a member"
         )
     pts = support_points(n, b)
-    wts = canonical_weights(n)
+    w = _weights(n)
     if b > 0:
-        return OptimalDesign(Design(pts, wts), "positive_b", n, b)
-    return OptimalDesign(Design(pts, wts).reflected(), "negative_b", n, b)
+        return OptimalDesign(Design(pts, w.copy()), "positive_b", n, b)
+    return OptimalDesign(Design(-pts[::-1], w[::-1].copy()), "negative_b", n, b)
 
 
 def zero_b_family(n: int, alpha: float) -> OptimalDesign:
@@ -129,36 +152,23 @@ def zero_b_family(n: int, alpha: float) -> OptimalDesign:
 
     alpha = 0 gives the explicit design (which omits -1), alpha = 1 its mirror
     (which omits +1), and interior alpha the convex mixture carried by the n+1
-    points -cos(i pi / n), i = 0..n.
+    points -cos(i pi / n), i = 0..n. The mirror's point -x_(n-i) is the
+    explicit design's x_i up to rounding, for i = 1..n-1: each such pair is
+    one point, the lower of the two, with weight
+    (1 - alpha) w_i + alpha w_(n-i). The mirror adds -1 with weight
+    alpha w_n, the explicit design keeps 1 with weight (1 - alpha) w_n, and
+    a point whose weight is zero is dropped.
     """
     n = check_degree(n, 2)
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     pts = support_points(n, 0.0)
-    wts = canonical_weights(n)
-    mirror = Design(pts, wts).reflected()
-    merged_pts, merged_wts = _mix(
-        pts, (1.0 - alpha) * wts, mirror.points, alpha * mirror.weights
-    )
+    w = _weights(n)
+    mixed = np.concatenate(([-1.0], np.minimum(pts[:-1], -pts[-2::-1]), [1.0]))
+    lo, hi = (1.0 - alpha) * w, alpha * w[::-1]
+    wts = np.concatenate((hi[:1], lo[:-1] + hi[1:], lo[-1:]))
+    keep = wts > 0.0
     return OptimalDesign(
-        Design(merged_pts, merged_wts), "zero_b_family", n, 0.0, alpha
+        Design(mixed[keep], wts[keep]), "zero_b_family", n, 0.0, alpha
     )
-
-
-def _mix(p1, w1, p2, w2):
-    """Merge two weighted point sets, coalescing points within MERGE_TOL."""
-    pts = np.concatenate([p1, p2])
-    wts = np.concatenate([w1, w2])
-    order = np.argsort(pts)
-    pts, wts = pts[order], wts[order]
-    out_p: list[float] = []
-    out_w: list[float] = []
-    for x, w in zip(pts, wts):
-        if out_p and x - out_p[-1] <= MERGE_TOL:
-            out_w[-1] += w
-        else:
-            out_p.append(float(x))
-            out_w.append(float(w))
-    keep = np.array(out_w) > 0.0
-    return np.array(out_p)[keep], np.array(out_w)[keep]

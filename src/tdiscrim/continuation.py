@@ -399,7 +399,9 @@ def trajectory(n: int, grid) -> list[tuple[float, Design]]:
         mags = np.where(np.abs(near - mags) <= slack, near, mags)
     distinct = np.unique(mags).tolist()
     states = dict(zip(distinct, _solve(n, distinct)))
-    return [(float(v), states[m].design() if v >= 0.0 else states[m].design().reflected())
+    # each row is its own copy, validated once; a negative row is reflected
+    return [(float(v), states[m].design() if v >= 0.0 else
+             Design(-states[m].points[::-1], states[m].weights[::-1].copy()))
             for v, m in zip(g, mags)]
 
 

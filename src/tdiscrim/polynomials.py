@@ -12,15 +12,22 @@ coercion costs more than the arithmetic. Evaluation, differentiation, the
 pseudo-Vandermonde matrix and the colleague matrix perform the
 floating-point operations of chebval, chebder, chebvander and
 chebcompanion in the same order, so results agree bit for bit; the tests
-hold them to that reference. The colleague matrix's fixed entries are
-built once per size. The root finder takes a stack of derivative rows,
-so that an exchange over many references of one degree makes one
-eigenvalue call; one series is a stack of one row.
+hold them to that reference. The pseudo-Vandermonde matrix is returned as
+chebvander returns it, a transposed view of its recurrence's rows. The
+root finder takes a stack of derivative rows, so that an exchange over
+many references of one degree makes one eigenvalue call; one series is a
+stack of one row. Its per-row work is what numpy's dispatch would
+dominate, so it runs over Python floats, keeping numpy's NaN semantics:
+the cut of trailing coefficients. The stacked work stays in numpy: each
+size's colleague entries, built once and cached read-only, are copied
+into one preallocated stack, and the real roots inside [-1, 1] are
+masked for the whole stack at once.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,17 +104,24 @@ def _critical_points(derivs) -> list[np.ndarray]:
     The roots are the eigenvalues of the colleague matrix of each row,
     rotated as numpy's chebroots rotates it. Trailing coefficients of a row
     up to 1e-14 of its largest are cut first: they move the roots inside
-    [-1, 1] by rounding only, and left in they overflow the matrix. Rows
-    cut to one length share one eigvals call, which runs LAPACK's routine
-    on each matrix of the stack as on a single one. Roots within 1e-9 of the
-    real axis count as real, and those within 1e-12 outside [-1, 1] as
-    endpoint roots.
+    [-1, 1] by rounding only, and left in they overflow the matrix. A row
+    holding a NaN is cut to its constant term, as numpy's NaN-propagating
+    max would cut it. Rows cut to one length share one eigvals call, which
+    runs LAPACK's routine on each matrix of the stack as on a single one.
+    Roots within 1e-9 of the real axis count as real, and those within
+    1e-12 outside [-1, 1] as endpoint roots.
     """
+    # the cut over Python floats: at these sizes numpy's reductions cost more
     cut = []
     for d in derivs:
-        mags = np.abs(d)
-        nz = np.flatnonzero(mags > 1e-14 * mags.max())
-        cut.append(d[: nz[-1] + 1] if nz.size else d[:1])
+        mags = [abs(v) for v in d.tolist()]
+        total = sum(mags)
+        # max skips a NaN that is not first; the sum of magnitudes keeps it
+        tol = 1e-14 * max(mags) if total == total else math.nan
+        size = len(mags)
+        while size > 1 and not mags[size - 1] > tol:
+            size -= 1
+        cut.append(d[:size])
     roots = [np.empty(0)] * len(cut)
     for m in {d.size - 1 for d in cut} - {0}:
         rows = [i for i, d in enumerate(cut) if d.size - 1 == m]
@@ -117,17 +131,19 @@ def _critical_points(derivs) -> list[np.ndarray]:
         else:
             skeleton, scl = _colleague(m)
             # each row of mat is a colleague matrix flattened row by row
-            mat = np.repeat(skeleton[None], len(rows), axis=0)
+            mat = np.empty((len(rows), m * m))
+            mat[:] = skeleton
             mat[:, m - 1 :: m] -= (d[:, :-1] / d[:, -1:]) * scl * 0.5
             # reversing a flattened matrix reverses both its axes
             found = np.linalg.eigvals(mat[:, ::-1].reshape(-1, m, m))
-        for i, r in zip(rows, found):
-            roots[i] = r
+        real = found.real
+        keep = (np.abs(found.imag) <= 1e-9) & (real >= -1.0 - 1e-12) & (real <= 1.0 + 1e-12)
+        real = real.clip(-1.0, 1.0)
+        for i, r, k in zip(rows, real, keep):
+            roots[i] = r[k]
     out = []
     for r in roots:
-        real = r.real[np.abs(r.imag) <= 1e-9]
-        real = real[(real >= -1.0 - 1e-12) & (real <= 1.0 + 1e-12)]
-        pts = np.concatenate(([-1.0, 1.0], real.clip(-1.0, 1.0)))
+        pts = np.concatenate(([-1.0, 1.0], r))
         # np.unique's sort and first-of-each-run mask, without its dispatch
         pts.sort()
         first = np.empty(pts.size, dtype=bool)
@@ -171,7 +187,7 @@ def _vander(x, deg: int) -> np.ndarray:
         v[1] = x
         for i in range(2, deg + 1):
             v[i] = v[i - 1] * x2 - v[i - 2]
-    return np.moveaxis(v, 0, -1)
+    return v.transpose(*range(1, v.ndim), 0)
 
 
 def chebyshev_extrema(n: int) -> np.ndarray:

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from tdiscrim.closed_form import (
+    _cosines,
+    _weights,
     canonical_weights,
     critical_b,
     support_points,
     t_optimal_design,
     zero_b_family,
 )
-from tdiscrim.designs import DiscriminationProblem, t_criterion
+from tdiscrim.designs import Design, DiscriminationProblem, t_criterion
 from tdiscrim.errors import RegimeError
 from tdiscrim.minimax import closed_form_psi, extremal_set
 
@@ -108,6 +110,15 @@ class TestTOptimalDesign:
         assert np.allclose(neg.design.weights, pos.weights[::-1], atol=1e-15)
         assert neg.design.points[0] == -1.0
 
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_negative_ratio_is_the_reflection_to_the_bit(self, n):
+        bc = critical_b(n)
+        for b in (1e-300, 0.1 * bc, 0.5 * bc, 0.9 * bc, bc):
+            neg = t_optimal_design(n, -b).design
+            ref = t_optimal_design(n, b).design.reflected()
+            assert neg.points.tobytes() == ref.points.tobytes()
+            assert neg.weights.tobytes() == ref.weights.tobytes()
+
     def test_zero_ratio_refused(self):
         with pytest.raises(ValueError, match="zero_b_family"):
             t_optimal_design(3, 0.0)
@@ -186,6 +197,53 @@ class TestZeroBFamily:
             zero_b_family(3, -0.01)
         with pytest.raises(ValueError):
             zero_b_family(3, 1.01)
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_equals_the_sort_and_merge_of_its_ends(self, n):
+        rng = np.random.Generator(np.random.PCG64(n))
+        pts, w = support_points(n, 0.0), canonical_weights(n)
+        mirror = Design(pts, w).reflected()
+        for alpha in (0.0, 1.0, 0.5, 1e-300, 1.0 - 1e-16, *rng.uniform(0.0, 1.0, 5)):
+            got = zero_b_family(n, alpha).design
+            ref_pts, ref_wts = sort_and_merge(
+                pts, (1.0 - alpha) * w, mirror.points, alpha * mirror.weights)
+            assert got.points.tobytes() == ref_pts.tobytes()
+            assert got.weights.tobytes() == ref_wts.tobytes()
+
+
+def sort_and_merge(p1, w1, p2, w2, tol=1e-12):
+    """Two weighted point sets as one: sorted, points within tol merged, zero weights dropped."""
+    pts = np.concatenate([p1, p2])
+    wts = np.concatenate([w1, w2])
+    order = np.argsort(pts)
+    pts, wts = pts[order], wts[order]
+    out_p: list[float] = []
+    out_w: list[float] = []
+    for x, w in zip(pts, wts):
+        if out_p and x - out_p[-1] <= tol:
+            out_w[-1] += w
+        else:
+            out_p.append(float(x))
+            out_w.append(float(w))
+    keep = np.array(out_w) > 0.0
+    return np.array(out_p)[keep], np.array(out_w)[keep]
+
+
+class TestCachedConstants:
+    def test_cached_constants_are_read_only_and_results_fresh(self):
+        assert not _cosines(5).flags.writeable
+        assert not _weights(5).flags.writeable
+
+        def results():
+            designs = [t_optimal_design(5, 0.3).design, t_optimal_design(5, -0.3).design,
+                       zero_b_family(5, 0.3).design]
+            return [support_points(5, 0.3), canonical_weights(5),
+                    *(a for d in designs for a in (d.points, d.weights))]
+
+        before = [a.copy() for a in results()]
+        for a in results():
+            a[:] = np.nan
+        assert all(np.array_equal(a, b) for a, b in zip(results(), before))
 
 
 class TestNonNumericRatio:

@@ -133,6 +133,22 @@ class TestRays:
         assert np.abs(down.points + up.points[::-1]).max() <= 1e-12
         assert np.abs(down.weights - up.weights[::-1]).max() <= 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 20, 40])
+    def test_the_ray_end_is_its_worst_ratio(self, n):
+        # maximin on a ray means the design's criterion is lowest at the
+        # finite end: it rises at every ratio further out
+        bc = critical_b(n)
+        for share in (0.0, 0.5, 1.0, 3.0, 100.0):
+            b0 = share * bc
+            up = maximin_design(n, RatioInterval.ray_up(b0))
+            down = maximin_design(n, RatioInterval.ray_down(b0))
+            at_up = t_criterion(up, DiscriminationProblem(n, b=b0))
+            at_down = t_criterion(down, DiscriminationProblem(n, b=-b0))
+            for factor in (1.001, 1.5, 4.0, 1e3):
+                b = factor * (b0 if b0 > 0.0 else bc)
+                assert t_criterion(up, DiscriminationProblem(n, b=b)) >= at_up
+                assert t_criterion(down, DiscriminationProblem(n, b=-b)) >= at_down
+
 
 class TestRValue:
     def test_at_zero(self):

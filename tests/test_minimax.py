@@ -268,6 +268,10 @@ def test_a_stack_of_critical_points_equals_its_rows():
         for row, pts in zip(rows, stacked):
             assert np.array_equal(_critical_points([row])[0], pts)
             assert np.array_equal(colleague_reference(row), pts)
+    # a NaN past the first entry cuts the row to a constant, as numpy's max does
+    row = np.array([1.0, np.nan, 2.0, 3.0])
+    assert np.array_equal(_critical_points([row])[0], [-1.0, 1.0])
+    assert np.array_equal(colleague_reference(row), [-1.0, 1.0])
 
 
 def colleague_reference(d):
