@@ -20,7 +20,7 @@ import numpy as np
 
 from .closed_form import canonical_weights
 from .designs import Design, DiscriminationProblem, error_polynomial
-from .errors import check_degree, check_ratio
+from .errors import check_degree, check_integer, check_ratio
 from .polynomials import ChebyshevSeries
 
 EQUIVALENCE_TOL = 1e-10
@@ -56,12 +56,12 @@ def _moment_residuals(design: Design, pv: np.ndarray, n: int) -> np.ndarray:
 def appendix_identity(n: int, k: int) -> float:
     """Compensated value of sum_i (-1)^i cos(k i pi / n) w_i for the canonical weights.
 
-    Vanishes for k = 0..n-2; that fact is what makes the explicit weights
-    solve the equivalence system for every b in the regime at once.
+    Vanishes for k = 0..n-2, the integers it accepts; that fact is what makes
+    the explicit weights solve the equivalence system for every b in the regime at once.
     """
     n = check_degree(n, 2)
-    if k != int(k) or not 0 <= k <= n - 2:
-        raise ValueError("k must be an integer in [0, n-2]")
+    if check_integer(k, "k", 0) > n - 2:
+        raise ValueError(f"k must be at most n - 2 = {n - 2}")
     w = canonical_weights(n)
     i = np.arange(1, n + 1)
     terms = (-1.0) ** i * np.cos(k * i * np.pi / n) * w

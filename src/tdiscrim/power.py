@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_integer
+from .designs import Design
+from .errors import check_integer, check_ratio
 
 THETA3_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
 DEFAULT_LEVEL = 0.05
@@ -41,26 +42,21 @@ _CHUNK = 1 << 15
 
 @dataclass
 class ExactDesign:
-    """Repeated-observation design: counts[i] runs at points[i]."""
+    """Repeated-observation design: counts[i] runs at points[i].
+
+    Counts follow n's integer rule and sum below 2**63; points follow Design's rule.
+    """
 
     points: np.ndarray
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = np.atleast_1d(np.asarray(self.points, dtype=float))
-        cnt = np.atleast_1d(np.asarray(self.counts))
-        if pts.ndim != 1 or cnt.ndim != 1 or pts.size == 0 or pts.size != cnt.size:
-            raise ValueError("points and counts must be equally long and non-empty")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
-        if pts.min() < -1.0 or pts.max() > 1.0:
-            raise ValueError("points must lie in [-1, 1]")
-        if pts.size > 1 and np.any(np.diff(pts) <= 0.0):
-            raise ValueError("points must be strictly increasing")
-        if np.any(cnt != np.floor(cnt)) or np.any(cnt < 1):
-            raise ValueError("counts must be positive integers")
-        self.points = pts
-        self.counts = cnt.astype(int)
+        cnt = np.atleast_1d(np.asarray(self.counts, dtype=object)).tolist()
+        counts = [check_integer(c, "counts", 1) for c in cnt]
+        if sum(counts) >= 2**63:
+            raise ValueError("counts must sum to less than 2**63")
+        self.counts = np.array(counts, dtype=int)
+        self.points = Design(self.points, self.counts / self.size).points
 
     @property
     def size(self) -> int:
@@ -94,12 +90,18 @@ class PowerResult:
         return abs(self.estimate - self.analytic) <= 3.0 * self.std_error
 
 
+def _check_df(dfn, dfd) -> None:
+    """Degrees of freedom are positive, so not NaN; fractions pass, as scipy takes them."""
+    for name, df in (("dfn", dfn), ("dfd", dfd)):
+        if not df > 0:
+            raise ValueError(f"{name} must be positive degrees of freedom, got {float(df)!r}")
+
+
 def f_critical(level: float, dfn: int, dfd: int) -> float:
-    """Upper critical value of the central F distribution."""
+    """Upper critical value of the central F distribution; level in (0, 1), dfn, dfd > 0."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    if dfn <= 0 or dfd <= 0:
-        raise ValueError("degrees of freedom must be positive")
+    _check_df(dfn, dfd)
     from scipy import special
 
     return float(special.fdtri(dfn, dfd, 1.0 - level))
@@ -109,12 +111,13 @@ def noncentral_f_sf(x: float, dfn: int, dfd: int, noncentrality: float) -> float
     """Survival function of the noncentral F distribution.
 
     One minus scipy's noncentral F distribution function, clamped to
-    [0, 1]; the central case at zero noncentrality.
+    [0, 1]; the central case at zero noncentrality. dfn, dfd > 0, x not
+    NaN, noncentrality finite and nonnegative.
     """
-    if dfn <= 0 or dfd <= 0:
-        raise ValueError("degrees of freedom must be positive")
+    _check_df(dfn, dfd)
     if not 0.0 <= noncentrality < math.inf:
         raise ValueError("noncentrality must be finite and nonnegative")
+    x = check_ratio(x, "x")
     if x <= 0.0:
         return 1.0
     from scipy import special
@@ -146,14 +149,10 @@ def _line_projection_rss(design: ExactDesign) -> float:
     return float(np.dot(n, res * res))
 
 
-def _check_theta3(theta3: float) -> None:
-    if not math.isfinite(theta3):
-        raise ValueError(f"theta3 must be finite, got {theta3!r}")
-
-
 def noncentrality(design: ExactDesign, theta3: float) -> float:
-    """F-test noncentrality theta3^2 times the lack-of-fit sum of squares."""
-    return float(theta3) ** 2 * _line_projection_rss(design)
+    """F-test noncentrality theta3^2 times the lack-of-fit sum of squares; theta3 finite."""
+    theta3 = check_ratio(theta3, "theta3", finite=True)
+    return theta3**2 * _line_projection_rss(design)
 
 
 def _f_test(design: ExactDesign, theta3: float,
@@ -164,7 +163,7 @@ def _f_test(design: ExactDesign, theta3: float,
     increasing, so the cubic fit is identifiable exactly when there are at
     least 4 of them.
     """
-    _check_theta3(theta3)
+    theta3 = check_ratio(theta3, "theta3", finite=True)
     if design.points.size < 4:
         raise ValueError("design cannot support the cubic fit (need 4 distinct points)")
     if design.size <= 4:

@@ -11,6 +11,7 @@ from tdiscrim.designs import (
     error_polynomial,
     t_criterion,
 )
+from tdiscrim.power import ExactDesign
 
 
 def lstsq_criterion(design, problem):
@@ -21,6 +22,15 @@ def lstsq_criterion(design, problem):
     rhs = sw * g(design.points)
     coef = np.linalg.lstsq(a, rhs, rcond=None)[0]
     return float(np.sum((rhs - a @ coef) ** 2))
+
+
+def _support_fault(points, weights):
+    """True when the weights make a design on as many points as points holds."""
+    try:
+        Design(np.linspace(-1.0, 1.0, np.size(points)), weights)
+    except ValueError:
+        return False
+    return True
 
 
 class TestDesignValidation:
@@ -83,6 +93,18 @@ class TestDesignValidation:
     def test_rejects_with_the_first_failing_check(self, points, weights, message):
         with pytest.raises(ValueError, match=message):
             Design(points, weights)
+
+    @pytest.mark.parametrize("points, weights, message",
+                             [c for c in INVALID if _support_fault(c[0], c[1])])
+    def test_an_exact_design_rejects_a_bad_support_alike(self, points, weights, message):
+        # ExactDesign checks its points through Design: one support rule, one table
+        with pytest.raises(ValueError, match=message):
+            ExactDesign(points, [1] * len(points))
+
+    def test_both_accept_roundoff_beyond_one(self):
+        for design in (Design([0.0, 1.0 + 1e-13], [0.5, 0.5]),
+                       ExactDesign([0.0, 1.0 + 1e-13], [1, 1])):
+            assert design.points[-1] == 1.0 + 1e-13
 
     @pytest.mark.parametrize("points, weights", [
         ([-1.0 - 1e-12, 1.0 + 1e-12], [0.5, 0.5]),

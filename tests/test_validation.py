@@ -37,7 +37,15 @@ from tdiscrim.cli import main
 from tdiscrim.closed_form import in_explicit_regime
 from tdiscrim.continuation import _table, d1_optimal_start
 from tdiscrim.errors import MAX_DEGREE, check_degree, check_ratio
-from tdiscrim.power import T_OPTIMAL_48, f_test_power_mc, table1
+from tdiscrim.power import (
+    T_OPTIMAL_48,
+    ExactDesign,
+    f_critical,
+    f_test_power_mc,
+    noncentral_f_sf,
+    noncentrality,
+    table1,
+)
 
 NAN = float("nan")
 INF = float("inf")
@@ -151,6 +159,44 @@ class TestIntegerArguments:
     def test_a_bool_is_no_degree(self):
         with pytest.raises(ValueError, match="^n must be an integer >= 1$"):
             chebyshev_extrema(True)
+
+
+# (case, parameter, call): power.py and appendix_identity check through
+# errors.py and Design; every call raises a ValueError that names its parameter
+_POINTS4 = [-1.0, -0.5, 0.5, 1.0]
+REFUSED_BY_NAME = [
+    ("inf-count", "counts", lambda: ExactDesign(_POINTS4, [8, INF, 16, 8])),
+    ("huge-count", "counts", lambda: ExactDesign(_POINTS4, [8, 1e30, 16, 8])),
+    ("string-count", "counts", lambda: ExactDesign(_POINTS4, [8, "a", 16, 8])),
+    ("bool-count", "counts", lambda: ExactDesign(_POINTS4, [8, True, 16, 8])),
+    ("wrapping-sum", "counts", lambda: ExactDesign([-1.0, 1.0], [2**62, 2**62])),
+    ("inf-k", "k", lambda: appendix_identity(5, INF)),
+    ("bool-k", "k", lambda: appendix_identity(5, True)),
+    ("f_critical-nan-dfn", "dfn", lambda: f_critical(0.05, NAN, 44)),
+    ("f_critical-nan-dfd", "dfd", lambda: f_critical(0.05, 2, NAN)),
+    ("sf-nan-dfn", "dfn", lambda: noncentral_f_sf(3.0, NAN, 44, 1.0)),
+    ("sf-nan-dfd", "dfd", lambda: noncentral_f_sf(3.0, 2, NAN, 1.0)),
+    ("sf-nan-x", "x", lambda: noncentral_f_sf(NAN, 2, 10, 1.0)),
+    ("nan-theta3", "theta3", lambda: noncentrality(T_OPTIMAL_48, NAN)),
+    ("inf-theta3", "theta3", lambda: noncentrality(T_OPTIMAL_48, INF)),
+    ("minus-inf-theta3", "theta3", lambda: noncentrality(T_OPTIMAL_48, -INF)),
+    # refused before these checks were shared, and still refused
+    ("fractional-count", "counts", lambda: ExactDesign(_POINTS4, [8, 1.5, 16, 8])),
+    ("2d-counts", "counts", lambda: ExactDesign(_POINTS4, [[8, 16, 16, 8]])),
+    ("fractional-k", "k", lambda: appendix_identity(5, 2.5)),
+]
+
+
+@pytest.mark.parametrize("name,call", [e[1:] for e in REFUSED_BY_NAME],
+                         ids=[e[0] for e in REFUSED_BY_NAME])
+def test_power_and_appendix_inputs_are_refused_by_name(name, call):
+    with pytest.raises(ValueError, match=rf"\b{name}\b") as err:
+        call()
+    assert err.type is ValueError
+
+
+def test_counts_may_sum_to_the_largest_64_bit_integer():
+    assert ExactDesign([-1.0, 1.0], [2**62, 2**62 - 1]).size == 2**63 - 1
 
 
 def test_check_ratio_names_the_parameter_and_passes_infinities():
