@@ -3,12 +3,16 @@
 The equivalence theorem (Atkinson & Fedorov, 1975) certifies a design by
 its own error polynomial psi_xi, the residual of its weighted fit, so no
 check rebuilds the optimal psi by the closed form or the Remez exchange
-that construct designs. The moment residuals are accumulated with
-compensated summation from raw products, so an inaccurate fit cannot
-cancel against itself here; they form one matrix of terms, one row per
-moment, from one broadcast power. verification_report evaluates psi_xi in one Clenshaw pass over
-its critical points and the support together, and runs every check on
-those values.
+that construct designs. On exactly n support points verification_report
+reads the fit's dual (designs._dual): the residuals at the support, w_i
+psi_i = (dd / S) lambda_i, and T(xi) come from the divided-difference
+weights, the moment residuals are one product of those against the
+powers of the support, and alternation reads the same values; psi_xi,
+built from the same dual, is evaluated by Clenshaw at its critical points
+only. On other supports psi_xi is fitted, evaluated in one Clenshaw pass
+over its critical points and the support together, and its moment
+residuals are compensated sums of raw products, one matrix of terms from
+one broadcast power, as equivalence_system takes them for any psi.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import canonical_weights
-from .designs import Design, DiscriminationProblem, error_polynomial
+from .designs import (Design, DiscriminationProblem, _dual, _dual_series,
+                      error_polynomial)
 from .errors import check_degree, check_integer, check_ratio
 from .polynomials import ChebyshevSeries
 
@@ -135,23 +140,37 @@ def verification_report(design: Design, n: int, b: float) -> dict:
     the equal-magnitude sign changes over the support;
     criterion_matches_deviation and global_inequality are one certificate,
     (dev^2 - T) / dev^2 and dev^2 - T, with dev the sup of |psi_xi| over
-    its critical points. psi_xi is evaluated in one pass over its critical
-    points and the support together, and every check reads those values. The
-    tolerances scale with the problem: the residuals and the spread are
-    compared to their constant times dev, the absolute margin to its
-    constant times dev^2.
+    its critical points. On n support points the support values, T(xi)
+    and psi_xi come from the fit's dual, and the normal equations are one
+    product against the powers of the support; on others psi_xi is
+    fitted and evaluated in one pass over its critical points and the
+    support together. The tolerances scale with the problem: the
+    residuals and the spread are compared to their constant times dev, the
+    absolute margin to its constant times dev^2.
     """
     n = check_degree(n, 2)
     b = check_ratio(b, "b", finite=True)
-    psi = error_polynomial(design, DiscriminationProblem(n, b=b))
-    cp = psi.critical_points()
-    vals = psi(np.concatenate([cp, design.points]))
-    cv, pv = vals[: cp.size], vals[cp.size :]
+    problem = DiscriminationProblem(n, b=b)
+    if design.support_size == n:
+        criterion, dd, share, wpsi = _dual(design, problem)
+        psi = _dual_series(design.points, problem, dd, share)
+        cv = psi(psi.critical_points())
+        pv = wpsi / design.weights
+        # sum_i w_i psi_i x_i^k for k = 0..n-2: x^k as running products
+        powers = np.empty((n - 1, n))
+        powers[:] = design.points
+        powers[0] = 1.0
+        resid = np.multiply.accumulate(powers, axis=0) @ wpsi
+    else:
+        psi = error_polynomial(design, problem)
+        cp = psi.critical_points()
+        vals = psi(np.concatenate([cp, design.points]))
+        cv, pv = vals[: cp.size], vals[cp.size :]
+        criterion = float(np.sum(design.weights * pv * pv))
+        resid = _moment_residuals(design, pv, n)
     deviation = float(np.abs(cv).max())
-    criterion = float(np.sum(design.weights * pv * pv))
 
     checks = []
-    resid = _moment_residuals(design, pv, n)
     worst = float(np.abs(resid).max())
     tol = EQUIVALENCE_TOL * deviation
     checks.append({

@@ -2,21 +2,26 @@
 
 A design is a finite set of support points with positive weights summing to
 one. For the model pair of degrees n and n - 2 the criterion value of a
-design is the weighted squared distance between the fixed highest-degree
-part of the larger model and the span of T_0, ..., T_(n-2); the inner
-minimization is plain weighted least squares on the support. Modulo that
+design is the weighted squared distance, on the support, between the fixed
+highest-degree part of the larger model and the span of T_0, ..., T_(n-2).
+
+On exactly n support points, as every optimal design past b = 0 has, the
+residual space is one-dimensional, and the criterion, the residuals and
+psi_xi itself come from its dual (_dual) without a fit: the (n-1)-th
+divided difference dd of the fixed part and the divided-difference weights
+lambda_i (Berrut & Trefethen, SIAM Review 46, 2004) give
+T = dd^2 / sum lambda_i^2 / w_i and the residual at each support point, and
+psi_xi is a_n omega + L, omega the node polynomial and L the interpolant of
+those residuals (_dual_series), turned into Chebyshev coefficients by one
+cosine matrix. That route keeps T within a few ulps and psi_xi near
+machine precision where a least-squares residual of a non-optimal design
+can lose every digit.
+
+Other support sizes keep plain weighted least squares (_fit). Modulo the
 span the fixed part is its top two Chebyshev terms,
 x^n + b x^(n-1) = 2^(1-n) (T_n + 2b T_(n-1)), so the residual is formed
 without the cancellation a monomial fit suffers at high degree. Each
 monomial's series comes from its closed form (_monomial), exact in floats.
-
-On exactly n support points the residual space is one-dimensional, and
-t_criterion takes the value from its dual instead of the fit: the squared
-(n-1)-th divided difference of the fixed part over the sum of
-lambda_i^2 / w_i, lambda_i the divided-difference weights (Berrut &
-Trefethen, SIAM Review 46, 2004). That form is exact to a few ulps where
-the least-squares residual of a non-optimal design can lose every digit;
-other support sizes keep the fit.
 """
 
 from __future__ import annotations
@@ -187,14 +192,111 @@ def _fit(design: Design, problem: DiscriminationProblem):
     return g, coef, y - a @ coef
 
 
-def error_polynomial(design: Design, problem: DiscriminationProblem) -> ChebyshevSeries:
-    """psi_xi: the fixed part less its weighted least-squares fit on the support.
+def _dual(design: Design, problem: DiscriminationProblem):
+    """The dual of the fit on exactly n support points: (T, dd, share, wpsi).
 
-    Formed as the fixed part's top two Chebyshev terms less _fit's
-    coefficients; subtracting the whole fit from the whole fixed part
-    cancels nearly all of psi at high degree. sum_i w_i psi_xi(x_i)^2 is
-    the criterion value.
+    The n-point residual space is spanned by the divided-difference
+    weights lambda_i = 1 / prod_(j != i) (x_i - x_j), which annihilate
+    every polynomial of degree n - 2, so with S = sum_i lambda_i^2 / w_i
+    the residual at x_i is psi_i = dd lambda_i / (w_i S) and the criterion
+    T = dd^2 / S, dd being the (n-1)-th divided difference of the fixed
+    part: sum x_i + b, or 1 + bbar sum x_i, the sum taken exactly
+    (math.fsum). Returned besides T and dd: share_i = lambda_i^2 / (w_i S),
+    nonnegative and summing to one, and wpsi_i = w_i psi_i = (dd / S) lambda_i.
+
+    lambda_i comes from plain products of gaps when the smallest gap and
+    weight bound every lambda_i^2 / w_i well inside the float range. Else
+    each lambda_i^2 / w_i is held in log space, base 2: a mantissa from
+    frexp and an exact integer exponent, so that no product of gaps, weight
+    or dd^2 overflows or underflows on the way and T loses no digit to an
+    exponential; a clustered support is valid input and warns of nothing.
     """
+    x, w = design.points, design.weights
+    n = x.size
+    xs = x.tolist()
+    if problem.b is not None:
+        dd = math.fsum([*xs, problem.b])
+    else:
+        dd = 1.0 + problem.bbar * math.fsum(xs)
+    gaps = x[:, None] - x
+    gaps.reshape(-1)[:: n + 1] = 1.0
+    # |prod of gaps| >= gmin^(n-1): here each lambda_i^2 / w_i < 2^994, and S < 2^1000
+    if min(map(operator.sub, xs[1:], xs)) ** (2 * n - 2) * min(w.tolist()) > 2.0**-994:
+        lam = 1.0 / gaps.prod(axis=1)
+        lw = lam / w
+        s = float(lam @ lw)
+        c = dd / s
+        return dd * c, dd, lam * lw / s, c * lam
+    mg, eg = np.frexp(gaps)
+    mw, ew = np.frexp(w)
+    mant = mg.prod(axis=1)
+    e = eg.sum(axis=1)
+    # lambda_i^2 / w_i = 2^-k_i / (mant_i^2 mw_i), summed from the largest power of two
+    k = 2 * e + ew
+    k0 = int(k.min())
+    share = np.ldexp(1.0 / (mant * mant * mw), k0 - k)
+    s = float(share.sum())
+    share /= s
+    # dd lambda_i / S = dd 2^(k0 - e_i) / (s mant_i)
+    wpsi = np.ldexp(dd / (s * mant), k0 - e)
+    # T is dd^2 2^k0 / s; with k0 even, the square comes last
+    if k0 % 2:
+        s, k0 = 2.0 * s, k0 + 1
+    return math.ldexp(abs(dd) / math.sqrt(s), k0 // 2) ** 2, dd, share, wpsi
+
+
+@functools.cache
+def _cosines(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n + 1 Chebyshev points of the first kind, and the cosine matrix at them.
+
+    The matrix takes a polynomial's values at the points to its Chebyshev
+    coefficients on T_0..T_(n-2), exactly for degree up to n (discrete
+    orthogonality). Built once per degree and shared, so both are read-only.
+    """
+    theta = (2 * np.arange(n + 1) + 1) * (np.pi / (2 * n + 2))
+    m = np.cos(np.arange(n - 1)[:, None] * theta) * (2.0 / (n + 1))
+    m[0] *= 0.5
+    t = np.cos(theta)
+    t.flags.writeable = m.flags.writeable = False
+    return t, m
+
+
+def _dual_series(x: np.ndarray, problem: DiscriminationProblem, dd: float,
+                 share: np.ndarray) -> ChebyshevSeries:
+    """psi_xi on the n-point support x from its dual: a_n omega + L.
+
+    omega(t) = prod (t - x_i); L(t) = dd sum_i share_i prod_(j != i) (t - x_j)
+    interpolates psi_i at x_i, since lambda_i psi_i = dd share_i; a_n is 1,
+    or bbar. Both are sampled at the Chebyshev points of the first kind
+    from prefix and suffix products of t - x_j, with no division, and the
+    samples are turned into the coefficients of T_0..T_(n-2) by one cosine
+    matrix; the top two are the fixed part's own.
+    """
+    n = problem.n
+    t, m = _cosines(n)
+    d = t[:, None] - x
+    pre = d.cumprod(axis=1)
+    suf = d[:, ::-1].cumprod(axis=1)[:, ::-1]
+    others = np.ones_like(d)
+    others[:, 1:] = pre[:, :-1]
+    others[:, :-1] *= suf[:, 1:]
+    a_n = 1.0 if problem.b is not None else problem.bbar
+    samples = a_n * pre[:, -1] + dd * (others @ share)
+    return ChebyshevSeries(np.concatenate([m @ samples, problem.fixed_part().coeffs[n - 1 :]]))
+
+
+def error_polynomial(design: Design, problem: DiscriminationProblem) -> ChebyshevSeries:
+    """psi_xi: the fixed part less its nearest polynomial of degree n - 2 in the design's norm.
+
+    sum_i w_i psi_xi(x_i)^2 is the criterion value. On exactly n support
+    points psi_xi is built from the dual (_dual, _dual_series). On any
+    other support it is the fixed part's top two Chebyshev terms less
+    _fit's coefficients; subtracting the whole fit from the whole fixed
+    part cancels nearly all of psi at high degree.
+    """
+    if design.support_size == problem.n:
+        _, dd, share, _ = _dual(design, problem)
+        return _dual_series(design.points, problem, dd, share)
     n = problem.n
     g, coef, _ = _fit(design, problem)
     return ChebyshevSeries(np.concatenate([-coef, g[n - 1 :]]))
@@ -203,37 +305,12 @@ def error_polynomial(design: Design, problem: DiscriminationProblem) -> Chebyshe
 def t_criterion(design: Design, problem: DiscriminationProblem) -> float:
     """Criterion value: weighted squared deviation of the fixed part from its best fit.
 
-    On n support points the fit's residuals span one direction, that of
-    the divided-difference weights lambda_i = 1 / prod_(j != i) (x_i - x_j),
-    which annihilate every polynomial of degree n - 2, so the value is
-    dd^2 / sum_i lambda_i^2 / w_i, dd being the (n-1)-th divided difference
-    of the fixed part: sum x_i + b, or 1 + bbar sum x_i, the sum taken
-    exactly (math.fsum). Each lambda_i^2 / w_i is held in log space, base
-    2: a mantissa from frexp and an exact integer exponent, so that no
-    product of gaps, weight or dd^2 overflows or underflows on the way and
-    the value loses no digit to an exponential. On any other support the
-    value is the explicit sum of squared root-weighted residuals of _fit,
-    nonnegative by construction and zero when the support can be
-    interpolated.
+    On n support points the value is dd^2 / sum_i lambda_i^2 / w_i from
+    the dual (_dual). On any other support it is the explicit sum of
+    squared root-weighted residuals of _fit, nonnegative by construction
+    and zero when the support can be interpolated.
     """
-    if design.support_size != problem.n:
-        res = _fit(design, problem)[2]
-        return float(res @ res)
-    x = design.points
-    if problem.b is not None:
-        dd = math.fsum([*x.tolist(), problem.b])
-    else:
-        dd = 1.0 + problem.bbar * math.fsum(x.tolist())
-    gaps = np.abs(x[:, None] - x)
-    gaps.reshape(-1)[:: x.size + 1] = 1.0
-    mg, eg = np.frexp(gaps)
-    mw, ew = np.frexp(design.weights)
-    mant = mg.prod(axis=1)
-    # lambda_i^2 / w_i = 2^-k_i / (mant_i^2 mw_i), summed from the largest power of two
-    k = 2 * eg.sum(axis=1) + ew
-    k0 = int(k.min())
-    s = float(np.ldexp(1.0 / (mant * mant * mw), k0 - k).sum())
-    # the value is dd^2 2^k0 / s; with k0 even, the square comes last
-    if k0 % 2:
-        s, k0 = 2.0 * s, k0 + 1
-    return math.ldexp(abs(dd) / math.sqrt(s), k0 // 2) ** 2
+    if design.support_size == problem.n:
+        return _dual(design, problem)[0]
+    res = _fit(design, problem)[2]
+    return float(res @ res)

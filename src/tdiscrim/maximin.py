@@ -81,8 +81,10 @@ def maximin_design(n: int, interval: RatioInterval) -> Design:
 
     whole_line: weight 1/2n on each endpoint of [-1, 1] and 1/n on each
     interior extremum of T_n. ray_up/ray_down: the optimal design at the
-    finite endpoint (efficiency is monotone along the ray), mirrored for
-    the downward ray.
+    finite endpoint (efficiency is monotone along the ray). For the
+    downward ray that is optimal_design(n, -b0), the mirror of the upward
+    ray's design bit for bit; at b0 = 0 the mirror is taken, since the
+    alpha = 0.5 member is symmetric only up to rounding.
     """
     n = check_degree(n, 2)
     if interval.kind == "whole_line":
@@ -92,7 +94,9 @@ def maximin_design(n: int, interval: RatioInterval) -> Design:
         return Design(pts, wts)
     if interval.kind == "ray_up":
         return optimal_design(n, interval.b0).design
-    return optimal_design(n, interval.b0).design.reflected()
+    if interval.b0 == 0.0:
+        return optimal_design(n, 0.0).design.reflected()
+    return optimal_design(n, -interval.b0).design
 
 
 def r_value(n: int, b: float) -> float:

@@ -44,7 +44,8 @@ _CHUNK = 1 << 15
 class ExactDesign:
     """Repeated-observation design: counts[i] runs at points[i].
 
-    Counts follow n's integer rule and sum below 2**63; points follow Design's rule.
+    Counts follow n's integer rule and sum below 2**63, one per point;
+    points follow Design's rule.
     """
 
     points: np.ndarray
@@ -55,8 +56,15 @@ class ExactDesign:
         counts = [check_integer(c, "counts", 1) for c in cnt]
         if sum(counts) >= 2**63:
             raise ValueError("counts must sum to less than 2**63")
+        try:
+            pts = np.atleast_1d(np.asarray(self.points, dtype=float))
+        except TypeError:
+            pts = self.points  # not numbers: Design names the fault
+        else:
+            if pts.ndim == 1 and (pts.size == 0 or pts.size != len(counts)):
+                raise ValueError("points and counts must be non-empty and equally long")
         self.counts = np.array(counts, dtype=int)
-        self.points = Design(self.points, self.counts / self.size).points
+        self.points = Design(pts, self.counts / self.size).points
 
     @property
     def size(self) -> int:
@@ -271,7 +279,12 @@ def table1(reps: int = DEFAULT_REPS, seed: int = DEFAULT_SEED,
 
 
 def table1_csv(results: dict[str, list[PowerResult]], reps: int, seed: int) -> str:
-    """Render a power table as CSV with the RNG recorded in a comment line."""
+    """Render a power table as CSV with the RNG recorded in a comment line.
+
+    reps and seed follow table1's rule: integers >= 10000 and >= 0.
+    """
+    reps = check_integer(reps, "reps", 10_000)
+    seed = check_integer(seed, "seed", 0)
     lines = [
         f"# rng={RNG_INFO['bit_generator']} normals={RNG_INFO['normals']} "
         f"scheme={RNG_INFO['scheme']}",
@@ -281,6 +294,6 @@ def table1_csv(results: dict[str, list[PowerResult]], reps: int, seed: int) -> s
         for r in row:
             lines.append(
                 f"{name},{r.theta3!r},{r.estimate!r},{r.std_error!r},"
-                f"{r.analytic!r},{int(reps)},{int(seed)}"
+                f"{r.analytic!r},{reps},{seed}"
             )
     return "\n".join(lines) + "\n"

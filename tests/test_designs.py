@@ -7,6 +7,7 @@ from numpy.polynomial import chebyshev as ncheb
 from tdiscrim.designs import (
     Design,
     DiscriminationProblem,
+    _cosines,
     _monomial,
     error_polynomial,
     t_criterion,
@@ -201,6 +202,14 @@ class TestProblem:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             DiscriminationProblem(1, b=1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 40])
+    def test_cached_cosines_are_read_only_and_take_values_to_coefficients(self, n):
+        # discrete orthogonality at the n + 1 points of the first kind: exact to degree n
+        t, m = _cosines(n)
+        assert not t.flags.writeable and not m.flags.writeable
+        c = np.random.Generator(np.random.PCG64(n)).normal(size=n + 1)
+        assert np.abs(m @ ncheb.chebval(t, c) - c[: n - 1]).max() <= 1e-15 * np.abs(c).sum()
 
     def test_cached_monomials_are_read_only_and_fixed_parts_fresh(self):
         assert not _monomial(5, 6).flags.writeable

@@ -12,6 +12,8 @@ shares no code with the package, and taylor_coefficients to mp_taylor, a
 polynomial fit through nine of its states at 90 digits.
 """
 
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ from tdiscrim import (
 )
 from tdiscrim import continuation
 from tdiscrim.continuation import h_form, inequality_margin
-from tdiscrim.designs import error_polynomial
+from tdiscrim.designs import _dual, error_polynomial
 
 DEGREES = range(3, 41)
 DPS = 50
@@ -121,9 +123,9 @@ def test_verification_report_passes_optima_and_fails_the_control(n):
         assert not verification_report(control, n, b)["passed"]
 
 
-def mp_fit_residual(design, n, b):
-    """x -> psi_xi(x) at DPS digits: x^n + b x^(n-1) less its weighted fit on T_0..T_(n-2)."""
-    with mp.workdps(DPS):
+def mp_fit_residual(design, n, b, dps=DPS):
+    """x -> psi_xi(x) at dps digits: x^n + b x^(n-1) less its weighted fit on T_0..T_(n-2)."""
+    with mp.workdps(dps):
         pts = [mp.mpf(float(x)) for x in design.points]
         wts = [mp.mpf(float(w)) for w in design.weights]
         b = mp.mpf(float(b))
@@ -146,7 +148,7 @@ def mp_fit_residual(design, n, b):
         coef = mp.lu_solve(gram, rhs)
 
     def psi(x):
-        with mp.workdps(DPS):
+        with mp.workdps(dps):
             x = mp.mpf(float(x))
             fit = sum(c * t for c, t in zip(coef, basis(x)))
             return x**n + b * x ** (n - 1) - fit
@@ -154,12 +156,23 @@ def mp_fit_residual(design, n, b):
     return psi
 
 
-@pytest.mark.parametrize("n", (5, 20, 40))
+def non_optimal_designs(n):
+    """The equispaced uniform design and a seeded random one, both on n points."""
+    rng = np.random.Generator(np.random.PCG64(n))
+    w = rng.uniform(0.1, 1.0, n)
+    return [Design(np.linspace(-1.0, 1.0, n), np.full(n, 1.0 / n)),
+            Design(np.sort(rng.uniform(-1.0, 1.0, n)), w / w.sum())]
+
+
+@pytest.mark.parametrize("n", (5, 20, 30, 40))
 def test_error_polynomial_matches_a_high_precision_fit(n):
+    # on n points psi_xi is built from the dual; a least-squares fit missed
+    # the non-optimal designs at n = 40 by 7.5e-9 (equispaced) and 1.2e-3
     bc = critical_b(n)
     bbar = 0.5 * bbar_limit(n)
     cases = [(t_optimal_design(n, 0.5 * bc).design, 0.5 * bc),
              (solve_at(n, bbar).design(), 1.0 / bbar)]
+    cases += [(design, 0.5 * bc) for design in non_optimal_designs(n)]
     grid = -np.cos(np.linspace(0.0, np.pi, 4 * n + 1))
     for design, b in cases:
         psi = error_polynomial(design, DiscriminationProblem(n, b=b))
@@ -176,16 +189,45 @@ def test_criterion_is_exact_on_non_optimal_n_point_designs(n):
     # on n points t_criterion takes the divided-difference route, which a
     # least-squares residual misses here by up to its whole value
     b = 0.5 * critical_b(n)
-    rng = np.random.Generator(np.random.PCG64(n))
-    w = rng.uniform(0.1, 1.0, n)
-    cases = [Design(np.linspace(-1.0, 1.0, n), np.full(n, 1.0 / n)),
-             Design(np.sort(rng.uniform(-1.0, 1.0, n)), w / w.sum())]
-    for design in cases:
+    for design in non_optimal_designs(n):
         psi = mp_fit_residual(design, n, b)
         with mp.workdps(DPS):
             exact = sum(mp.mpf(float(w)) * psi(x) ** 2
                         for x, w in zip(design.points, design.weights))
         assert rel(t_criterion(design, DiscriminationProblem(n, b=b)), exact) <= 1e-13
+
+
+@pytest.mark.parametrize("n,gap,b", [(6, 1e-200, 1e100), (20, 1e-9, 0.3)])
+def test_the_dual_holds_on_a_clustered_support(n, gap, b):
+    # gap^(2n-2) times the smallest weight is below 2^-994, so the dual
+    # takes lambda_i in log space; at gap = 1e-200 plain products of gaps
+    # would overflow, and the large b keeps T = dd^2 / S a normal float
+    rng = np.random.Generator(np.random.PCG64(n))
+    pts = np.sort(np.concatenate([rng.uniform(-1.0, 1.0, n - 2), [0.0, gap]]))
+    w = rng.uniform(0.1, 1.0, n)
+    design = Design(pts, w / w.sum())
+    assert np.diff(pts).min() ** (2 * n - 2) * design.weights.min() < 2.0**-994
+    problem = DiscriminationProblem(n, b=b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = t_criterion(design, problem)
+        psi = error_polynomial(design, problem)
+        crit = psi.critical_points()
+        wpsi = _dual(design, problem)[3]
+        assert not verification_report(design, n, b)["passed"]
+    dps = 2 * n * int(-np.log10(gap)) + DPS
+    exact = mp_fit_residual(design, n, b, dps)
+    xs = np.concatenate([-np.cos(np.linspace(0.0, np.pi, 4 * n + 1)), pts, crit])
+    with mp.workdps(dps):
+        target = sum(mp.mpf(float(w)) * exact(x) ** 2
+                     for x, w in zip(design.points, design.weights))
+        sup = max(abs(exact(x)) for x in xs)
+        err = max(abs(mp_chebval(x, psi.coeffs) - exact(x)) for x in xs)
+        assert float(abs(mp.mpf(value) / target - 1)) <= 1e-13
+        ref = [mp.mpf(float(w)) * exact(x) for x, w in zip(design.points, design.weights)]
+        miss = max(abs(mp.mpf(float(v)) - r) for v, r in zip(wpsi, ref))
+        assert float(miss / max(map(abs, ref))) <= 1e-13
+    assert float(err / sup) <= 1e-12
 
 
 @pytest.mark.parametrize("n", DEGREES)

@@ -4,7 +4,7 @@ import pytest
 from tdiscrim.closed_form import critical_b, t_optimal_design, zero_b_family
 from tdiscrim.continuation import d1_optimal_start, solve_at
 from tdiscrim.checks import verification_report
-from tdiscrim.designs import DiscriminationProblem, t_criterion
+from tdiscrim.designs import Design, DiscriminationProblem, t_criterion
 from tdiscrim.maximin import RatioInterval, maximin_design, optimal_design, r_value
 
 
@@ -132,6 +132,38 @@ class TestRays:
         down = maximin_design(4, RatioInterval.ray_down(b0))
         assert np.abs(down.points + up.points[::-1]).max() <= 1e-12
         assert np.abs(down.weights - up.weights[::-1]).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 20, 40])
+    def test_ray_down_is_the_mirror_to_the_bit(self, n):
+        # b0 > 0 reads optimal_design(n, -b0); b0 = 0 mirrors the alpha = 0.5
+        # member, which differs from optimal_design(n, -0.0) in the last bits
+        def bits(d):
+            return d.points.view(np.int64).tolist(), d.weights.view(np.int64).tolist()
+
+        for share in (0.0, 1e-300, 0.3, 1.0, 1.5, 40.0, 1e6):
+            b0 = share * critical_b(n)
+            down = maximin_design(n, RatioInterval.ray_down(b0))
+            assert bits(down) == bits(optimal_design(n, b0).design.reflected())
+            if b0 > 0.0:
+                assert bits(down) == bits(optimal_design(n, -b0).design)
+
+    @pytest.mark.parametrize("n", [3, 5, 20])
+    def test_ray_down_inside_the_regime_validates_one_design(self, monkeypatch, n):
+        made = []
+        init = Design.__post_init__
+
+        def counted(design):
+            made.append(design)
+            init(design)
+
+        monkeypatch.setattr(Design, "__post_init__", counted)
+        b0 = 0.5 * critical_b(n)
+        counts = []
+        for ray in (RatioInterval.ray_up(b0), RatioInterval.ray_down(b0)):
+            made.clear()
+            maximin_design(n, ray)
+            counts.append(len(made))
+        assert counts == [1, 1]
 
     @pytest.mark.parametrize("n", [2, 3, 8, 20, 40])
     def test_the_ray_end_is_its_worst_ratio(self, n):

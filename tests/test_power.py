@@ -47,6 +47,14 @@ class TestExactDesign:
         with pytest.raises(ValueError):
             ExactDesign([0.5, 0.0], [1, 1])
 
+    @pytest.mark.parametrize("points, counts", [
+        ([-1.0, 1.0], [1]), ([-1.0], [1, 1]), ([], []), (np.linspace(-1.0, 1.0, 5), [8] * 4),
+    ])
+    def test_unequal_lengths_name_points_and_counts(self, points, counts):
+        with pytest.raises(ValueError,
+                           match="^points and counts must be non-empty and equally long$"):
+            ExactDesign(points, counts)
+
 
 class TestNoncentrality:
     def test_t_optimal_exact(self):
@@ -336,6 +344,18 @@ class TestTable:
             table1(reps=10000.5)
         with pytest.raises(ValueError, match="^seed must be an integer >= 0$"):
             table1(reps=10_000, seed=2.5)
+
+    @pytest.mark.parametrize("reps, seed, message", [
+        (10000.7, 3, "^reps must be an integer >= 10000$"),
+        (10_000, 3.9, "^seed must be an integer >= 0$"),
+        (10000.7, 3.9, "^reps must be an integer >= 10000$"),
+        (500, 3, "^reps must be an integer >= 10000$"),
+        (10_000, -1, "^seed must be an integer >= 0$"),
+    ])
+    def test_csv_follows_the_integer_rule_of_table1(self, reps, seed, message):
+        # a CSV must not name a run that never happened, such as reps 10000 for 10000.7
+        with pytest.raises(ValueError, match=message):
+            table1_csv({"T-optimal": []}, reps, seed)
 
     def test_csv_records_sampling_scheme(self):
         text = table1_csv({"T-optimal": []}, 10_000, 3)
