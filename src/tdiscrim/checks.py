@@ -3,16 +3,13 @@
 The equivalence theorem (Atkinson & Fedorov, 1975) certifies a design by
 its own error polynomial psi_xi, the residual of its weighted fit, so no
 check rebuilds the optimal psi by the closed form or the Remez exchange
-that construct designs. On exactly n support points verification_report
-reads the fit's dual (designs._dual): the residuals at the support, w_i
-psi_i = (dd / S) lambda_i, and T(xi) come from the divided-difference
-weights, the moment residuals are one product of those against the
-powers of the support, and alternation reads the same values; psi_xi,
-built from the same dual, is evaluated by Clenshaw at its critical points
-only. On other supports psi_xi is fitted, evaluated in one Clenshaw pass
-over its critical points and the support together, and its moment
-residuals are compensated sums of raw products, one matrix of terms from
-one broadcast power, as equivalence_system takes them for any psi.
+that construct designs. verification_report takes T(xi), psi_xi and the
+weighted residuals w_i psi_xi(x_i) at the support from designs._residual,
+which alone picks the divided-difference dual on n points or the fit
+elsewhere. The moment residuals are one product of the weighted residuals
+against running products of the support, alternation reads the same
+residuals, and psi_xi is evaluated by Clenshaw at its critical points
+only.
 """
 
 from __future__ import annotations
@@ -23,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import canonical_weights
-from .designs import (Design, DiscriminationProblem, _dual, _dual_series,
-                      error_polynomial)
+from .designs import Design, DiscriminationProblem, _residual
 from .errors import check_degree, check_integer, check_ratio
 from .polynomials import ChebyshevSeries
 
@@ -42,11 +38,6 @@ def equivalence_system(design: Design, psi: ChebyshevSeries, n: int) -> np.ndarr
     compensated sum of the raw per-point products.
     """
     n = check_degree(n, 2)
-    return _moment_residuals(design, psi(design.points), n)
-
-
-def _moment_residuals(design: Design, pv: np.ndarray, n: int) -> np.ndarray:
-    """equivalence_system's residuals, psi being pv at the support."""
     # x**k for a scalar k is pow(x, k), except x**2, which numpy takes as
     # x * x: so one broadcast power, its k = 2 row set to x * x, holds the
     # bits of each row's own x**k; repeated products would round differently
@@ -54,7 +45,7 @@ def _moment_residuals(design: Design, pv: np.ndarray, n: int) -> np.ndarray:
     terms = x ** np.arange(n - 1.0)[:, None]
     if n > 3:
         terms[2] = x * x
-    terms *= design.weights * pv
+    terms *= design.weights * psi(x)
     return np.array([math.fsum(row) for row in terms.tolist()])
 
 
@@ -140,34 +131,24 @@ def verification_report(design: Design, n: int, b: float) -> dict:
     the equal-magnitude sign changes over the support;
     criterion_matches_deviation and global_inequality are one certificate,
     (dev^2 - T) / dev^2 and dev^2 - T, with dev the sup of |psi_xi| over
-    its critical points. On n support points the support values, T(xi)
-    and psi_xi come from the fit's dual, and the normal equations are one
-    product against the powers of the support; on others psi_xi is
-    fitted and evaluated in one pass over its critical points and the
-    support together. The tolerances scale with the problem: the
-    residuals and the spread are compared to their constant times dev, the
-    absolute margin to its constant times dev^2.
+    its critical points. T(xi), psi_xi and the weighted residuals at the
+    support come from designs._residual; the normal equations are one
+    product of those against the powers of the support. The tolerances
+    scale with the problem: the residuals are compared to their constant
+    times dev, the spread of |psi_xi| over the support to its constant
+    times the largest |psi_xi(x_i)|, and the absolute margin to its
+    constant times dev^2.
     """
     n = check_degree(n, 2)
     b = check_ratio(b, "b", finite=True)
-    problem = DiscriminationProblem(n, b=b)
-    if design.support_size == n:
-        criterion, dd, share, wpsi = _dual(design, problem)
-        psi = _dual_series(design.points, problem, dd, share)
-        cv = psi(psi.critical_points())
-        pv = wpsi / design.weights
-        # sum_i w_i psi_i x_i^k for k = 0..n-2: x^k as running products
-        powers = np.empty((n - 1, n))
-        powers[:] = design.points
-        powers[0] = 1.0
-        resid = np.multiply.accumulate(powers, axis=0) @ wpsi
-    else:
-        psi = error_polynomial(design, problem)
-        cp = psi.critical_points()
-        vals = psi(np.concatenate([cp, design.points]))
-        cv, pv = vals[: cp.size], vals[cp.size :]
-        criterion = float(np.sum(design.weights * pv * pv))
-        resid = _moment_residuals(design, pv, n)
+    criterion, psi, wpsi = _residual(design, DiscriminationProblem(n, b=b))
+    cv = psi(psi.critical_points())
+    pv = wpsi / design.weights
+    # sum_i w_i psi_i x_i^k for k = 0..n-2: x^k as running products
+    powers = np.empty((n - 1, design.support_size))
+    powers[:] = design.points
+    powers[0] = 1.0
+    resid = np.multiply.accumulate(powers, axis=0) @ wpsi
     deviation = float(np.abs(cv).max())
 
     checks = []
@@ -179,7 +160,7 @@ def verification_report(design: Design, n: int, b: float) -> dict:
         "tolerance": tol,
         "passed": worst <= tol,
     })
-    alt = _alternation(pv, ALTERNATION_TOL * deviation)
+    alt = _alternation(pv, ALTERNATION_TOL * float(np.abs(pv).max()))
     checks.append({
         "name": "alternation",
         "value": alt.spread,

@@ -78,13 +78,9 @@ WINDOW_NODES = 16
 STACK_ROWS = 64
 
 
-def _lobatto(m: int) -> np.ndarray:
-    """The m Chebyshev-Lobatto nodes on [-1, 1], ascending."""
-    return -np.cos(np.arange(m) * np.pi / (m - 1))
-
-
-LOBATTO = _lobatto(TABLE_NODES)
-WINDOW = _lobatto(WINDOW_NODES)
+# m Chebyshev-Lobatto nodes are the extrema of T_(m-1)
+LOBATTO = chebyshev_extrema(TABLE_NODES - 1)
+WINDOW = chebyshev_extrema(WINDOW_NODES - 1)
 
 
 @dataclass

@@ -5,17 +5,19 @@ one. For the model pair of degrees n and n - 2 the criterion value of a
 design is the weighted squared distance, on the support, between the fixed
 highest-degree part of the larger model and the span of T_0, ..., T_(n-2).
 
-On exactly n support points, as every optimal design past b = 0 has, the
-residual space is one-dimensional, and the criterion, the residuals and
-psi_xi itself come from its dual (_dual) without a fit: the (n-1)-th
-divided difference dd of the fixed part and the divided-difference weights
-lambda_i (Berrut & Trefethen, SIAM Review 46, 2004) give
-T = dd^2 / sum lambda_i^2 / w_i and the residual at each support point, and
-psi_xi is a_n omega + L, omega the node polynomial and L the interpolant of
-those residuals (_dual_series), turned into Chebyshev coefficients by one
-cosine matrix. That route keeps T within a few ulps and psi_xi near
-machine precision where a least-squares residual of a non-optimal design
-can lose every digit.
+_residual is the one place that picks how a design's own residual is
+found: T(xi), psi_xi and the weighted residuals w_i psi_xi(x_i) at the
+support. On exactly n support points, as every optimal design past b = 0
+has, the residual space is one-dimensional and all three come from its
+dual (_dual) without a fit: the (n-1)-th divided difference dd of the
+fixed part and the divided-difference weights lambda_i (Berrut &
+Trefethen, SIAM Review 46, 2004) give T = dd^2 / sum lambda_i^2 / w_i and
+the residual at each support point, and psi_xi is a_n omega + L, omega the
+node polynomial and L the interpolant of those residuals (_dual_series),
+turned into Chebyshev coefficients by one cached cosine matrix (_cosines).
+That route keeps T within a few ulps and psi_xi near machine precision
+where a least-squares residual of a non-optimal design can lose every
+digit. t_criterion makes the same choice for T alone, building no psi_xi.
 
 Other support sizes keep plain weighted least squares (_fit). Modulo the
 span the fixed part is its top two Chebyshev terms,
@@ -247,18 +249,18 @@ def _dual(design: Design, problem: DiscriminationProblem):
 
 @functools.cache
 def _cosines(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n + 1 Chebyshev points of the first kind, and the cosine matrix at them.
+    """The angles of the n + 1 Chebyshev points of the first kind, and the cosine matrix.
 
-    The matrix takes a polynomial's values at the points to its Chebyshev
-    coefficients on T_0..T_(n-2), exactly for degree up to n (discrete
-    orthogonality). Built once per degree and shared, so both are read-only.
+    The points are cos(theta). The matrix takes a polynomial's values at
+    them to its Chebyshev coefficients on T_0..T_n, exactly for degree up
+    to n (discrete orthogonality). Built once per degree and shared, so
+    both are read-only.
     """
     theta = (2 * np.arange(n + 1) + 1) * (np.pi / (2 * n + 2))
-    m = np.cos(np.arange(n - 1)[:, None] * theta) * (2.0 / (n + 1))
+    m = np.cos(np.arange(n + 1)[:, None] * theta) * (2.0 / (n + 1))
     m[0] *= 0.5
-    t = np.cos(theta)
-    t.flags.writeable = m.flags.writeable = False
-    return t, m
+    theta.flags.writeable = m.flags.writeable = False
+    return theta, m
 
 
 def _dual_series(x: np.ndarray, problem: DiscriminationProblem, dd: float,
@@ -269,12 +271,12 @@ def _dual_series(x: np.ndarray, problem: DiscriminationProblem, dd: float,
     interpolates psi_i at x_i, since lambda_i psi_i = dd share_i; a_n is 1,
     or bbar. Both are sampled at the Chebyshev points of the first kind
     from prefix and suffix products of t - x_j, with no division, and the
-    samples are turned into the coefficients of T_0..T_(n-2) by one cosine
-    matrix; the top two are the fixed part's own.
+    samples are turned into the coefficients of T_0..T_(n-2) by the first
+    n - 1 rows of one cosine matrix; the top two are the fixed part's own.
     """
     n = problem.n
-    t, m = _cosines(n)
-    d = t[:, None] - x
+    theta, m = _cosines(n)
+    d = np.cos(theta)[:, None] - x
     pre = d.cumprod(axis=1)
     suf = d[:, ::-1].cumprod(axis=1)[:, ::-1]
     others = np.ones_like(d)
@@ -282,24 +284,37 @@ def _dual_series(x: np.ndarray, problem: DiscriminationProblem, dd: float,
     others[:, :-1] *= suf[:, 1:]
     a_n = 1.0 if problem.b is not None else problem.bbar
     samples = a_n * pre[:, -1] + dd * (others @ share)
-    return ChebyshevSeries(np.concatenate([m @ samples, problem.fixed_part().coeffs[n - 1 :]]))
+    low = m[: n - 1] @ samples
+    return ChebyshevSeries(np.concatenate([low, problem.fixed_part().coeffs[n - 1 :]]))
+
+
+def _residual(design: Design, problem: DiscriminationProblem):
+    """The design's own residual: (T, psi_xi, w_i psi_xi(x_i)).
+
+    The one place that chooses the route. On exactly n support points all
+    three come from the dual (_dual, _dual_series). On any other support
+    psi_xi is the fixed part's top two Chebyshev terms less _fit's
+    coefficients, since subtracting the whole fit from the whole fixed part
+    cancels nearly all of psi at high degree; T is the sum of squared
+    root-weighted residuals, and w_i psi_xi(x_i) each of them times its
+    root weight.
+    """
+    if design.support_size == problem.n:
+        criterion, dd, share, wpsi = _dual(design, problem)
+        return criterion, _dual_series(design.points, problem, dd, share), wpsi
+    n = problem.n
+    g, coef, res = _fit(design, problem)
+    psi = ChebyshevSeries(np.concatenate([-coef, g[n - 1 :]]))
+    return float(res @ res), psi, np.sqrt(design.weights) * res
 
 
 def error_polynomial(design: Design, problem: DiscriminationProblem) -> ChebyshevSeries:
     """psi_xi: the fixed part less its nearest polynomial of degree n - 2 in the design's norm.
 
-    sum_i w_i psi_xi(x_i)^2 is the criterion value. On exactly n support
-    points psi_xi is built from the dual (_dual, _dual_series). On any
-    other support it is the fixed part's top two Chebyshev terms less
-    _fit's coefficients; subtracting the whole fit from the whole fixed
-    part cancels nearly all of psi at high degree.
+    sum_i w_i psi_xi(x_i)^2 is the criterion value. Built by _residual: from
+    the dual on exactly n support points, from _fit on any other support.
     """
-    if design.support_size == problem.n:
-        _, dd, share, _ = _dual(design, problem)
-        return _dual_series(design.points, problem, dd, share)
-    n = problem.n
-    g, coef, _ = _fit(design, problem)
-    return ChebyshevSeries(np.concatenate([-coef, g[n - 1 :]]))
+    return _residual(design, problem)[1]
 
 
 def t_criterion(design: Design, problem: DiscriminationProblem) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import _check_regime
-from .designs import DiscriminationProblem
+from .designs import DiscriminationProblem, _cosines
 from .errors import ConvergenceError, check_degree, check_integer
 from .polynomials import ChebyshevSeries, _critical_points, _vander, chebyshev_extrema
 
@@ -62,8 +62,8 @@ def closed_form_psi(n: int, b: float) -> ChebyshevSeries:
     Monic of degree n with x^(n-1) coefficient b; its sup-norm on [-1, 1] is
     (1 + |b|/n)^n / 2^(n-1). For b >= 0 it is the rescaled Chebyshev
     polynomial scale * T_n(-(x + beta) / (1 + beta)) with beta = b/n,
-    interpolated at the n + 1 Chebyshev points of the first kind x = cos(theta),
-    which is exact for degree n. For negative b it is the mirror image
+    interpolated at the n + 1 Chebyshev points of the first kind x = cos(theta)
+    by the cosine matrix designs._cosines caches, which is exact for degree n. For negative b it is the mirror image
     (-1)^n psi(-x), whose coefficients differ only in sign. Outside the
     critical window the formula stops being minimax, so it is rejected
     rather than extrapolated.
@@ -72,17 +72,14 @@ def closed_form_psi(n: int, b: float) -> ChebyshevSeries:
     b = _check_regime(n, b)
     beta = abs(b) / n
     scale = (-1.0) ** n * 0.5 ** (n - 1) * (1.0 + beta) ** n
-    theta = (np.arange(n + 1) + 0.5) * np.pi / (n + 1)
+    theta, m = _cosines(n)
     # arccos(-(cos(theta) + beta) / (1 + beta)) by its half-angle tangent,
     # which keeps full relative accuracy where the argument nears -1 or 1
     phi = 2.0 * np.arctan2(np.sqrt(np.cos(0.5 * theta) ** 2 + beta),
                            np.sin(0.5 * theta))
-    k = np.arange(n + 1)
-    c = np.cos(np.outer(k, theta)) @ (scale * np.cos(n * phi))
-    c *= 2.0 / (n + 1)
-    c[0] *= 0.5
+    c = m @ (scale * np.cos(n * phi))
     if b < 0:
-        c[(n + k) % 2 == 1] *= -1.0
+        c[n - 1 :: -2] *= -1.0
     return ChebyshevSeries(c)
 
 

@@ -16,6 +16,7 @@ from tdiscrim.checks import (
 from tdiscrim.closed_form import critical_b, t_optimal_design, zero_b_family
 from tdiscrim.continuation import bbar_limit, solve_at
 from tdiscrim.designs import Design
+from tdiscrim.maximin import RatioInterval, maximin_design, optimal_design
 from tdiscrim.minimax import closed_form_psi, remez
 from tdiscrim.polynomials import ChebyshevSeries
 
@@ -197,6 +198,52 @@ class TestVerificationReport:
         state = solve_at(3, 1.0 / 1.5)
         rep = verification_report(state.design(), 3, 1.5)
         assert rep["passed"]
+
+
+    def test_alternation_is_relative_to_the_support_residuals(self):
+        # at b = 0 the symmetric equispaced 20-point design has T near 0: its
+        # support residuals are rounding noise, alternating in sign but far
+        # from equal in magnitude, however small beside the sup of |psi_xi|
+        d = Design(np.linspace(-1.0, 1.0, 20), np.full(20, 0.05))
+        rep = verification_report(d, 20, 0.0)
+        alternation = rep["checks"][1]
+        assert alternation["name"] == "alternation"
+        assert not alternation["passed"]
+        assert alternation["value"] > alternation["tolerance"]
+        assert not rep["passed"]
+
+
+class TestVerdictGrid:
+    """Every optimum passes, and every control and 1e-3 move fails, at n = 2..40.
+
+    The optima come from each construction: optimal_design inside, at and
+    beyond the critical ratio on both sides, the b = 0 family at its ends
+    and inside, and the whole-line maximin design, which is optimal at
+    b = 0. The controls are equispaced designs of n - 1, n + 1 and n + 3
+    points, at each ratio of the optima.
+    """
+
+    SHARES = (0.0, 0.3, -0.7, 1.0, 1.5, -4.0, 50.0)
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_optima_pass_and_moves_and_controls_fail(self, n):
+        bc = critical_b(n)
+        optima = [(optimal_design(n, s * bc).design, s * bc) for s in self.SHARES]
+        optima += [(zero_b_family(n, alpha).design, 0.0) for alpha in (0.0, 0.25, 0.5, 1.0)]
+        optima.append((maximin_design(n, RatioInterval.whole_line()), 0.0))
+        for design, b in optima:
+            assert verification_report(design, n, b)["passed"]
+            i = (design.support_size - 1) // 2
+            pts = design.points.copy()
+            pts[i] += 1e-3
+            wts = design.weights.copy()
+            wts[i] *= 1.001
+            for moved in (Design(pts, design.weights), Design(design.points, wts / wts.sum())):
+                assert not verification_report(moved, n, b)["passed"]
+        for size in (n - 1, n + 1, n + 3):
+            control = Design(np.linspace(-1.0, 1.0, size), np.full(size, 1.0 / size))
+            for s in self.SHARES:
+                assert not verification_report(control, n, s * bc)["passed"]
 
 
 def optimum(n, kind, share):

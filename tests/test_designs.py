@@ -206,10 +206,10 @@ class TestProblem:
     @pytest.mark.parametrize("n", [2, 3, 8, 40])
     def test_cached_cosines_are_read_only_and_take_values_to_coefficients(self, n):
         # discrete orthogonality at the n + 1 points of the first kind: exact to degree n
-        t, m = _cosines(n)
-        assert not t.flags.writeable and not m.flags.writeable
+        theta, m = _cosines(n)
+        assert not theta.flags.writeable and not m.flags.writeable
         c = np.random.Generator(np.random.PCG64(n)).normal(size=n + 1)
-        assert np.abs(m @ ncheb.chebval(t, c) - c[: n - 1]).max() <= 1e-15 * np.abs(c).sum()
+        assert np.abs(m @ ncheb.chebval(np.cos(theta), c) - c).max() <= 1e-15 * np.abs(c).sum()
 
     def test_cached_monomials_are_read_only_and_fixed_parts_fresh(self):
         assert not _monomial(5, 6).flags.writeable

@@ -245,6 +245,27 @@ def test_closed_form_psi_peaks_on_the_support(n):
                 assert rel(abs(mp_chebval(x, psi.coeffs)), level) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [5, 12, 20, 40])
+def test_closed_form_psi_matches_a_50_digit_interpolant(n):
+    # scale T_n(-(x + beta) / (1 + beta)) interpolated at the n + 1 points of
+    # the first kind, exact for degree n; negative b mirrors it
+    bc = critical_b(n)
+    with mp.workdps(DPS):
+        theta = [(2 * j + 1) * mp.pi / (2 * n + 2) for j in range(n + 1)]
+        for b in (0.0, 0.3 * bc, 0.5 * bc, bc, -0.3 * bc, -0.7 * bc, -bc):
+            beta = abs(mp.mpf(b)) / n
+            scale = (-1) ** n * mp.mpf(2) ** (1 - n) * (1 + beta) ** n
+            vals = [scale * mp.chebyt(n, -(mp.cos(t) + beta) / (1 + beta)) for t in theta]
+            exact = [2 * mp.fsum(v * mp.cos(k * t) for v, t in zip(vals, theta)) / (n + 1)
+                     for k in range(n + 1)]
+            exact[0] /= 2
+            if b < 0:
+                exact = [c * (-1) ** (n + k) for k, c in enumerate(exact)]
+            got = closed_form_psi(n, b).coeffs
+            miss = max(abs(mp.mpf(float(g)) - c) for g, c in zip(got, exact))
+            assert float(miss / abs(scale)) <= 1e-14
+
+
 PATH_DEGREES = (16, 20, 25, 26, 30, 40)
 PATH_SHARES = (0.05, 0.2, 0.5, 0.95, 1.0, -1.0, -0.5)
 

@@ -417,6 +417,15 @@ def test_one_exchange_budget_and_no_path_object():
         table[0, 0] = 0.0
 
 
+def test_one_route_from_a_design_to_its_residual():
+    # designs alone chooses between the n-point dual and the fit; the
+    # report neither reaches past _residual nor keeps a moment helper
+    for name in ("_dual", "_dual_series", "error_polynomial", "_moment_residuals"):
+        assert not hasattr(checks, name)
+    # one Chebyshev-Lobatto node function: polynomials.chebyshev_extrema
+    assert not hasattr(continuation, "_lobatto")
+
+
 def test_a_state_exposes_only_what_it_holds():
     # psi stays in Chebyshev form: no monomial view q, nor theta built on it
     state = solve_at(5, 0.3)
