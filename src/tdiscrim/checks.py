@@ -5,11 +5,14 @@ its own error polynomial psi_xi, the residual of its weighted fit, so no
 check rebuilds the optimal psi by the closed form or the Remez exchange
 that construct designs. verification_report takes T(xi), psi_xi and the
 weighted residuals w_i psi_xi(x_i) at the support from designs._residual,
-which alone picks the divided-difference dual on n points or the fit
-elsewhere. The moment residuals are one product of the weighted residuals
-against running products of the support, alternation reads the same
-residuals, and psi_xi is evaluated by Clenshaw at its critical points
-only.
+which alone picks the route: the divided-difference dual on n points (the
+optima past b = 0) and on n + 1 points (the interior members of the b = 0
+family), where it is a weighted straight-line fit in x with exact
+divided differences for right-hand sides, and the least-squares fit on any
+other support. The moment residuals are one product of the weighted
+residuals against running products of the support, alternation reads the
+same residuals, and psi_xi is evaluated by Clenshaw at its critical
+points only.
 """
 
 from __future__ import annotations
@@ -137,7 +140,10 @@ def verification_report(design: Design, n: int, b: float) -> dict:
     scale with the problem: the residuals are compared to their constant
     times dev, the spread of |psi_xi| over the support to its constant
     times the largest |psi_xi(x_i)|, and the absolute margin to its
-    constant times dev^2.
+    constant times dev^2. alternation also needs that largest
+    |psi_xi(x_i)| above the residuals' own tolerance, EQUIVALENCE_TOL times
+    dev: on fewer than n points the fit interpolates, and support
+    residuals below that level are rounding noise, not values.
     """
     n = check_degree(n, 2)
     b = check_ratio(b, "b", finite=True)
@@ -160,12 +166,13 @@ def verification_report(design: Design, n: int, b: float) -> dict:
         "tolerance": tol,
         "passed": worst <= tol,
     })
-    alt = _alternation(pv, ALTERNATION_TOL * float(np.abs(pv).max()))
+    level = float(np.abs(pv).max())
+    alt = _alternation(pv, ALTERNATION_TOL * level)
     checks.append({
         "name": "alternation",
         "value": alt.spread,
         "tolerance": alt.tol,
-        "passed": alt.passed,
+        "passed": alt.passed and level > EQUIVALENCE_TOL * deviation,
     })
     margin = float(np.max(cv * cv) - criterion)
     gap = margin / deviation**2

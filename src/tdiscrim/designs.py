@@ -7,17 +7,24 @@ highest-degree part of the larger model and the span of T_0, ..., T_(n-2).
 
 _residual is the one place that picks how a design's own residual is
 found: T(xi), psi_xi and the weighted residuals w_i psi_xi(x_i) at the
-support. On exactly n support points, as every optimal design past b = 0
-has, the residual space is one-dimensional and all three come from its
-dual (_dual) without a fit: the (n-1)-th divided difference dd of the
-fixed part and the divided-difference weights lambda_i (Berrut &
-Trefethen, SIAM Review 46, 2004) give T = dd^2 / sum lambda_i^2 / w_i and
-the residual at each support point, and psi_xi is a_n omega + L, omega the
-node polynomial and L the interpolant of those residuals (_dual_series),
-turned into Chebyshev coefficients by one cached cosine matrix (_cosines).
-That route keeps T within a few ulps and psi_xi near machine precision
-where a least-squares residual of a non-optimal design can lose every
-digit. t_criterion makes the same choice for T alone, building no psi_xi.
+support. On n or n + 1 support points all three come from the dual of the
+fit (_dual), built on the divided-difference weights lambda_i (Berrut &
+Trefethen, SIAM Review 46, 2004), with no fit. On exactly n points, as
+every optimal design past b = 0 has, the residual space is
+one-dimensional: with dd the (n-1)-th divided difference of the fixed
+part, T = dd^2 / sum lambda_i^2 / w_i, and psi_xi is a_n omega + L, omega
+the node polynomial and L the interpolant of the residuals (_dual_series).
+On n + 1 points, as every interior member of the b = 0 family has, it is
+two-dimensional, w_i psi_i = lambda_i (c1 (x_i - m) + c0): a weighted
+straight-line fit in x whose right-hand sides are two exact divided
+differences of the fixed part, so that T = dd^2 / V + a_n^2 / U and psi_xi
+is the interpolant alone. Either way psi_xi is turned into Chebyshev
+coefficients by one cached cosine matrix (_cosines). The dual keeps T
+within a few ulps and psi_xi near machine precision where a least-squares
+residual of a non-optimal design can lose every digit: against a 50-digit
+fit at n = 5..40 on n + 1 points, T is within 1.1e-15 and psi_xi within
+4.2e-14 of its sup, where the fit missed T by up to 7e-4. t_criterion
+makes the same choice for T alone, building no psi_xi.
 
 Other support sizes keep plain weighted least squares (_fit). Modulo the
 span the fixed part is its top two Chebyshev terms,
@@ -195,56 +202,99 @@ def _fit(design: Design, problem: DiscriminationProblem):
 
 
 def _dual(design: Design, problem: DiscriminationProblem):
-    """The dual of the fit on exactly n support points: (T, dd, share, wpsi).
+    """The dual of the fit on n or n + 1 support points: (T, dd, shares, wpsi).
 
-    The n-point residual space is spanned by the divided-difference
-    weights lambda_i = 1 / prod_(j != i) (x_i - x_j), which annihilate
-    every polynomial of degree n - 2, so with S = sum_i lambda_i^2 / w_i
-    the residual at x_i is psi_i = dd lambda_i / (w_i S) and the criterion
-    T = dd^2 / S, dd being the (n-1)-th divided difference of the fixed
-    part: sum x_i + b, or 1 + bbar sum x_i, the sum taken exactly
-    (math.fsum). Returned besides T and dd: share_i = lambda_i^2 / (w_i S),
-    nonnegative and summing to one, and wpsi_i = w_i psi_i = (dd / S) lambda_i.
+    The divided-difference weights lambda_i = 1 / prod_(j != i) (x_i - x_j)
+    annihilate every polynomial of degree below the support size less one,
+    and wpsi_i = w_i psi_i lies in their span. On n points it is
+    lambda itself: with S = sum_i lambda_i^2 / w_i, psi_i =
+    dd lambda_i / (w_i S) and T = dd^2 / S, dd being the (n-1)-th divided
+    difference of the fixed part, sum x_i + b or 1 + bbar sum x_i; shares
+    is share_i = lambda_i^2 / (w_i S), nonnegative and summing to one.
 
-    lambda_i comes from plain products of gaps when the smallest gap and
-    weight bound every lambda_i^2 / w_i well inside the float range. Else
-    each lambda_i^2 / w_i is held in log space, base 2: a mantissa from
-    frexp and an exact integer exponent, so that no product of gaps, weight
-    or dd^2 overflows or underflows on the way and T loses no digit to an
+    On n + 1 points it is lambda and lambda x: wpsi_i = lambda_i
+    (c1 (x_i - m) + c0), a straight-line fit in x with weights
+    u_i = lambda_i^2 / w_i whose right-hand sides are the n-th divided
+    differences of x f and f: (sum x_i + b, 1), or (1 + bbar sum x_i, bbar),
+    the second being a_n. Centred at m = sum u x / U, U = sum u, the two
+    vectors are u-orthogonal, so with V = sum u (x - m)^2 and dd the first
+    right-hand side less a_n m (the n-th divided difference of (x - m) f),
+    T = dd^2 / V + a_n^2 / U, c1 = dd / V and c0 = a_n / U. x_i - m is
+    lo_i - hi_i, lo_i and hi_i being the sums of (u_k / U) |x_i - x_k| over
+    the points below and above x_i: exact gaps and nonnegative terms, so no
+    digit of a close pair's offsets is lost to the rounding of m. shares is
+    (u / U, lo, hi). A support so clustered that some u_i / U falls below
+    the normal float range, whose digits V is made of, is left to the fit
+    (None is returned), as is a support of any other size.
+
+    The sums of x are taken exactly (math.fsum). lambda_i comes from plain
+    products of gaps when the smallest gap and weight bound every
+    lambda_i^2 / w_i well inside the float range. Else each
+    lambda_i^2 / w_i is held in log space, base 2: a mantissa from frexp
+    and an exact integer exponent, so that no product of gaps, weight or
+    dd^2 overflows or underflows on the way and T loses no digit to an
     exponential; a clustered support is valid input and warns of nothing.
     """
     x, w = design.points, design.weights
-    n = x.size
+    size = x.size
+    if not 0 <= size - problem.n <= 1:
+        return None
     xs = x.tolist()
-    if problem.b is not None:
-        dd = math.fsum([*xs, problem.b])
-    else:
-        dd = 1.0 + problem.bbar * math.fsum(xs)
     gaps = x[:, None] - x
-    gaps.reshape(-1)[:: n + 1] = 1.0
-    # |prod of gaps| >= gmin^(n-1): here each lambda_i^2 / w_i < 2^994, and S < 2^1000
-    if min(map(operator.sub, xs[1:], xs)) ** (2 * n - 2) * min(w.tolist()) > 2.0**-994:
+    gaps.reshape(-1)[:: size + 1] = 1.0
+    # |prod of gaps| >= gmin^(size-1): here each lambda_i^2 / w_i < 2^994, and S < 2^1000
+    plain = (min(map(operator.sub, xs[1:], xs)) ** (2 * size - 2) * min(w.tolist())
+             > 2.0**-994)
+    if plain:
         lam = 1.0 / gaps.prod(axis=1)
         lw = lam / w
         s = float(lam @ lw)
-        c = dd / s
-        return dd * c, dd, lam * lw / s, c * lam
-    mg, eg = np.frexp(gaps)
-    mw, ew = np.frexp(w)
-    mant = mg.prod(axis=1)
-    e = eg.sum(axis=1)
-    # lambda_i^2 / w_i = 2^-k_i / (mant_i^2 mw_i), summed from the largest power of two
-    k = 2 * e + ew
-    k0 = int(k.min())
-    share = np.ldexp(1.0 / (mant * mant * mw), k0 - k)
-    s = float(share.sum())
-    share /= s
-    # dd lambda_i / S = dd 2^(k0 - e_i) / (s mant_i)
-    wpsi = np.ldexp(dd / (s * mant), k0 - e)
-    # T is dd^2 2^k0 / s; with k0 even, the square comes last
+        share = lam * lw / s
+    else:
+        mg, eg = np.frexp(gaps)
+        mw, ew = np.frexp(w)
+        mant = mg.prod(axis=1)
+        e = eg.sum(axis=1)
+        # lambda_i^2 / w_i = 2^-k_i / (mant_i^2 mw_i), summed from the largest power of two
+        k = 2 * e + ew
+        k0 = int(k.min())
+        share = np.ldexp(1.0 / (mant * mant * mw), k0 - k)
+        s = float(share.sum())
+        share /= s
+    if size == problem.n:
+        if problem.b is not None:
+            dd = math.fsum([*xs, problem.b])
+        else:
+            dd = 1.0 + problem.bbar * math.fsum(xs)
+        shares, y, r = share, dd, abs(dd)
+    else:
+        # at a close pair V / U comes from the smallest shares: a subnormal one lost its digits
+        if min(share.tolist()) < 2.0**-1022:
+            return None
+        a_n = 1.0 if problem.b is not None else problem.bbar
+        m = float(share @ x)
+        if problem.b is not None:
+            dd = math.fsum([*xs, problem.b, -m])
+        else:
+            dd = 1.0 + problem.bbar * math.fsum([*xs, -m])
+        # lo_i = sum_(k < i) (u_k / U) (x_i - x_k), hi_i = sum_(k > i) (u_k / U) (x_k - x_i)
+        below = np.maximum(gaps, 0.0)
+        below.reshape(-1)[:: size + 1] = 0.0
+        lo, hi = below @ share, share @ below
+        dev = lo - hi
+        v = float((share * dev) @ dev)
+        shares = (share, lo, hi)
+        y = (dd / v) * dev + a_n
+        r = math.hypot(dd / math.sqrt(v), a_n)
+    # wpsi_i = y_i lambda_i / S and T = r^2 / S, S = sum_i lambda_i^2 / w_i
+    if plain:
+        return r * (r / s), dd, shares, (y / s) * lam
+    # y lambda_i / S = y 2^(k0 - e_i) / (s mant_i)
+    wpsi = np.ldexp(y / (s * mant), k0 - e)
+    # T is r^2 2^k0 / s; with k0 even, the square comes last
     if k0 % 2:
         s, k0 = 2.0 * s, k0 + 1
-    return math.ldexp(abs(dd) / math.sqrt(s), k0 // 2) ** 2, dd, share, wpsi
+    return math.ldexp(r / math.sqrt(s), k0 // 2) ** 2, dd, shares, wpsi
 
 
 @functools.cache
@@ -264,15 +314,23 @@ def _cosines(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dual_series(x: np.ndarray, problem: DiscriminationProblem, dd: float,
-                 share: np.ndarray) -> ChebyshevSeries:
-    """psi_xi on the n-point support x from its dual: a_n omega + L.
+                 shares) -> ChebyshevSeries:
+    """psi_xi on the support x from its dual (_dual's dd and shares).
 
-    omega(t) = prod (t - x_i); L(t) = dd sum_i share_i prod_(j != i) (t - x_j)
-    interpolates psi_i at x_i, since lambda_i psi_i = dd share_i; a_n is 1,
-    or bbar. Both are sampled at the Chebyshev points of the first kind
-    from prefix and suffix products of t - x_j, with no division, and the
-    samples are turned into the coefficients of T_0..T_(n-2) by the first
-    n - 1 rows of one cosine matrix; the top two are the fixed part's own.
+    On n points psi_xi is a_n omega + L: omega(t) = prod (t - x_i), and
+    L(t) = dd sum_i share_i prod_(j != i) (t - x_j) interpolates psi_i at
+    x_i, since lambda_i psi_i = dd share_i; a_n is 1, or bbar. On n + 1
+    points it is the interpolant alone, lambda_i psi_i = u_i (c1 (x_i - m)
+    + c0). Its c0 part is a_n sum_i (u_i / U) prod_(j != i) (t - x_j). Its
+    c1 part, whose terms at a close pair would cancel, is summed over
+    adjacent pairs instead: sum_i u_i (x_i - m) prod_(j != i) (t - x_j) is
+    sum_i q_i prod_(j != i, i + 1) (t - x_j), with
+    q_i = (x_(i+1) - x_i) (L_i hi_i + R_i lo_i) U and L_i and R_i the sums
+    of u / U up to x_i and beyond it, nonnegative, and sum_i q_i = V. All
+    are sampled at the Chebyshev points of the first kind from prefix and
+    suffix products of t - x_j, with no division, and the samples are
+    turned into the coefficients of T_0..T_(n-2) by the first n - 1 rows of
+    one cosine matrix; the top two are the fixed part's own.
     """
     n = problem.n
     theta, m = _cosines(n)
@@ -283,7 +341,17 @@ def _dual_series(x: np.ndarray, problem: DiscriminationProblem, dd: float,
     others[:, 1:] = pre[:, :-1]
     others[:, :-1] *= suf[:, 1:]
     a_n = 1.0 if problem.b is not None else problem.bbar
-    samples = a_n * pre[:, -1] + dd * (others @ share)
+    if x.size == n:
+        samples = a_n * pre[:, -1] + dd * (others @ shares)
+    else:
+        share, lo, hi = shares
+        left = share.cumsum()[:-1]
+        right = share[::-1].cumsum()[-2::-1]
+        q = (x[1:] - x[:-1]) * (left * hi[:-1] + right * lo[:-1])
+        pairs = np.ones((n + 1, n))
+        pairs[:, 1:] = pre[:, :-2]
+        pairs[:, :-1] *= suf[:, 2:]
+        samples = a_n * (others @ share) + dd * ((pairs @ q) / q.sum())
     low = m[: n - 1] @ samples
     return ChebyshevSeries(np.concatenate([low, problem.fixed_part().coeffs[n - 1 :]]))
 
@@ -291,17 +359,18 @@ def _dual_series(x: np.ndarray, problem: DiscriminationProblem, dd: float,
 def _residual(design: Design, problem: DiscriminationProblem):
     """The design's own residual: (T, psi_xi, w_i psi_xi(x_i)).
 
-    The one place that chooses the route. On exactly n support points all
-    three come from the dual (_dual, _dual_series). On any other support
-    psi_xi is the fixed part's top two Chebyshev terms less _fit's
-    coefficients, since subtracting the whole fit from the whole fixed part
-    cancels nearly all of psi at high degree; T is the sum of squared
-    root-weighted residuals, and w_i psi_xi(x_i) each of them times its
-    root weight.
+    The one place that chooses the route. On n or n + 1 support points all
+    three come from the dual (_dual, _dual_series). On any other support,
+    or one the dual leaves to the fit, psi_xi is the fixed part's top two
+    Chebyshev terms less _fit's coefficients, since subtracting the whole
+    fit from the whole fixed part cancels nearly all of psi at high degree;
+    T is the sum of squared root-weighted residuals, and w_i psi_xi(x_i)
+    each of them times its root weight.
     """
-    if design.support_size == problem.n:
-        criterion, dd, share, wpsi = _dual(design, problem)
-        return criterion, _dual_series(design.points, problem, dd, share), wpsi
+    dual = _dual(design, problem)
+    if dual is not None:
+        criterion, dd, shares, wpsi = dual
+        return criterion, _dual_series(design.points, problem, dd, shares), wpsi
     n = problem.n
     g, coef, res = _fit(design, problem)
     psi = ChebyshevSeries(np.concatenate([-coef, g[n - 1 :]]))
@@ -312,7 +381,7 @@ def error_polynomial(design: Design, problem: DiscriminationProblem) -> Chebyshe
     """psi_xi: the fixed part less its nearest polynomial of degree n - 2 in the design's norm.
 
     sum_i w_i psi_xi(x_i)^2 is the criterion value. Built by _residual: from
-    the dual on exactly n support points, from _fit on any other support.
+    the dual on n or n + 1 support points, from _fit on any other support.
     """
     return _residual(design, problem)[1]
 
@@ -320,12 +389,14 @@ def error_polynomial(design: Design, problem: DiscriminationProblem) -> Chebyshe
 def t_criterion(design: Design, problem: DiscriminationProblem) -> float:
     """Criterion value: weighted squared deviation of the fixed part from its best fit.
 
-    On n support points the value is dd^2 / sum_i lambda_i^2 / w_i from
-    the dual (_dual). On any other support it is the explicit sum of
-    squared root-weighted residuals of _fit, nonnegative by construction
-    and zero when the support can be interpolated.
+    On n or n + 1 support points the value comes from the dual (_dual):
+    dd^2 / sum_i lambda_i^2 / w_i on n, dd^2 / V + a_n^2 / U on n + 1. On
+    any other support it is the explicit sum of squared root-weighted
+    residuals of _fit, nonnegative by construction and zero when the
+    support can be interpolated.
     """
-    if design.support_size == problem.n:
-        return _dual(design, problem)[0]
+    dual = _dual(design, problem)
+    if dual is not None:
+        return dual[0]
     res = _fit(design, problem)[2]
     return float(res @ res)

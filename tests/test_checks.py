@@ -212,6 +212,21 @@ class TestVerificationReport:
         assert alternation["value"] > alternation["tolerance"]
         assert not rep["passed"]
 
+    def test_alternation_reads_no_rounding_noise_on_too_few_points(self):
+        # three points at n = 4: the fit interpolates, so the residuals at the
+        # support are rounding noise, equal in magnitude (spread 0) far below
+        # the residual tolerance EQUIVALENCE_TOL times the sup deviation
+        n = 4
+        b = 0.3 * critical_b(n)
+        d = Design(np.linspace(-1.0, 1.0, 3), np.full(3, 1.0 / 3.0))
+        rep = verification_report(d, n, b)
+        equivalence, alternation = rep["checks"][:2]
+        assert alternation["name"] == "alternation"
+        assert alternation["value"] <= alternation["tolerance"]
+        assert alternation["tolerance"] < 1e-8 * equivalence["tolerance"]
+        assert not alternation["passed"]
+        assert not rep["passed"]
+
 
 class TestVerdictGrid:
     """Every optimum passes, and every control and 1e-3 move fails, at n = 2..40.

@@ -2,13 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as ncheb
 
+from tdiscrim import designs, verification_report, zero_b_family
 from tdiscrim.designs import (
     Design,
     DiscriminationProblem,
     _cosines,
+    _fit,
     _monomial,
+    _residual,
     error_polynomial,
     t_criterion,
 )
@@ -290,3 +294,56 @@ class TestCriterion:
         res = error_polynomial(d, prob)(d.points)
         for k in range(prob.n - 1):
             assert abs(np.sum(d.weights * res * d.points**k)) <= 1e-10
+
+
+class TestLineDual:
+    """On n + 1 points the certificate is a weighted straight-line fit in x, not least squares."""
+
+    def test_the_b_zero_family_takes_no_least_squares(self, monkeypatch):
+        def unavailable(*args, **kwargs):
+            raise AssertionError("an n + 1-point design reached np.linalg.lstsq")
+
+        monkeypatch.setattr(designs.np.linalg, "lstsq", unavailable)
+        for n in range(2, 41):
+            problem = DiscriminationProblem(n, b=0.0)
+            for alpha in (0.1, 0.5, 0.9):
+                design = zero_b_family(n, alpha).design
+                assert design.support_size == n + 1
+                assert t_criterion(design, problem) > 0.0
+                assert error_polynomial(design, problem).coeffs.size == n + 1
+                assert verification_report(design, n, 0.0)["passed"]
+
+    def test_a_pair_closer_than_the_shares_resolve_is_left_to_the_fit(self):
+        # at a gap of 1e-200 the far points' shares u_i / U underflow, and with
+        # them V; the fit, whose rows at the pair coincide, still resolves T
+        n = 6
+        rng = np.random.Generator(np.random.PCG64(n))
+        pts = np.sort(np.concatenate([rng.uniform(-1.0, 1.0, n - 1), [0.0, 1e-200]]))
+        w = rng.uniform(0.1, 1.0, n + 1)
+        design = Design(pts, w / w.sum())
+        problem = DiscriminationProblem(n, b=0.3)
+        assert designs._dual(design, problem) is None
+        res = _fit(design, problem)[2]
+        assert t_criterion(design, problem) == float(res @ res)
+        assert _residual(design, problem)[0] == float(res @ res)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 10), data=st.data(), ratio=st.sampled_from(["b", "bbar"]),
+           value=st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-3))
+    def test_the_dual_agrees_with_the_fit_where_it_is_well_conditioned(self, n, data,
+                                                                      ratio, value):
+        # gaps within a factor 5 of each other keep the fit's Vandermonde tame
+        gaps = np.array(data.draw(st.lists(st.floats(0.2, 1.0), min_size=n + 2,
+                                           max_size=n + 2)))
+        points = -1.0 + 2.0 * np.cumsum(gaps)[:-1] / gaps.sum()
+        w = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n + 1,
+                                        max_size=n + 1)))
+        design = Design(points, w / w.sum())
+        problem = DiscriminationProblem(n, **{ratio: value})
+        criterion, psi, wpsi = _residual(design, problem)
+        res = _fit(design, problem)[2]
+        assert criterion == pytest.approx(float(res @ res), rel=1e-11)
+        assert criterion == t_criterion(design, problem)
+        tol = 1e-12 * np.abs(psi.coeffs).sum()
+        assert np.abs(psi(design.points) * design.weights - wpsi).max() <= tol
+        assert np.abs(np.sqrt(design.weights) * res - wpsi).max() <= tol

@@ -197,16 +197,52 @@ def test_criterion_is_exact_on_non_optimal_n_point_designs(n):
         assert rel(t_criterion(design, DiscriminationProblem(n, b=b)), exact) <= 1e-13
 
 
-@pytest.mark.parametrize("n,gap,b", [(6, 1e-200, 1e100), (20, 1e-9, 0.3)])
-def test_the_dual_holds_on_a_clustered_support(n, gap, b):
-    # gap^(2n-2) times the smallest weight is below 2^-994, so the dual
-    # takes lambda_i in log space; at gap = 1e-200 plain products of gaps
-    # would overflow, and the large b keeps T = dd^2 / S a normal float
+@pytest.mark.parametrize("n", (5, 20, 30, 40))
+def test_the_dual_matches_a_high_precision_fit_on_n_plus_1_points(n):
+    # on n + 1 points the dual is a weighted straight-line fit in x; a
+    # least-squares fit missed T here at n = 40 by 6.5e-9 (equispaced) and
+    # 7.0e-4 (random)
     rng = np.random.Generator(np.random.PCG64(n))
-    pts = np.sort(np.concatenate([rng.uniform(-1.0, 1.0, n - 2), [0.0, gap]]))
-    w = rng.uniform(0.1, 1.0, n)
+    w = rng.uniform(0.1, 1.0, n + 1)
+    b = 0.5 * critical_b(n)
+    cases = [(zero_b_family(n, 0.3).design, 0.0, 1e-12),
+             (Design(np.linspace(-1.0, 1.0, n + 1), np.full(n + 1, 1.0 / (n + 1))), b, 1e-12),
+             (Design(np.sort(rng.uniform(-1.0, 1.0, n + 1)), w / w.sum()), b, 1e-10)]
+    grid = -np.cos(np.linspace(0.0, np.pi, 4 * n + 1))
+    for design, b, bound in cases:
+        assert design.support_size == n + 1
+        problem = DiscriminationProblem(n, b=b)
+        value = t_criterion(design, problem)
+        psi = error_polynomial(design, problem)
+        exact = mp_fit_residual(design, n, b)
+        xs = np.concatenate([grid, design.points, psi.critical_points()])
+        with mp.workdps(DPS):
+            target = sum(mp.mpf(float(w)) * exact(x) ** 2
+                         for x, w in zip(design.points, design.weights))
+            sup = max(abs(exact(x)) for x in xs)
+            err = max(abs(mp_chebval(x, psi.coeffs) - exact(x)) for x in xs)
+        assert rel(value, target) <= 1e-13
+        assert float(err / sup) <= bound
+
+
+@pytest.mark.parametrize("n,gap,b,extra", [
+    pytest.param(6, 1e-200, 1e100, 0, id="6-1e-200-1e+100"),
+    pytest.param(20, 1e-9, 0.3, 0, id="20-1e-09-0.3"),
+    pytest.param(6, 1e-100, 1e100, 1, id="6-1e-100-1e+100-n+1"),
+    pytest.param(20, 1e-9, 0.3, 1, id="20-1e-09-0.3-n+1"),
+])
+def test_the_dual_holds_on_a_clustered_support(n, gap, b, extra):
+    # on n + extra points, gap^(2 size - 2) times the smallest weight is
+    # below 2^-994, so the dual takes lambda_i in log space; at gap = 1e-200
+    # plain products of gaps would overflow, and the large b keeps T a
+    # normal float; on n + 1 points the close pair's offsets from the
+    # centre are sums of gaps, never differences of rounded coordinates
+    size = n + extra
+    rng = np.random.Generator(np.random.PCG64(n))
+    pts = np.sort(np.concatenate([rng.uniform(-1.0, 1.0, size - 2), [0.0, gap]]))
+    w = rng.uniform(0.1, 1.0, size)
     design = Design(pts, w / w.sum())
-    assert np.diff(pts).min() ** (2 * n - 2) * design.weights.min() < 2.0**-994
+    assert np.diff(pts).min() ** (2 * size - 2) * design.weights.min() < 2.0**-994
     problem = DiscriminationProblem(n, b=b)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
