@@ -1,15 +1,18 @@
 """Maximin designs: hedging when the coefficient ratio is unknown.
 
 The optimal design depends on b, which is exactly what an experimenter does
-not know. Maximizing the worst case of the scaled criterion R(b) over a set
-of plausible ratios gives a usable compromise. Over the whole line the
-answer is the extremal-point design of degree n; over a ray the worst case
-sits at the ray's endpoint because R is increasing in |b|.
+not know. A maximin design maximises the worst case, min over b in a set
+of plausible ratios of the criterion T(xi, b) itself. Over the whole line
+the answer is the extremal-point design of degree n: its worst case is
+4^(1-n), at b = 0, and no design's worst case is larger. Over a ray it is
+the optimal design at the ray's endpoint, whose criterion only rises
+further out. R(b), the best criterion attainable at b, rises with |b|.
 """
 
 import numpy as np
 
-from tdiscrim import RatioInterval, critical_b, maximin_design, r_value
+from tdiscrim import (DiscriminationProblem, RatioInterval, critical_b, maximin_design,
+                      r_value, t_criterion)
 
 
 def main():
@@ -20,6 +23,8 @@ def main():
         wts = " ".join(f"{w:.4f}" for w in d.weights)
         print(f"  n = {n}: points {pts}")
         print(f"         weights {wts}")
+        worst = t_criterion(d, DiscriminationProblem(n, b=0.0))
+        print(f"         worst case T(xi, 0) = {worst:.6g} = 4^(1-n) = {0.25 ** (n - 1):.6g}")
 
     print("\nRays pin the worst case at their endpoint:")
     d_up = maximin_design(4, RatioInterval.ray_up(0.4))

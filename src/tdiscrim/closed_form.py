@@ -72,14 +72,14 @@ def support_points(n: int, b: float) -> np.ndarray:
     bit of roundoff, which the regime check has already bounded.
     """
     beta = abs(_check_regime(n, b)) / n
-    pts = -(1.0 + beta) * _cosines(check_degree(n, 2)) - beta
+    pts = -(1.0 + beta) * _support_cosines(check_degree(n, 2)) - beta
     np.clip(pts, -1.0, 1.0, out=pts)
     pts[-1] = 1.0
     return pts
 
 
 @functools.cache
-def _cosines(n: int) -> np.ndarray:
+def _support_cosines(n: int) -> np.ndarray:
     """cos(i pi / n), i = 1..n, built once per degree and shared, so read-only."""
     c = np.cos(np.arange(1, n + 1) * np.pi / n)
     c.flags.writeable = False

@@ -56,7 +56,7 @@ from numpy.polynomial.chebyshev import chebder, chebfit, chebval
 
 from .checks import INEQUALITY_TOL, global_inequality
 from .closed_form import REGIME_SLACK, critical_b, in_explicit_regime, support_points
-from .designs import Design, _monomial
+from .designs import Design, _gaps, _monomial
 from .errors import (ConvergenceError, OptimalityError, RegimeError,
                      check_degree, check_integer, check_ratio)
 from .minimax import EXCHANGE_TOL, MAX_EXCHANGES, _exchange, _exchanges
@@ -183,9 +183,13 @@ def _alternances(n: int, bbars, starts: np.ndarray):
     extremum and the exchange finds no clean n-point set, the support is
     the closed-form design's and psi is solved on it once. The weights,
     which make sum_i w_i (-1)^i p(x_i) vanish for every p of degree n - 2
-    and sum to one, are the normalised barycentric weights
-    w_i = exp(-sum_(j != i) log|x_i - x_j|) / sum (Berrut & Trefethen, SIAM
-    Review 46, 2004): the (n-1)-th divided difference of such a p is zero.
+    and sum to one, are the normalised |lambda_i|, with lambda_i =
+    1 / prod_(j != i) (x_i - x_j) taken from the products of gaps
+    (designs._gaps) that give the certificate its lambda_i, in the same
+    pass as the row's support (Berrut & Trefethen, SIAM Review 46, 2004):
+    the (n-1)-th divided difference of such a p is zero. At n <= 40 a path
+    support keeps its gaps near 3e-3 or wider, so the products stay far
+    inside the float range.
     The relative margin is the largest psi^2 over the critical points of
     psi, less H, over H; the last exchange has already evaluated psi there.
     """
@@ -200,26 +204,14 @@ def _alternances(n: int, bbars, starts: np.ndarray):
     # tol = 1 takes the first iterate on the closed-form support: the gap
     # never exceeds the deviation
     tols = [1.0 if exp else EXCHANGE_TOL for exp in explicit]
-    rows = []
     for bbar, start, exp, row in zip(ratios, starts, explicit,
                                      _exchanges(targets, starts, tols, MAX_EXCHANGES)):
         if isinstance(row, ConvergenceError):
-            err = ConvergenceError(f"{row} at bbar = {bbar!r}", last=row.last)
-            err.__cause__ = row
-            rows.append(err)
-            continue
+            raise ConvergenceError(f"{row} at bbar = {bbar!r}", last=row.last) from row
         _, _, psi, cand, vals = row
-        try:
-            rows.append((psi, vals, start if exp else _exchange(cand, vals, n)))
-        except ConvergenceError as err:
-            rows.append(err)
-    solved = [row[2] for row in rows if not isinstance(row, ConvergenceError)]
-    weights = iter(_barycentric(np.array(solved)) if solved else ())
-    for bbar, row in zip(ratios, rows):
-        if isinstance(row, ConvergenceError):
-            raise row
-        psi, vals, pts = row
-        w = next(weights)
+        pts = start if exp else _exchange(cand, vals, n)
+        w = np.abs(1.0 / _gaps(pts).prod(axis=1))
+        w /= w.sum()
         if pts[0] != -1.0 or pts[-1] != 1.0 or not np.all(w > 0.0):
             raise ConvergenceError(
                 f"the alternance at bbar = {bbar!r} is not a design on both endpoints")
@@ -227,17 +219,6 @@ def _alternances(n: int, bbars, starts: np.ndarray):
         h = float(np.sum(w * pv * pv))
         margin = (float(np.max(vals * vals)) - h) / h
         yield ContinuationState(psi.coeffs, pts, w, bbar), margin
-
-
-def _barycentric(pts: np.ndarray) -> np.ndarray:
-    """The normalised barycentric weights of each row of points, by the log-sum of _alternances."""
-    k, n = pts.shape
-    gaps = np.abs(pts[:, :, None] - pts[:, None, :])
-    gaps.reshape(k, -1)[:, :: n + 1] = 1.0
-    logs = np.log(gaps).sum(axis=2)
-    w = np.exp(logs.min(axis=1, keepdims=True) - logs)
-    w /= w.sum(axis=1, keepdims=True)
-    return w
 
 
 def _alternance(n: int, bbar: float, start: np.ndarray) -> tuple[ContinuationState, float]:

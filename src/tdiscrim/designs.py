@@ -201,6 +201,13 @@ def _fit(design: Design, problem: DiscriminationProblem):
     return g, coef, y - a @ coef
 
 
+def _gaps(x: np.ndarray) -> np.ndarray:
+    """The matrix x_i - x_j with ones on its diagonal: row i's product is 1 / lambda_i."""
+    gaps = x[:, None] - x
+    gaps.reshape(-1)[:: x.size + 1] = 1.0
+    return gaps
+
+
 def _dual(design: Design, problem: DiscriminationProblem):
     """The dual of the fit on n or n + 1 support points: (T, dd, shares, wpsi).
 
@@ -240,8 +247,7 @@ def _dual(design: Design, problem: DiscriminationProblem):
     if not 0 <= size - problem.n <= 1:
         return None
     xs = x.tolist()
-    gaps = x[:, None] - x
-    gaps.reshape(-1)[:: size + 1] = 1.0
+    gaps = _gaps(x)
     # |prod of gaps| >= gmin^(size-1): here each lambda_i^2 / w_i < 2^994, and S < 2^1000
     plain = (min(map(operator.sub, xs[1:], xs)) ** (2 * size - 2) * min(w.tolist())
              > 2.0**-994)

@@ -1,9 +1,16 @@
 """The optimal design at every finite ratio, and worst-case designs over ratio intervals.
 
-optimal_design(n, b) is the one switch from b to its construction. Over
-the whole line the maximin design is the Chebyshev-extrema design of
-degree n; over a ray it is the optimal design at the ray's endpoint,
-because efficiency degrades monotonically away from the endpoint.
+optimal_design(n, b) is the one switch from b to its construction. A
+maximin design maximises min over b in the interval of T(xi, b), the
+criterion itself, not a ratio to the optimum. Over the whole line that
+minimum is the weighted fit of x^n off degree n - 1, at most 4^(1-n) for
+every design by Chebyshev's minimax; the Chebyshev-extrema design of
+degree n attains it at b = 0, where x^n's residual is 2^(1-n) T_n, of
+modulus 2^(1-n) on the whole support (Kiefer & Wolfowitz, Ann. Math.
+Statist. 30, 1959; Studden, Ann. Math. Statist. 39, 1968). Over a ray it
+is the optimal design at the ray's endpoint b0: no design beats
+r_value(n, b0) at b0, and that design's T(xi, b) only rises further out
+along the ray.
 """
 
 from __future__ import annotations
@@ -77,14 +84,15 @@ def optimal_design(n: int, b: float) -> OptimalDesign:
 
 
 def maximin_design(n: int, interval: RatioInterval) -> Design:
-    """The design with the best worst-case efficiency over the interval.
+    """The design that maximises min over b in the interval of T(xi, b).
 
     whole_line: weight 1/2n on each endpoint of [-1, 1] and 1/n on each
-    interior extremum of T_n. ray_up/ray_down: the optimal design at the
-    finite endpoint (efficiency is monotone along the ray). For the
-    downward ray that is optimal_design(n, -b0), the mirror of the upward
-    ray's design bit for bit; at b0 = 0 the mirror is taken, since the
-    alpha = 0.5 member is symmetric only up to rounding.
+    interior extremum of T_n; its worst case is 4^(1-n), at b = 0.
+    ray_up/ray_down: the optimal design at the finite endpoint, where its
+    T(xi, b) is lowest along the ray. For the downward ray that is
+    optimal_design(n, -b0), the mirror of the upward ray's design bit for
+    bit; at b0 = 0 the mirror is taken, since the alpha = 0.5 member is
+    symmetric only up to rounding.
     """
     n = check_degree(n, 2)
     if interval.kind == "whole_line":

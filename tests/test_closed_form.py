@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tdiscrim.closed_form import (
-    _cosines,
+    _support_cosines,
     _weights,
     canonical_weights,
     critical_b,
@@ -231,7 +231,7 @@ def sort_and_merge(p1, w1, p2, w2, tol=1e-12):
 
 class TestCachedConstants:
     def test_cached_constants_are_read_only_and_results_fresh(self):
-        assert not _cosines(5).flags.writeable
+        assert not _support_cosines(5).flags.writeable
         assert not _weights(5).flags.writeable
 
         def results():

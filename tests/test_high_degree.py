@@ -462,6 +462,25 @@ def test_trajectory_ends_match_a_50_digit_oracle(n, share):
         assert max(rel(w, v) for w, v in zip(d.weights, wts)) <= 1e-11
 
 
+WEIGHT_DPS = 60
+
+
+@pytest.mark.parametrize("n", (12, 20, 28, 33, 36, 40))
+@pytest.mark.parametrize("share", (1e-12, 1e-7, 0.3, 0.95, 1.0, -0.4))
+def test_path_weights_match_60_digit_products_at_their_points(n, share):
+    # the weight formula alone, the state's own float points taken as exact.
+    # The bound separates products of gaps (worst 1.8e-15 here) from an exp
+    # of a log-sum of gaps (7.2e-15 at n = 36, share 1e-12)
+    state = solve_at(n, share * bbar_limit(n))
+    with mp.workdps(WEIGHT_DPS):
+        pts = [mp.mpf(float(x)) for x in state.points]
+        inv = [1 / abs(mp.fprod(t - u for j, u in enumerate(pts) if j != i))
+               for i, t in enumerate(pts)]
+        total = mp.fsum(inv)
+        miss = max(abs(mp.mpf(float(w)) * total / v - 1) for w, v in zip(state.weights, inv))
+    assert miss <= 2.5e-15
+
+
 TAYLOR_DPS = 90
 
 

@@ -95,6 +95,19 @@ class TestWholeLine:
         assert np.array_equal(d.points, a.points)
         assert np.array_equal(d.weights, a.weights)
 
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_worst_case_is_the_bound_no_design_beats(self, n):
+        # min over b of T(xi, b) is the fit of x^n off degree n - 1, at most
+        # 4^(1-n) for every design; here x^n's residual is 2^(1-n) T_n, so the
+        # bound is attained at b = 0 and the design is optimal there
+        d = maximin_design(n, RatioInterval.whole_line())
+        bound = 0.25 ** (n - 1)
+        at_zero = t_criterion(d, DiscriminationProblem(n, b=0.0))
+        assert abs(at_zero / bound - 1.0) <= 2e-15
+        assert verification_report(d, n, 0.0)["passed"]
+        for b in (1e-6, -1e-6, 0.1, -0.1, 1.0, -1.0, 1e3, -1e6):
+            assert t_criterion(d, DiscriminationProblem(n, b=b)) >= bound * (1.0 - 1e-14)
+
 
 class TestRays:
     def test_ray_up_zero_is_symmetric_member(self):
