@@ -177,21 +177,26 @@ def _alternances(n: int, bbars, starts: np.ndarray):
     monomials' closed form, so that a denormal bbar needs no b = 1/bbar.
     The exchange is one minimax._exchanges call over all rows, with
     EXCHANGE_TOL and MAX_EXCHANGES, and the support is the n-point
-    alternance among the candidates of a row's last psi; a failure names
-    bbar and is raised when its row is reached, so that the rows before it
-    are yielded first. At |b| = critical_b(n), where -1 is a double
-    extremum and the exchange finds no clean n-point set, the support is
-    the closed-form design's and psi is solved on it once. The weights,
-    which make sum_i w_i (-1)^i p(x_i) vanish for every p of degree n - 2
-    and sum to one, are the normalised |lambda_i|, with lambda_i =
-    1 / prod_(j != i) (x_i - x_j) taken from the products of gaps
-    (designs._gaps) that give the certificate its lambda_i, in the same
-    pass as the row's support (Berrut & Trefethen, SIAM Review 46, 2004):
-    the (n-1)-th divided difference of such a p is zero. At n <= 40 a path
-    support keeps its gaps near 3e-3 or wider, so the products stay far
-    inside the float range.
-    The relative margin is the largest psi^2 over the critical points of
-    psi, less H, over H; the last exchange has already evaluated psi there.
+    alternance among the candidates of a row's last psi: cand[idx], with
+    idx from _exchange, and psi there is vals[idx], which the stop rule has
+    already computed. At |b| = critical_b(n), where -1 is a double extremum
+    and the exchange finds no clean n-point set, the support is the
+    closed-form design's, psi is solved on it once, and only that row
+    evaluates psi afresh.
+
+    The rest is one array pass over the rows that were solved, as (k, n)
+    arrays. The weights, which make sum_i w_i (-1)^i p(x_i) vanish for
+    every p of degree n - 2 and sum to one, are the normalised |lambda_i|,
+    with lambda_i = 1 / prod_(j != i) (x_i - x_j) taken from the products
+    of gaps (designs._gaps) that give the certificate its lambda_i (Berrut
+    & Trefethen, SIAM Review 46, 2004): the (n-1)-th divided difference of
+    such a p is zero. At n <= 40 a path support keeps its gaps near 3e-3
+    or wider, so the products stay far inside the float range. H is the
+    weighted mean square of psi over the support, and the relative margin
+    is (dev^2 - H) / H, with dev the largest |psi| over its critical points
+    that the exchange found. A failed row is left out of that pass, so that
+    it warns of nothing; its failure names bbar and is raised when its row
+    is reached, so that the rows before it are yielded first.
     """
     ratios = [float(bbar) for bbar in bbars]
     starts = np.array(starts, dtype=float)
@@ -204,21 +209,38 @@ def _alternances(n: int, bbars, starts: np.ndarray):
     # tol = 1 takes the first iterate on the closed-form support: the gap
     # never exceeds the deviation
     tols = [1.0 if exp else EXCHANGE_TOL for exp in explicit]
-    for bbar, start, exp, row in zip(ratios, starts, explicit,
-                                     _exchanges(targets, starts, tols, MAX_EXCHANGES)):
+    found = _exchanges(targets, starts, tols, MAX_EXCHANGES)
+    pts, pv, dev2 = np.empty_like(starts), np.empty_like(starts), np.empty(len(ratios))
+    ok = np.zeros(len(ratios), dtype=bool)
+    for j, (start, exp, row) in enumerate(zip(starts, explicit, found)):
+        if isinstance(row, ConvergenceError):
+            continue
+        _, _, psi, cand, vals, dev = row
+        if exp:
+            pts[j], pv[j] = start, psi(start)
+        else:
+            try:
+                idx = _exchange(cand, vals, n)
+            except ConvergenceError as err:
+                found[j] = err
+                continue
+            pts[j], pv[j] = cand[idx], vals[idx]
+        dev2[j], ok[j] = dev * dev, True
+    pts, pv = pts[ok], pv[ok]
+    w = np.abs(1.0 / _gaps(pts).prod(axis=2))
+    w /= w.sum(axis=1, keepdims=True)
+    h = (w * pv * pv).sum(axis=1)
+    margins = ((dev2[ok] - h) / h).tolist()
+    valid = ((pts[:, 0] == -1.0) & (pts[:, -1] == 1.0) & (w > 0.0).all(axis=1)).tolist()
+    solved = zip(pts, w, margins, valid)
+    for bbar, row in zip(ratios, found):
         if isinstance(row, ConvergenceError):
             raise ConvergenceError(f"{row} at bbar = {bbar!r}", last=row.last) from row
-        _, _, psi, cand, vals = row
-        pts = start if exp else _exchange(cand, vals, n)
-        w = np.abs(1.0 / _gaps(pts).prod(axis=1))
-        w /= w.sum()
-        if pts[0] != -1.0 or pts[-1] != 1.0 or not np.all(w > 0.0):
+        x, weights, margin, is_design = next(solved)
+        if not is_design:
             raise ConvergenceError(
                 f"the alternance at bbar = {bbar!r} is not a design on both endpoints")
-        pv = psi(pts)
-        h = float(np.sum(w * pv * pv))
-        margin = (float(np.max(vals * vals)) - h) / h
-        yield ContinuationState(psi.coeffs, pts, w, bbar), margin
+        yield ContinuationState(row[2].coeffs, x, weights, bbar), margin
 
 
 def _alternance(n: int, bbar: float, start: np.ndarray) -> tuple[ContinuationState, float]:

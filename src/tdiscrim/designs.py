@@ -65,15 +65,20 @@ class Design:
 
     def __post_init__(self) -> None:
         try:
-            pts = np.atleast_1d(np.asarray(self.points, dtype=float))
-            wts = np.atleast_1d(np.asarray(self.weights, dtype=float))
+            pts = np.asarray(self.points, dtype=float)
+            wts = np.asarray(self.weights, dtype=float)
         except TypeError:
             raise ValueError("design points and weights must be lists of numbers") from None
+        # a scalar is a one-point support; every check after the shapes reads
+        # the Python floats, as at these sizes builtins beat numpy's calls
+        if pts.ndim == 0:
+            pts = pts.reshape(1)
+        if wts.ndim == 0:
+            wts = wts.reshape(1)
         if pts.ndim != 1 or wts.ndim != 1:
             raise ValueError("points and weights must be one-dimensional")
         if pts.size == 0 or pts.size != wts.size:
             raise ValueError("points and weights must be non-empty and equally long")
-        # at these sizes builtins over the Python floats beat numpy's reductions
         p, w = pts.tolist(), wts.tolist()
         if not all(map(math.isfinite, p + w)):
             raise ValueError("points and weights must be finite")
@@ -83,7 +88,7 @@ class Design:
             raise ValueError("support points must be strictly increasing")
         if min(w) <= 0.0:
             raise ValueError("weights must be positive")
-        s = float(np.sum(wts))
+        s = math.fsum(w)
         if abs(s - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to one (got {s!r})")
         self.points = pts
@@ -202,9 +207,14 @@ def _fit(design: Design, problem: DiscriminationProblem):
 
 
 def _gaps(x: np.ndarray) -> np.ndarray:
-    """The matrix x_i - x_j with ones on its diagonal: row i's product is 1 / lambda_i."""
-    gaps = x[:, None] - x
-    gaps.reshape(-1)[:: x.size + 1] = 1.0
+    """The matrix x_i - x_j with ones on its diagonal: row i's product is 1 / lambda_i.
+
+    x is one support or a (k, n) stack of them, which gives a (k, n, n)
+    stack of such matrices, one per support.
+    """
+    n = x.shape[-1]
+    gaps = x[..., :, None] - x[..., None, :]
+    gaps.reshape(-1, n * n)[:, :: n + 1] = 1.0
     return gaps
 
 
@@ -371,7 +381,8 @@ def _residual(design: Design, problem: DiscriminationProblem):
     Chebyshev terms less _fit's coefficients, since subtracting the whole
     fit from the whole fixed part cancels nearly all of psi at high degree;
     T is the sum of squared root-weighted residuals, and w_i psi_xi(x_i)
-    each of them times its root weight.
+    each of them times its root weight. On fewer than n points the fit
+    interpolates, so T is exactly 0.0, not the rounding noise of that sum.
     """
     dual = _dual(design, problem)
     if dual is not None:
@@ -380,7 +391,8 @@ def _residual(design: Design, problem: DiscriminationProblem):
     n = problem.n
     g, coef, res = _fit(design, problem)
     psi = ChebyshevSeries(np.concatenate([-coef, g[n - 1 :]]))
-    return float(res @ res), psi, np.sqrt(design.weights) * res
+    criterion = float(res @ res) if design.support_size >= n else 0.0
+    return criterion, psi, np.sqrt(design.weights) * res
 
 
 def error_polynomial(design: Design, problem: DiscriminationProblem) -> ChebyshevSeries:
@@ -397,10 +409,13 @@ def t_criterion(design: Design, problem: DiscriminationProblem) -> float:
 
     On n or n + 1 support points the value comes from the dual (_dual):
     dd^2 / sum_i lambda_i^2 / w_i on n, dd^2 / V + a_n^2 / U on n + 1. On
-    any other support it is the explicit sum of squared root-weighted
-    residuals of _fit, nonnegative by construction and zero when the
-    support can be interpolated.
+    fewer than n points the support can be interpolated and the value is
+    exactly 0.0, with no fit. On more than n + 1 points, or a support the
+    dual leaves to the fit, it is the explicit sum of squared root-weighted
+    residuals of _fit, nonnegative by construction.
     """
+    if design.support_size < problem.n:
+        return 0.0
     dual = _dual(design, problem)
     if dual is not None:
         return dual[0]

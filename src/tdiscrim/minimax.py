@@ -127,30 +127,32 @@ def _solve_reference(refs: np.ndarray, tops: np.ndarray, n: int):
 
 
 def _exchange(cand: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
-    """Pick m alternating-sign candidates, largest magnitudes, ends trimmed first."""
-    mask = vals != 0.0
-    cand, vals = cand[mask], vals[mask]
-    xs: list[float] = []
+    """Indices of m alternating-sign candidates, largest magnitudes, ends trimmed first.
+
+    The kept candidates are cand[idx] and psi there is vals[idx], already
+    evaluated, in increasing order of x.
+    """
+    nonzero = np.flatnonzero(vals != 0.0)
+    idx: list[int] = []
     vs: list[float] = []
-    for x, v in zip(cand, vals):
+    for i, v in zip(nonzero.tolist(), vals[nonzero].tolist()):
         if vs and (vs[-1] > 0) == (v > 0):
             if abs(v) > abs(vs[-1]):
-                xs[-1], vs[-1] = float(x), float(v)
+                idx[-1], vs[-1] = i, v
         else:
-            xs.append(float(x))
-            vs.append(float(v))
-    while len(xs) > m:
-        if abs(vs[0]) <= abs(vs[-1]):
-            xs.pop(0)
-            vs.pop(0)
+            idx.append(i)
+            vs.append(v)
+    lo, hi = 0, len(idx)
+    while hi - lo > m:
+        if abs(vs[lo]) <= abs(vs[hi - 1]):
+            lo += 1
         else:
-            xs.pop()
-            vs.pop()
-    if len(xs) < m:
+            hi -= 1
+    if hi - lo < m:
         raise ConvergenceError(
-            f"degenerate reference: only {len(xs)} alternations available"
+            f"degenerate reference: only {hi - lo} alternations available"
         )
-    return np.asarray(xs)
+    return np.array(idx[lo:hi])
 
 
 def _exchanges(targets: np.ndarray, refs: np.ndarray, tols, max_iter: int) -> list:
@@ -162,7 +164,9 @@ def _exchanges(targets: np.ndarray, refs: np.ndarray, tols, max_iter: int) -> li
     terms, psi being those less p (so no cancellation), and exchanges the
     next reference of each from psi's critical points. Row j stops once the
     largest |psi| there exceeds its level by at most tols[j] of it; its
-    entry is then the count, p, psi, the critical points and psi there.
+    entry is then the count, p, psi, the critical points, psi there and
+    that largest |psi|. A row still running takes as its next reference
+    the candidates whose indices _exchange returns.
     After max_iter references its entry is a ConvergenceError with the last
     iterate (_result) as last, and a degenerate reference leaves the
     ConvergenceError of _exchange. Each row's entry is the one a stack of
@@ -181,16 +185,16 @@ def _exchanges(targets: np.ndarray, refs: np.ndarray, tols, max_iter: int) -> li
             vals = psi(cand)
             dev = float(np.abs(vals).max())
             if dev - abs(level) <= tols[j] * dev:
-                found[j] = it, p, psi, cand, vals
+                found[j] = it, p, psi, cand, vals, dev
             elif it == max_iter:
                 found[j] = ConvergenceError(
                     f"no equioscillation within {max_iter} iterations "
                     f"(gap {dev - abs(level)!r})",
-                    last=_result(targets[j], it, p, psi, cand, vals),
+                    last=_result(targets[j], it, p, psi, cand, vals, dev),
                 )
             else:
                 try:
-                    exchanged.append(_exchange(cand, vals, n))
+                    exchanged.append(cand[_exchange(cand, vals, n)])
                     running.append(j)
                 except ConvergenceError as err:
                     found[j] = err
@@ -201,11 +205,11 @@ def _exchanges(targets: np.ndarray, refs: np.ndarray, tols, max_iter: int) -> li
 
 
 def _result(target: np.ndarray, it: int, p: np.ndarray, psi: ChebyshevSeries,
-            cand: np.ndarray, vals: np.ndarray) -> BestApproxResult:
+            cand: np.ndarray, vals: np.ndarray, dev: float) -> BestApproxResult:
     """The iterate of _exchanges as a BestApproxResult: approximant, psi and its extremal set."""
     keep = _extremal(cand, vals)
     return BestApproxResult(
-        ChebyshevSeries(target[: p.size] + p), psi, float(np.abs(vals).max()),
+        ChebyshevSeries(target[: p.size] + p), psi, dev,
         cand[keep], np.sign(vals[keep]).astype(int), iterations=it,
     )
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -618,6 +619,84 @@ class TestStack:
         expected = OptimalityError if fails_first == "screen" else ConvergenceError
         with pytest.raises(expected, match=f"bbar = {small!r}"):
             trajectory(n, [-large, -small, small, large])
+
+
+class TestBlockPass:
+    """_alternances ends a block with one array pass: weights, H and margins of all its rows."""
+
+    @staticmethod
+    def block(n, fail=True):
+        """Both signs, the critical ratio (the explicit row), a failing row and one after it.
+
+        Each row starts from the start table, reflected for bbar < 0; a NaN
+        start makes the exchange fail on the fourth row.
+        """
+        lim = bbar_limit(n)
+        table, _ = continuation._table(n)
+        bbars = [-0.3 * lim, 0.05 * lim, lim, 0.7 * lim, 0.5 * lim]
+        starts = np.array([np.concatenate([[-1.0], continuation._lookup(
+            table, continuation._coordinate(n, abs(b))), [1.0]]) for b in bbars])
+        starts[0] = -starts[0][::-1]
+        if fail:
+            starts[3] = np.nan
+        return bbars, starts
+
+    @staticmethod
+    def walk(n, bbars, starts):
+        """The rows _alternances yields before its first failure, and that failure."""
+        rows = []
+        try:
+            for row in continuation._alternances(n, bbars, starts):
+                rows.append(row)
+        except ConvergenceError as err:
+            return rows, err
+        return rows, None
+
+    @pytest.mark.parametrize("n", [3, 12, 40])
+    def test_margins_are_recomputed_from_the_returned_states(self, n):
+        bbars, starts = self.block(n)
+        with warnings.catch_warnings():
+            # the failed row is left out of the pass: no floating-point warning
+            warnings.simplefilter("error")
+            rows, err = self.walk(n, bbars, starts)
+        assert [state.bbar for state, _ in rows] == bbars[:3]
+        assert err is not None and f"at bbar = {bbars[3]!r}" in str(err)
+        assert "degenerate reference" in str(err)
+        assert in_explicit_regime(n, 1.0 / rows[2][0].bbar)
+        # the row after the failure, once the failing row is mended; the
+        # rows before it do not move
+        mended, err = self.walk(n, *self.block(n, fail=False))
+        assert err is None and len(mended) == len(bbars)
+        for (state, margin), (again, again_margin) in zip(rows, mended):
+            assert np.array_equal(state_vector(state), state_vector(again))
+            assert margin == again_margin
+        for state, margin in mended:
+            psi = state.psi()
+            cv = psi(psi.critical_points())
+            h = h_form(state)
+            assert margin == (np.max(cv * cv) - h) / h
+
+    @pytest.mark.parametrize("n", [3, 12, 40])
+    def test_support_values_are_psi_at_the_points(self, n, monkeypatch):
+        # psi at the support is the exchange's own values there, not a
+        # second evaluation; they equal psi(points) bit for bit
+        kept = []
+        exchange = continuation._exchange
+
+        def recorded(cand, vals, m):
+            idx = exchange(cand, vals, m)
+            kept.append((cand[idx], vals[idx]))
+            return idx
+
+        monkeypatch.setattr(continuation, "_exchange", recorded)
+        bbars, starts = self.block(n, fail=False)
+        states = [state for state, _ in continuation._alternances(n, bbars, starts)]
+        # the explicit row at the critical ratio keeps its closed-form support
+        assert len(kept) == len(bbars) - 1
+        del states[2]
+        for state, (points, values) in zip(states, kept):
+            assert np.array_equal(state.points, points)
+            assert np.array_equal(state.psi()(state.points), values)
 
 
 class TestStartTable:

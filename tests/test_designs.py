@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as ncheb
 
 from tdiscrim import designs, verification_report, zero_b_family
+from tdiscrim.closed_form import critical_b
 from tdiscrim.designs import (
     Design,
     DiscriminationProblem,
@@ -16,6 +17,7 @@ from tdiscrim.designs import (
     error_polynomial,
     t_criterion,
 )
+from tdiscrim.polynomials import chebyshev_extrema
 from tdiscrim.power import ExactDesign
 
 
@@ -121,6 +123,77 @@ class TestDesignValidation:
         d = Design(points, weights)
         assert d.points.dtype == d.weights.dtype == np.float64
         assert d.points.ndim == d.weights.ndim == 1
+
+    # every message, whole; the sum check prints the sum it found
+    MESSAGES = {
+        "numbers": "design points and weights must be lists of numbers",
+        "shape": "points and weights must be one-dimensional",
+        "sizes": "points and weights must be non-empty and equally long",
+        "finite": "points and weights must be finite",
+        "interval": "support points must lie in [-1, 1]",
+        "increasing": "support points must be strictly increasing",
+        "positive": "weights must be positive",
+        "sum": "weights must sum to one (got 1.25)",
+    }
+    # (points, weights, fault) on two points, cast to each sequence kind
+    SEQUENCE_FAULTS = [
+        ([], [], "sizes"),
+        ([-1.0, 1.0], [1.0], "sizes"),
+        ([-1.0, 1.0], [0.5, NAN], "finite"),
+        ([-1.5, 1.0], [0.5, 0.5], "interval"),
+        ([0.5, -0.5], [0.5, 0.5], "increasing"),
+        ([-1.0, 1.0], [1.5, -0.5], "positive"),
+        ([-1.0, 1.0], [0.5, 0.75], "sum"),
+    ]
+    KINDS = {"list": list, "tuple": tuple,
+             "float32": lambda v: np.asarray(v, dtype=np.float32)}
+    # a scalar or 0-d input is a one-point support
+    SCALAR_FAULTS = [
+        (NAN, 1.0, "finite"),
+        (2.0, 1.0, "interval"),
+        (0.25, -1.0, "positive"),
+        (0.25, 1.25, "sum"),
+        (0.25, [0.5, 0.5], "sizes"),
+    ]
+    SCALARS = {"scalar": float, "float64": np.float64, "0-d": np.array}
+    OTHER_FAULTS = [
+        (np.ones((1, 2)), [0.5, 0.5], "shape"),
+        ([-1.0, 1.0], np.full((2, 1), 0.5), "shape"),
+        (np.zeros((0, 2)), [], "shape"),
+        ({}, [1.0], "numbers"),
+        ([0.0], {"w": 1.0}, "numbers"),
+    ]
+
+    @staticmethod
+    def assert_message(points, weights, fault):
+        message = TestDesignValidation.MESSAGES[fault]
+        with pytest.raises(ValueError) as err:
+            Design(points, weights)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("points, weights, fault", SEQUENCE_FAULTS)
+    def test_message_for_each_sequence_kind(self, kind, points, weights, fault):
+        cast = self.KINDS[kind]
+        self.assert_message(cast(points), cast(weights), fault)
+
+    @pytest.mark.parametrize("kind", SCALARS)
+    @pytest.mark.parametrize("point, weight, fault", SCALAR_FAULTS)
+    def test_message_for_each_scalar_kind(self, kind, point, weight, fault):
+        cast = self.SCALARS[kind]
+        weight = cast(weight) if np.ndim(weight) == 0 else weight
+        self.assert_message(cast(point), weight, fault)
+
+    @pytest.mark.parametrize("points, weights, fault", OTHER_FAULTS)
+    def test_message_for_two_dimensional_and_other_inputs(self, points, weights, fault):
+        self.assert_message(points, weights, fault)
+
+    @pytest.mark.parametrize("kind", SCALARS)
+    def test_a_scalar_is_a_one_point_support(self, kind):
+        cast = self.SCALARS[kind]
+        d = Design(cast(0.25), cast(1.0))
+        assert d.points.shape == d.weights.shape == (1,)
+        assert d.points[0] == 0.25 and d.weights[0] == 1.0
 
     def test_reflection(self):
         d = Design([-1.0, 0.25, 1.0], [0.2, 0.3, 0.5])
@@ -253,6 +326,25 @@ class TestCriterion:
     def test_single_point_zero(self):
         assert t_criterion(Design([0.3], [1.0]),
                            DiscriminationProblem(5, b=0.2)) <= 1e-30
+
+    @pytest.mark.parametrize("n", [3, 5, 12, 40])
+    def test_exactly_zero_on_fewer_than_n_points(self, n):
+        # the fit interpolates there: T is 0.0, not the rounding noise of
+        # the residuals' sum of squares (up to 1.8e-33 at n = 5), and the
+        # report fails on the certificate with the whole of dev^2 as margin
+        for k in range(1, n):
+            points = [0.3] if k == 1 else chebyshev_extrema(k - 1)
+            d = Design(points, np.full(k, 1.0 / k))
+            for b in (0.0, 0.5 * critical_b(n), -0.9 * critical_b(n)):
+                problem = DiscriminationProblem(n, b=b)
+                assert t_criterion(d, problem) == 0.0
+                assert _residual(d, problem)[0] == 0.0
+                report = verification_report(d, n, b)
+                checks = {c["name"]: c for c in report["checks"]}
+                assert not report["passed"]
+                assert checks["criterion_matches_deviation"]["value"] == 1.0
+                assert not checks["criterion_matches_deviation"]["passed"]
+                assert not checks["global_inequality"]["passed"]
 
     def test_three_point_quarter(self):
         d = Design([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])

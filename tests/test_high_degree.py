@@ -8,8 +8,10 @@ trajectory, maximin) is held to remez, whose deviation is held to mpmath
 here: the optimal criterion in the bbar parametrization is bbar^2 times
 its deviation squared. There optimal_design, remez, trajectory and the
 path's psi are also each held to mp_alternance, a 50-digit Remez iteration that
-shares no code with the package, and taylor_coefficients to mp_taylor, a
-polynomial fit through nine of its states at 90 digits.
+shares no code with the package, as is solve_at beside bbar = 0 (six cells
+by default, all of n = 3..40 under the slow marker), and
+taylor_coefficients to mp_taylor, a polynomial fit through nine of its
+states at 90 digits.
 """
 
 import warnings
@@ -479,6 +481,33 @@ def test_path_weights_match_60_digit_products_at_their_points(n, share):
         total = mp.fsum(inv)
         miss = max(abs(mp.mpf(float(w)) * total / v - 1) for w, v in zip(state.weights, inv))
     assert miss <= 2.5e-15
+
+
+def assert_near_zero_ratio_matches_the_oracle(n, share):
+    # beside bbar = 0 the path's complex singularity is nearest the real
+    # axis; the support within 1e-11 and the weights within 1e-9 relative
+    bbar = share * bbar_limit(n)
+    state = solve_at(n, bbar)
+    pts, wts, _, _ = mp_alternance(n, bbar, state.points)
+    assert max(abs(x - t) for x, t in zip(state.points, pts)) <= 1e-11
+    assert max(rel(w, v) for w, v in zip(state.weights, wts)) <= 1e-9
+
+
+# six cells of the sweep below, measured 8.9e-13 / 1.1e-11, 3.0e-12 /
+# 8.0e-11, 4.4e-14 / 4.9e-13, 6.7e-13 / 7.4e-11, 3.2e-13 / 5.4e-12 and
+# 1.5e-13 / 4.4e-11 in points / relative weights; (24, 1e-12) is the worst
+# cell of the whole sweep in both
+@pytest.mark.parametrize("n, share", [(14, 1e-12), (24, 1e-12), (28, 1e-9),
+                                      (33, 1e-9), (36, 1e-12), (40, 1e-7)])
+def test_near_zero_ratio_matches_a_50_digit_oracle(n, share):
+    assert_near_zero_ratio_matches_the_oracle(n, share)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", range(3, 41))
+@pytest.mark.parametrize("share", (1e-12, 1e-9, 1e-7))
+def test_near_zero_ratio_sweep_matches_a_50_digit_oracle(n, share):
+    assert_near_zero_ratio_matches_the_oracle(n, share)
 
 
 TAYLOR_DPS = 90
