@@ -37,19 +37,13 @@ def equivalence_system(design: Design, psi: ChebyshevSeries, n: int) -> np.ndarr
 
     All must vanish at an optimal design whose error polynomial is psi: the
     weighted error is orthogonal to every fittable monomial. For the design's
-    own psi_xi these are the normal equations of its fit. Each residual is a
-    compensated sum of the raw per-point products.
+    own psi_xi these are the normal equations of its fit. Each residual is
+    one compensated sum of w_i psi(x_i) x_i^k over the points.
     """
     n = check_degree(n, 2)
-    # x**k for a scalar k is pow(x, k), except x**2, which numpy takes as
-    # x * x: so one broadcast power, its k = 2 row set to x * x, holds the
-    # bits of each row's own x**k; repeated products would round differently
     x = design.points
-    terms = x ** np.arange(n - 1.0)[:, None]
-    if n > 3:
-        terms[2] = x * x
-    terms *= design.weights * psi(x)
-    return np.array([math.fsum(row) for row in terms.tolist()])
+    wpsi = design.weights * psi(x)
+    return np.array([math.fsum((wpsi * x**k).tolist()) for k in range(n - 1)])
 
 
 def appendix_identity(n: int, k: int) -> float:

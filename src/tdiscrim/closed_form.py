@@ -134,7 +134,7 @@ def t_optimal_design(n: int, b: float) -> OptimalDesign:
     a whole family there; use zero_b_family to pick a member.
     """
     n = check_degree(n, 2)
-    b = float(b)
+    b = check_ratio(b, "b")
     if b == 0.0:
         raise ValueError(
             "at b = 0 the optimal design is not unique; "

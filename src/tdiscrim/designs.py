@@ -64,11 +64,7 @@ class Design:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            pts = np.asarray(self.points, dtype=float)
-            wts = np.asarray(self.weights, dtype=float)
-        except TypeError:
-            raise ValueError("design points and weights must be lists of numbers") from None
+        pts, wts = _numbers(self.points), _numbers(self.weights)
         # a scalar is a one-point support; every check after the shapes reads
         # the Python floats, as at these sizes builtins beat numpy's calls
         if pts.ndim == 0:
@@ -137,6 +133,17 @@ class Design:
         pts = np.array([float(r[0]) for r in rows])
         wts = np.array([float(r[1]) for r in rows])
         return cls(pts, wts)
+
+
+def _numbers(values) -> np.ndarray:
+    """values as floats, if numpy reads them as integers or floats: no str, bool or None."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # a ragged list
+        a = np.asarray(None)
+    if a.dtype.kind not in "iuf":
+        raise ValueError("design points and weights must be lists of numbers")
+    return a.astype(float, copy=False)
 
 
 @dataclass
@@ -223,33 +230,33 @@ def _dual(design: Design, problem: DiscriminationProblem):
 
     The divided-difference weights lambda_i = 1 / prod_(j != i) (x_i - x_j)
     annihilate every polynomial of degree below the support size less one,
-    and wpsi_i = w_i psi_i lies in their span. On n points it is
-    lambda itself: with S = sum_i lambda_i^2 / w_i, psi_i =
-    dd lambda_i / (w_i S) and T = dd^2 / S, dd being the (n-1)-th divided
-    difference of the fixed part, sum x_i + b or 1 + bbar sum x_i; shares
-    is share_i = lambda_i^2 / (w_i S), nonnegative and summing to one.
+    and wpsi_i = w_i psi_i lies in their span. dd is one exact sum
+    (math.fsum), the top divided difference of (x - m) f, f the fixed part:
+    sum x_i - m + b, or 1 + bbar (sum x_i - m), m being 0 on n points. There
+    the span is lambda itself: with S = sum_i lambda_i^2 / w_i, psi_i =
+    dd lambda_i / (w_i S) and T = dd^2 / S; shares is
+    share_i = lambda_i^2 / (w_i S), nonnegative and summing to one.
 
     On n + 1 points it is lambda and lambda x: wpsi_i = lambda_i
     (c1 (x_i - m) + c0), a straight-line fit in x with weights
     u_i = lambda_i^2 / w_i whose right-hand sides are the n-th divided
     differences of x f and f: (sum x_i + b, 1), or (1 + bbar sum x_i, bbar),
     the second being a_n. Centred at m = sum u x / U, U = sum u, the two
-    vectors are u-orthogonal, so with V = sum u (x - m)^2 and dd the first
-    right-hand side less a_n m (the n-th divided difference of (x - m) f),
-    T = dd^2 / V + a_n^2 / U, c1 = dd / V and c0 = a_n / U. x_i - m is
-    lo_i - hi_i, lo_i and hi_i being the sums of (u_k / U) |x_i - x_k| over
-    the points below and above x_i: exact gaps and nonnegative terms, so no
-    digit of a close pair's offsets is lost to the rounding of m. shares is
-    (u / U, lo, hi). A support so clustered that some u_i / U falls below
-    the normal float range, whose digits V is made of, is left to the fit
-    (None is returned), as is a support of any other size.
+    vectors are u-orthogonal, the first right-hand side less a_n m being dd,
+    so with V = sum u (x - m)^2, T = dd^2 / V + a_n^2 / U, c1 = dd / V and
+    c0 = a_n / U. x_i - m is lo_i - hi_i, lo_i and hi_i being the sums of
+    (u_k / U) |x_i - x_k| over the points below and above x_i: exact gaps
+    and nonnegative terms, so no digit of a close pair's offsets is lost to
+    the rounding of m. shares is (u / U, lo, hi). A support so clustered
+    that some u_i / U falls below the normal float range, whose digits V is
+    made of, is left to the fit (None is returned), as is a support of any
+    other size.
 
-    The sums of x are taken exactly (math.fsum). lambda_i comes from plain
-    products of gaps when the smallest gap and weight bound every
-    lambda_i^2 / w_i well inside the float range. Else each
-    lambda_i^2 / w_i is held in log space, base 2: a mantissa from frexp
-    and an exact integer exponent, so that no product of gaps, weight or
-    dd^2 overflows or underflows on the way and T loses no digit to an
+    lambda_i comes from plain products of gaps when the smallest gap and
+    weight bound every lambda_i^2 / w_i well inside the float range. Else
+    each lambda_i^2 / w_i is held in log space, base 2: a mantissa from
+    frexp and an exact integer exponent, so that no product of gaps, weight
+    or dd^2 overflows or underflows on the way and T loses no digit to an
     exponential; a clustered support is valid input and warns of nothing.
     """
     x, w = design.points, design.weights
@@ -277,22 +284,19 @@ def _dual(design: Design, problem: DiscriminationProblem):
         share = np.ldexp(1.0 / (mant * mant * mw), k0 - k)
         s = float(share.sum())
         share /= s
+    # at a close pair V / U comes from the smallest shares: a subnormal one lost its digits
+    if size > problem.n and min(share.tolist()) < 2.0**-1022:
+        return None
+    # one divided difference: on n + 1 points the centre m = sum u x / U is one more term
+    terms = xs if size == problem.n else [*xs, -float(share @ x)]
+    if problem.b is not None:
+        dd = math.fsum([*terms, problem.b])
+    else:
+        dd = 1.0 + problem.bbar * math.fsum(terms)
     if size == problem.n:
-        if problem.b is not None:
-            dd = math.fsum([*xs, problem.b])
-        else:
-            dd = 1.0 + problem.bbar * math.fsum(xs)
         shares, y, r = share, dd, abs(dd)
     else:
-        # at a close pair V / U comes from the smallest shares: a subnormal one lost its digits
-        if min(share.tolist()) < 2.0**-1022:
-            return None
         a_n = 1.0 if problem.b is not None else problem.bbar
-        m = float(share @ x)
-        if problem.b is not None:
-            dd = math.fsum([*xs, problem.b, -m])
-        else:
-            dd = 1.0 + problem.bbar * math.fsum([*xs, -m])
         # lo_i = sum_(k < i) (u_k / U) (x_i - x_k), hi_i = sum_(k > i) (u_k / U) (x_k - x_i)
         below = np.maximum(gaps, 0.0)
         below.reshape(-1)[:: size + 1] = 0.0

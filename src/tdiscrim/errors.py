@@ -64,12 +64,18 @@ def check_degree(n, minimum: int) -> int:
 
 
 def check_ratio(value, name: str, *, finite: bool = False) -> float:
-    """float(value), after checking that it is not NaN, nor infinite when finite is set.
+    """float(value), after checking that it is a number, not NaN, nor infinite when finite is set.
 
-    Entry points with a regime leave finite unset, so that their regime
-    check rejects an infinite ratio as out of range.
+    As for check_integer, strings and bools are not numbers, nor is anything
+    float() refuses. Entry points with a regime leave finite unset, so that
+    their regime check rejects an infinite ratio as out of range.
     """
-    x = float(value)
+    try:
+        if isinstance(value, (str, bytes, bool, np.bool_)):
+            raise TypeError
+        x = float(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
     if math.isnan(x):
         raise ValueError(f"{name} must be a number, got {x!r}")
     if finite and math.isinf(x):

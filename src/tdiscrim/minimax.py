@@ -155,19 +155,20 @@ def _exchange(cand: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
     return np.array(idx[lo:hi])
 
 
-def _exchanges(targets: np.ndarray, refs: np.ndarray, tols, max_iter: int) -> list:
+def _exchanges(targets: np.ndarray, refs: np.ndarray, tol: float, max_iter: int) -> list:
     """Remez exchange for a stack of targets of one degree, each from its row of refs.
 
     Each target row holds n + 1 Chebyshev coefficients and each row of refs
-    n points. On each pass it solves the references of the rows still running in one
-    stacked call, for p and the signed level against the target's top two
-    terms, psi being those less p (so no cancellation), and exchanges the
-    next reference of each from psi's critical points. Row j stops once the
-    largest |psi| there exceeds its level by at most tols[j] of it; its
-    entry is then the count, p, psi, the critical points, psi there and
-    that largest |psi|. A row still running takes as its next reference
-    the candidates whose indices _exchange returns.
-    After max_iter references its entry is a ConvergenceError with the last
+    n points. On each pass it solves the references of the rows still
+    running in one stacked call, for p and the signed level against the
+    target's top two terms, psi being those less p (so no cancellation),
+    and exchanges the next reference of each from psi's critical points.
+    Every row, the path's critical-ratio row included, has one stop rule:
+    it stops once the largest |psi| there exceeds its level by at most tol
+    of it; its entry is then the count, p, psi, the critical points, psi
+    there and that largest |psi|. A row still running takes as its next
+    reference the candidates whose indices _exchange returns. After
+    max_iter references its entry is a ConvergenceError with the last
     iterate (_result) as last, and a degenerate reference leaves the
     ConvergenceError of _exchange. Each row's entry is the one a stack of
     that row alone gives.
@@ -184,7 +185,7 @@ def _exchanges(targets: np.ndarray, refs: np.ndarray, tols, max_iter: int) -> li
         for j, p, level, psi, cand in zip(active, ps, levels.tolist(), psis, cands):
             vals = psi(cand)
             dev = float(np.abs(vals).max())
-            if dev - abs(level) <= tols[j] * dev:
+            if dev - abs(level) <= tol * dev:
                 found[j] = it, p, psi, cand, vals, dev
             elif it == max_iter:
                 found[j] = ConvergenceError(
@@ -219,9 +220,9 @@ def remez(n: int, b: float, tol: float = EXCHANGE_TOL,
     """Exchange iteration for the minimax approximant of x^n + b x^(n-1).
 
     Runs _exchanges from the Chebyshev extrema of degree n, dropping the
-    end the target is least strained at. It needs 0 < tol < 1: the gap
-    never exceeds the error, so a tol of 1 would stop on the first reference.
-    max_iter follows the integer rule of n.
+    end the target is least strained at, with its one stop rule at tol. It
+    needs 0 < tol < 1: the gap never exceeds the error, so a tol of 1 would
+    stop on the first reference. max_iter follows the integer rule of n.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie strictly between 0 and 1, got {tol!r}")
@@ -229,7 +230,7 @@ def remez(n: int, b: float, tol: float = EXCHANGE_TOL,
     n = check_degree(n, 2)
     target = target_polynomial(n, b).coeffs
     ext = chebyshev_extrema(n)
-    found = _exchanges(target[None], (ext[1:] if b >= 0 else ext[:-1])[None], [tol], max_iter)[0]
+    found = _exchanges(target[None], (ext[1:] if b >= 0 else ext[:-1])[None], tol, max_iter)[0]
     if isinstance(found, ConvergenceError):
         raise found
     return _result(target, *found)

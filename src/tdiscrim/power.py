@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import Design
+from .designs import Design, _numbers
 from .errors import check_integer, check_ratio
 
 THETA3_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
@@ -56,13 +56,9 @@ class ExactDesign:
         counts = [check_integer(c, "counts", 1) for c in cnt]
         if sum(counts) >= 2**63:
             raise ValueError("counts must sum to less than 2**63")
-        try:
-            pts = np.atleast_1d(np.asarray(self.points, dtype=float))
-        except TypeError:
-            pts = self.points  # not numbers: Design names the fault
-        else:
-            if pts.ndim == 1 and (pts.size == 0 or pts.size != len(counts)):
-                raise ValueError("points and counts must be non-empty and equally long")
+        pts = np.atleast_1d(_numbers(self.points))
+        if pts.ndim == 1 and (pts.size == 0 or pts.size != len(counts)):
+            raise ValueError("points and counts must be non-empty and equally long")
         self.counts = np.array(counts, dtype=int)
         self.points = Design(pts, self.counts / self.size).points
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -105,6 +106,12 @@ class TestDesign:
                              "--alpha", "2")
         assert code == 2
 
+    def test_alpha_off_zero_ratio_is_ignored_with_a_note(self, capsys):
+        code, out, err = run_cli(capsys, "design", "--n", "4", "--b", "0.3", "--alpha", "0.2")
+        assert code == 0
+        assert err == "--alpha only selects among b = 0 optima; ignored\n"
+        assert json.loads(out)["alpha"] is None
+
     def test_nan_ratio_is_argument_error(self, capsys):
         code, out, err = run_cli(capsys, "design", "--n", "5", "--b", "nan")
         assert code == 2
@@ -184,6 +191,13 @@ class TestTrajectory:
             assert low[1:6] == [-t for t in high[5:0:-1]]
             assert low[6:11] == high[10:5:-1]
             assert low[11] == pytest.approx(high[11], rel=1e-12)
+
+    def test_reversed_bounds_are_argument_error(self, capsys):
+        code, out, err = run_cli(capsys, "trajectory", "--n", "4", "--bbar-min", "0.5",
+                                 "--bbar-max", "0.1", "--steps", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --bbar-max must be >= --bbar-min\n"
 
     def test_bad_steps(self, capsys):
         code, _, _ = run_cli(capsys, "trajectory", "--n", "3",
@@ -316,6 +330,13 @@ class TestRemez:
         _, out1, _ = run_cli(capsys, "remez", "--n", "6", "--b", "0.2")
         _, out2, _ = run_cli(capsys, "remez", "--n", "6", "--b", "0.2")
         assert out1 == out2
+
+    def test_solver_failure_exits_4(self, capsys):
+        # no exchange closes its gap to 1e-300 of the deviation
+        code, out, err = run_cli(capsys, "remez", "--n", "5", "--b", "100", "--tol", "1e-300")
+        assert code == 4
+        assert out == ""
+        assert re.fullmatch(r"error: no equioscillation within 100 iterations \(gap \S+\)\n", err)
 
     def test_nan_tolerance_is_argument_error(self, capsys):
         code, out, err = run_cli(capsys, "remez", "--n", "5", "--b", "1",

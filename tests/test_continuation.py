@@ -179,6 +179,21 @@ class TestSolveAt:
         assert np.abs(down.points + up.points[::-1]).max() <= 1e-9
         assert np.abs(down.weights - up.weights[::-1]).max() <= 1e-9
 
+    @pytest.mark.parametrize("n", [6, 18, 38])
+    def test_the_limit_needs_the_explicit_row(self, n, monkeypatch):
+        # at bbar_limit(n) -1 is a double extremum of psi; left to the
+        # exchange from the table's last node, the limit keeps the interior
+        # twin and drops -1 at these degrees (and keeps -1 at n = 3 and 5),
+        # so the row starts and stays on the closed-form support there
+        table, _ = continuation._table(n)
+        lim = bbar_limit(n)
+        start = np.concatenate([[-1.0], continuation._lookup(table, 1.0), [1.0]])
+        monkeypatch.setattr(continuation, "in_explicit_regime", lambda n, b: False)
+        with pytest.raises(ConvergenceError) as err:
+            next(continuation._alternances(n, [lim], start[None]))
+        assert str(err.value) == (
+            f"the alternance at bbar = {lim!r} is not a design on both endpoints")
+
     @pytest.mark.parametrize("n", range(3, 41))
     def test_weights_solve_the_moment_system(self, n):
         # the barycentric weights against the n x n solve of

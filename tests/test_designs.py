@@ -202,6 +202,50 @@ class TestDesignValidation:
         assert np.allclose(r.weights, [0.5, 0.3, 0.2])
 
 
+NUMBERS_MESSAGE = "design points and weights must be lists of numbers"
+# numpy reads each of these as something other than integers or floats,
+# where float() would have taken "1.0" and True as numbers
+NOT_NUMBERS = [
+    ([0.0], "1.0"),
+    ([0.0], b"1"),
+    ([0.0], None),
+    ([0.0], True),
+    ([True], [1.0]),
+    ([0.0], [np.True_]),
+    (["a"], [1.0]),
+    ([[-1.0, 0.0], [1.0]], [0.5, 0.5]),
+    ([-1.0, 1.0], [[0.5], [0.25, 0.25]]),
+]
+
+
+@pytest.mark.parametrize("points, weights", NOT_NUMBERS, ids=repr)
+def test_a_design_takes_numbers_only(points, weights):
+    with pytest.raises(ValueError) as err:
+        Design(points, weights)
+    assert str(err.value) == NUMBERS_MESSAGE
+
+
+@pytest.mark.parametrize("points", [["a", 0.5], "0.5", None, [True, False],
+                                    [[-1.0], [0.5, 1.0]]], ids=repr)
+def test_an_exact_design_takes_numbers_only(points):
+    with pytest.raises(ValueError) as err:
+        ExactDesign(points, [1, 1])
+    assert str(err.value) == NUMBERS_MESSAGE
+
+
+@pytest.mark.parametrize("points, weights", [
+    ([-1, 1], [0.5, 0.5]),
+    (np.array([-1, 1], dtype=np.int8), np.array([0.5, 0.5], dtype=np.float32)),
+    (np.array([0], dtype=np.uint8), 1),
+    (np.array(0.0), np.float64(1.0)),
+])
+def test_integers_and_floats_of_any_width_are_numbers(points, weights):
+    d = Design(points, weights)
+    assert d.points.dtype == d.weights.dtype == np.float64
+    assert np.array_equal(d.points, np.atleast_1d(np.asarray(points, dtype=float)))
+    assert np.array_equal(d.weights, np.atleast_1d(np.asarray(weights, dtype=float)))
+
+
 class TestSerialization:
     def test_json_bit_roundtrip(self):
         d = Design([-1.0, -1.0 / 3.0, 0.123456789012345678, 1.0],
@@ -225,6 +269,11 @@ class TestSerialization:
     def test_json_requires_keys(self):
         with pytest.raises(ValueError):
             Design.from_json(json.dumps({"points": [0.0]}))
+
+    def test_csv_without_rows_is_a_value_error(self):
+        with pytest.raises(ValueError) as err:
+            Design.from_csv("point,weight\n")
+        assert str(err.value) == "no design rows in CSV"
 
     @pytest.mark.parametrize("text", ["point,weight\n0.5\n",
                                       "point,weight\n-1.0,0.5\n1.0\n"])

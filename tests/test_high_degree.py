@@ -158,6 +158,18 @@ def mp_fit_residual(design, n, b, dps=DPS):
     return psi
 
 
+def oracle_dps(n, gap):
+    """Digits mp_fit_residual needs at degree n on a support whose closest pair is gap apart.
+
+    DPS is too coarse there: at n = 40, on the 41 points of
+    test_the_pair_sums_hold_on_two_close_pairs (pairs 1e-9 and 1e-7
+    apart), 50 digits leave the oracle's psi_xi 3e-11 of its sup off and
+    its largest w_i psi_i 1.4e-10, where 100 digits and more agree with
+    the dual to 1.9e-15.
+    """
+    return 2 * n * int(-np.log10(gap)) + DPS
+
+
 def non_optimal_designs(n):
     """The equispaced uniform design and a seeded random one, both on n points."""
     rng = np.random.Generator(np.random.PCG64(n))
@@ -253,7 +265,7 @@ def test_the_dual_holds_on_a_clustered_support(n, gap, b, extra):
         crit = psi.critical_points()
         wpsi = _dual(design, problem)[3]
         assert not verification_report(design, n, b)["passed"]
-    dps = 2 * n * int(-np.log10(gap)) + DPS
+    dps = oracle_dps(n, gap)
     exact = mp_fit_residual(design, n, b, dps)
     xs = np.concatenate([-np.cos(np.linspace(0.0, np.pi, 4 * n + 1)), pts, crit])
     with mp.workdps(dps):
@@ -266,6 +278,42 @@ def test_the_dual_holds_on_a_clustered_support(n, gap, b, extra):
         miss = max(abs(mp.mpf(float(v)) - r) for v, r in zip(wpsi, ref))
         assert float(miss / max(map(abs, ref))) <= 1e-13
     assert float(err / sup) <= 1e-12
+
+
+@pytest.mark.parametrize("n", (6, 20, 40))
+@pytest.mark.parametrize("share", (0.0, 0.5))
+def test_the_pair_sums_hold_on_two_close_pairs(n, share):
+    # on n + 1 points the c1 part of psi_xi is summed over adjacent pairs,
+    # so that no term of a close pair cancels; with two such pairs the pair
+    # sums hold psi_xi within 1.9e-15 of its sup here at n = 40
+    b = share * critical_b(n)
+    rng = np.random.Generator(np.random.PCG64(n))
+    a, c = rng.uniform(-0.9, 0.9, 2)
+    pairs = [a, a + 1e-9, c, c + 1e-7]
+    pts = np.sort(np.concatenate([rng.uniform(-1.0, 1.0, n - 3), pairs]))
+    w = rng.uniform(0.1, 1.0, n + 1)
+    design = Design(pts, w / w.sum())
+    problem = DiscriminationProblem(n, b=b)
+    dual = _dual(design, problem)
+    assert design.support_size == n + 1 and dual is not None
+    value = t_criterion(design, problem)
+    psi = error_polynomial(design, problem)
+    wpsi = dual[3]
+    dps = oracle_dps(n, np.diff(pts).min())
+    assert dps >= 100
+    exact = mp_fit_residual(design, n, b, dps)
+    xs = np.concatenate([-np.cos(np.linspace(0.0, np.pi, 4 * n + 1)), pts,
+                         psi.critical_points()])
+    with mp.workdps(dps):
+        target = sum(mp.mpf(float(w)) * exact(x) ** 2
+                     for x, w in zip(design.points, design.weights))
+        sup = max(abs(exact(x)) for x in xs)
+        err = max(abs(mp_chebval(x, psi.coeffs) - exact(x)) for x in xs)
+        ref = [mp.mpf(float(w)) * exact(x) for x, w in zip(design.points, design.weights)]
+        miss = max(abs(mp.mpf(float(v)) - r) for v, r in zip(wpsi, ref))
+        assert float(abs(mp.mpf(value) / target - 1)) <= 1e-13
+        assert float(err / sup) <= 1e-13
+        assert float(miss / max(map(abs, ref))) <= 1e-14
 
 
 @pytest.mark.parametrize("n", DEGREES)

@@ -231,10 +231,10 @@ def test_a_stack_of_exchanges_equals_its_rows():
                        + [target_polynomial(n, 1.0).coeffs])
     ext = chebyshev_extrema(n)
     refs = np.array([ext[1:] if s >= 0 else ext[:-1] for s in shares] + [np.full(n, np.nan)])
-    stacked = _exchanges(targets, refs, [1e-12] * len(refs), max_iter)
+    stacked = _exchanges(targets, refs, 1e-12, max_iter)
     assert [row[0] for row in stacked if isinstance(row, tuple)] == [1, 5, 5]
     for j, row in enumerate(stacked):
-        alone = _exchanges(targets[j : j + 1], refs[j : j + 1], [1e-12], max_iter)[0]
+        alone = _exchanges(targets[j : j + 1], refs[j : j + 1], 1e-12, max_iter)[0]
         assert type(alone) is type(row)
         if isinstance(row, ConvergenceError):
             assert str(row) == str(alone)

@@ -79,6 +79,12 @@ class TestNoncentrality:
             )
 
 
+    def test_one_point_cannot_carry_a_line(self):
+        with pytest.raises(ValueError) as err:
+            noncentrality(ExactDesign([0.0], [5]), 1.0)
+        assert str(err.value) == "design cannot support a straight-line fit"
+
+
 class TestNoncentralF:
     def test_matches_scipy_across_grid(self):
         crit = f_critical(0.05, 2, 44)

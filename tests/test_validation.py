@@ -207,6 +207,47 @@ def test_check_ratio_names_the_parameter_and_passes_infinities():
         assert type(y) is float and y == x
 
 
+NOT_NUMBERS = ["0.3", b"0.3", True, np.True_]
+RATIO_ENTRY_POINTS = [
+    ("optimal_design", "b", lambda v: optimal_design(5, v)),
+    ("t_optimal_design", "b", lambda v: t_optimal_design(5, v)),
+    ("r_value", "b", lambda v: r_value(5, v)),
+    ("verification_report", "b",
+     lambda v: verification_report(t_optimal_design(5, 0.3).design, 5, v)),
+    ("solve_at", "bbar", lambda v: solve_at(5, v)),
+    ("taylor_coefficients", "bbar", lambda v: taylor_coefficients(5, v)),
+    ("trajectory", "bbar", lambda v: trajectory(5, [0.1, v])),
+    ("problem", "bbar", lambda v: DiscriminationProblem(5, bbar=v)),
+]
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS, ids=repr)
+@pytest.mark.parametrize("name,call", [e[1:] for e in RATIO_ENTRY_POINTS],
+                         ids=[e[0] for e in RATIO_ENTRY_POINTS])
+def test_a_ratio_takes_numbers_only(name, call, value):
+    # as check_integer refuses strings and bools, so does check_ratio, where
+    # float() would have read "0.3" as 0.3 and True as 1.0
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert str(err.value) == f"{name} must be a number, got {value!r}"
+
+
+def test_a_grid_of_strings_is_refused_before_any_solve(monkeypatch):
+    calls = []
+    monkeypatch.setattr(continuation, "_exchanges",
+                        lambda *args: calls.append(args) or minimax._exchanges(*args))
+    with pytest.raises(ValueError) as err:
+        trajectory(5, ["0.1", "0.2"])
+    assert str(err.value) == "bbar must be a number, got '0.1'"
+    assert calls == []
+
+
+def test_an_empty_grid_is_refused():
+    with pytest.raises(ValueError) as err:
+        trajectory(5, [])
+    assert str(err.value) == "grid must be a non-empty one-dimensional sequence"
+
+
 class TestRegimePredicate:
     @pytest.mark.parametrize("n", [2, 3, 5, 12, 40])
     def test_boundary_and_slack(self, n):
