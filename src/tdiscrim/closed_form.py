@@ -157,10 +157,11 @@ def zero_b_family(n: int, alpha: float) -> OptimalDesign:
     one point, the lower of the two, with weight
     (1 - alpha) w_i + alpha w_(n-i). The mirror adds -1 with weight
     alpha w_n, the explicit design keeps 1 with weight (1 - alpha) w_n, and
-    a point whose weight is zero is dropped.
+    a point whose weight is zero is dropped. alpha follows check_ratio's
+    rule, finite, before the [0, 1] check.
     """
     n = check_degree(n, 2)
-    alpha = float(alpha)
+    alpha = check_ratio(alpha, "alpha", finite=True)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     pts = support_points(n, 0.0)

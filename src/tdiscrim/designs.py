@@ -136,10 +136,17 @@ class Design:
 
 
 def _numbers(values) -> np.ndarray:
-    """values as floats, if numpy reads them as integers or floats: no str, bool or None."""
+    """values as floats, if numpy reads them as integers or floats: no str, bool or None.
+
+    numpy reads a bool among floats as a number, so the elements of a list
+    or tuple are checked too; an array is judged by its kind alone.
+    """
     try:
         a = np.asarray(values)
     except ValueError:  # a ragged list
+        a = np.asarray(None)
+    if isinstance(values, (list, tuple)) and any(
+            isinstance(v, bool) or getattr(v, "dtype", None) == bool for v in values):
         a = np.asarray(None)
     if a.dtype.kind not in "iuf":
         raise ValueError("design points and weights must be lists of numbers")

@@ -66,12 +66,15 @@ def check_degree(n, minimum: int) -> int:
 def check_ratio(value, name: str, *, finite: bool = False) -> float:
     """float(value), after checking that it is a number, not NaN, nor infinite when finite is set.
 
-    As for check_integer, strings and bools are not numbers, nor is anything
-    float() refuses. Entry points with a regime leave finite unset, so that
-    their regime check rejects an infinite ratio as out of range.
+    As for check_integer, strings and bools are not numbers, nor is a numpy
+    array or scalar of any kind but integer or float, nor anything float()
+    refuses. Entry points with a regime leave finite unset, so that their
+    regime check rejects an infinite ratio as out of range.
     """
     try:
-        if isinstance(value, (str, bytes, bool, np.bool_)):
+        if isinstance(value, (str, bytes, bool)) or (
+                isinstance(value, (np.ndarray, np.generic))
+                and value.dtype.kind not in "iuf"):
             raise TypeError
         x = float(value)
     except TypeError:

@@ -11,10 +11,12 @@ bit for bit.
 The simulation draws, per replicate, the F statistic's own two parts: its
 numerator sum of squares, noncentral chi-square on 2 degrees of freedom
 with the test's noncentrality, and its independent residual sum of
-squares, central chi-square on N - 4 (Scheffe 1959, ch. 2). The figures
-stay exact draws from the test's distribution at 3 variates per replicate
-for any design. scipy is imported only inside the two functions that need
-it, so importing the package loads none of it.
+squares, central chi-square on N - 4 (Scheffe 1959, ch. 2). The numerator
+is the squared length of a shifted normal pair, which in polar form (Box &
+Muller 1958) needs only an exponential and an angle. The figures stay
+exact draws from the test's distribution at 3 variates per replicate for
+any design, 2 under the null. scipy is imported only inside the two
+functions that need it, so importing the package loads none of it.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ THETA3_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
 DEFAULT_LEVEL = 0.05
 DEFAULT_REPS = 100_000
 DEFAULT_SEED = 20260821
-# Generator.standard_normal draws ziggurat normals from PCG64 streams; per
-# chunk of replicates, the normal pairs of the numerator come first, then
-# the residual sums of squares.
-RNG_INFO = {"bit_generator": "PCG64", "normals": "ziggurat",
-            "scheme": "noncentral-pair+residual-chisquare"}
+# PCG64 streams; Generator.standard_exponential draws ziggurat exponentials.
+# Per chunk of replicates the numerator's exponentials come first, then its
+# uniform angles (none under the null), then the residual sums of squares.
+RNG_INFO = {"bit_generator": "PCG64", "exponentials": "ziggurat",
+            "scheme": "exponential-angle+residual-chisquare"}
 
 _CHUNK = 1 << 15
 
@@ -173,7 +175,7 @@ def _f_test(design: ExactDesign, theta3: float,
     if design.size <= 4:
         raise ValueError("design leaves no residual degrees of freedom (need N > 4 runs)")
     dfd = design.size - 4
-    return noncentrality(design, theta3), dfd, f_critical(level, 2, dfd)
+    return theta3**2 * _line_projection_rss(design), dfd, f_critical(level, 2, dfd)
 
 
 def _power(lam: float, dfd: int, crit: float, level: float) -> float:
@@ -214,28 +216,47 @@ def f_test_power_mc(design: ExactDesign, theta3: float, reps: int, seed: int,
 
     Notes
     -----
-    The numerator sum of squares is the squared length of a 2-vector of
-    unit normals with mean of squared length lam, the noncentrality; the
-    normal law is rotation invariant, so each replicate draws a standard
-    normal pair and shifts its first entry by sqrt(lam). The residual sum
-    of squares is an independent chi-square on N - 4 degrees of freedom.
-    Each replicate costs 3 draws for any design. Per chunk of replicates
-    the pairs come first, then the residual sums (``RNG_INFO["scheme"]``).
+    The numerator sum of squares is (z1 + sqrt(lam))^2 + z2^2 for a
+    standard normal pair, lam the noncentrality. In polar form the pair
+    is sqrt(2E) (cos t, sin t), E standard exponential and t uniform, so
+    the numerator is 2E + lam + 2 sqrt(2 lam E) cos t exactly; cos t has
+    the law of cos(pi U), U uniform on [0, 1). The residual sum of
+    squares is an independent chi-square on N - 4 degrees of freedom,
+    drawn as twice a gamma variate on (N - 4) / 2, which is numpy's
+    chisquare bit for bit. Each replicate costs 3 draws for any design,
+    2 under the null (lam = 0), where the angle drops out. Per chunk of
+    replicates the exponentials come first, then the angles, then the
+    residual sums (``RNG_INFO["scheme"]``), each filled into a buffer
+    allocated once per call.
     """
     reps = check_integer(reps, "reps", 1000)
     seed = check_integer(seed, "seed", 0)
     lam, dfd, crit = _f_test(design, theta3, level)
-    shift = math.sqrt(lam)
+    # a hit is num / 2 > crit rss / dfd with num / 2 = E + lam / 2 +
+    # sqrt(2 lam E) cos(pi U) and rss = 2 G, G the gamma variate
+    amp, gain = math.sqrt(2.0 * lam), 2.0 * crit / dfd
     rng = np.random.Generator(np.random.PCG64(seed))
+    size = min(_CHUNK, reps)
+    e, u, g = np.empty(size), np.empty(size), np.empty(size)
+    hit = np.empty(size, dtype=bool)
     hits = 0
     done = 0
     while done < reps:
-        m = min(_CHUNK, reps - done)
-        pair = rng.standard_normal((m, 2))
-        pair[:, 0] += shift
-        num = np.einsum("ij,ij->i", pair, pair)
-        rss = rng.chisquare(dfd, m)
-        hits += int(np.count_nonzero((num / 2.0) / (rss / dfd) > crit))
+        m = min(size, reps - done)
+        ev, uv, gv = e[:m], u[:m], g[:m]
+        rng.standard_exponential(out=ev)
+        if lam > 0.0:
+            rng.random(out=uv)
+            uv *= math.pi
+            np.cos(uv, out=uv)
+            np.sqrt(ev, out=gv)
+            gv *= uv
+            gv *= amp
+            gv += lam / 2.0
+            ev += gv
+        rng.standard_gamma(dfd / 2.0, out=gv)
+        gv *= gain
+        hits += int(np.count_nonzero(np.greater(ev, gv, out=hit[:m])))
         done += m
     est = hits / reps
     se = math.sqrt(est * (1.0 - est) / reps)
@@ -282,7 +303,7 @@ def table1_csv(results: dict[str, list[PowerResult]], reps: int, seed: int) -> s
     reps = check_integer(reps, "reps", 10_000)
     seed = check_integer(seed, "seed", 0)
     lines = [
-        f"# rng={RNG_INFO['bit_generator']} normals={RNG_INFO['normals']} "
+        f"# rng={RNG_INFO['bit_generator']} exponentials={RNG_INFO['exponentials']} "
         f"scheme={RNG_INFO['scheme']}",
         "design,theta3,mc_power,std_err,analytic_power,reps,seed",
     ]

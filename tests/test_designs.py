@@ -215,6 +215,11 @@ NOT_NUMBERS = [
     (["a"], [1.0]),
     ([[-1.0, 0.0], [1.0]], [0.5, 0.5]),
     ([-1.0, 1.0], [[0.5], [0.25, 0.25]]),
+    # a bool among numbers, which numpy would read as 1.0
+    ([-1.0, True], [0.5, 0.5]),
+    ((-1.0, np.True_), [0.5, 0.5]),
+    ([-1.0, 1.0], (0.5, np.False_)),
+    ([-1.0, np.array(True)], [0.5, 0.5]),
 ]
 
 
@@ -226,7 +231,7 @@ def test_a_design_takes_numbers_only(points, weights):
 
 
 @pytest.mark.parametrize("points", [["a", 0.5], "0.5", None, [True, False],
-                                    [[-1.0], [0.5, 1.0]]], ids=repr)
+                                    [[-1.0], [0.5, 1.0]], [-1.0, True]], ids=repr)
 def test_an_exact_design_takes_numbers_only(points):
     with pytest.raises(ValueError) as err:
         ExactDesign(points, [1, 1])

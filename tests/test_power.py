@@ -252,22 +252,34 @@ class TestSufficientStatistics:
         assert num.pvalue > 1e-3, num
         assert den.pvalue > 1e-3, den
 
-    def test_stream_draws_pair_then_residual_ss(self):
-        # the seeded stream: per chunk of 2^15 replicates, the shifted
-        # normal pairs of the numerator, then the residual sums of squares
-        theta3, reps = 1.5, 40_000
+    def test_numerator_from_exponential_and_angle_is_noncentral_chi_square(self):
+        # 2E + lam + 2 sqrt(2 lam E) cos(pi U) is |(z1 + sqrt(lam), z2)|^2 for a
+        # standard normal pair in polar form: noncentral chi-square(2, lam)
+        rng = np.random.default_rng(11)
+        e, u = rng.standard_exponential(20_000), rng.random(20_000)
+        for lam in (0.75, 3.0, 12.0):
+            num = 2.0 * e + lam + 2.0 * np.sqrt(2.0 * lam * e) * np.cos(np.pi * u)
+            res = stats.kstest(num, stats.ncx2(2, lam).cdf)
+            assert res.pvalue > 1e-3, (lam, res)
+
+    @pytest.mark.parametrize("theta3", [1.5, 0.0], ids=["alternative", "null"])
+    def test_stream_draws_exponentials_angles_then_residual_ss(self, theta3):
+        # the seeded stream: per chunk of 2^15 replicates, the exponentials of
+        # the numerator, then its uniform angles (none under the null), then
+        # the residual sums of squares
+        reps = 40_000
         for design in (SIX_BY_8, TEN_SINGLE):
             dfd = design.size - 4
             crit = f_critical(0.05, 2, dfd)
-            shift = np.sqrt(noncentrality(design, theta3))
+            lam = noncentrality(design, theta3)
             for seed in (12, 13, 14):
                 rng = np.random.Generator(np.random.PCG64(seed))
                 hits = 0
                 for m in (32_768, reps - 32_768):
-                    pair = rng.standard_normal((m, 2))
-                    pair[:, 0] += shift
-                    num = np.einsum("ij,ij->i", pair, pair)
+                    e = rng.standard_exponential(m)
+                    u = rng.random(m) if lam > 0 else np.zeros(m)
                     rss = rng.chisquare(dfd, m)
+                    num = 2.0 * e + lam + 2.0 * np.sqrt(2.0 * lam) * np.sqrt(e) * np.cos(np.pi * u)
                     hits += np.count_nonzero((num / 2.0) / (rss / dfd) > crit)
                 got = f_test_power_mc(design, theta3, reps, seed).estimate
                 assert got == hits / reps, (design, seed)
@@ -279,6 +291,14 @@ class TestSufficientStatistics:
         monkeypatch.setattr(power, "np", counting)
         f_test_power_mc(design, 1.0, 40_000, 9)
         assert counting.draws == 120_000
+
+    @pytest.mark.parametrize("design", [T_OPTIMAL_48, TEN_SINGLE],
+                             ids=["t-optimal-48", "ten-single-runs"])
+    def test_two_variates_per_replicate_under_the_null(self, design, monkeypatch):
+        counting = _CountingNumpy()
+        monkeypatch.setattr(power, "np", counting)
+        f_test_power_mc(design, 0.0, 40_000, 9)
+        assert counting.draws == 80_000
 
     @pytest.mark.parametrize(
         "design, seed",
@@ -366,7 +386,7 @@ class TestTable:
     def test_csv_records_sampling_scheme(self):
         text = table1_csv({"T-optimal": []}, 10_000, 3)
         assert text.split("\n")[0] == (
-            "# rng=PCG64 normals=ziggurat scheme=noncentral-pair+residual-chisquare"
+            "# rng=PCG64 exponentials=ziggurat scheme=exponential-angle+residual-chisquare"
         )
 
     def test_csv_shape(self):

@@ -218,6 +218,8 @@ RATIO_ENTRY_POINTS = [
     ("taylor_coefficients", "bbar", lambda v: taylor_coefficients(5, v)),
     ("trajectory", "bbar", lambda v: trajectory(5, [0.1, v])),
     ("problem", "bbar", lambda v: DiscriminationProblem(5, bbar=v)),
+    ("zero_b_family", "alpha", lambda v: zero_b_family(5, v)),
+    ("f_test_power_mc", "theta3", lambda v: f_test_power_mc(T_OPTIMAL_48, v, 1000, 1)),
 ]
 
 
@@ -230,6 +232,49 @@ def test_a_ratio_takes_numbers_only(name, call, value):
     with pytest.raises(ValueError) as err:
         call(value)
     assert str(err.value) == f"{name} must be a number, got {value!r}"
+
+
+# numpy arrays and scalars of a kind other than integer or float; float() would
+# read a 0-d string array as its text, an object array as its element and a
+# complex scalar as its real part
+NUMPY_NOT_NUMBERS = [np.array("0.3"), np.array(b"0.3"), np.array(0.3, dtype=object),
+                     np.array(True), np.complex128(0.3), np.array(0.3 + 0j)]
+
+
+@pytest.mark.parametrize("value", NUMPY_NOT_NUMBERS, ids=repr)
+@pytest.mark.parametrize("name,call", [e[1:] for e in RATIO_ENTRY_POINTS],
+                         ids=[e[0] for e in RATIO_ENTRY_POINTS])
+def test_a_ratio_takes_numpy_numbers_only(name, call, value):
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert str(err.value) == f"{name} must be a number, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [np.array(0.25), np.float32(0.25), np.int64(3),
+                                   np.array(3, dtype=np.uint8), np.float16(0.25)],
+                         ids=repr)
+def test_check_ratio_takes_numpy_integers_and_floats(value):
+    y = check_ratio(value, "b")
+    assert type(y) is float and y == float(value)
+
+
+@pytest.mark.parametrize("alpha, message", [
+    (NAN, "^alpha must be a number, got nan$"),
+    (INF, "^alpha must be finite, got inf$"),
+    (-0.5, r"^alpha must lie in \[0, 1\]$"),
+    (1.5, r"^alpha must lie in \[0, 1\]$"),
+])
+def test_zero_b_family_checks_alpha_through_check_ratio(alpha, message):
+    with pytest.raises(ValueError, match=message):
+        zero_b_family(5, alpha)
+
+
+def test_zero_b_family_takes_numpy_alphas():
+    ref = zero_b_family(5, 0.25).design
+    for alpha in (np.float64(0.25), np.array(0.25), np.float32(0.25)):
+        d = zero_b_family(5, alpha).design
+        assert np.array_equal(d.points, ref.points)
+        assert np.array_equal(d.weights, ref.weights)
 
 
 def test_a_grid_of_strings_is_refused_before_any_solve(monkeypatch):
