@@ -80,8 +80,10 @@ def alternation_check(design: Design, psi: ChebyshevSeries,
     """Check that psi alternates in sign over the support with equal magnitude.
 
     spread is the largest magnitude difference across support points; the
-    check passes when signs strictly alternate and spread <= tol.
+    check passes when signs strictly alternate and spread <= tol. tol
+    follows check_ratio's rule.
     """
+    tol = check_ratio(tol, "tol")
     return _alternation(np.asarray(psi(design.points), dtype=float), tol)
 
 
@@ -169,14 +171,15 @@ def verification_report(design: Design, n: int, b: float) -> dict:
         "passed": alt.passed and level > EQUIVALENCE_TOL * deviation,
     })
     margin = float(np.max(cv * cv) - criterion)
-    gap = margin / deviation**2
+    dev2 = deviation * deviation
+    gap = margin / dev2
     checks.append({
         "name": "criterion_matches_deviation",
         "value": gap,
         "tolerance": INEQUALITY_TOL,
         "passed": gap <= INEQUALITY_TOL,
     })
-    tol = INEQUALITY_TOL * deviation**2
+    tol = INEQUALITY_TOL * dev2
     checks.append({
         "name": "global_inequality",
         "value": margin,

@@ -5,24 +5,26 @@ explicitly: the support is carried by the extremal points of a shifted,
 rescaled Chebyshev polynomial and the weights are fixed trigonometric
 expressions independent of b. At b = 0 the optimal design is not unique;
 the solutions form a one-parameter family of mixtures between a left-heavy
-member and its mirror image, built pair by pair in closed form.
+member and its mirror image, all carried by the extrema of T_n.
 
-Each degree's constants, critical_b, the cosines of support_points and
-canonical_weights, are computed once and cached read-only; the public
-functions validate n on every call and return fresh arrays. Every design
-returned, mirrored ones included, is validated once, by its one Design
-construction.
+Every support here is read from polynomials._extrema, the one cached,
+read-only table of those extrema, symmetric to the bit; the canonical
+weights are cached beside it. The public functions validate n on every
+call and return fresh arrays. Every design returned, mirrored ones
+included, is validated once, by its one Design construction.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .designs import Design
 from .errors import RegimeError, check_degree, check_ratio
+from .polynomials import _extrema
 
 # Multiplicative slack when testing |b| against the critical ratio, so that
 # a boundary value computed elsewhere in floating point is not rejected.
@@ -31,14 +33,9 @@ REGIME_SLACK = 1e-12
 
 def critical_b(n: int) -> float:
     """Largest |b| for which the explicit design below is optimal: n tan^2(pi/2n)."""
-    return _critical_b(check_degree(n, 2))
-
-
-@functools.cache
-def _critical_b(n: int) -> float:
-    """critical_b of a checked degree, computed once per degree."""
-    t = np.tan(np.pi / (2 * n))
-    return float(n * t * t)
+    n = check_degree(n, 2)
+    t = math.tan(math.pi / (2 * n))
+    return n * t * t
 
 
 def in_explicit_regime(n: int, b: float) -> bool:
@@ -65,25 +62,20 @@ def _check_regime(n: int, b: float) -> float:
 
 
 def support_points(n: int, b: float) -> np.ndarray:
-    """Support of the explicit design: -(1 + |b|/n) cos(i pi / n) - |b|/n, i = 1..n.
+    """Support of the explicit design: (1 + |b|/n) e_i - |b|/n, i = 1..n.
 
-    Increasing, with the last point exactly 1; at |b| = critical_b(n) the
-    first point reaches -1. Values are clipped to [-1, 1] to absorb the last
-    bit of roundoff, which the regime check has already bounded.
+    e_i = -cos(i pi / n) are the extrema of T_n, read from the one cached
+    table, so that at b = 0 the support is those extrema bit for bit, an
+    exact 0 at even n included. Increasing, with the last point exactly 1;
+    at |b| = critical_b(n) the first point reaches -1. Values are clipped
+    to [-1, 1] to absorb the last bit of roundoff, which the regime check
+    has already bounded.
     """
     beta = abs(_check_regime(n, b)) / n
-    pts = -(1.0 + beta) * _support_cosines(check_degree(n, 2)) - beta
+    pts = (1.0 + beta) * _extrema(check_degree(n, 2))[1:] - beta
     np.clip(pts, -1.0, 1.0, out=pts)
     pts[-1] = 1.0
     return pts
-
-
-@functools.cache
-def _support_cosines(n: int) -> np.ndarray:
-    """cos(i pi / n), i = 1..n, built once per degree and shared, so read-only."""
-    c = np.cos(np.arange(1, n + 1) * np.pi / n)
-    c.flags.writeable = False
-    return c
 
 
 def canonical_weights(n: int) -> np.ndarray:
@@ -144,7 +136,7 @@ def t_optimal_design(n: int, b: float) -> OptimalDesign:
     w = _weights(n)
     if b > 0:
         return OptimalDesign(Design(pts, w.copy()), "positive_b", n, b)
-    return OptimalDesign(Design(-pts[::-1], w[::-1].copy()), "negative_b", n, b)
+    return OptimalDesign(Design(0.0 - pts[::-1], w[::-1].copy()), "negative_b", n, b)
 
 
 def zero_b_family(n: int, alpha: float) -> OptimalDesign:
@@ -152,24 +144,21 @@ def zero_b_family(n: int, alpha: float) -> OptimalDesign:
 
     alpha = 0 gives the explicit design (which omits -1), alpha = 1 its mirror
     (which omits +1), and interior alpha the convex mixture carried by the n+1
-    points -cos(i pi / n), i = 0..n. The mirror's point -x_(n-i) is the
-    explicit design's x_i up to rounding, for i = 1..n-1: each such pair is
-    one point, the lower of the two, with weight
-    (1 - alpha) w_i + alpha w_(n-i). The mirror adds -1 with weight
-    alpha w_n, the explicit design keeps 1 with weight (1 - alpha) w_n, and
-    a point whose weight is zero is dropped. alpha follows check_ratio's
-    rule, finite, before the [0, 1] check.
+    extrema x_i = -cos(i pi / n), i = 0..n, of T_n. Both ends sit on those
+    points exactly, since the extrema are symmetric to the bit: x_i, for
+    i = 1..n-1, has weight (1 - alpha) w_i + alpha w_(n-i), -1 has weight
+    alpha w_n and 1 has (1 - alpha) w_n, and a point whose weight is zero is
+    dropped. alpha follows check_ratio's rule, finite, before the [0, 1]
+    check.
     """
     n = check_degree(n, 2)
     alpha = check_ratio(alpha, "alpha", finite=True)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    pts = support_points(n, 0.0)
     w = _weights(n)
-    mixed = np.concatenate(([-1.0], np.minimum(pts[:-1], -pts[-2::-1]), [1.0]))
     lo, hi = (1.0 - alpha) * w, alpha * w[::-1]
     wts = np.concatenate((hi[:1], lo[:-1] + hi[1:], lo[-1:]))
     keep = wts > 0.0
     return OptimalDesign(
-        Design(mixed[keep], wts[keep]), "zero_b_family", n, 0.0, alpha
+        Design(_extrema(n)[keep], wts[keep]), "zero_b_family", n, 0.0, alpha
     )

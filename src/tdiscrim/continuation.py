@@ -56,7 +56,7 @@ from numpy.polynomial.chebyshev import chebder, chebfit, chebval
 
 from .checks import INEQUALITY_TOL, global_inequality
 from .closed_form import REGIME_SLACK, critical_b, in_explicit_regime, support_points
-from .designs import Design, _gaps, _monomial
+from .designs import Design, _gaps, _monomial, _numbers
 from .errors import (ConvergenceError, OptimalityError, RegimeError,
                      check_degree, check_integer, check_ratio)
 from .minimax import EXCHANGE_TOL, MAX_EXCHANGES, _exchange, _exchanges
@@ -91,7 +91,8 @@ class ContinuationState:
     polynomial the state was solved with; points and weights hold the whole
     design, both endpoints and all n weights; bbar is the inverse ratio.
     Construction validates the design through Design and requires -1 and 1
-    in the support and n + 1 finite coefficients.
+    in the support and n + 1 finite coefficients, which follow Design's
+    rule for numbers: no strings or bools.
     """
 
     coeffs: np.ndarray
@@ -101,10 +102,14 @@ class ContinuationState:
 
     def __post_init__(self) -> None:
         d = Design(self.points, self.weights)
-        c = np.asarray(self.coeffs, dtype=float)
         if d.support_size < 3 or d.points[0] != -1.0 or d.points[-1] != 1.0:
             raise ValueError("the support needs at least 3 points and endpoints -1 and 1")
-        if c.shape != (d.support_size + 1,) or not np.all(np.isfinite(c)):
+        try:
+            c = _numbers(self.coeffs)
+            ok = c.shape == (d.support_size + 1,) and np.all(np.isfinite(c))
+        except ValueError:
+            ok = False
+        if not ok:
             raise ValueError("psi needs n + 1 finite Chebyshev coefficients")
         self.coeffs, self.points, self.weights = c, d.points, d.weights
         self.bbar = check_ratio(self.bbar, "bbar", finite=True)
@@ -129,11 +134,12 @@ def _mirrored(state: ContinuationState) -> ContinuationState:
     """The state at -bbar, from a solved state at bbar.
 
     psi at -bbar is (-1)^(n-1) psi(-x) at bbar, so the coefficient of T_j
-    changes sign with n-1+j, and the design is reflected through x = 0.
-    Every entry is a sign change or a reordering, so the mirror is exact.
+    changes sign with n-1+j, and the design is reflected through x = 0 by
+    Design.reflected's rule, 0.0 - x. Every entry is a sign change or a
+    reordering, so the mirror is exact.
     """
     signs = (-1.0) ** (state.n - 1 + np.arange(state.n + 1))
-    return ContinuationState(signs * state.coeffs, -state.points[::-1],
+    return ContinuationState(signs * state.coeffs, 0.0 - state.points[::-1],
                              state.weights[::-1].copy(), -state.bbar)
 
 
@@ -397,7 +403,7 @@ def trajectory(n: int, grid) -> list[tuple[float, Design]]:
     states = dict(zip(distinct, _solve(n, distinct)))
     # each row is its own copy, validated once; a negative row is reflected
     return [(float(v), states[m].design() if v >= 0.0 else
-             Design(-states[m].points[::-1], states[m].weights[::-1].copy()))
+             Design(0.0 - states[m].points[::-1], states[m].weights[::-1].copy()))
             for v, m in zip(g, mags)]
 
 

@@ -95,8 +95,12 @@ class Design:
         return int(self.points.size)
 
     def reflected(self) -> "Design":
-        """The mirror design x -> -x."""
-        return Design(-self.points[::-1], self.weights[::-1].copy())
+        """The mirror design x -> -x.
+
+        Mirrored as 0.0 - x, which keeps an exact 0 at +0.0, so that a
+        design symmetric to the bit is its own mirror to the bit.
+        """
+        return Design(0.0 - self.points[::-1], self.weights[::-1].copy())
 
     def to_json(self) -> str:
         return json.dumps(
@@ -321,7 +325,8 @@ def _dual(design: Design, problem: DiscriminationProblem):
     # T is r^2 2^k0 / s; with k0 even, the square comes last
     if k0 % 2:
         s, k0 = 2.0 * s, k0 + 1
-    return math.ldexp(r / math.sqrt(s), k0 // 2) ** 2, dd, shares, wpsi
+    root = math.ldexp(r / math.sqrt(s), k0 // 2)
+    return root * root, dd, shares, wpsi
 
 
 @functools.cache

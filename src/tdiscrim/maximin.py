@@ -91,8 +91,7 @@ def maximin_design(n: int, interval: RatioInterval) -> Design:
     ray_up/ray_down: the optimal design at the finite endpoint, where its
     T(xi, b) is lowest along the ray. For the downward ray that is
     optimal_design(n, -b0), the mirror of the upward ray's design bit for
-    bit; at b0 = 0 the mirror is taken, since the alpha = 0.5 member is
-    symmetric only up to rounding.
+    bit; at b0 = 0 both rays give the alpha = 0.5 member, its own mirror.
     """
     n = check_degree(n, 2)
     if interval.kind == "whole_line":
@@ -102,8 +101,6 @@ def maximin_design(n: int, interval: RatioInterval) -> Design:
         return Design(pts, wts)
     if interval.kind == "ray_up":
         return optimal_design(n, interval.b0).design
-    if interval.b0 == 0.0:
-        return optimal_design(n, 0.0).design.reflected()
     return optimal_design(n, -interval.b0).design
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .closed_form import _check_regime
 from .designs import DiscriminationProblem, _cosines
-from .errors import ConvergenceError, check_degree, check_integer
+from .errors import ConvergenceError, check_degree, check_integer, check_ratio
 from .polynomials import ChebyshevSeries, _critical_points, _vander, chebyshev_extrema
 
 # Two extremal-point candidates closer than this are one analytic extremum
@@ -75,8 +75,8 @@ def closed_form_psi(n: int, b: float) -> ChebyshevSeries:
     theta, m = _cosines(n)
     # arccos(-(cos(theta) + beta) / (1 + beta)) by its half-angle tangent,
     # which keeps full relative accuracy where the argument nears -1 or 1
-    phi = 2.0 * np.arctan2(np.sqrt(np.cos(0.5 * theta) ** 2 + beta),
-                           np.sin(0.5 * theta))
+    half = np.cos(0.5 * theta)
+    phi = 2.0 * np.arctan2(np.sqrt(half * half + beta), np.sin(0.5 * theta))
     c = m @ (scale * np.cos(n * phi))
     if b < 0:
         c[n - 1 :: -2] *= -1.0
@@ -222,8 +222,10 @@ def remez(n: int, b: float, tol: float = EXCHANGE_TOL,
     Runs _exchanges from the Chebyshev extrema of degree n, dropping the
     end the target is least strained at, with its one stop rule at tol. It
     needs 0 < tol < 1: the gap never exceeds the error, so a tol of 1 would
-    stop on the first reference. max_iter follows the integer rule of n.
+    stop on the first reference; tol follows check_ratio's rule first.
+    max_iter follows the integer rule of n.
     """
+    tol = check_ratio(tol, "tol")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie strictly between 0 and 1, got {tol!r}")
     max_iter = check_integer(max_iter, "max_iter", 1)

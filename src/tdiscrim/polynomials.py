@@ -194,7 +194,15 @@ def chebyshev_extrema(n: int) -> np.ndarray:
     """The n + 1 extremal points of T_n on [-1, 1], increasing: -cos(i pi / n).
 
     Computed as the sine of the centred angle (2i - n) pi / 2n, so that the
-    points are symmetric to the bit, with an exact 0 at even n.
+    points are symmetric to the bit, with an exact 0 at even n. A fresh
+    copy of the degree's cached points.
     """
-    n = check_degree(n, 1)
-    return np.sin((2 * np.arange(n + 1) - n) * np.pi / (2 * n))
+    return _extrema(check_degree(n, 1)).copy()
+
+
+@functools.cache
+def _extrema(n: int) -> np.ndarray:
+    """chebyshev_extrema of a checked degree, built once per degree and shared, so read-only."""
+    x = np.sin((2 * np.arange(n + 1) - n) * np.pi / (2 * n))
+    x.flags.writeable = False
+    return x

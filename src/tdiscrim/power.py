@@ -96,18 +96,23 @@ class PowerResult:
         return abs(self.estimate - self.analytic) <= 3.0 * self.std_error
 
 
-def _check_df(dfn, dfd) -> None:
-    """Degrees of freedom are positive, so not NaN; fractions pass, as scipy takes them."""
-    for name, df in (("dfn", dfn), ("dfd", dfd)):
-        if not df > 0:
-            raise ValueError(f"{name} must be positive degrees of freedom, got {float(df)!r}")
+def _check_df(df, name: str) -> float:
+    """float(df), a number by check_ratio's rule, positive; fractions pass, as scipy takes them."""
+    df = check_ratio(df, name)
+    if not df > 0:
+        raise ValueError(f"{name} must be positive degrees of freedom, got {df!r}")
+    return df
 
 
 def f_critical(level: float, dfn: int, dfd: int) -> float:
-    """Upper critical value of the central F distribution; level in (0, 1), dfn, dfd > 0."""
+    """Upper critical value of the central F distribution; level in (0, 1), dfn, dfd > 0.
+
+    Each parameter follows check_ratio's rule before its range test.
+    """
+    level = check_ratio(level, "level")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    _check_df(dfn, dfd)
+    dfn, dfd = _check_df(dfn, "dfn"), _check_df(dfd, "dfd")
     from scipy import special
 
     return float(special.fdtri(dfn, dfd, 1.0 - level))
@@ -118,9 +123,11 @@ def noncentral_f_sf(x: float, dfn: int, dfd: int, noncentrality: float) -> float
 
     One minus scipy's noncentral F distribution function, clamped to
     [0, 1]; the central case at zero noncentrality. dfn, dfd > 0, x not
-    NaN, noncentrality finite and nonnegative.
+    NaN, noncentrality finite and nonnegative, each a number by
+    check_ratio's rule.
     """
-    _check_df(dfn, dfd)
+    dfn, dfd = _check_df(dfn, "dfn"), _check_df(dfd, "dfd")
+    noncentrality = check_ratio(noncentrality, "noncentrality")
     if not 0.0 <= noncentrality < math.inf:
         raise ValueError("noncentrality must be finite and nonnegative")
     x = check_ratio(x, "x")
@@ -158,7 +165,7 @@ def _line_projection_rss(design: ExactDesign) -> float:
 def noncentrality(design: ExactDesign, theta3: float) -> float:
     """F-test noncentrality theta3^2 times the lack-of-fit sum of squares; theta3 finite."""
     theta3 = check_ratio(theta3, "theta3", finite=True)
-    return theta3**2 * _line_projection_rss(design)
+    return theta3 * theta3 * _line_projection_rss(design)
 
 
 def _f_test(design: ExactDesign, theta3: float,
@@ -175,7 +182,7 @@ def _f_test(design: ExactDesign, theta3: float,
     if design.size <= 4:
         raise ValueError("design leaves no residual degrees of freedom (need N > 4 runs)")
     dfd = design.size - 4
-    return theta3**2 * _line_projection_rss(design), dfd, f_critical(level, 2, dfd)
+    return theta3 * theta3 * _line_projection_rss(design), dfd, f_critical(level, 2, dfd)
 
 
 def _power(lam: float, dfd: int, crit: float, level: float) -> float:
@@ -274,7 +281,8 @@ def table1(reps: int = DEFAULT_REPS, seed: int = DEFAULT_SEED,
 
     Each of the ten cells runs on its own substream derived from the master
     seed, so the table is reproducible as a whole and cell by cell. reps
-    must be an integer >= 10000 and seed an integer >= 0.
+    must be an integer >= 10000 and seed an integer >= 0; level follows
+    f_critical's rule, which the first cell applies before any draw.
     """
     reps = check_integer(reps, "reps", 10_000)
     seed = check_integer(seed, "seed", 0)

@@ -227,6 +227,16 @@ class TestVerificationReport:
         assert not alternation["passed"]
         assert not rep["passed"]
 
+    def test_a_zero_criterion_reads_a_gap_of_exactly_one(self):
+        # one point: T is exactly 0, so the gap is max psi^2 / dev^2, which is
+        # 1 when both squares are products; libm's pow(dev, 2) here rounds one
+        # ulp low, which read 0.9999999999999999
+        rep = verification_report(Design([0.85], [1.0]), 35, 0.5)
+        gap, inequality = rep["checks"][2:]
+        assert gap["name"] == "criterion_matches_deviation"
+        assert gap["value"] == 1.0
+        assert inequality["tolerance"] == 1e-8 * inequality["value"]
+
 
 class TestVerdictGrid:
     """Every optimum passes, and every control and 1e-3 move fails, at n = 2..40.

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tdiscrim.closed_form import (
-    _support_cosines,
     _weights,
     canonical_weights,
     critical_b,
@@ -12,7 +11,9 @@ from tdiscrim.closed_form import (
 )
 from tdiscrim.designs import Design, DiscriminationProblem, t_criterion
 from tdiscrim.errors import RegimeError
+from tdiscrim.maximin import RatioInterval, maximin_design
 from tdiscrim.minimax import closed_form_psi, extremal_set
+from tdiscrim.polynomials import _extrema
 
 
 class TestCriticalB:
@@ -58,6 +59,16 @@ class TestSupportPoints:
         for n in (3, 4, 7):
             pts = support_points(n, critical_b(n))
             assert pts[0] == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_centred_support_is_symmetric_to_the_bit(self, n):
+        # at b = 0 the support is the extrema of T_n, so each point's mirror
+        # is a point, and an even degree's centre is +0.0
+        pts = support_points(n, 0.0)
+        assert (0.0 - pts[-2::-1]).tobytes() == pts[:-1].tobytes()
+        if n % 2 == 0:
+            centre = pts[n // 2 - 1]
+            assert centre == 0.0 and not np.signbit(centre)
 
     def test_sign_of_b_is_immaterial(self):
         assert np.array_equal(support_points(4, 0.5), support_points(4, -0.5))
@@ -199,6 +210,29 @@ class TestZeroBFamily:
             zero_b_family(3, 1.01)
 
     @pytest.mark.parametrize("n", range(2, 41))
+    def test_symmetric_member_is_its_own_mirror_to_the_bit(self, n):
+        d = zero_b_family(n, 0.5).design
+        r = d.reflected()
+        assert d.points.tobytes() == r.points.tobytes()
+        assert d.weights.tobytes() == r.weights.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_mirror_of_a_member_is_the_member_at_one_minus_alpha(self, n):
+        for alpha in (0.0, 0.25, 1.0):
+            r = zero_b_family(n, alpha).design.reflected()
+            d = zero_b_family(n, 1.0 - alpha).design
+            assert r.points.tobytes() == d.points.tobytes()
+            assert r.weights.tobytes() == d.weights.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_interior_members_sit_on_the_whole_line_design(self, n):
+        # every interior member is carried by the n + 1 extrema of T_n, the
+        # support of the whole-line maximin design
+        wl = maximin_design(n, RatioInterval.whole_line()).points
+        for alpha in (1e-300, 0.25, 0.5, 0.9):
+            assert zero_b_family(n, alpha).design.points.tobytes() == wl.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 41))
     def test_equals_the_sort_and_merge_of_its_ends(self, n):
         rng = np.random.Generator(np.random.PCG64(n))
         pts, w = support_points(n, 0.0), canonical_weights(n)
@@ -231,7 +265,7 @@ def sort_and_merge(p1, w1, p2, w2, tol=1e-12):
 
 class TestCachedConstants:
     def test_cached_constants_are_read_only_and_results_fresh(self):
-        assert not _support_cosines(5).flags.writeable
+        assert not _extrema(5).flags.writeable
         assert not _weights(5).flags.writeable
 
         def results():

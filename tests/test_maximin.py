@@ -160,6 +160,14 @@ class TestRays:
             if b0 > 0.0:
                 assert bits(down) == bits(optimal_design(n, -b0).design)
 
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_rays_from_zero_are_one_design_to_the_bit(self, n):
+        # both are the alpha = 0.5 member, which is its own mirror
+        up = maximin_design(n, RatioInterval.ray_up(0.0))
+        down = maximin_design(n, RatioInterval.ray_down(0.0))
+        assert up.points.tobytes() == down.points.tobytes()
+        assert up.weights.tobytes() == down.weights.tobytes()
+
     @pytest.mark.parametrize("n", [3, 5, 20])
     def test_ray_down_inside_the_regime_validates_one_design(self, monkeypatch, n):
         made = []

@@ -1,6 +1,8 @@
 """Input checks shared by every module: degrees, ratios and the regime predicate."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,8 +33,9 @@ from tdiscrim import (
     verification_report,
     zero_b_family,
 )
+import tdiscrim
 from tdiscrim import checks, continuation, minimax
-from tdiscrim.checks import appendix_identity, equivalence_system
+from tdiscrim.checks import alternation_check, appendix_identity, equivalence_system
 from tdiscrim.cli import main
 from tdiscrim.closed_form import in_explicit_regime
 from tdiscrim.continuation import _table, d1_optimal_start
@@ -220,6 +223,17 @@ RATIO_ENTRY_POINTS = [
     ("problem", "bbar", lambda v: DiscriminationProblem(5, bbar=v)),
     ("zero_b_family", "alpha", lambda v: zero_b_family(5, v)),
     ("f_test_power_mc", "theta3", lambda v: f_test_power_mc(T_OPTIMAL_48, v, 1000, 1)),
+    # every other float parameter, read by check_ratio before its range test
+    ("f_critical-level", "level", lambda v: f_critical(v, 2, 44)),
+    ("f_critical-dfn", "dfn", lambda v: f_critical(0.05, v, 44)),
+    ("f_critical-dfd", "dfd", lambda v: f_critical(0.05, 2, v)),
+    ("noncentral_f_sf-dfn", "dfn", lambda v: noncentral_f_sf(1.0, v, 44, 1.0)),
+    ("noncentral_f_sf-dfd", "dfd", lambda v: noncentral_f_sf(1.0, 2, v, 1.0)),
+    ("noncentral_f_sf-noncentrality", "noncentrality",
+     lambda v: noncentral_f_sf(1.0, 2, 44, v)),
+    ("remez-tol", "tol", lambda v: remez(5, 0.3, tol=v)),
+    ("table1-level", "level", lambda v: table1(level=v)),
+    ("alternation_check-tol", "tol", lambda v: alternation_check(_DESIGN, _PSI, v)),
 ]
 
 
@@ -275,6 +289,33 @@ def test_zero_b_family_takes_numpy_alphas():
         d = zero_b_family(5, alpha).design
         assert np.array_equal(d.points, ref.points)
         assert np.array_equal(d.weights, ref.weights)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: f_critical(0.0, 2, 44), r"^level must be in \(0, 1\)$"),
+    (lambda: f_critical(0.05, 2, -1), "^dfd must be positive degrees of freedom, got -1.0$"),
+    (lambda: noncentral_f_sf(1.0, 0, 44, 1.0),
+     "^dfn must be positive degrees of freedom, got 0.0$"),
+    (lambda: noncentral_f_sf(1.0, 2, 44, INF),
+     "^noncentrality must be finite and nonnegative$"),
+    (lambda: remez(5, 0.3, tol=1.0), "^tol must lie strictly between 0 and 1, got 1.0$"),
+], ids=["level", "dfd", "dfn", "noncentrality", "tol"])
+def test_a_number_out_of_range_keeps_its_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("coeffs", [
+    lambda c: [repr(v) for v in c.tolist()],
+    lambda c: [True] + c.tolist()[1:],
+], ids=["strings", "bool"])
+def test_a_state_takes_numbers_only(coeffs):
+    # Design's numbers rule, with the state's own message: numpy would read
+    # "0.1" as 0.1 and True as 1.0
+    state = solve_at(5, 0.3)
+    with pytest.raises(ValueError) as err:
+        ContinuationState(coeffs(state.coeffs), state.points, state.weights, state.bbar)
+    assert str(err.value) == "psi needs n + 1 finite Chebyshev coefficients"
 
 
 def test_a_grid_of_strings_is_refused_before_any_solve(monkeypatch):
@@ -510,6 +551,18 @@ def test_one_route_from_a_design_to_its_residual():
         assert not hasattr(checks, name)
     # one Chebyshev-Lobatto node function: polynomials.chebyshev_extrema
     assert not hasattr(continuation, "_lobatto")
+
+
+def test_no_module_squares_by_a_power():
+    # libm's pow(x, 2) can round a square one ulp off, where x * x is
+    # correctly rounded, so every square in the package is a product
+    found = []
+    for path in sorted(Path(tdiscrim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                    and isinstance(node.right, ast.Constant) and node.right.value == 2):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_a_state_exposes_only_what_it_holds():
