@@ -8,17 +8,11 @@ It adds worst-case versions over ratio intervals, independent optimality
 checks for all of them, and the F-test power the optimal design buys.
 """
 
-from .checks import (
-    AlternationReport,
-    alternation_check,
-    global_inequality,
-    verification_report,
-)
+from .checks import verification_report
 from .closed_form import (
     OptimalDesign,
     canonical_weights,
     critical_b,
-    support_points,
     t_optimal_design,
     zero_b_family,
 )
@@ -29,11 +23,7 @@ from .continuation import (
     taylor_coefficients,
     trajectory,
 )
-from .designs import (
-    Design,
-    DiscriminationProblem,
-    t_criterion,
-)
+from .designs import Design, DiscriminationProblem, t_criterion
 from .errors import ConvergenceError, OptimalityError, RegimeError, SolverError
 from .maximin import RatioInterval, maximin_design, optimal_design, r_value
 from .minimax import (
@@ -43,16 +33,14 @@ from .minimax import (
     remez,
     target_polynomial,
 )
-from .polynomials import ChebyshevSeries, chebyshev_extrema
+from .polynomials import ChebyshevSeries
 from .power import (
     EQUIDISTANT_48,
     T_OPTIMAL_48,
     ExactDesign,
     PowerResult,
-    f_critical,
     f_test_power_analytic,
     f_test_power_mc,
-    noncentral_f_sf,
     noncentrality,
     table1,
     table1_csv,
@@ -61,7 +49,6 @@ from .power import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlternationReport",
     "BestApproxResult",
     "ChebyshevSeries",
     "ContinuationState",
@@ -77,25 +64,19 @@ __all__ = [
     "RegimeError",
     "SolverError",
     "T_OPTIMAL_48",
-    "alternation_check",
     "bbar_limit",
     "canonical_weights",
-    "chebyshev_extrema",
     "closed_form_psi",
     "critical_b",
     "extremal_set",
-    "f_critical",
     "f_test_power_analytic",
     "f_test_power_mc",
-    "global_inequality",
     "maximin_design",
-    "noncentral_f_sf",
     "noncentrality",
     "optimal_design",
     "r_value",
     "remez",
     "solve_at",
-    "support_points",
     "t_criterion",
     "t_optimal_design",
     "table1",

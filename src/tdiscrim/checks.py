@@ -112,8 +112,9 @@ def global_inequality(psi: ChebyshevSeries, psi_norm_sq: float) -> float:
     of psi', so the maximum is taken over the critical points of psi alone.
     At a true optimum the margin is zero to solver precision: no point of
     the interval beats the support. A positive margin quantifies the
-    violation.
+    violation. psi_norm_sq follows check_ratio's rule.
     """
+    psi_norm_sq = check_ratio(psi_norm_sq, "psi_norm_sq")
     vals = psi(psi.critical_points())
     return float(np.max(vals * vals) - psi_norm_sq)
 

@@ -56,8 +56,8 @@ from numpy.polynomial.chebyshev import chebder, chebfit, chebval
 
 from .checks import INEQUALITY_TOL, global_inequality
 from .closed_form import REGIME_SLACK, critical_b, in_explicit_regime, support_points
-from .designs import Design, _gaps, _monomial, _numbers
-from .errors import (ConvergenceError, OptimalityError, RegimeError,
+from .designs import Design, _gaps, _monomial
+from .errors import (ConvergenceError, OptimalityError, RegimeError, _numbers,
                      check_degree, check_integer, check_ratio)
 from .minimax import EXCHANGE_TOL, MAX_EXCHANGES, _exchange, _exchanges
 from .polynomials import ChebyshevSeries, chebyshev_extrema

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_degree, check_ratio
+from .errors import _numbers, check_degree, check_ratio
 from .polynomials import ChebyshevSeries, _vander
 
 POINT_TOL = 1e-12
@@ -137,24 +137,6 @@ class Design:
         pts = np.array([float(r[0]) for r in rows])
         wts = np.array([float(r[1]) for r in rows])
         return cls(pts, wts)
-
-
-def _numbers(values) -> np.ndarray:
-    """values as floats, if numpy reads them as integers or floats: no str, bool or None.
-
-    numpy reads a bool among floats as a number, so the elements of a list
-    or tuple are checked too; an array is judged by its kind alone.
-    """
-    try:
-        a = np.asarray(values)
-    except ValueError:  # a ragged list
-        a = np.asarray(None)
-    if isinstance(values, (list, tuple)) and any(
-            isinstance(v, bool) or getattr(v, "dtype", None) == bool for v in values):
-        a = np.asarray(None)
-    if a.dtype.kind not in "iuf":
-        raise ValueError("design points and weights must be lists of numbers")
-    return a.astype(float, copy=False)
 
 
 @dataclass

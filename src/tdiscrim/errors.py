@@ -1,4 +1,4 @@
-"""Exception types and the checks of n and b shared across the package."""
+"""Exception types and the input checks shared across the package: n, ratios, lists of numbers."""
 
 import math
 
@@ -38,18 +38,17 @@ class OptimalityError(SolverError):
 def check_integer(value, name: str, minimum: int) -> int:
     """int(value), after checking that it is an integer >= minimum.
 
-    A float with an integral value counts; NaN, infinities, bools and
-    strings do not.
+    A float with an integral value counts; NaN, infinities and what
+    check_ratio refuses as no number do not.
     """
-    if isinstance(value, (bool, np.bool_)):
-        ok = False
-    elif isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         ok = value >= minimum
     else:
         try:
-            ok = math.isfinite(value) and value == int(value) and value >= minimum
-        except TypeError:
-            ok = False
+            x = check_ratio(value, name)
+        except ValueError:
+            x = math.nan
+        ok = math.isfinite(x) and x == int(x) and x >= minimum
     if not ok:
         raise ValueError(f"{name} must be an integer >= {minimum}")
     return int(value)
@@ -84,3 +83,21 @@ def check_ratio(value, name: str, *, finite: bool = False) -> float:
     if finite and math.isinf(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
     return x
+
+
+def _numbers(values) -> np.ndarray:
+    """values as floats, if numpy reads them as integers or floats: no str, bool or None.
+
+    numpy reads a bool among floats as a number, so the elements of a list
+    or tuple are checked too; an array is judged by its kind alone.
+    """
+    try:
+        a = np.asarray(values)
+    except ValueError:  # a ragged list
+        a = np.asarray(None)
+    if isinstance(values, (list, tuple)) and any(
+            isinstance(v, bool) or getattr(v, "dtype", None) == bool for v in values):
+        a = np.asarray(None)
+    if a.dtype.kind not in "iuf":
+        raise ValueError("design points and weights must be lists of numbers")
+    return a.astype(float, copy=False)

@@ -32,17 +32,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_degree
+from .errors import _numbers, check_degree
 
 
 @dataclass(eq=False)
 class ChebyshevSeries:
-    """Real polynomial p(x) = sum_k coeffs[k] T_k(x)."""
+    """Real polynomial p(x) = sum_k coeffs[k] T_k(x).
+
+    coeffs follow Design's rule for numbers; a list or tuple is scanned for
+    bools element by element, an array is judged by its kind alone.
+    """
 
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
+        try:
+            c = _numbers(self.coeffs)
+        except ValueError:
+            raise ValueError("coeffs must be numbers: no str, bool or None") from None
+        if c.ndim == 0:
+            c = c.reshape(1)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coeffs must be a non-empty one-dimensional sequence")
         self.coeffs = c
@@ -71,7 +80,7 @@ class ChebyshevSeries:
         c = self.coeffs.tolist()
         n = len(c) - 1
         if n == 0:
-            return ChebyshevSeries([c[0] * 0])
+            return ChebyshevSeries(self.coeffs[:1] * 0)
         der = [0.0] * n
         for j in range(n, 2, -1):
             der[j - 1] = (2 * j) * c[j]
@@ -79,7 +88,7 @@ class ChebyshevSeries:
         if n > 1:
             der[1] = 4 * c[2]
         der[0] = c[1]
-        return ChebyshevSeries(der)
+        return ChebyshevSeries(np.array(der))
 
     def critical_points(self) -> np.ndarray:
         """Endpoints plus the real roots of p' inside [-1, 1], sorted; see _critical_points."""

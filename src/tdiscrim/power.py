@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import Design, _numbers
-from .errors import check_integer, check_ratio
+from .designs import Design
+from .errors import _numbers, check_integer, check_ratio
 
 THETA3_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
 DEFAULT_LEVEL = 0.05
@@ -96,49 +96,6 @@ class PowerResult:
         return abs(self.estimate - self.analytic) <= 3.0 * self.std_error
 
 
-def _check_df(df, name: str) -> float:
-    """float(df), a number by check_ratio's rule, positive; fractions pass, as scipy takes them."""
-    df = check_ratio(df, name)
-    if not df > 0:
-        raise ValueError(f"{name} must be positive degrees of freedom, got {df!r}")
-    return df
-
-
-def f_critical(level: float, dfn: int, dfd: int) -> float:
-    """Upper critical value of the central F distribution; level in (0, 1), dfn, dfd > 0.
-
-    Each parameter follows check_ratio's rule before its range test.
-    """
-    level = check_ratio(level, "level")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
-    dfn, dfd = _check_df(dfn, "dfn"), _check_df(dfd, "dfd")
-    from scipy import special
-
-    return float(special.fdtri(dfn, dfd, 1.0 - level))
-
-
-def noncentral_f_sf(x: float, dfn: int, dfd: int, noncentrality: float) -> float:
-    """Survival function of the noncentral F distribution.
-
-    One minus scipy's noncentral F distribution function, clamped to
-    [0, 1]; the central case at zero noncentrality. dfn, dfd > 0, x not
-    NaN, noncentrality finite and nonnegative, each a number by
-    check_ratio's rule.
-    """
-    dfn, dfd = _check_df(dfn, "dfn"), _check_df(dfd, "dfd")
-    noncentrality = check_ratio(noncentrality, "noncentrality")
-    if not 0.0 <= noncentrality < math.inf:
-        raise ValueError("noncentrality must be finite and nonnegative")
-    x = check_ratio(x, "x")
-    if x <= 0.0:
-        return 1.0
-    from scipy import special
-
-    cdf = float(special.ncfdtr(dfn, dfd, noncentrality, x))
-    return min(max(1.0 - cdf, 0.0), 1.0)
-
-
 def _line_projection_rss(design: ExactDesign) -> float:
     """Count-weighted squared distance of x^3 from the span of 1 and x.
 
@@ -172,24 +129,37 @@ def _f_test(design: ExactDesign, theta3: float,
             level: float) -> tuple[float, int, float]:
     """Noncentrality, residual degrees of freedom and critical value.
 
-    Checks theta3 and the design first. The points are strictly
-    increasing, so the cubic fit is identifiable exactly when there are at
-    least 4 of them.
+    Checks theta3, then the design, then level, in (0, 1) after
+    check_ratio's rule, then that the noncentrality is finite. The points
+    are strictly increasing, so the cubic fit is identifiable exactly when
+    there are at least 4 of them. scipy's F quantile gives the critical
+    value.
     """
     theta3 = check_ratio(theta3, "theta3", finite=True)
     if design.points.size < 4:
         raise ValueError("design cannot support the cubic fit (need 4 distinct points)")
     if design.size <= 4:
         raise ValueError("design leaves no residual degrees of freedom (need N > 4 runs)")
+    level = check_ratio(level, "level")
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must be in (0, 1)")
+    lam = theta3 * theta3 * _line_projection_rss(design)
+    if lam == math.inf:
+        raise ValueError("noncentrality must be finite and nonnegative")
+    from scipy import special
+
     dfd = design.size - 4
-    return theta3 * theta3 * _line_projection_rss(design), dfd, f_critical(level, 2, dfd)
+    return lam, dfd, float(special.fdtri(2, dfd, 1.0 - level))
 
 
 def _power(lam: float, dfd: int, crit: float, level: float) -> float:
+    """Survival function of the noncentral F on (2, dfd) at crit, clamped to [0, 1]."""
     if lam == 0.0:
         # central case: the survival function at the level quantile is the level
         return float(level)
-    return noncentral_f_sf(crit, 2, dfd, lam)
+    from scipy import special
+
+    return min(max(1.0 - float(special.ncfdtr(2, dfd, lam, crit)), 0.0), 1.0)
 
 
 def f_test_power_analytic(design: ExactDesign, theta3: float,
@@ -281,8 +251,8 @@ def table1(reps: int = DEFAULT_REPS, seed: int = DEFAULT_SEED,
 
     Each of the ten cells runs on its own substream derived from the master
     seed, so the table is reproducible as a whole and cell by cell. reps
-    must be an integer >= 10000 and seed an integer >= 0; level follows
-    f_critical's rule, which the first cell applies before any draw.
+    must be an integer >= 10000 and seed an integer >= 0; level must lie in
+    (0, 1), which the first cell checks before any draw.
     """
     reps = check_integer(reps, "reps", 10_000)
     seed = check_integer(seed, "seed", 0)

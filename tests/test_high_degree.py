@@ -32,7 +32,6 @@ from tdiscrim import (
     r_value,
     remez,
     solve_at,
-    support_points,
     t_criterion,
     taylor_coefficients,
     t_optimal_design,
@@ -41,6 +40,7 @@ from tdiscrim import (
     zero_b_family,
 )
 from tdiscrim import continuation
+from tdiscrim.closed_form import support_points
 from tdiscrim.continuation import h_form, inequality_margin
 from tdiscrim.designs import _dual, error_polynomial
 

@@ -13,10 +13,8 @@ from tdiscrim.power import (
     EQUIDISTANT_48,
     T_OPTIMAL_48,
     ExactDesign,
-    f_critical,
     f_test_power_analytic,
     f_test_power_mc,
-    noncentral_f_sf,
     noncentrality,
     table1,
     table1_csv,
@@ -86,45 +84,52 @@ class TestNoncentrality:
 
 
 class TestNoncentralF:
+    """The F-test's two scipy.special calls against scipy.stats.
+
+    _f_test takes the critical value from fdtri, and _power the survival
+    function from ncfdtr; f_test_power_analytic reaches both.
+    """
+
+    @staticmethod
+    def _theta3(lam):
+        # the cubic coefficient whose noncentrality on the 48-run optimal design is lam
+        return float(np.sqrt(lam / noncentrality(T_OPTIMAL_48, 1.0)))
+
     def test_matches_scipy_across_grid(self):
-        crit = f_critical(0.05, 2, 44)
+        crit = power._f_test(T_OPTIMAL_48, 1.0, 0.05)[2]
         for lam in (0.0, 0.5, 0.75, 3.0, 6.75, 12.0, 30.0):
-            mine = noncentral_f_sf(crit, 2, 44, lam)
-            ref = float(stats.ncf.sf(crit, 2, 44, lam)) if lam > 0 else 0.05
+            theta3 = self._theta3(lam)
+            mine = f_test_power_analytic(T_OPTIMAL_48, theta3)
+            exact = noncentrality(T_OPTIMAL_48, theta3)
+            ref = float(stats.ncf.sf(crit, 2, 44, exact)) if lam > 0 else 0.05
             assert mine == pytest.approx(ref, abs=1e-10)
 
-    def test_nonpositive_argument(self):
-        assert noncentral_f_sf(0.0, 2, 44, 1.0) == 1.0
-
     def test_monotone_in_noncentrality(self):
-        crit = f_critical(0.05, 2, 44)
-        vals = [noncentral_f_sf(crit, 2, 44, lam) for lam in np.linspace(0, 12, 13)]
+        vals = [f_test_power_analytic(T_OPTIMAL_48, self._theta3(lam))
+                for lam in np.linspace(0, 12, 13)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            noncentral_f_sf(1.0, 2, 44, -0.5)
-        with pytest.raises(ValueError):
-            f_critical(0.0, 2, 44)
+        for level in (0.0, 1.0):
+            with pytest.raises(ValueError, match=r"^level must be in \(0, 1\)$"):
+                f_test_power_analytic(T_OPTIMAL_48, 1.0, level)
 
     def test_critical_value_matches_scipy_stats(self):
+        # N = 5, 10, 48 and 204 runs on four points: 1, 6, 44 and 200 residual df
         for level in (0.01, 0.05, 0.1):
             for dfd in (1, 6, 44, 200):
-                assert f_critical(level, 2, dfd) == pytest.approx(
-                    float(stats.f.isf(level, 2, dfd)), rel=1e-14
+                design = ExactDesign(T_OPTIMAL_48.points, [1, 1, 1, dfd + 1])
+                assert power._f_test(design, 1.0, level)[1:] == pytest.approx(
+                    (dfd, float(stats.f.isf(level, 2, dfd))), rel=1e-14
                 )
 
     def test_matches_scipy_over_wide_noncentrality(self):
-        for x in (0.5, f_critical(0.05, 2, 44), 10.0):
+        # _power at the critical value and at two other points of the F axis
+        for x in (0.5, power._f_test(T_OPTIMAL_48, 1.0, 0.05)[2], 10.0):
             for lam in np.linspace(0.01, 60.0, 25):
-                assert noncentral_f_sf(x, 2, 44, lam) == pytest.approx(
+                assert power._power(lam, 44, x, 0.05) == pytest.approx(
                     float(stats.ncf.sf(x, 2, 44, lam)), abs=1e-14
                 )
-
-    def test_critical_value_needs_degrees_of_freedom(self):
-        for dfn, dfd in ((2, 0), (2, -1), (0, 44)):
-            with pytest.raises(ValueError, match="degrees of freedom"):
-                f_critical(0.05, dfn, dfd)
 
 
 class TestAnalyticPower:
@@ -269,9 +274,7 @@ class TestSufficientStatistics:
         # the residual sums of squares
         reps = 40_000
         for design in (SIX_BY_8, TEN_SINGLE):
-            dfd = design.size - 4
-            crit = f_critical(0.05, 2, dfd)
-            lam = noncentrality(design, theta3)
+            lam, dfd, crit = power._f_test(design, theta3, 0.05)
             for seed in (12, 13, 14):
                 rng = np.random.Generator(np.random.PCG64(seed))
                 hits = 0
@@ -426,8 +429,3 @@ class TestNonFiniteTheta3:
     def test_analytic_raises(self, theta3):
         with pytest.raises(ValueError, match=_theta3_message(theta3)):
             f_test_power_analytic(T_OPTIMAL_48, theta3)
-
-    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
-    def test_survival_function_rejects_bad_noncentrality(self, lam):
-        with pytest.raises(ValueError, match="noncentrality"):
-            noncentral_f_sf(3.0, 2, 44, lam)

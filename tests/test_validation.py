@@ -16,7 +16,6 @@ from tdiscrim import (
     RegimeError,
     bbar_limit,
     canonical_weights,
-    chebyshev_extrema,
     closed_form_psi,
     critical_b,
     maximin_design,
@@ -24,7 +23,6 @@ from tdiscrim import (
     r_value,
     remez,
     solve_at,
-    support_points,
     t_criterion,
     t_optimal_design,
     target_polynomial,
@@ -34,18 +32,23 @@ from tdiscrim import (
     zero_b_family,
 )
 import tdiscrim
-from tdiscrim import checks, continuation, minimax
-from tdiscrim.checks import alternation_check, appendix_identity, equivalence_system
+from tdiscrim import checks, closed_form, continuation, minimax, polynomials, power
+from tdiscrim.checks import (
+    alternation_check,
+    appendix_identity,
+    equivalence_system,
+    global_inequality,
+)
 from tdiscrim.cli import main
-from tdiscrim.closed_form import in_explicit_regime
+from tdiscrim.closed_form import in_explicit_regime, support_points
 from tdiscrim.continuation import _table, d1_optimal_start
 from tdiscrim.errors import MAX_DEGREE, check_degree, check_ratio
+from tdiscrim.polynomials import chebyshev_extrema
 from tdiscrim.power import (
     T_OPTIMAL_48,
     ExactDesign,
-    f_critical,
+    f_test_power_analytic,
     f_test_power_mc,
-    noncentral_f_sf,
     noncentrality,
     table1,
 )
@@ -164,8 +167,9 @@ class TestIntegerArguments:
             chebyshev_extrema(True)
 
 
-# (case, parameter, call): power.py and appendix_identity check through
-# errors.py and Design; every call raises a ValueError that names its parameter
+# (case, parameter, call): power.py, appendix_identity and global_inequality
+# check through errors.py and Design; every call raises a ValueError that
+# names its parameter
 _POINTS4 = [-1.0, -0.5, 0.5, 1.0]
 REFUSED_BY_NAME = [
     ("inf-count", "counts", lambda: ExactDesign(_POINTS4, [8, INF, 16, 8])),
@@ -175,11 +179,8 @@ REFUSED_BY_NAME = [
     ("wrapping-sum", "counts", lambda: ExactDesign([-1.0, 1.0], [2**62, 2**62])),
     ("inf-k", "k", lambda: appendix_identity(5, INF)),
     ("bool-k", "k", lambda: appendix_identity(5, True)),
-    ("f_critical-nan-dfn", "dfn", lambda: f_critical(0.05, NAN, 44)),
-    ("f_critical-nan-dfd", "dfd", lambda: f_critical(0.05, 2, NAN)),
-    ("sf-nan-dfn", "dfn", lambda: noncentral_f_sf(3.0, NAN, 44, 1.0)),
-    ("sf-nan-dfd", "dfd", lambda: noncentral_f_sf(3.0, 2, NAN, 1.0)),
-    ("sf-nan-x", "x", lambda: noncentral_f_sf(NAN, 2, 10, 1.0)),
+    ("nan-level", "level", lambda: f_test_power_analytic(T_OPTIMAL_48, 1.0, NAN)),
+    ("nan-psi_norm_sq", "psi_norm_sq", lambda: global_inequality(_PSI, NAN)),
     ("nan-theta3", "theta3", lambda: noncentrality(T_OPTIMAL_48, NAN)),
     ("inf-theta3", "theta3", lambda: noncentrality(T_OPTIMAL_48, INF)),
     ("minus-inf-theta3", "theta3", lambda: noncentrality(T_OPTIMAL_48, -INF)),
@@ -224,16 +225,12 @@ RATIO_ENTRY_POINTS = [
     ("zero_b_family", "alpha", lambda v: zero_b_family(5, v)),
     ("f_test_power_mc", "theta3", lambda v: f_test_power_mc(T_OPTIMAL_48, v, 1000, 1)),
     # every other float parameter, read by check_ratio before its range test
-    ("f_critical-level", "level", lambda v: f_critical(v, 2, 44)),
-    ("f_critical-dfn", "dfn", lambda v: f_critical(0.05, v, 44)),
-    ("f_critical-dfd", "dfd", lambda v: f_critical(0.05, 2, v)),
-    ("noncentral_f_sf-dfn", "dfn", lambda v: noncentral_f_sf(1.0, v, 44, 1.0)),
-    ("noncentral_f_sf-dfd", "dfd", lambda v: noncentral_f_sf(1.0, 2, v, 1.0)),
-    ("noncentral_f_sf-noncentrality", "noncentrality",
-     lambda v: noncentral_f_sf(1.0, 2, 44, v)),
+    ("f_test_power_analytic-level", "level",
+     lambda v: f_test_power_analytic(T_OPTIMAL_48, 1.0, v)),
     ("remez-tol", "tol", lambda v: remez(5, 0.3, tol=v)),
     ("table1-level", "level", lambda v: table1(level=v)),
     ("alternation_check-tol", "tol", lambda v: alternation_check(_DESIGN, _PSI, v)),
+    ("global_inequality-psi_norm_sq", "psi_norm_sq", lambda v: global_inequality(_PSI, v)),
 ]
 
 
@@ -292,14 +289,11 @@ def test_zero_b_family_takes_numpy_alphas():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: f_critical(0.0, 2, 44), r"^level must be in \(0, 1\)$"),
-    (lambda: f_critical(0.05, 2, -1), "^dfd must be positive degrees of freedom, got -1.0$"),
-    (lambda: noncentral_f_sf(1.0, 0, 44, 1.0),
-     "^dfn must be positive degrees of freedom, got 0.0$"),
-    (lambda: noncentral_f_sf(1.0, 2, 44, INF),
+    (lambda: f_test_power_analytic(T_OPTIMAL_48, 1.0, 0.0), r"^level must be in \(0, 1\)$"),
+    (lambda: f_test_power_analytic(T_OPTIMAL_48, 1e200),
      "^noncentrality must be finite and nonnegative$"),
     (lambda: remez(5, 0.3, tol=1.0), "^tol must lie strictly between 0 and 1, got 1.0$"),
-], ids=["level", "dfd", "dfn", "noncentrality", "tol"])
+], ids=["level", "noncentrality", "tol"])
 def test_a_number_out_of_range_keeps_its_message(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -576,13 +570,18 @@ def test_package_namespace_is_the_workflow():
 
     names = tdiscrim.__all__
     assert names == sorted(names)
-    assert len(set(names)) == len(names) == 44
+    assert len(set(names)) == len(names) == 37
     for name in names:
         getattr(tdiscrim, name)
     assert {"optimal_design", "OptimalDesign"} <= set(names)
     tools = {"h_form", "inequality_margin", "appendix_identity", "equivalence_system",
-             "d1_optimal_start"}
+             "d1_optimal_start", "alternation_check", "AlternationReport",
+             "global_inequality", "chebyshev_extrema", "support_points"}
     assert not ({"ClosedFormDesign"} | tools) & set(names)
-    assert not hasattr(tdiscrim, "ClosedFormDesign")
+    gone = {"ClosedFormDesign", "f_critical", "noncentral_f_sf"}
+    assert not any(hasattr(tdiscrim, n) for n in tools | gone)
     # the validation tools stay importable from their modules
-    assert all(hasattr(checks, n) or hasattr(continuation, n) for n in tools)
+    modules = (checks, continuation, closed_form, polynomials)
+    assert all(any(hasattr(m, n) for m in modules) for n in tools)
+    # the F-test reads scipy directly: no second validating layer over it
+    assert not any(hasattr(power, n) for n in ("f_critical", "noncentral_f_sf", "_check_df"))
