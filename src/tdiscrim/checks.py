@@ -10,9 +10,13 @@ optima past b = 0) and on n + 1 points (the interior members of the b = 0
 family), where it is a weighted straight-line fit in x with exact
 divided differences for right-hand sides, and the least-squares fit on any
 other support. The moment residuals are one product of the weighted
-residuals against running products of the support, alternation reads the
-same residuals, and psi_xi is evaluated by Clenshaw at its critical
-points only.
+residuals against running products of the support, and alternation reads
+the same residuals. The sup of |psi_xi| is taken over its critical points
+only. When the residuals alternate with equal magnitude, the support sits
+at those points if the design is optimal, and polynomials._certified_critical
+finds them by one Newton step from it with its values there; otherwise, or
+when that step is not certified, they come from the colleague matrix
+(critical_points) and psi_xi is evaluated there by Clenshaw.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 from .closed_form import canonical_weights
 from .designs import Design, DiscriminationProblem, _residual
 from .errors import check_degree, check_integer, check_ratio
-from .polynomials import ChebyshevSeries
+from .polynomials import ChebyshevSeries, _certified_critical
 
 EQUIVALENCE_TOL = 1e-10
 ALTERNATION_TOL = 1e-8
@@ -133,7 +137,13 @@ def verification_report(design: Design, n: int, b: float) -> dict:
     (dev^2 - T) / dev^2 and dev^2 - T, with dev the sup of |psi_xi| over
     its critical points. T(xi), psi_xi and the weighted residuals at the
     support come from designs._residual; the normal equations are one
-    product of those against the powers of the support. The tolerances
+    product of those against the powers of the support. The alternation
+    verdict, signs and spread, is taken first: when it holds, the critical
+    points and psi_xi's values there come from one certified Newton step at
+    the support (polynomials._certified_critical), with psi_xi(+-1) as
+    coefficient sums; when it fails, or the step is not certified, from the
+    eigenvalues of the colleague matrix and Clenshaw. The two routes agree
+    to rounding, so the route never decides a verdict. The tolerances
     scale with the problem: the residuals are compared to their constant
     times dev, the spread of |psi_xi| over the support to its constant
     times the largest |psi_xi(x_i)|, and the absolute margin to its
@@ -145,8 +155,11 @@ def verification_report(design: Design, n: int, b: float) -> dict:
     n = check_degree(n, 2)
     b = check_ratio(b, "b", finite=True)
     criterion, psi, wpsi = _residual(design, DiscriminationProblem(n, b=b))
-    cv = psi(psi.critical_points())
     pv = wpsi / design.weights
+    level = float(np.abs(pv).max())
+    alt = _alternation(pv, ALTERNATION_TOL * level)
+    found = _certified_critical(psi, design.points) if alt.passed else None
+    cv = psi(psi.critical_points()) if found is None else found[1]
     # sum_i w_i psi_i x_i^k for k = 0..n-2: x^k as running products
     powers = np.empty((n - 1, design.support_size))
     powers[:] = design.points
@@ -163,8 +176,6 @@ def verification_report(design: Design, n: int, b: float) -> dict:
         "tolerance": tol,
         "passed": worst <= tol,
     })
-    level = float(np.abs(pv).max())
-    alt = _alternation(pv, ALTERNATION_TOL * level)
     checks.append({
         "name": "alternation",
         "value": alt.spread,

@@ -302,13 +302,13 @@ def _lookup(table: np.ndarray, x: float) -> np.ndarray:
     return np.cos(np.arange(table.shape[0]) * math.acos(x)) @ table
 
 
-def _check(n: int, bbar: float) -> None:
-    """Raise RegimeError for bbar off the path interval of degree n, ValueError for NaN."""
-    bbar = check_ratio(bbar, "bbar")
+def _check(n: int, bbar: float, name: str = "bbar") -> None:
+    """Raise RegimeError for bbar off the path interval of degree n, ValueError for NaN; messages say name."""
+    bbar = check_ratio(bbar, name)
     limit = bbar_limit(n)
     if abs(bbar) > limit * (1.0 + REGIME_SLACK):
         raise RegimeError(
-            f"|bbar| = {abs(bbar)!r} outside the path interval "
+            f"|{name}| = {abs(bbar)!r} outside the path interval "
             f"[-{limit!r}, {limit!r}] for n = {n}"
         )
 
@@ -422,8 +422,8 @@ def taylor_coefficients(n: int, bbar0: float, order: int = 3) -> np.ndarray:
     order = check_integer(order, "order", 1)
     if order > 3:
         raise ValueError("order must be 1, 2 or 3")
-    n, bbar0 = check_degree(n, 3), check_ratio(bbar0, "bbar")
-    _check(n, bbar0)
+    n, bbar0 = check_degree(n, 3), check_ratio(bbar0, "bbar0")
+    _check(n, bbar0, "bbar0")
     limit = bbar_limit(n)
     r = math.hypot(bbar0, SINGULARITY_HEIGHT) / 4.0
     lo, hi = max(bbar0 - r, -limit), min(bbar0 + r, limit)

@@ -22,10 +22,19 @@ the cut of trailing coefficients. The stacked work stays in numpy: each
 size's colleague entries, built once and cached read-only, are copied
 into one preallocated stack, and the real roots inside [-1, 1] are
 masked for the whole stack at once.
+
+The colleague matrix finds the critical points of any series. Where points
+sit at them already, as the interior support of an optimal design sits at
+the critical points of its own error polynomial, _certified_critical
+finds them with no eigenvalue solve: one Newton step from each point,
+accepted by Kantorovich's test, the one root a support of m - 1 points
+leaves out from the sum of the roots, and psi's values from the same
+product. It declines any support it cannot certify.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -77,18 +86,9 @@ class ChebyshevSeries:
         return c0 + c1 * x
 
     def deriv(self) -> "ChebyshevSeries":
-        c = self.coeffs.tolist()
-        n = len(c) - 1
-        if n == 0:
+        if self.coeffs.size == 1:
             return ChebyshevSeries(self.coeffs[:1] * 0)
-        der = [0.0] * n
-        for j in range(n, 2, -1):
-            der[j - 1] = (2 * j) * c[j]
-            c[j - 2] += (j * c[j]) / (j - 2)
-        if n > 1:
-            der[1] = 4 * c[2]
-        der[0] = c[1]
-        return ChebyshevSeries(np.array(der))
+        return ChebyshevSeries(np.array(_der(self.coeffs.tolist())))
 
     def critical_points(self) -> np.ndarray:
         """Endpoints plus the real roots of p' inside [-1, 1], sorted; see _critical_points."""
@@ -105,6 +105,95 @@ class ChebyshevSeries:
 
     def __sub__(self, other: "ChebyshevSeries") -> "ChebyshevSeries":
         return self + (-other)
+
+
+def _der(c: list) -> list:
+    """Chebyshev coefficients of the derivative, from those of a series of degree >= 1.
+
+    chebder's recurrence over Python floats; c is consumed.
+    """
+    n = len(c) - 1
+    der = [0.0] * n
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j) * c[j]
+        c[j - 2] += (j * c[j]) / (j - 2)
+    if n > 1:
+        der[1] = 4 * c[2]
+    der[0] = c[1]
+    return der
+
+
+def _certified_critical(psi: ChebyshevSeries, points) -> tuple[np.ndarray, np.ndarray] | None:
+    """psi's critical points in [-1, 1] and its values there, by one Newton step at points; or None.
+
+    For psi of degree n >= 3 with a nonzero top coefficient, psi' has degree
+    m = n - 1. Of points, the k strictly inside (-1, 1) must number m or
+    m - 1, as the interior support of an optimal design does; psi, psi' and
+    psi'' there come from one _vander product. Each x_i must pass
+    Kantorovich's test for Newton's method on psi', L eta_i <= h_i / 4:
+    L = sum_k |c_k| k^2 (k^2 - 1)(k^2 - 4) / 15 bounds |psi'''| on [-1, 1],
+    as each |T_k'''| peaks at 1; h_i, |psi''(x_i)| less e'', must exceed
+    e'', and eta_i = (|psi'(x_i)| + e') / h_i. e' and e'' allow for the rounding of
+    the product, (n + 1)^2 eps times the sum of the magnitudes of the
+    coefficients of psi' and psi''. The balls of radius 2 eta_i about the
+    x_i must be disjoint and lie inside (-1, 1); each then holds exactly
+    one root of psi', and those roots are distinct. With k = m they are
+    every root of psi'. With k = m - 1 the last root is real, as complex
+    roots come in pairs, and the roots of a_m T_m + a_(m-1) T_(m-1) + ...
+    sum to -a_(m-1) / (2 a_m) for m >= 2, so the last one is that sum less
+    the Newton points x_i - psi'(x_i) / psi''(x_i). It is kept, in order,
+    if it lies in [-1, 1], and only there read by Clenshaw. The value at a
+    Newton point is that of Newton's quadratic model at its stationary
+    point, psi(x_i) - psi'(x_i)^2 / (2 psi''(x_i)), off the extremum by the
+    cubic term alone; the endpoint values are coefficient sums. None when
+    any condition fails, so that the caller takes the eigenvalue route.
+    """
+    c = psi.coeffs.tolist()
+    n = len(c) - 1
+    if n < 3 or c[-1] == 0.0:
+        return None
+    xs = [x for x in points.tolist() if -1.0 < x < 1.0]
+    k = len(xs)
+    # 4 L; a NaN or an infinite coefficient fails its test
+    lip4 = 4.0 * sum(abs(a) * w for a, w in zip(c, _third(n)))
+    if (k != n - 1 and k != n - 2) or not lip4 < math.inf:
+        return None
+    d1 = _der(c.copy())
+    d2 = _der(d1.copy())
+    v, g, h = (np.array([c, d1 + [0.0], d2 + [0.0, 0.0]]) @ _vander(xs, n).T).tolist()
+    # per point over Python floats: at these sizes numpy's calls cost more
+    eps = (n + 1) * (n + 1) * 2.220446049250313e-16
+    e1 = eps * sum(map(abs, d1))
+    e2 = eps * sum(map(abs, d2))
+    pts, vals, edge = [-1.0], [sum(c[::2]) - sum(c[1::2])], -1.0
+    for x, vx, gx, hx in zip(xs, v, g, h):
+        ah = abs(hx) - e2
+        if not ah > e2:
+            return None
+        eta = (abs(gx) + e1) / ah
+        if not (lip4 * eta <= ah and x - 2.0 * eta > edge):
+            return None
+        edge = x + 2.0 * eta
+        step = gx / hx
+        pts.append(x - step)
+        vals.append(vx - 0.5 * gx * step)
+    if not edge < 1.0:
+        return None
+    pts.append(1.0)
+    vals.append(sum(c))
+    if k == n - 2:
+        r = -d1[-2] / (2.0 * d1[-1]) - math.fsum(pts[1:-1])
+        if -1.0 <= r <= 1.0:
+            i = bisect.bisect(pts, r)
+            pts.insert(i, r)
+            vals.insert(i, float(psi(r)))
+    return np.array(pts), np.array(vals)
+
+
+@functools.cache
+def _third(n: int) -> tuple[float, ...]:
+    """T_k'''(1) = k^2 (k^2 - 1)(k^2 - 4) / 15 for k = 0..n, the peak of |T_k'''| on [-1, 1]."""
+    return tuple(k * k * (k * k - 1) * (k * k - 4) / 15 for k in range(n + 1))
 
 
 def _critical_points(derivs) -> list[np.ndarray]:

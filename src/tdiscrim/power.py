@@ -153,13 +153,26 @@ def _f_test(design: ExactDesign, theta3: float,
 
 
 def _power(lam: float, dfd: int, crit: float, level: float) -> float:
-    """Survival function of the noncentral F on (2, dfd) at crit, clamped to [0, 1]."""
+    """Survival function of the noncentral F on (2, dfd) at crit, clamped to [0, 1].
+
+    scipy's ncfdtr is NaN beyond a noncentrality of about 1e18. The power
+    is nondecreasing in lam, so there it is read at repeated square roots of
+    lam until scipy answers: a power of exactly 1 there is the power at lam.
+    Any other answer, or none, raises ValueError naming the noncentrality.
+    """
     if lam == 0.0:
         # central case: the survival function at the level quantile is the level
         return float(level)
     from scipy import special
 
-    return min(max(1.0 - float(special.ncfdtr(2, dfd, lam, crit)), 0.0), 1.0)
+    ref = lam
+    cdf = float(special.ncfdtr(2, dfd, ref, crit))
+    while cdf != cdf and ref > 1.0:
+        ref = math.sqrt(ref)
+        cdf = float(special.ncfdtr(2, dfd, ref, crit))
+    if cdf != cdf or (ref != lam and cdf != 0.0):
+        raise ValueError(f"noncentrality {lam!r} is beyond the exact power's range")
+    return min(max(1.0 - cdf, 0.0), 1.0)
 
 
 def f_test_power_analytic(design: ExactDesign, theta3: float,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tdiscrim import checks, polynomials
 from tdiscrim.checks import (
     alternation_check,
     appendix_identity,
@@ -15,10 +16,10 @@ from tdiscrim.checks import (
 )
 from tdiscrim.closed_form import critical_b, t_optimal_design, zero_b_family
 from tdiscrim.continuation import bbar_limit, solve_at
-from tdiscrim.designs import Design
+from tdiscrim.designs import Design, DiscriminationProblem, _residual
 from tdiscrim.maximin import RatioInterval, maximin_design, optimal_design
 from tdiscrim.minimax import closed_form_psi, remez
-from tdiscrim.polynomials import ChebyshevSeries
+from tdiscrim.polynomials import ChebyshevSeries, _certified_critical
 
 
 def chebyshev_t(n):
@@ -344,3 +345,143 @@ def test_report_builds_no_optimal_psi(monkeypatch):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, unavailable)
     assert [verification_report(*case)["passed"] for case in cases] == verdicts
+
+
+def route_designs(n):
+    """(label, design, b): the optima the certified route must agree on at degree n >= 3.
+
+    The closed-form optima at +-0.3, +-0.7, +-0.999 and +-1 of critical_b(n),
+    the b = 0 family at alpha in {0, 0.25, 0.5, 1}, and solve_at designs at
+    0.05, 0.5 and 0.95 of bbar_limit(n).
+    """
+    bc = critical_b(n)
+    for share in (0.3, -0.3, 0.7, -0.7, 0.999, -0.999, 1.0, -1.0):
+        yield f"closed_form {share}", t_optimal_design(n, share * bc).design, share * bc
+    for alpha in (0.0, 0.25, 0.5, 1.0):
+        yield f"zero_b_family {alpha}", zero_b_family(n, alpha).design, 0.0
+    for share in (0.05, 0.5, 0.95):
+        bbar = share * bbar_limit(n)
+        yield f"path {share}", solve_at(n, bbar).design(), 1.0 / bbar
+
+
+def eigenvalue_report(design, n, b, monkeypatch):
+    """verification_report with the certified route declined, as on a non-alternating support."""
+    with monkeypatch.context() as m:
+        m.setattr(checks, "_certified_critical", lambda psi, points: None)
+        return verification_report(design, n, b)
+
+
+class TestCertifiedCriticalPoints:
+    """One Newton step at the support finds the critical points the colleague matrix finds."""
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_the_route_agrees_with_the_colleague_roots(self, n, monkeypatch):
+        for label, design, b in route_designs(n):
+            psi = _residual(design, DiscriminationProblem(n, b=b))[1]
+            found = _certified_critical(psi, design.points)
+            if found is None:
+                # at exactly +-b_c the outer support point can be -1 + 2 ulp,
+                # beside the double extremum at -1 where psi'' nearly vanishes
+                assert label in ("closed_form 1.0", "closed_form -1.0")
+                continue
+            pts, vals = found
+            roots = psi.critical_points()
+            assert np.abs(pts[:, None] - roots).min(axis=1).max() <= 1e-12
+            assert np.abs(roots[:, None] - pts).min(axis=1).max() <= 1e-12
+            # the route reads psi(+-1) as coefficient sums; Clenshaw's error
+            # grows like n^2 at the ends, up to 2e-14 of the sup at n = 37
+            c = psi.coeffs.tolist()
+            ends = np.array([math.fsum(c[::2]) - math.fsum(c[1::2]), math.fsum(c)])
+            inner = roots[(roots > -1.0) & (roots < 1.0)]
+            top = max(np.abs(psi(inner)).max(initial=0.0), np.abs(ends).max())
+            assert abs(np.abs(vals).max() - top) <= 1e-14 * top
+            assert np.abs(psi(np.array([-1.0, 1.0])) - ends).max() <= (n + 1) ** 2 * 1e-16 * top
+            report = verification_report(design, n, b)
+            assert report["passed"]
+            assert [c["passed"] for c in report["checks"]] == [
+                c["passed"] for c in eigenvalue_report(design, n, b, monkeypatch)["checks"]]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 20])
+    def test_an_alternating_support_off_the_extrema_fails(self, n, monkeypatch):
+        # weights |lambda_i| / sum |lambda_j| make the residuals of any n points
+        # alternate with equal magnitude, so these moved optima reach the
+        # route; off the extrema psi' does not vanish there, and the excess of
+        # max psi^2 over T is what the Newton model value must find. From
+        # n = 30 every such move of 1e-4 or more is too far to certify.
+        b = 0.5 * critical_b(n)
+        taken = 0
+        for delta in (1e-4, 1e-3, 1e-2, 3e-2, 0.1, 0.3):
+            x = t_optimal_design(n, b).design.points.copy()
+            inner = np.arange(1, n - 1)
+            x[inner] += delta * np.minimum(np.diff(x)[:-1], np.diff(x)[1:]) * (-1.0) ** inner
+            lam = np.abs([1.0 / np.prod(xi - np.delete(x, i)) for i, xi in enumerate(x)])
+            design = Design(x, lam / lam.sum())
+            report = verification_report(design, n, b)
+            assert report["checks"][1]["passed"] and not report["passed"]
+            assert [c["passed"] for c in report["checks"]] == [
+                c["passed"] for c in eigenvalue_report(design, n, b, monkeypatch)["checks"]]
+            psi = _residual(design, DiscriminationProblem(n, b=b))[1]
+            found = _certified_critical(psi, design.points)
+            if found is not None:
+                taken += 1
+                # Kantorovich's test leaves a step that contracts: the Newton
+                # point is at least 4 times closer to psi's root than x_i, to rounding
+                roots = psi.critical_points()[1:-1]
+                start = np.abs(x[(x > -1.0) & (x < 1.0), None] - roots).min(axis=1)
+                newton = np.abs(found[0][1:-1, None] - roots).min(axis=1)
+                assert (newton <= start / 4.0 + 1e-15).all()
+        assert taken >= (3 if n <= 5 else 1)
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_the_roots_of_psi_prime_sum_as_its_top_coefficients_say(self, n):
+        # a_m T_m + a_(m-1) T_(m-1) + ... is a_m 2^(m-1) x^m + a_(m-1) 2^(m-2) x^(m-1) + ...
+        for _, design, b in route_designs(n):
+            d = _residual(design, DiscriminationProblem(n, b=b))[1].deriv().coeffs
+            m = d.size - 1
+            roots = np.polynomial.chebyshev.chebroots(d)
+            assert roots.size == m == n - 1
+            total = -d[m - 1] / (2.0 * d[m])
+            assert abs(roots.sum() - total) <= 1e-13 * max(1.0, np.abs(roots).sum())
+
+    def test_at_degree_two_the_one_root_has_no_factor_two(self):
+        # psi' = a_1 T_1 + a_0 T_0, and T_0 = 1 carries no factor 2
+        for design, b in [(t_optimal_design(2, 0.3).design, 0.3),
+                          (zero_b_family(2, 0.5).design, 0.0)]:
+            d = _residual(design, DiscriminationProblem(2, b=b))[1].deriv().coeffs
+            assert d.size == 2
+            assert np.polynomial.chebyshev.chebroots(d)[0] == pytest.approx(
+                -d[0] / d[1], rel=1e-15, abs=1e-300)
+
+    def test_degree_two_keeps_its_verdicts(self, monkeypatch):
+        # psi' is linear at n = 2, so psi''' = 0 and any step would certify:
+        # the route declines the degree, and TestVerdictGrid's n = 2 optima,
+        # moves and controls keep their eigenvalue-route verdicts
+        declined = []
+        real = checks._certified_critical
+        monkeypatch.setattr(checks, "_certified_critical",
+                            lambda psi, points: declined.append(real(psi, points)))
+        TestVerdictGrid().test_optima_pass_and_moves_and_controls_fail(2)
+        assert declined and all(found is None for found in declined)
+
+    def test_the_workload_grid_makes_no_eigenvalue_call(self, monkeypatch):
+        # optima at |b| < b_c of both signs and b = 0 family members certify
+        # by the Newton step; the equispaced controls do not alternate and
+        # take the eigenvalue route, once each
+        calls = []
+        real = polynomials._critical_points
+        monkeypatch.setattr(polynomials, "_critical_points",
+                            lambda derivs: calls.append(len(derivs)) or real(derivs))
+        for n in range(3, 16):
+            bc = critical_b(n)
+            optima = [(t_optimal_design(n, s * bc).design, s * bc)
+                      for s in (0.01, 0.3, 0.62, 0.98, -0.01, -0.3, -0.62, -0.98)]
+            optima += [(zero_b_family(n, a).design, 0.0) for a in (0.0, 0.1, 0.5, 0.9, 1.0)]
+            for design, b in optima:
+                calls.clear()
+                assert verification_report(design, n, b)["passed"]
+                assert calls == []
+            control = Design(np.linspace(-1.0, 1.0, n), np.full(n, 1.0 / n))
+            for s in (-0.98, -0.3, 0.0, 0.62, 0.98):
+                calls.clear()
+                assert not verification_report(control, n, s * bc)["passed"]
+                assert calls == [1]

@@ -4,7 +4,13 @@ from numpy.polynomial import chebyshev as ncheb
 from numpy.polynomial import polynomial as npoly
 
 from tdiscrim.designs import _monomial
-from tdiscrim.polynomials import ChebyshevSeries, _colleague, _vander, chebyshev_extrema
+from tdiscrim.polynomials import (
+    ChebyshevSeries,
+    _certified_critical,
+    _colleague,
+    _vander,
+    chebyshev_extrema,
+)
 
 
 def chebyshev_t(n):
@@ -174,3 +180,47 @@ def test_chebyshev_matches_cheb2poly_of_basis_vector():
             c = _monomial(k, n + 1)
             assert same(c, padded(ncheb.poly2cheb(e), n + 1))
             assert same(padded(ncheb.cheb2poly(c), n + 1), e)
+
+
+class TestCertifiedCritical:
+    """_certified_critical on series built by hand, where each of its conditions decides."""
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_the_root_left_out_is_the_root_sum_less_the_others(self, n):
+        # psi' of T_n + T_(n-1) / 4 has n - 1 real roots inside (-1, 1); given
+        # all but the middle one, the identity supplies it
+        psi = ChebyshevSeries(np.eye(n + 1)[n] + np.eye(n + 1)[n - 1] / 4.0)
+        roots = psi.critical_points()
+        assert roots.size == n + 1
+        inner = roots[1:-1]
+        pts, vals = _certified_critical(psi, np.delete(inner, (n - 1) // 2))
+        assert pts.size == n + 1
+        assert np.abs(pts - roots).max() <= 1e-12
+        assert np.abs(vals - psi(roots)).max() <= 1e-14 * np.abs(vals).max()
+
+    def test_two_points_in_one_basin_are_refused(self):
+        # both step to the root at -0.5 of T_3' = 12 x^2 - 3; their balls overlap
+        assert _certified_critical(ChebyshevSeries([0.0, 0.0, 0.0, 1.0]),
+                                   np.array([-0.51, -0.49])) is None
+
+    def test_a_ball_across_an_endpoint_is_refused(self):
+        # T_3 + a T_1 with a = -9.0006: psi' = 12 x^2 - 3 + a has its roots just
+        # outside +-1, and a step from either end's neighbour would leave [-1, 1]
+        psi = ChebyshevSeries([0.0, 3.0 - 12.0 * 1.00005 ** 2, 0.0, 1.0])
+        for x in (-1.0 + 1e-4, 1.0 - 1e-4):
+            assert _certified_critical(psi, np.array([x])) is None
+
+    @pytest.mark.parametrize("n", [3, 8, 20, 40])
+    def test_a_start_beyond_kantorovich_is_refused(self, n):
+        # an eighth of the spacing off every critical point of T_n: one step
+        # would not reach the roots to rounding
+        inner = chebyshev_t(n).critical_points()[1:-1]
+        assert _certified_critical(chebyshev_t(n), inner + np.diff(inner).min() / 8.0) is None
+
+    def test_degrees_below_three_and_wrong_counts_are_refused(self):
+        assert _certified_critical(chebyshev_t(2), np.array([0.0])) is None
+        inner = chebyshev_t(5).critical_points()[1:-1]
+        assert _certified_critical(chebyshev_t(5), inner) is not None
+        assert _certified_critical(chebyshev_t(5), inner[1:]) is not None
+        assert _certified_critical(chebyshev_t(5), inner[2:]) is None
+        assert _certified_critical(ChebyshevSeries([0.0, 0.0, 1.0, 0.0]), inner[:2]) is None

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 import warnings
@@ -122,6 +123,32 @@ class TestNoncentralF:
                 assert power._f_test(design, 1.0, level)[1:] == pytest.approx(
                     (dfd, float(stats.f.isf(level, 2, dfd))), rel=1e-14
                 )
+
+    @pytest.mark.parametrize("design,start", [
+        (T_OPTIMAL_48, 2), (EQUIDISTANT_48, 2),
+        # one residual degree of freedom: power 0.37 at theta3 = 100, level 0.01
+        (ExactDesign([-1.0, -0.5, 0.5, 1.0], [1, 1, 1, 2]), 4),
+    ], ids=["t_optimal", "equidistant", "one_df"])
+    def test_a_huge_noncentrality_has_power_one(self, design, start):
+        # ncfdtr is NaN past lam of about 1e18 (theta3 near 1e9 on the study
+        # designs); the power is nondecreasing in lam and exactly 1 below that
+        for theta3 in 10.0 ** np.arange(start, 151):
+            for level in (0.01, 0.05, 0.1):
+                assert f_test_power_analytic(design, theta3, level) == 1.0
+        reps = f_test_power_mc(design, 1e10, 1000, 1)
+        assert reps.analytic == 1.0 and reps.consistent
+
+    def test_an_unanswered_noncentrality_is_named(self, monkeypatch):
+        from scipy import special
+
+        monkeypatch.setattr(special, "ncfdtr", lambda *args: math.nan)
+        with pytest.raises(ValueError, match=r"^noncentrality 3\.0 is beyond"):
+            f_test_power_analytic(T_OPTIMAL_48, 1.0)
+        # past scipy's range a power short of 1 at a smaller lam decides nothing
+        monkeypatch.setattr(special, "ncfdtr",
+                            lambda dfn, dfd, lam, x: math.nan if lam > 1e18 else 1e-300)
+        with pytest.raises(ValueError, match=r"^noncentrality 3e\+20 is beyond"):
+            f_test_power_analytic(T_OPTIMAL_48, 1e10)
 
     def test_matches_scipy_over_wide_noncentrality(self):
         # _power at the critical value and at two other points of the F axis

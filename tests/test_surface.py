@@ -113,7 +113,6 @@ BASELINES = [
 # (row label, parameter): a message another test pins, where it names no parameter
 PINNED = {
     ("ContinuationState", "coeffs"): r"^psi needs n \+ 1 finite Chebyshev coefficients$",
-    ("taylor_coefficients", "bbar0"): r"^bbar must be a number, got ",
     ("trajectory", "grid"): r"^bbar must be a number, got ",
 }
 
