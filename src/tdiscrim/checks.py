@@ -16,7 +16,8 @@ only. When the residuals alternate with equal magnitude, the support sits
 at those points if the design is optimal, and polynomials._certified_critical
 finds them by one Newton step from it with its values there; otherwise, or
 when that step is not certified, they come from the colleague matrix
-(critical_points) and psi_xi is evaluated there by Clenshaw.
+(critical_points) and psi_xi is evaluated there by Clenshaw, at -1 and 1
+by its coefficient sums (polynomials._at_critical).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .closed_form import canonical_weights
 from .designs import Design, DiscriminationProblem, _residual
 from .errors import check_degree, check_integer, check_ratio
-from .polynomials import ChebyshevSeries, _certified_critical
+from .polynomials import ChebyshevSeries, _at_critical, _certified_critical
 
 EQUIVALENCE_TOL = 1e-10
 ALTERNATION_TOL = 1e-8
@@ -113,13 +114,14 @@ def global_inequality(psi: ChebyshevSeries, psi_norm_sq: float) -> float:
     """Margin max over [-1,1] of psi^2 minus psi_norm_sq, its design-weighted mean square.
 
     Every local maximum of psi^2 on [-1, 1] is an endpoint or a real root
-    of psi', so the maximum is taken over the critical points of psi alone.
-    At a true optimum the margin is zero to solver precision: no point of
-    the interval beats the support. A positive margin quantifies the
-    violation. psi_norm_sq follows check_ratio's rule.
+    of psi', so the maximum is taken over the critical points of psi alone,
+    psi being read there by polynomials._at_critical. At a true optimum
+    the margin is zero to solver precision: no point of the interval beats
+    the support. A positive margin quantifies the violation. psi_norm_sq
+    follows check_ratio's rule.
     """
     psi_norm_sq = check_ratio(psi_norm_sq, "psi_norm_sq")
-    vals = psi(psi.critical_points())
+    vals = _at_critical(psi, psi.critical_points())
     return float(np.max(vals * vals) - psi_norm_sq)
 
 
@@ -142,7 +144,8 @@ def verification_report(design: Design, n: int, b: float) -> dict:
     points and psi_xi's values there come from one certified Newton step at
     the support (polynomials._certified_critical), with psi_xi(+-1) as
     coefficient sums; when it fails, or the step is not certified, from the
-    eigenvalues of the colleague matrix and Clenshaw. The two routes agree
+    eigenvalues of the colleague matrix and Clenshaw, with the same sums at
+    +-1. The two routes agree
     to rounding, so the route never decides a verdict. The tolerances
     scale with the problem: the residuals are compared to their constant
     times dev, the spread of |psi_xi| over the support to its constant
@@ -159,7 +162,7 @@ def verification_report(design: Design, n: int, b: float) -> dict:
     level = float(np.abs(pv).max())
     alt = _alternation(pv, ALTERNATION_TOL * level)
     found = _certified_critical(psi, design.points) if alt.passed else None
-    cv = psi(psi.critical_points()) if found is None else found[1]
+    cv = _at_critical(psi, psi.critical_points()) if found is None else found[1]
     # sum_i w_i psi_i x_i^k for k = 0..n-2: x^k as running products
     powers = np.empty((n - 1, design.support_size))
     powers[:] = design.points

@@ -8,8 +8,10 @@ dual to uniform approximation here: psi is the minimax error of
 x^(n-1) + bbar x^n against degree n - 2, the design sits on its n
 alternance points (endpoints -1 and 1 among them), and its weights make
 psi orthogonal over the support to every polynomial of degree n - 2. Each
-state is built that way: a Remez exchange gives psi and the points, and
-the weights are the points' normalised barycentric weights,
+state is built that way: a Remez exchange gives psi and the points, the
+points being psi's critical points by one certified Newton step from the
+start (minimax._exchanges), and the weights are the points' normalised
+barycentric weights,
 w_i proportional to 1 / prod_(j != i) |x_i - x_j| (Berrut & Trefethen,
 SIAM Review 46, 2004). At bbar = 0 the state is known in closed form,
 and at |bbar| = bbar_limit(n) it is the closed-form design at the
@@ -40,7 +42,11 @@ one at a time. In u the path's complex singularity near bbar = 0 lies
 far from the real interval, so the interpolant converges fast enough that
 at n = 3..40 the exchange stops on its first iterate (Hale & Trefethen,
 SIAM J. Numer. Anal. 46, 2008, on maps that move a singularity away from a
-Chebyshev interpolant). A result is then a function of n and bbar alone, whatever
+Chebyshev interpolant). That iterate needs no eigenvalue solve: every row a
+request starts from the table passes Kantorovich's test for one Newton step
+on psi', the explicit row included, so the support is psi's critical points
+to about an ulp, and only a row that fails the test takes the
+colleague matrix. A result is then a function of n and bbar alone, whatever
 was requested before it.
 """
 
@@ -185,11 +191,13 @@ def _alternances(n: int, bbars, starts: np.ndarray):
     EXCHANGE_TOL and MAX_EXCHANGES, and the support is the n-point
     alternance among the candidates of a row's last psi: cand[idx], with
     idx from _exchange, and psi there is vals[idx], which the stop rule has
-    already computed. At |b| = critical_b(n), where -1 is a double extremum
+    already computed: on the first pass, psi's critical points by one
+    certified Newton step from the start and Newton's model values there.
+    At |b| = critical_b(n), where -1 is a double extremum
     and the exchange finds no clean n-point set, the support is the
     closed-form design's, psi is solved on it once, and only that row
     evaluates psi afresh: it stops on its first iterate at EXCHANGE_TOL, its
-    gap being at most 2.2e-14 of the deviation (n = 3..40, REGIME_SLACK band).
+    gap being at most 5.0e-15 of the deviation (n = 3..40, REGIME_SLACK band).
 
     The rest is one array pass over the rows that were solved, as (k, n)
     arrays. The weights, which make sum_i w_i (-1)^i p(x_i) vanish for

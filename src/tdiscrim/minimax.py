@@ -4,10 +4,14 @@ Two independent routes to the same object, both on Chebyshev series. The
 closed form expresses the error polynomial psi as a rescaled Chebyshev
 polynomial of an affine map of x, valid while |b| stays below the critical
 ratio. The Remez exchange iteration solves the same problem for every b,
-with the critical points of psi taken from its colleague matrix, in one
-function for remez and the continuation path alike. That function works on
-a stack of references of one degree, each row stopping on its own:
-remez sends one row, a path request all its ratios in one call. The error
+in one function for remez and the continuation path alike. That function
+works on a stack of references of one degree, each row stopping on its
+own: remez sends one row, a path request all its ratios in one call. On
+its first pass a row takes the critical points of psi from one certified
+Newton step at its own reference (polynomials._certified_critical), which
+a path row, started from its table at the answer, always passes; the rows
+it declines, and every later pass, take them from the colleague matrix's
+eigenvalues, with psi at -1 and 1 read as coefficient sums. The error
 polynomial equioscillates on its extremal set, and that set carries the
 optimal discrimination design, which is what ties this module to the rest
 of the package.
@@ -22,7 +26,8 @@ import numpy as np
 from .closed_form import _check_regime
 from .designs import DiscriminationProblem, _cosines
 from .errors import ConvergenceError, check_degree, check_integer, check_ratio
-from .polynomials import ChebyshevSeries, _critical_points, _vander, chebyshev_extrema
+from .polynomials import (ChebyshevSeries, _at_critical, _certified_critical, _critical_points,
+                          _vander, chebyshev_extrema)
 
 # Two extremal-point candidates closer than this are one analytic extremum
 # split by the root finder; keep the larger.
@@ -93,7 +98,7 @@ def extremal_set(psi: ChebyshevSeries) -> np.ndarray:
     if psi.degree < 1:
         raise ValueError("psi must be nonconstant")
     cand = psi.critical_points()
-    return cand[_extremal(cand, psi(cand))]
+    return cand[_extremal(cand, _at_critical(psi, cand))]
 
 
 def _extremal(cand: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -163,10 +168,16 @@ def _exchanges(targets: np.ndarray, refs: np.ndarray, tol: float, max_iter: int)
     running in one stacked call, for p and the signed level against the
     target's top two terms, psi being those less p (so no cancellation),
     and exchanges the next reference of each from psi's critical points.
-    Every row, the path's critical-ratio row included, has one stop rule:
-    it stops once the largest |psi| there exceeds its level by at most tol
-    of it; its entry is then the count, p, psi, the critical points, psi
-    there and that largest |psi|. A row still running takes as its next
+    On the first pass those come, with psi's values there, from one
+    certified Newton step at the row's reference (_certified_critical:
+    Newton's model values, psi(+-1) as coefficient sums); the rows it
+    declines share one stacked _critical_points call, read by _at_critical.
+    Later passes all take that eigenvalue route, so that no model value can
+    close a gap that the exchange has not. Every row, the path's
+    critical-ratio row included, has one stop rule: it stops once the
+    largest |psi| there exceeds its level by at most tol of it; its entry
+    is then the count, p, psi, the critical points, psi there and that
+    largest |psi|. A row still running takes as its next
     reference the candidates whose indices _exchange returns. After
     max_iter references its entry is a ConvergenceError with the last
     iterate (_result) as last, and a degenerate reference leaves the
@@ -180,10 +191,16 @@ def _exchanges(targets: np.ndarray, refs: np.ndarray, tol: float, max_iter: int)
     for it in range(1, max_iter + 1):
         ps, levels = _solve_reference(refs, top, n)
         psis = [ChebyshevSeries(c) for c in np.concatenate([-ps, top], axis=1)]
-        cands = _critical_points([psi.deriv().coeffs for psi in psis])
+        # the first pass: one certified Newton step from each row's reference
+        crit = ([_certified_critical(psi, ref) for psi, ref in zip(psis, refs)]
+                if it == 1 else [None] * len(psis))
+        declined = [i for i, row in enumerate(crit) if row is None]
+        if declined:
+            cands = _critical_points([psis[i].deriv().coeffs for i in declined])
+            for i, cand in zip(declined, cands):
+                crit[i] = cand, _at_critical(psis[i], cand)
         running, exchanged = [], []
-        for j, p, level, psi, cand in zip(active, ps, levels.tolist(), psis, cands):
-            vals = psi(cand)
+        for j, p, level, psi, (cand, vals) in zip(active, ps, levels.tolist(), psis, crit):
             dev = float(np.abs(vals).max())
             if dev - abs(level) <= tol * dev:
                 found[j] = it, p, psi, cand, vals, dev

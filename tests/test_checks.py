@@ -19,7 +19,7 @@ from tdiscrim.continuation import bbar_limit, solve_at
 from tdiscrim.designs import Design, DiscriminationProblem, _residual
 from tdiscrim.maximin import RatioInterval, maximin_design, optimal_design
 from tdiscrim.minimax import closed_form_psi, remez
-from tdiscrim.polynomials import ChebyshevSeries, _certified_critical
+from tdiscrim.polynomials import ChebyshevSeries, _at_critical, _certified_critical
 
 
 def chebyshev_t(n):
@@ -164,10 +164,13 @@ class TestCriticalPointMaximum:
         polys = [closed_form_psi(n, s * bc) for s in (0.5, -0.5, 1.0, -1.0)]
         polys += [remez(n, r * bc).psi for r in (1.5, 4.0, -3.0, 50.0)]
         for psi in polys:
-            top = float(np.max(psi(psi.critical_points()) ** 2))
+            cand = psi.critical_points()
+            top = float(np.max(_at_critical(psi, cand) ** 2))
             scan = float(np.max(psi(self.SCAN) ** 2))
             assert scan - top <= 1e-12 * top
             assert global_inequality(psi, 0.0) == top
+            # Clenshaw at the ends agrees with their coefficient sums to rounding
+            assert abs(float(np.max(psi(cand) ** 2)) - top) <= (n + 1) ** 2 * 1e-16 * top
 
 
 class TestVerificationReport:

@@ -9,9 +9,9 @@ import pytest
 from numpy.polynomial import chebyshev as ncheb
 from hypothesis import given, settings, strategies as st
 
-from tdiscrim import continuation
+from tdiscrim import continuation, minimax
 from tdiscrim.closed_form import (canonical_weights, critical_b, in_explicit_regime,
-                                  t_optimal_design)
+                                  support_points, t_optimal_design)
 from tdiscrim.continuation import (
     ContinuationState,
     bbar_limit,
@@ -25,6 +25,7 @@ from tdiscrim.continuation import (
 from tdiscrim.checks import INEQUALITY_TOL, alternation_check, equivalence_system
 from tdiscrim.designs import Design, DiscriminationProblem, _fit, t_criterion
 from tdiscrim.minimax import remez
+from tdiscrim.polynomials import _at_critical, _certified_critical
 from tdiscrim.errors import ConvergenceError, OptimalityError, RegimeError
 
 
@@ -179,12 +180,13 @@ class TestSolveAt:
         assert np.abs(down.points + up.points[::-1]).max() <= 1e-9
         assert np.abs(down.weights - up.weights[::-1]).max() <= 1e-9
 
-    @pytest.mark.parametrize("n", [6, 18, 38])
+    @pytest.mark.parametrize("n", [12, 14, 20, 40])
     def test_the_limit_needs_the_explicit_row(self, n, monkeypatch):
         # at bbar_limit(n) -1 is a double extremum of psi; left to the
-        # exchange from the table's last node, the limit keeps the interior
-        # twin and drops -1 at these degrees (and keeps -1 at n = 3 and 5),
-        # so the row starts and stays on the closed-form support there
+        # exchange from the table's last node, the certified Newton step
+        # keeps the interior twin and drops -1 at these degrees (and keeps
+        # -1 at the other n = 3..40), so the row starts and stays on the
+        # closed-form support there
         table, _ = continuation._table(n)
         lim = bbar_limit(n)
         start = np.concatenate([[-1.0], continuation._lookup(table, 1.0), [1.0]])
@@ -680,21 +682,38 @@ class TestBlockPass:
         assert in_explicit_regime(n, 1.0 / rows[2][0].bbar)
         # the row after the failure, once the failing row is mended; the
         # rows before it do not move
-        mended, err = self.walk(n, *self.block(n, fail=False))
+        bbars, starts = self.block(n, fail=False)
+        mended, err = self.walk(n, bbars, starts)
         assert err is None and len(mended) == len(bbars)
         for (state, margin), (again, again_margin) in zip(rows, mended):
             assert np.array_equal(state_vector(state), state_vector(again))
             assert margin == again_margin
-        for state, margin in mended:
+        for (state, margin), start in zip(mended, self.row_starts(n, starts)):
+            # the pass's route: one certified Newton step from the row's start
             psi = state.psi()
-            cv = psi(psi.critical_points())
-            h = h_form(state)
+            _, cv = _certified_critical(psi, start)
+            pv = cv if state.bbar != bbar_limit(n) else psi(state.points)
+            h = np.sum(state.weights * pv * pv)
             assert margin == (np.max(cv * cv) - h) / h
+            # the colleague roots and Clenshaw agree to rounding: measured
+            # worst 8.9e-15 at n = 3..40
+            eig = _at_critical(psi, psi.critical_points())
+            h = h_form(state)
+            assert abs(margin - (np.max(eig * eig) - h) / h) <= 2e-14
+
+    @staticmethod
+    def row_starts(n, starts):
+        """The rows' starts as the exchange takes them: the critical ratio's is the closed-form support."""
+        starts = starts.copy()
+        starts[2] = support_points(n, 1.0 / bbar_limit(n))
+        starts[2, 0] = -1.0
+        return starts
 
     @pytest.mark.parametrize("n", [3, 12, 40])
     def test_support_values_are_psi_at_the_points(self, n, monkeypatch):
         # psi at the support is the exchange's own values there, not a
-        # second evaluation; they equal psi(points) bit for bit
+        # second evaluation: the certified step's points and its Newton
+        # model's values, to the bit
         kept = []
         exchange = continuation._exchange
 
@@ -709,9 +728,37 @@ class TestBlockPass:
         # the explicit row at the critical ratio keeps its closed-form support
         assert len(kept) == len(bbars) - 1
         del states[2]
-        for state, (points, values) in zip(states, kept):
+        starts = np.delete(starts, 2, axis=0)
+        for state, start, (points, values) in zip(states, starts, kept):
             assert np.array_equal(state.points, points)
-            assert np.array_equal(state.psi()(state.points), values)
+            pts, vals = _certified_critical(state.psi(), start)
+            assert np.array_equal(pts, points) and np.array_equal(vals, values)
+            # Clenshaw at the points agrees to rounding: measured worst
+            # 1.6e-14 of the largest |psi| at n = 3..40
+            clenshaw = state.psi()(state.points)
+            assert np.abs(clenshaw - values).max() <= 4e-14 * np.abs(values).max()
+
+
+class TestNewtonRoute:
+    """A path row takes psi's critical points from one certified Newton step at its start."""
+
+    def test_requests_make_no_eigenvalue_call(self, monkeypatch):
+        # once each degree's table exists, every row it starts is certified,
+        # the explicit row at the critical ratio included
+        for n in range(3, 41):
+            continuation._table(n)
+        calls = []
+        real = minimax._critical_points
+        monkeypatch.setattr(minimax, "_critical_points",
+                            lambda derivs: calls.append(len(derivs)) or real(derivs))
+        for n in range(3, 41):
+            lim = bbar_limit(n)
+            for share in (1e-9, 0.05, 0.5, 0.95):
+                solve_at(n, share * lim)
+                solve_at(n, -share * lim)
+                trajectory(n, np.linspace(-share * lim, share * lim, 5))
+                taylor_coefficients(n, share * lim)
+        assert calls == []
 
 
 class TestStartTable:

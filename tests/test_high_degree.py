@@ -39,7 +39,7 @@ from tdiscrim import (
     verification_report,
     zero_b_family,
 )
-from tdiscrim import continuation
+from tdiscrim import continuation, minimax
 from tdiscrim.closed_form import support_points
 from tdiscrim.continuation import h_form, inequality_margin
 from tdiscrim.designs import _dual, error_polynomial
@@ -533,18 +533,22 @@ def test_path_weights_match_60_digit_products_at_their_points(n, share):
 
 def assert_near_zero_ratio_matches_the_oracle(n, share):
     # beside bbar = 0 the path's complex singularity is nearest the real
-    # axis; the support within 1e-11 and the weights within 1e-9 relative
+    # axis, and psi' has a tiny leading coefficient; the support is psi's
+    # critical points by one certified Newton step, within 1e-15, and the
+    # weights within 1e-13 relative
     bbar = share * bbar_limit(n)
     state = solve_at(n, bbar)
     pts, wts, _, _ = mp_alternance(n, bbar, state.points)
-    assert max(abs(x - t) for x, t in zip(state.points, pts)) <= 1e-11
-    assert max(rel(w, v) for w, v in zip(state.weights, wts)) <= 1e-9
+    assert max(abs(x - t) for x, t in zip(state.points, pts)) <= 1e-15
+    assert max(rel(w, v) for w, v in zip(state.weights, wts)) <= 1e-13
 
 
-# six cells of the sweep below, measured 8.9e-13 / 1.1e-11, 3.0e-12 /
-# 8.0e-11, 4.4e-14 / 4.9e-13, 6.7e-13 / 7.4e-11, 3.2e-13 / 5.4e-12 and
-# 1.5e-13 / 4.4e-11 in points / relative weights; (24, 1e-12) is the worst
-# cell of the whole sweep in both
+# six cells of the sweep below, measured 6.3e-17 / 1.7e-15, 7.5e-17 /
+# 5.6e-15, 6.6e-17 / 5.2e-15, 5.6e-17 / 1.2e-14, 7.4e-17 / 1.0e-14 and
+# 6.5e-17 / 1.3e-14 in points / relative weights; the worst cells of the
+# whole sweep are (12, 1e-12) in points, 1.2e-16, and (39, 1e-9) in
+# weights, 2.4e-14. Colleague-matrix roots, as before the Newton step,
+# missed by up to 5.4e-12 / 1.6e-10, at (28, 1e-12)
 @pytest.mark.parametrize("n, share", [(14, 1e-12), (24, 1e-12), (28, 1e-9),
                                       (33, 1e-9), (36, 1e-12), (40, 1e-7)])
 def test_near_zero_ratio_matches_a_50_digit_oracle(n, share):
@@ -556,6 +560,40 @@ def test_near_zero_ratio_matches_a_50_digit_oracle(n, share):
 @pytest.mark.parametrize("share", (1e-12, 1e-9, 1e-7))
 def test_near_zero_ratio_sweep_matches_a_50_digit_oracle(n, share):
     assert_near_zero_ratio_matches_the_oracle(n, share)
+
+
+@pytest.mark.parametrize("n, share", [(12, 0.5), (33, 1e-9), (40, 0.95)])
+def test_a_row_newton_declines_takes_the_eigenvalues(n, share, monkeypatch):
+    # the start moved off the table by a growing share of its smallest gap:
+    # a certified first pass that cannot stop hands its row to the colleague
+    # matrix on the second pass, one call; past Kantorovich's reach the first
+    # pass falls back too, one call per pass, and the state still lands at the
+    # colleague roots' accuracy, measured worst 3.4e-13 / 3.2e-11 (33, 1e-9)
+    bbar = share * bbar_limit(n)
+    table, _ = continuation._table(n)
+    start = np.concatenate(
+        [[-1.0], continuation._lookup(table, continuation._coordinate(n, bbar)), [1.0]])
+    wiggle = np.diff(start).min() * np.sin(np.arange(1, n - 1))
+    calls, certified = [], []
+    real, certify = minimax._critical_points, minimax._certified_critical
+    monkeypatch.setattr(minimax, "_critical_points",
+                        lambda derivs: calls.append(len(derivs)) or real(derivs))
+    monkeypatch.setattr(minimax, "_certified_critical",
+                        lambda psi, points: certified.append(certify(psi, points)) or certified[-1])
+    for scale in (1e-4, 1e-3, 1e-2, 1e-1):
+        calls.clear()
+        certified.clear()
+        moved = start.copy()
+        moved[1:-1] += scale * wiggle
+        state, margin = continuation._alternance(n, bbar, moved)
+        if certified[0] is None:
+            break
+        assert calls == [1]
+    assert certified == [None] and len(calls) >= 2 and calls == [1] * len(calls)
+    assert margin <= 1e-11
+    pts, wts, _, _ = mp_alternance(n, bbar, state.points)
+    assert max(abs(x - t) for x, t in zip(state.points, pts)) <= 1e-11
+    assert max(rel(w, v) for w, v in zip(state.weights, wts)) <= 1e-9
 
 
 TAYLOR_DPS = 90

@@ -2,16 +2,21 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as ncheb
 
+import mpmath as mp
+
+from tdiscrim import minimax
 from tdiscrim.closed_form import critical_b, support_points
 from tdiscrim.errors import ConvergenceError, RegimeError
 from tdiscrim.minimax import (
+    EXCHANGE_TOL,
+    MAX_EXCHANGES,
     _exchanges,
     closed_form_psi,
     extremal_set,
     remez,
     target_polynomial,
 )
-from tdiscrim.polynomials import ChebyshevSeries, _critical_points, chebyshev_extrema
+from tdiscrim.polynomials import ChebyshevSeries, _at_critical, _critical_points, chebyshev_extrema
 
 
 def monomial(p):
@@ -293,3 +298,54 @@ def colleague_reference(d):
     real = roots.real[np.abs(roots.imag) <= 1e-9]
     real = real[(real >= -1.0 - 1e-12) & (real <= 1.0 + 1e-12)]
     return np.unique(np.concatenate(([-1.0, 1.0], real.clip(-1.0, 1.0))))
+
+
+def counted_critical_points(monkeypatch):
+    """Patch minimax._critical_points to record the rows of each call; the list of counts."""
+    calls = []
+    real = minimax._critical_points
+
+    def counter(derivs):
+        calls.append(len(derivs))
+        return real(derivs)
+
+    monkeypatch.setattr(minimax, "_critical_points", counter)
+    return calls
+
+
+def test_remez_takes_the_eigenvalues_after_its_first_pass(monkeypatch):
+    # the Chebyshev start is no alternance, so the certified step declines
+    # it, and every later pass takes the colleague matrix whatever its
+    # reference: a model value there could close the gap to exactly 0
+    calls = counted_critical_points(monkeypatch)
+    res = remez(5, 100.0)
+    assert res.iterations == 5
+    assert calls == [1] * res.iterations
+
+
+def mp_ends(coeffs):
+    """psi(-1) and psi(1) as 40-digit sums of the coefficients."""
+    with mp.workdps(40):
+        c = [mp.mpf(float(v)) for v in coeffs]
+        return mp.fsum(v * (-1) ** k for k, v in enumerate(c)), mp.fsum(c)
+
+
+@pytest.mark.parametrize("n, share", [(37, 0.7), (37, -0.7), (31, 1.0), (31, -1.0)])
+def test_the_ends_are_read_as_coefficient_sums(n, share, monkeypatch):
+    # Clenshaw at +-1 misses the 40-digit sums by up to 1.4e-14 of the sup
+    # on these series; the exchange's eigenvalue route and global_inequality
+    # (through _at_critical) read the sums, within 4 eps of the sup
+    b = share * critical_b(n)
+    psi = closed_form_psi(n, b)
+    vals = _at_critical(psi, psi.critical_points())
+    sup = np.abs(vals).max()
+    for value, exact in zip(vals[[0, -1]], mp_ends(psi.coeffs)):
+        assert abs(value - exact) <= 4 * np.finfo(float).eps * sup
+    calls = counted_critical_points(monkeypatch)
+    ext = chebyshev_extrema(n)
+    row = _exchanges(target_polynomial(n, b).coeffs[None], (ext[1:] if b >= 0 else ext[:-1])[None],
+                     EXCHANGE_TOL, MAX_EXCHANGES)[0]
+    its, _, psi, cand, vals, dev = row
+    assert calls == [1] * its and cand[0] == -1.0 and cand[-1] == 1.0
+    for value, exact in zip(vals[[0, -1]], mp_ends(psi.coeffs)):
+        assert abs(value - exact) <= 4 * np.finfo(float).eps * dev
