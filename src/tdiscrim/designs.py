@@ -126,7 +126,13 @@ class Design:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_csv(cls, text: str) -> "Design":
+    def from_csv(cls, text: str | bytes) -> "Design":
+        """Parse a design from CSV text, str or UTF-8 bytes, with an optional point,weight header.
+
+        Bytes that are not UTF-8 raise ValueError, as from_json's do.
+        """
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         rows = [r for r in csv.reader(io.StringIO(text)) if r and r[0].strip()]
         if rows and rows[0] and rows[0][0].strip().lower() == "point":
             rows = rows[1:]
@@ -327,6 +333,21 @@ def _cosines(n: int) -> tuple[np.ndarray, np.ndarray]:
     return theta, m
 
 
+@functools.cache
+def _node_trig(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos(theta), cos(theta / 2) and sin(theta / 2) at the angles of _cosines(n).
+
+    The first are the points of the first kind, where _dual_series samples
+    psi_xi; the half angles are those minimax.closed_form_psi maps. Built
+    once per degree and shared, so all three are read-only.
+    """
+    theta = _cosines(n)[0]
+    trig = np.cos(theta), np.cos(0.5 * theta), np.sin(0.5 * theta)
+    for a in trig:
+        a.flags.writeable = False
+    return trig
+
+
 def _dual_series(x: np.ndarray, problem: DiscriminationProblem, dd: float,
                  shares) -> ChebyshevSeries:
     """psi_xi on the support x from its dual (_dual's dd and shares).
@@ -347,8 +368,8 @@ def _dual_series(x: np.ndarray, problem: DiscriminationProblem, dd: float,
     one cosine matrix; the top two are the fixed part's own.
     """
     n = problem.n
-    theta, m = _cosines(n)
-    d = np.cos(theta)[:, None] - x
+    m = _cosines(n)[1]
+    d = _node_trig(n)[0][:, None] - x
     pre = d.cumprod(axis=1)
     suf = d[:, ::-1].cumprod(axis=1)[:, ::-1]
     others = np.ones_like(d)

@@ -6,15 +6,17 @@ polynomial of an affine map of x, valid while |b| stays below the critical
 ratio. The Remez exchange iteration solves the same problem for every b,
 in one function for remez and the continuation path alike. That function
 works on a stack of references of one degree, each row stopping on its
-own: remez sends one row, a path request all its ratios in one call. On
-its first pass a row takes the critical points of psi from one certified
-Newton step at its own reference (polynomials._certified_critical), which
-a path row, started from its table at the answer, always passes; the rows
-it declines, and every later pass, take them from the colleague matrix's
-eigenvalues, with psi at -1 and 1 read as coefficient sums. The error
-polynomial equioscillates on its extremal set, and that set carries the
-optimal discrimination design, which is what ties this module to the rest
-of the package.
+own: remez sends one row, a path request all its ratios in one call. Each
+pass builds one table of T_0..T_n at its references, for its stacked
+solve. On its first pass a row takes the critical points of psi from one
+certified Newton step at its own reference (polynomials._certified_critical),
+which reads the T_k rows of that pass's solve, so no second table is
+built; a path row, started from its table at the answer, always passes
+it. The rows it declines, and every later pass, take them from the
+colleague matrix's eigenvalues, with psi at -1 and 1 read as coefficient
+sums. The error polynomial equioscillates on its extremal set, and that
+set carries the optimal discrimination design, which is what ties this
+module to the rest of the package.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import _check_regime
-from .designs import DiscriminationProblem, _cosines
+from .designs import DiscriminationProblem, _cosines, _node_trig
 from .errors import ConvergenceError, check_degree, check_integer, check_ratio
 from .polynomials import (ChebyshevSeries, _at_critical, _certified_critical, _critical_points,
                           _vander, chebyshev_extrema)
@@ -68,20 +70,22 @@ def closed_form_psi(n: int, b: float) -> ChebyshevSeries:
     (1 + |b|/n)^n / 2^(n-1). For b >= 0 it is the rescaled Chebyshev
     polynomial scale * T_n(-(x + beta) / (1 + beta)) with beta = b/n,
     interpolated at the n + 1 Chebyshev points of the first kind x = cos(theta)
-    by the cosine matrix designs._cosines caches, which is exact for degree n. For negative b it is the mirror image
-    (-1)^n psi(-x), whose coefficients differ only in sign. Outside the
-    critical window the formula stops being minimax, so it is rejected
-    rather than extrapolated.
+    by the cosine matrix designs._cosines caches, which is exact for degree
+    n; the half-angle cosines and sines come from designs._node_trig's
+    cache. For negative b it is the mirror image (-1)^n psi(-x), whose
+    coefficients differ only in sign. Outside the critical window the
+    formula stops being minimax, so it is rejected rather than
+    extrapolated.
     """
     n = check_degree(n, 2)
     b = _check_regime(n, b)
     beta = abs(b) / n
     scale = (-1.0) ** n * 0.5 ** (n - 1) * (1.0 + beta) ** n
-    theta, m = _cosines(n)
+    m = _cosines(n)[1]
+    _, half, sine = _node_trig(n)
     # arccos(-(cos(theta) + beta) / (1 + beta)) by its half-angle tangent,
     # which keeps full relative accuracy where the argument nears -1 or 1
-    half = np.cos(0.5 * theta)
-    phi = 2.0 * np.arctan2(np.sqrt(half * half + beta), np.sin(0.5 * theta))
+    phi = 2.0 * np.arctan2(np.sqrt(half * half + beta), sine)
     c = m @ (scale * np.cos(n * phi))
     if b < 0:
         c[n - 1 :: -2] *= -1.0
@@ -120,7 +124,9 @@ def _solve_reference(refs: np.ndarray, tops: np.ndarray, n: int):
     Modulo degree n - 2 the target of row j is tops[j, 0] T_(n-1) +
     tops[j, 1] T_n. Solves, in one stacked call, for the degree <= n-2
     Chebyshev coefficients p and the signed level h of each row such that
-    p(x_i) + (-1)^i h equals that reduced target at x_i.
+    p(x_i) + (-1)^i h equals that reduced target at x_i. Returns p, h and
+    the pass's one table of T_0..T_n at refs, _vander(refs, n), which the
+    exchange's first pass hands row by row to _certified_critical.
     """
     k, m = refs.shape
     a = np.empty((k, m, m))
@@ -128,7 +134,7 @@ def _solve_reference(refs: np.ndarray, tops: np.ndarray, n: int):
     a[:, :, : m - 1] = v[:, :, : n - 1]
     a[:, :, m - 1] = (-1.0) ** np.arange(m)
     sol = np.linalg.solve(a, v[:, :, n - 1 :] @ tops[:, :, None])[:, :, 0]
-    return sol[:, :-1], sol[:, -1]
+    return sol[:, :-1], sol[:, -1], v
 
 
 def _exchange(cand: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
@@ -170,7 +176,8 @@ def _exchanges(targets: np.ndarray, refs: np.ndarray, tol: float, max_iter: int)
     and exchanges the next reference of each from psi's critical points.
     On the first pass those come, with psi's values there, from one
     certified Newton step at the row's reference (_certified_critical:
-    Newton's model values, psi(+-1) as coefficient sums); the rows it
+    Newton's model values, psi(+-1) as coefficient sums), which reads the
+    row's T_k rows from the table _solve_reference built; the rows it
     declines share one stacked _critical_points call, read by _at_critical.
     Later passes all take that eigenvalue route, so that no model value can
     close a gap that the exchange has not. Every row, the path's
@@ -189,10 +196,11 @@ def _exchanges(targets: np.ndarray, refs: np.ndarray, tol: float, max_iter: int)
     found: list = [None] * k
     active, top = list(range(k)), tops
     for it in range(1, max_iter + 1):
-        ps, levels = _solve_reference(refs, top, n)
+        ps, levels, table = _solve_reference(refs, top, n)
         psis = [ChebyshevSeries(c) for c in np.concatenate([-ps, top], axis=1)]
-        # the first pass: one certified Newton step from each row's reference
-        crit = ([_certified_critical(psi, ref) for psi, ref in zip(psis, refs)]
+        # the first pass: one certified Newton step from each row's reference,
+        # on the rows of the table the solve built
+        crit = ([_certified_critical(psi, ref, t) for psi, ref, t in zip(psis, refs, table)]
                 if it == 1 else [None] * len(psis))
         declined = [i for i, row in enumerate(crit) if row is None]
         if declined:

@@ -33,7 +33,9 @@ product. It declines any support it cannot certify. Both routes read psi
 at -1 and 1 as its coefficient sums (_ends), which Clenshaw's recurrence
 misses by up to 2e-14 of the sup; _at_critical reads psi at the colleague
 route's points that way. The Remez exchange takes the step on its first
-pass, where a path row's start sits at the alternance already.
+pass, where a path row's start sits at the alternance already, and hands
+it the T_k rows of that pass's reference solve, so that the pass builds
+one pseudo-Vandermonde table, not one more per row.
 """
 
 from __future__ import annotations
@@ -127,13 +129,19 @@ def _der(c: list) -> list:
     return der
 
 
-def _certified_critical(psi: ChebyshevSeries, points) -> tuple[np.ndarray, np.ndarray] | None:
+def _certified_critical(psi: ChebyshevSeries, points,
+                        table: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray] | None:
     """psi's critical points in [-1, 1] and its values there, by one Newton step at points; or None.
 
     For psi of degree n >= 3 with a nonzero top coefficient, psi' has degree
     m = n - 1. Of points, the k strictly inside (-1, 1) must number m or
     m - 1, as the interior support of an optimal design does; psi, psi' and
-    psi'' there come from one _vander product. Each x_i must pass
+    psi'' there come from one product with T_0..T_n at them. table, when
+    given, is _vander(points, n): the exchange's first pass hands each row
+    the T_k rows of that pass's reference solve. Its interior rows are read
+    in place, so the product is the one a fresh _vander of those points
+    gives, bit for bit. Without a table, or when the interior points are
+    not one run of points, that _vander is built here. Each x_i must pass
     Kantorovich's test for Newton's method on psi', L eta_i <= h_i / 4:
     L = sum_k |c_k| k^2 (k^2 - 1)(k^2 - 4) / 15 bounds |psi'''| on [-1, 1],
     as each |T_k'''| peaks at 1; h_i, |psi''(x_i)| less e'', must exceed
@@ -156,7 +164,9 @@ def _certified_critical(psi: ChebyshevSeries, points) -> tuple[np.ndarray, np.nd
     n = len(c) - 1
     if n < 3 or c[-1] == 0.0:
         return None
-    xs = [x for x in points.tolist() if -1.0 < x < 1.0]
+    given = points.tolist()
+    inside = [i for i, x in enumerate(given) if -1.0 < x < 1.0]
+    xs = [given[i] for i in inside]
     k = len(xs)
     # 4 L; a NaN or an infinite coefficient fails its test
     lip4 = 4.0 * sum(abs(a) * w for a, w in zip(c, _third(n)))
@@ -164,7 +174,11 @@ def _certified_critical(psi: ChebyshevSeries, points) -> tuple[np.ndarray, np.nd
         return None
     d1 = _der(c.copy())
     d2 = _der(d1.copy())
-    v, g, h = (np.array([c, d1 + [0.0], d2 + [0.0, 0.0]]) @ _vander(xs, n).T).tolist()
+    if table is not None and inside[-1] - inside[0] == k - 1:
+        rows = table[inside[0] : inside[-1] + 1]
+    else:
+        rows = _vander(xs, n)
+    v, g, h = (np.array([c, d1 + [0.0], d2 + [0.0, 0.0]]) @ rows.T).tolist()
     # per point over Python floats: at these sizes numpy's calls cost more
     eps = (n + 1) * (n + 1) * 2.220446049250313e-16
     e1 = eps * sum(map(abs, d1))
@@ -294,21 +308,27 @@ def _colleague(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _vander(x, deg: int) -> np.ndarray:
-    """T_0..T_deg at x, along a new last axis: chebvander's recurrence for x of any shape.
+    """T_0..T_deg at x, along a new last axis: chebvander's recurrence for x of one or more axes.
 
     The same operations in the same order as numpy's chebvander, on the
     same memory layout, so the matrix and every product taken with it agree
-    bit for bit, without its per-call coercion. Adding 0.0 turns -0.0 into
-    0.0, as chebvander does.
+    bit for bit, without its per-call coercion; a scalar x counts as one
+    point, as there. Adding 0.0 turns -0.0 into 0.0, as chebvander does.
+    Each step of the recurrence writes into its own preallocated row, with
+    no temporaries. The exchange builds one such table per pass and
+    _certified_critical reads its interior rows on the first.
     """
-    x = np.asarray(x, dtype=float) + 0.0
+    x = np.array(x, dtype=float, copy=None, ndmin=1)
     v = np.empty((deg + 1,) + x.shape)
-    v[0] = x * 0 + 1
+    rows = list(v)
+    np.multiply(x, 0.0, out=rows[0])
+    rows[0] += 1.0
     if deg > 0:
-        x2 = 2 * x
-        v[1] = x
+        x = np.add(x, 0.0, out=rows[1])
+        x2 = 2.0 * x
         for i in range(2, deg + 1):
-            v[i] = v[i - 1] * x2 - v[i - 2]
+            np.multiply(rows[i - 1], x2, out=rows[i])
+            rows[i] -= rows[i - 2]
     return v.transpose(*range(1, v.ndim), 0)
 
 

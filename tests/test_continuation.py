@@ -9,7 +9,7 @@ import pytest
 from numpy.polynomial import chebyshev as ncheb
 from hypothesis import given, settings, strategies as st
 
-from tdiscrim import continuation, minimax
+from tdiscrim import continuation, minimax, polynomials
 from tdiscrim.closed_form import (canonical_weights, critical_b, in_explicit_regime,
                                   support_points, t_optimal_design)
 from tdiscrim.continuation import (
@@ -23,9 +23,9 @@ from tdiscrim.continuation import (
     trajectory,
 )
 from tdiscrim.checks import INEQUALITY_TOL, alternation_check, equivalence_system
-from tdiscrim.designs import Design, DiscriminationProblem, _fit, t_criterion
-from tdiscrim.minimax import remez
-from tdiscrim.polynomials import _at_critical, _certified_critical
+from tdiscrim.designs import Design, DiscriminationProblem, _fit, _monomial, t_criterion
+from tdiscrim.minimax import closed_form_psi, remez
+from tdiscrim.polynomials import ChebyshevSeries, _at_critical, _certified_critical, _vander
 from tdiscrim.errors import ConvergenceError, OptimalityError, RegimeError
 
 
@@ -759,6 +759,74 @@ class TestNewtonRoute:
                 trajectory(n, np.linspace(-share * lim, share * lim, 5))
                 taylor_coefficients(n, share * lim)
         assert calls == []
+
+    @pytest.mark.parametrize("n", [3, 12, 40])
+    def test_one_chebyshev_table_per_exchange_pass(self, n, fresh_table, monkeypatch):
+        # the first pass's certified step reads the rows of the table its
+        # reference solve built: one _vander per pass, whatever the number
+        # of rows, the start table's chained rows included
+        built, seen = [], []
+        vander, exchanges = polynomials._vander, minimax._exchanges
+
+        def counted(x, deg):
+            built.append(deg)
+            return vander(x, deg)
+
+        def passes(targets, *args):
+            built.clear()
+            found = exchanges(targets, *args)
+            seen.append((len(targets), max(row[0] for row in found), len(built)))
+            return found
+
+        for module in (minimax, polynomials):
+            monkeypatch.setattr(module, "_vander", counted)
+        for module in (minimax, continuation):
+            monkeypatch.setattr(module, "_exchanges", passes)
+        lim = bbar_limit(n)
+        solve_at(n, 0.4 * lim)
+        # the table's chained rows, one exchange each, then the request's row
+        assert len(seen) == continuation.TABLE_NODES
+        assert [rows for rows, _, _ in seen] == [1] * len(seen)
+        assert all(count == it for _, it, count in seen)
+        assert seen[-1] == (1, 1, 1)
+        seen.clear()
+        trajectory(n, np.linspace(0.1, 0.9, 5) * lim)
+        assert seen == [(5, 1, 1)]
+        seen.clear()
+        remez(5, 100.0)
+        assert seen == [(1, 5, 5)]
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_the_shared_table_gives_the_standalone_step(self, n):
+        # byte for byte, on rows of stacked tables: starts read from the
+        # start table with the psi of their reference solve, and
+        # t_optimal_design supports with their closed-form psi
+        table, _ = continuation._table(n)
+        lim, bc = bbar_limit(n), critical_b(n)
+        shares = [1e-9, 0.05, 0.5, 0.95]
+        starts = np.array([np.concatenate(
+            [[-1.0], continuation._lookup(table, continuation._coordinate(n, s * lim)), [1.0]])
+            for s in shares])
+        tops = (np.array(shares)[:, None] * lim * _monomial(n, n + 1)
+                + _monomial(n - 1, n + 1))[:, n - 1 :]
+        ps, _, rows = minimax._solve_reference(starts, tops, n)
+        cases = [(ChebyshevSeries(c), x, t, True)
+                 for c, x, t in zip(np.concatenate([-ps, tops], axis=1), starts, rows)]
+        ratios = [-1.0, -0.5, 0.2, 0.7, 1.0]
+        supports = np.array([t_optimal_design(n, r * bc).design.points for r in ratios])
+        cases += [(closed_form_psi(n, r * bc), x, t, False)
+                  for r, x, t in zip(ratios, supports, _vander(supports, n))]
+        if n > 3:
+            # the interior split by an endpoint: not one run of the table
+            split = np.insert(supports[2, :-1], n // 2, 1.0)
+            cases.append((closed_form_psi(n, 0.2 * bc), split, _vander(split, n), False))
+        for psi, points, t, certified in cases:
+            alone = _certified_critical(psi, points)
+            shared = _certified_critical(psi, points, t)
+            assert (alone is None) == (shared is None)
+            assert alone is not None or not certified
+            if alone is not None:
+                assert [a.tobytes() for a in alone] == [b.tobytes() for b in shared]
 
 
 class TestStartTable:

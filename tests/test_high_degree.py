@@ -579,7 +579,8 @@ def test_a_row_newton_declines_takes_the_eigenvalues(n, share, monkeypatch):
     monkeypatch.setattr(minimax, "_critical_points",
                         lambda derivs: calls.append(len(derivs)) or real(derivs))
     monkeypatch.setattr(minimax, "_certified_critical",
-                        lambda psi, points: certified.append(certify(psi, points)) or certified[-1])
+                        lambda psi, points, table: certified.append(certify(psi, points, table))
+                        or certified[-1])
     for scale in (1e-4, 1e-3, 1e-2, 1e-1):
         calls.clear()
         certified.clear()

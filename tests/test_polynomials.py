@@ -144,6 +144,12 @@ def test_vander_matches_chebvander():
             assert np.array_equal(ours @ c, ref @ c)
 
 
+def test_vander_takes_a_scalar_as_one_point():
+    for deg in (0, 1, 5):
+        ours, ref = _vander(0.3, deg), ncheb.chebvander(0.3, deg)
+        assert same(ours, ref) and ours.shape == (1, deg + 1) and ours.strides == ref.strides
+
+
 def test_colleague_skeletons_are_cached_read_only():
     mat, scl = _colleague(6)
     assert _colleague(6)[0] is mat
