@@ -333,21 +333,6 @@ def _cosines(n: int) -> tuple[np.ndarray, np.ndarray]:
     return theta, m
 
 
-@functools.cache
-def _node_trig(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """cos(theta), cos(theta / 2) and sin(theta / 2) at the angles of _cosines(n).
-
-    The first are the points of the first kind, where _dual_series samples
-    psi_xi; the half angles are those minimax.closed_form_psi maps. Built
-    once per degree and shared, so all three are read-only.
-    """
-    theta = _cosines(n)[0]
-    trig = np.cos(theta), np.cos(0.5 * theta), np.sin(0.5 * theta)
-    for a in trig:
-        a.flags.writeable = False
-    return trig
-
-
 def _dual_series(x: np.ndarray, problem: DiscriminationProblem, dd: float,
                  shares) -> ChebyshevSeries:
     """psi_xi on the support x from its dual (_dual's dd and shares).
@@ -368,8 +353,8 @@ def _dual_series(x: np.ndarray, problem: DiscriminationProblem, dd: float,
     one cosine matrix; the top two are the fixed part's own.
     """
     n = problem.n
-    m = _cosines(n)[1]
-    d = _node_trig(n)[0][:, None] - x
+    theta, m = _cosines(n)
+    d = np.cos(theta)[:, None] - x
     pre = d.cumprod(axis=1)
     suf = d[:, ::-1].cumprod(axis=1)[:, ::-1]
     others = np.ones_like(d)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import _check_regime
-from .designs import DiscriminationProblem, _cosines, _node_trig
+from .designs import DiscriminationProblem, _cosines
 from .errors import ConvergenceError, check_degree, check_integer, check_ratio
 from .polynomials import (ChebyshevSeries, _at_critical, _certified_critical, _critical_points,
                           _vander, chebyshev_extrema)
@@ -70,22 +70,20 @@ def closed_form_psi(n: int, b: float) -> ChebyshevSeries:
     (1 + |b|/n)^n / 2^(n-1). For b >= 0 it is the rescaled Chebyshev
     polynomial scale * T_n(-(x + beta) / (1 + beta)) with beta = b/n,
     interpolated at the n + 1 Chebyshev points of the first kind x = cos(theta)
-    by the cosine matrix designs._cosines caches, which is exact for degree
-    n; the half-angle cosines and sines come from designs._node_trig's
-    cache. For negative b it is the mirror image (-1)^n psi(-x), whose
-    coefficients differ only in sign. Outside the critical window the
-    formula stops being minimax, so it is rejected rather than
-    extrapolated.
+    by the cosine matrix designs._cosines caches, which is exact for degree n. For negative b it is the mirror image
+    (-1)^n psi(-x), whose coefficients differ only in sign. Outside the
+    critical window the formula stops being minimax, so it is rejected
+    rather than extrapolated.
     """
     n = check_degree(n, 2)
     b = _check_regime(n, b)
     beta = abs(b) / n
     scale = (-1.0) ** n * 0.5 ** (n - 1) * (1.0 + beta) ** n
-    m = _cosines(n)[1]
-    _, half, sine = _node_trig(n)
+    theta, m = _cosines(n)
     # arccos(-(cos(theta) + beta) / (1 + beta)) by its half-angle tangent,
     # which keeps full relative accuracy where the argument nears -1 or 1
-    phi = 2.0 * np.arctan2(np.sqrt(half * half + beta), sine)
+    half = np.cos(0.5 * theta)
+    phi = 2.0 * np.arctan2(np.sqrt(half * half + beta), np.sin(0.5 * theta))
     c = m @ (scale * np.cos(n * phi))
     if b < 0:
         c[n - 1 :: -2] *= -1.0

@@ -140,8 +140,8 @@ def _certified_critical(psi: ChebyshevSeries, points,
     given, is _vander(points, n): the exchange's first pass hands each row
     the T_k rows of that pass's reference solve. Its interior rows are read
     in place, so the product is the one a fresh _vander of those points
-    gives, bit for bit. Without a table, or when the interior points are
-    not one run of points, that _vander is built here. Each x_i must pass
+    gives, bit for bit; points must then be sorted, as exchange references
+    are. Without a table that _vander is built here. Each x_i must pass
     Kantorovich's test for Newton's method on psi', L eta_i <= h_i / 4:
     L = sum_k |c_k| k^2 (k^2 - 1)(k^2 - 4) / 15 bounds |psi'''| on [-1, 1],
     as each |T_k'''| peaks at 1; h_i, |psi''(x_i)| less e'', must exceed
@@ -174,10 +174,8 @@ def _certified_critical(psi: ChebyshevSeries, points,
         return None
     d1 = _der(c.copy())
     d2 = _der(d1.copy())
-    if table is not None and inside[-1] - inside[0] == k - 1:
-        rows = table[inside[0] : inside[-1] + 1]
-    else:
-        rows = _vander(xs, n)
+    # exchange references are sorted, so their interior rows are one run
+    rows = _vander(xs, n) if table is None else table[inside[0] : inside[-1] + 1]
     v, g, h = (np.array([c, d1 + [0.0], d2 + [0.0, 0.0]]) @ rows.T).tolist()
     # per point over Python floats: at these sizes numpy's calls cost more
     eps = (n + 1) * (n + 1) * 2.220446049250313e-16
@@ -318,7 +316,7 @@ def _vander(x, deg: int) -> np.ndarray:
     no temporaries. The exchange builds one such table per pass and
     _certified_critical reads its interior rows on the first.
     """
-    x = np.array(x, dtype=float, copy=None, ndmin=1)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     v = np.empty((deg + 1,) + x.shape)
     rows = list(v)
     np.multiply(x, 0.0, out=rows[0])

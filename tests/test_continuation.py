@@ -816,10 +816,6 @@ class TestNewtonRoute:
         supports = np.array([t_optimal_design(n, r * bc).design.points for r in ratios])
         cases += [(closed_form_psi(n, r * bc), x, t, False)
                   for r, x, t in zip(ratios, supports, _vander(supports, n))]
-        if n > 3:
-            # the interior split by an endpoint: not one run of the table
-            split = np.insert(supports[2, :-1], n // 2, 1.0)
-            cases.append((closed_form_psi(n, 0.2 * bc), split, _vander(split, n), False))
         for psi, points, t, certified in cases:
             alone = _certified_critical(psi, points)
             shared = _certified_critical(psi, points, t)

@@ -13,7 +13,6 @@ from tdiscrim.designs import (
     _cosines,
     _fit,
     _monomial,
-    _node_trig,
     _residual,
     error_polynomial,
     t_criterion,
@@ -349,16 +348,6 @@ class TestProblem:
         assert not theta.flags.writeable and not m.flags.writeable
         c = np.random.Generator(np.random.PCG64(n)).normal(size=n + 1)
         assert np.abs(m @ ncheb.chebval(np.cos(theta), c) - c).max() <= 1e-15 * np.abs(c).sum()
-
-    @pytest.mark.parametrize("n", [2, 3, 8, 40])
-    def test_cached_node_trig_is_read_only_and_exact(self, n):
-        # the same bits as computing the node cosines and half angles afresh
-        theta, _ = _cosines(n)
-        trig = _node_trig(n)
-        assert _node_trig(n) is trig
-        for got, want in zip(trig, (np.cos(theta), np.cos(0.5 * theta), np.sin(0.5 * theta))):
-            assert not got.flags.writeable
-            assert got.tobytes() == want.tobytes()
 
     def test_cached_monomials_are_read_only_and_fixed_parts_fresh(self):
         assert not _monomial(5, 6).flags.writeable
