@@ -12,12 +12,7 @@ divided differences for right-hand sides, and the least-squares fit on any
 other support. The moment residuals are one product of the weighted
 residuals against running products of the support, and alternation reads
 the same residuals. The sup of |psi_xi| is taken over its critical points
-only. When the residuals alternate with equal magnitude, the support sits
-at those points if the design is optimal, and polynomials._certified_critical
-finds them by one Newton step from it with its values there; otherwise, or
-when that step is not certified, they come from the colleague matrix
-(critical_points) and psi_xi is evaluated there by Clenshaw, at -1 and 1
-by its coefficient sums (polynomials._at_critical).
+only, which polynomials._critical gives with psi_xi there.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ import numpy as np
 from .closed_form import canonical_weights
 from .designs import Design, DiscriminationProblem, _residual
 from .errors import check_degree, check_integer, check_ratio
-from .polynomials import ChebyshevSeries, _at_critical, _certified_critical
+from .polynomials import ChebyshevSeries, _critical
 
 EQUIVALENCE_TOL = 1e-10
 ALTERNATION_TOL = 1e-8
@@ -115,13 +110,13 @@ def global_inequality(psi: ChebyshevSeries, psi_norm_sq: float) -> float:
 
     Every local maximum of psi^2 on [-1, 1] is an endpoint or a real root
     of psi', so the maximum is taken over the critical points of psi alone,
-    psi being read there by polynomials._at_critical. At a true optimum
+    with psi there, from polynomials._critical. At a true optimum
     the margin is zero to solver precision: no point of the interval beats
     the support. A positive margin quantifies the violation. psi_norm_sq
     follows check_ratio's rule.
     """
     psi_norm_sq = check_ratio(psi_norm_sq, "psi_norm_sq")
-    vals = _at_critical(psi, psi.critical_points())
+    vals = _critical(psi)[1]
     return float(np.max(vals * vals) - psi_norm_sq)
 
 
@@ -133,27 +128,23 @@ def verification_report(design: Design, n: int, b: float) -> dict:
     most T(xi), where psi_xi is the residual of the design's own weighted
     fit and T(xi) its design-weighted mean square. No optimal psi is built,
     so the report shares no route with the constructions it checks.
-    equivalence_system checks the fit's normal equations and alternation
-    the equal-magnitude sign changes over the support;
+    equivalence_system checks the fit's normal equations and alternation the
+    equal-magnitude sign changes over the support;
     criterion_matches_deviation and global_inequality are one certificate,
-    (dev^2 - T) / dev^2 and dev^2 - T, with dev the sup of |psi_xi| over
-    its critical points. T(xi), psi_xi and the weighted residuals at the
-    support come from designs._residual; the normal equations are one
-    product of those against the powers of the support. The alternation
-    verdict, signs and spread, is taken first: when it holds, the critical
-    points and psi_xi's values there come from one certified Newton step at
-    the support (polynomials._certified_critical), with psi_xi(+-1) as
-    coefficient sums; when it fails, or the step is not certified, from the
-    eigenvalues of the colleague matrix and Clenshaw, with the same sums at
-    +-1. The two routes agree
-    to rounding, so the route never decides a verdict. The tolerances
-    scale with the problem: the residuals are compared to their constant
-    times dev, the spread of |psi_xi| over the support to its constant
-    times the largest |psi_xi(x_i)|, and the absolute margin to its
-    constant times dev^2. alternation also needs that largest
-    |psi_xi(x_i)| above the residuals' own tolerance, EQUIVALENCE_TOL times
-    dev: on fewer than n points the fit interpolates, and support
-    residuals below that level are rounding noise, not values.
+    (dev^2 - T) / dev^2 and dev^2 - T, with dev the sup of |psi_xi| over its
+    critical points. T(xi), psi_xi and the weighted residuals at the support
+    come from designs._residual; the normal equations are one product of
+    those against the powers of the support. The alternation verdict, signs
+    and spread, is taken first, and psi_xi's critical points and its values
+    there come from polynomials._critical, handed the support when it
+    alternates. Its two routes agree to rounding, so the route never decides
+    a verdict. The tolerances scale with the problem: the residuals are
+    compared to their constant times dev, the spread of |psi_xi| over the
+    support to its constant times the largest |psi_xi(x_i)|, and the
+    absolute margin to its constant times dev^2. alternation also needs that
+    largest |psi_xi(x_i)| above the residuals' own tolerance,
+    EQUIVALENCE_TOL times dev: on fewer than n points the fit interpolates,
+    and support residuals below that level are rounding noise, not values.
     """
     n = check_degree(n, 2)
     b = check_ratio(b, "b", finite=True)
@@ -161,8 +152,7 @@ def verification_report(design: Design, n: int, b: float) -> dict:
     pv = wpsi / design.weights
     level = float(np.abs(pv).max())
     alt = _alternation(pv, ALTERNATION_TOL * level)
-    found = _certified_critical(psi, design.points) if alt.passed else None
-    cv = _at_critical(psi, psi.critical_points()) if found is None else found[1]
+    cv = _critical(psi, design.points if alt.passed else None)[1]
     # sum_i w_i psi_i x_i^k for k = 0..n-2: x^k as running products
     powers = np.empty((n - 1, design.support_size))
     powers[:] = design.points

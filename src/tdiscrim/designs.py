@@ -129,10 +129,13 @@ class Design:
     def from_csv(cls, text: str | bytes) -> "Design":
         """Parse a design from CSV text, str or UTF-8 bytes, with an optional point,weight header.
 
-        Bytes that are not UTF-8 raise ValueError, as from_json's do.
+        Bytes that are not UTF-8, and input that is neither, raise ValueError,
+        as from_json's do.
         """
         if isinstance(text, bytes):
             text = text.decode("utf-8")
+        if not isinstance(text, str):
+            raise ValueError("design CSV must be str or UTF-8 bytes")
         rows = [r for r in csv.reader(io.StringIO(text)) if r and r[0].strip()]
         if rows and rows[0] and rows[0][0].strip().lower() == "point":
             rows = rows[1:]

@@ -8,15 +8,10 @@ in one function for remez and the continuation path alike. That function
 works on a stack of references of one degree, each row stopping on its
 own: remez sends one row, a path request all its ratios in one call. Each
 pass builds one table of T_0..T_n at its references, for its stacked
-solve. On its first pass a row takes the critical points of psi from one
-certified Newton step at its own reference (polynomials._certified_critical),
-which reads the T_k rows of that pass's solve, so no second table is
-built; a path row, started from its table at the answer, always passes
-it. The rows it declines, and every later pass, take them from the
-colleague matrix's eigenvalues, with psi at -1 and 1 read as coefficient
-sums. The error polynomial equioscillates on its extremal set, and that
-set carries the optimal discrimination design, which is what ties this
-module to the rest of the package.
+solve, and takes each row's critical points of psi, with psi there, from
+polynomials._critical. The error polynomial equioscillates on its
+extremal set, and that set carries the optimal discrimination design,
+which is what ties this module to the rest of the package.
 """
 
 from __future__ import annotations
@@ -28,8 +23,7 @@ import numpy as np
 from .closed_form import _check_regime
 from .designs import DiscriminationProblem, _cosines
 from .errors import ConvergenceError, check_degree, check_integer, check_ratio
-from .polynomials import (ChebyshevSeries, _at_critical, _certified_critical, _critical_points,
-                          _vander, chebyshev_extrema)
+from .polynomials import ChebyshevSeries, _critical, _vander, chebyshev_extrema
 
 # Two extremal-point candidates closer than this are one analytic extremum
 # split by the root finder; keep the larger.
@@ -93,14 +87,16 @@ def closed_form_psi(n: int, b: float) -> ChebyshevSeries:
 def extremal_set(psi: ChebyshevSeries) -> np.ndarray:
     """All x in [-1, 1] with |psi(x)| >= (1 - EXTREMAL_TOL) * sup |psi|, clustered.
 
-    psi must be nonconstant. Candidates come from the stationary points of
-    psi plus the endpoints; near-duplicates within CLUSTER_RADIUS collapse
-    to the one with the larger |psi|.
+    psi must be nonconstant, with finite coefficients. Candidates come from
+    the stationary points of psi plus the endpoints; near-duplicates within
+    CLUSTER_RADIUS collapse to the one with the larger |psi|.
     """
+    if not np.isfinite(psi.coeffs).all():
+        raise ValueError("psi must have finite coefficients")
     if psi.degree < 1:
         raise ValueError("psi must be nonconstant")
-    cand = psi.critical_points()
-    return cand[_extremal(cand, _at_critical(psi, cand))]
+    cand, vals = _critical(psi)
+    return cand[_extremal(cand, vals)]
 
 
 def _extremal(cand: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -113,7 +109,7 @@ def _extremal(cand: np.ndarray, vals: np.ndarray) -> np.ndarray:
                 out[-1] = i
         else:
             out.append(i)
-    return np.asarray(out)
+    return np.array(out, dtype=int)
 
 
 def _solve_reference(refs: np.ndarray, tops: np.ndarray, n: int):
@@ -124,7 +120,7 @@ def _solve_reference(refs: np.ndarray, tops: np.ndarray, n: int):
     Chebyshev coefficients p and the signed level h of each row such that
     p(x_i) + (-1)^i h equals that reduced target at x_i. Returns p, h and
     the pass's one table of T_0..T_n at refs, _vander(refs, n), which the
-    exchange's first pass hands row by row to _certified_critical.
+    exchange's first pass hands row by row to _critical.
     """
     k, m = refs.shape
     a = np.empty((k, m, m))
@@ -171,19 +167,16 @@ def _exchanges(targets: np.ndarray, refs: np.ndarray, tol: float, max_iter: int)
     n points. On each pass it solves the references of the rows still
     running in one stacked call, for p and the signed level against the
     target's top two terms, psi being those less p (so no cancellation),
-    and exchanges the next reference of each from psi's critical points.
-    On the first pass those come, with psi's values there, from one
-    certified Newton step at the row's reference (_certified_critical:
-    Newton's model values, psi(+-1) as coefficient sums), which reads the
-    row's T_k rows from the table _solve_reference built; the rows it
-    declines share one stacked _critical_points call, read by _at_critical.
-    Later passes all take that eigenvalue route, so that no model value can
-    close a gap that the exchange has not. Every row, the path's
-    critical-ratio row included, has one stop rule: it stops once the
-    largest |psi| there exceeds its level by at most tol of it; its entry
-    is then the count, p, psi, the critical points, psi there and that
-    largest |psi|. A row still running takes as its next
-    reference the candidates whose indices _exchange returns. After
+    and exchanges the next reference of each from psi's critical points,
+    which _critical gives with psi there. On the first pass it hands
+    _critical the row's reference and that row of the table
+    _solve_reference built; later passes hand no points, so that no Newton
+    model value can close a gap that the exchange has not. Every row, the
+    path's critical-ratio row included, has one stop rule: it stops once
+    the largest |psi| there exceeds its level by at most tol of it; its
+    entry is then the count, p, psi, the critical points, psi there and
+    that largest |psi|. A row still running takes as its next reference
+    the candidates whose indices _exchange returns. After
     max_iter references its entry is a ConvergenceError with the last
     iterate (_result) as last, and a degenerate reference leaves the
     ConvergenceError of _exchange. Each row's entry is the one a stack of
@@ -196,17 +189,9 @@ def _exchanges(targets: np.ndarray, refs: np.ndarray, tol: float, max_iter: int)
     for it in range(1, max_iter + 1):
         ps, levels, table = _solve_reference(refs, top, n)
         psis = [ChebyshevSeries(c) for c in np.concatenate([-ps, top], axis=1)]
-        # the first pass: one certified Newton step from each row's reference,
-        # on the rows of the table the solve built
-        crit = ([_certified_critical(psi, ref, t) for psi, ref, t in zip(psis, refs, table)]
-                if it == 1 else [None] * len(psis))
-        declined = [i for i, row in enumerate(crit) if row is None]
-        if declined:
-            cands = _critical_points([psis[i].deriv().coeffs for i in declined])
-            for i, cand in zip(declined, cands):
-                crit[i] = cand, _at_critical(psis[i], cand)
         running, exchanged = [], []
-        for j, p, level, psi, (cand, vals) in zip(active, ps, levels.tolist(), psis, crit):
+        for j, p, level, psi, ref, t in zip(active, ps, levels.tolist(), psis, refs, table):
+            cand, vals = _critical(psi, ref if it == 1 else None, t)
             dev = float(np.abs(vals).max())
             if dev - abs(level) <= tol * dev:
                 found[j] = it, p, psi, cand, vals, dev

@@ -14,28 +14,13 @@ floating-point operations of chebval, chebder, chebvander and
 chebcompanion in the same order, so results agree bit for bit; the tests
 hold them to that reference. The pseudo-Vandermonde matrix is returned as
 chebvander returns it, a transposed view of its recurrence's rows. The
-root finder takes a stack of derivative rows, so that an exchange over
-many references of one degree makes one eigenvalue call; one series is a
-stack of one row. Its per-row work is what numpy's dispatch would
-dominate, so it runs over Python floats, keeping numpy's NaN semantics:
-the cut of trailing coefficients. The stacked work stays in numpy: each
-size's colleague entries, built once and cached read-only, are copied
-into one preallocated stack, and the real roots inside [-1, 1] are
-masked for the whole stack at once.
+root finder's cut of trailing coefficients is per-row work that numpy's
+dispatch would dominate, so it runs over Python floats, keeping numpy's
+NaN semantics; each size's colleague entries are built once and cached
+read-only.
 
-The colleague matrix finds the critical points of any series. Where points
-sit at them already, as the interior support of an optimal design sits at
-the critical points of its own error polynomial, _certified_critical
-finds them with no eigenvalue solve: one Newton step from each point,
-accepted by Kantorovich's test, the one root a support of m - 1 points
-leaves out from the sum of the roots, and psi's values from the same
-product. It declines any support it cannot certify. Both routes read psi
-at -1 and 1 as its coefficient sums (_ends), which Clenshaw's recurrence
-misses by up to 2e-14 of the sup; _at_critical reads psi at the colleague
-route's points that way. The Remez exchange takes the step on its first
-pass, where a path row's start sits at the alternance already, and hands
-it the T_k rows of that pass's reference solve, so that the pass builds
-one pseudo-Vandermonde table, not one more per row.
+psi's critical points in [-1, 1], and psi's values there, come from one
+function, _critical, whose docstring states the route.
 """
 
 from __future__ import annotations
@@ -98,7 +83,7 @@ class ChebyshevSeries:
 
     def critical_points(self) -> np.ndarray:
         """Endpoints plus the real roots of p' inside [-1, 1], sorted; see _critical_points."""
-        return _critical_points([self.deriv().coeffs])[0]
+        return _critical_points(self.deriv().coeffs)
 
     def __neg__(self) -> "ChebyshevSeries":
         return ChebyshevSeries(-self.coeffs)
@@ -127,6 +112,29 @@ def _der(c: list) -> list:
         der[1] = 4 * c[2]
     der[0] = c[1]
     return der
+
+
+def _critical(psi: ChebyshevSeries, points=None,
+              table: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """psi's critical points in [-1, 1], sorted, and psi's values there: the one route.
+
+    When points are given and _certified_critical accepts them, with table
+    when given, the result is that certified Newton step's. Otherwise the
+    points are psi.critical_points(), the colleague matrix's route, and psi
+    is read there by Clenshaw inside and by _ends at -1 and 1. The two
+    routes agree to rounding. A caller gives points only where they may sit
+    at the critical points already: the exchange on its first pass, where a
+    path row starts at the alternance, and verification_report on a support
+    that alternates.
+    """
+    if points is not None:
+        found = _certified_critical(psi, points, table)
+        if found is not None:
+            return found
+    cand = psi.critical_points()
+    vals = psi(cand)
+    vals[0], vals[-1] = _ends(psi.coeffs.tolist())
+    return cand, vals
 
 
 def _certified_critical(psi: ChebyshevSeries, points,
@@ -158,7 +166,7 @@ def _certified_critical(psi: ChebyshevSeries, points,
     Newton point is that of Newton's quadratic model at its stationary
     point, psi(x_i) - psi'(x_i)^2 / (2 psi''(x_i)), off the extremum by the
     cubic term alone; the endpoint values are coefficient sums. None when
-    any condition fails, so that the caller takes the eigenvalue route.
+    any condition fails, so that _critical takes the eigenvalue route.
     """
     c = psi.coeffs.tolist()
     n = len(c) - 1
@@ -216,75 +224,52 @@ def _ends(c: list) -> tuple[float, float]:
     return sum(c[::2]) - sum(c[1::2]), sum(c)
 
 
-def _at_critical(psi: ChebyshevSeries, cand: np.ndarray) -> np.ndarray:
-    """psi at its critical points cand, from _critical_points: Clenshaw inside, _ends at -1 and 1.
-
-    cand holds -1 first and 1 last, as _critical_points returns them.
-    """
-    vals = psi(cand)
-    vals[0], vals[-1] = _ends(psi.coeffs.tolist())
-    return vals
-
-
 @functools.cache
 def _third(n: int) -> tuple[float, ...]:
     """T_k'''(1) = k^2 (k^2 - 1)(k^2 - 4) / 15 for k = 0..n, the peak of |T_k'''| on [-1, 1]."""
     return tuple(k * k * (k * k - 1) * (k * k - 4) / 15 for k in range(n + 1))
 
 
-def _critical_points(derivs) -> list[np.ndarray]:
-    """critical_points of a stack of series, from the coefficient rows of their derivatives.
+def _critical_points(d: np.ndarray) -> np.ndarray:
+    """critical_points of a series, from the coefficient row d of its derivative.
 
-    The roots are the eigenvalues of the colleague matrix of each row,
-    rotated as numpy's chebroots rotates it. Trailing coefficients of a row
-    up to 1e-14 of its largest are cut first: they move the roots inside
-    [-1, 1] by rounding only, and left in they overflow the matrix. A row
-    holding a NaN is cut to its constant term, as numpy's NaN-propagating
-    max would cut it. Rows cut to one length share one eigvals call, which
-    runs LAPACK's routine on each matrix of the stack as on a single one.
-    Roots within 1e-9 of the real axis count as real, and those within
-    1e-12 outside [-1, 1] as endpoint roots.
+    The roots are the eigenvalues of the colleague matrix of d, rotated as
+    numpy's chebroots rotates it. Trailing coefficients of d up to 1e-14 of
+    its largest are cut first: they move the roots inside [-1, 1] by
+    rounding only, and left in they overflow the matrix. A row holding a
+    NaN is cut to its constant term, as numpy's NaN-propagating max would
+    cut it. Roots within 1e-9 of the real axis count as real, and those
+    within 1e-12 outside [-1, 1] as endpoint roots.
     """
     # the cut over Python floats: at these sizes numpy's reductions cost more
-    cut = []
-    for d in derivs:
-        mags = [abs(v) for v in d.tolist()]
-        total = sum(mags)
-        # max skips a NaN that is not first; the sum of magnitudes keeps it
-        tol = 1e-14 * max(mags) if total == total else math.nan
-        size = len(mags)
-        while size > 1 and not mags[size - 1] > tol:
-            size -= 1
-        cut.append(d[:size])
-    roots = [np.empty(0)] * len(cut)
-    for m in {d.size - 1 for d in cut} - {0}:
-        rows = [i for i, d in enumerate(cut) if d.size - 1 == m]
-        d = np.array([cut[i] for i in rows])
-        if m == 1:
-            found = -d[:, :1] / d[:, 1:]
-        else:
-            skeleton, scl = _colleague(m)
-            # each row of mat is a colleague matrix flattened row by row
-            mat = np.empty((len(rows), m * m))
-            mat[:] = skeleton
-            mat[:, m - 1 :: m] -= (d[:, :-1] / d[:, -1:]) * scl * 0.5
-            # reversing a flattened matrix reverses both its axes
-            found = np.linalg.eigvals(mat[:, ::-1].reshape(-1, m, m))
-        real = found.real
-        keep = (np.abs(found.imag) <= 1e-9) & (real >= -1.0 - 1e-12) & (real <= 1.0 + 1e-12)
-        real = real.clip(-1.0, 1.0)
-        for i, r, k in zip(rows, real, keep):
-            roots[i] = r[k]
-    out = []
-    for r in roots:
-        pts = np.concatenate(([-1.0, 1.0], r))
-        # np.unique's sort and first-of-each-run mask, without its dispatch
-        pts.sort()
-        first = np.empty(pts.size, dtype=bool)
-        first[0] = True
-        np.not_equal(pts[1:], pts[:-1], out=first[1:])
-        out.append(pts[first])
-    return out
+    mags = [abs(v) for v in d.tolist()]
+    total = sum(mags)
+    # max skips a NaN that is not first; the sum of magnitudes keeps it
+    tol = 1e-14 * max(mags) if total == total else math.nan
+    m = len(mags) - 1
+    while m > 0 and not mags[m] > tol:
+        m -= 1
+    if m == 0:
+        return np.array([-1.0, 1.0])
+    d = d[: m + 1]
+    if m == 1:
+        found = -d[:1] / d[1:]
+    else:
+        skeleton, scl = _colleague(m)
+        # the colleague matrix flattened row by row
+        mat = skeleton.copy()
+        mat[m - 1 :: m] -= (d[:-1] / d[-1:]) * scl * 0.5
+        # reversing a flattened matrix reverses both its axes
+        found = np.linalg.eigvals(mat[::-1].reshape(m, m))
+    real = found.real
+    keep = (np.abs(found.imag) <= 1e-9) & (real >= -1.0 - 1e-12) & (real <= 1.0 + 1e-12)
+    pts = np.concatenate(([-1.0, 1.0], real.clip(-1.0, 1.0)[keep]))
+    # np.unique's sort and first-of-each-run mask, without its dispatch
+    pts.sort()
+    first = np.empty(pts.size, dtype=bool)
+    first[0] = True
+    np.not_equal(pts[1:], pts[:-1], out=first[1:])
+    return pts[first]
 
 
 @functools.cache

@@ -19,7 +19,7 @@ from tdiscrim.continuation import bbar_limit, solve_at
 from tdiscrim.designs import Design, DiscriminationProblem, _residual
 from tdiscrim.maximin import RatioInterval, maximin_design, optimal_design
 from tdiscrim.minimax import closed_form_psi, remez
-from tdiscrim.polynomials import ChebyshevSeries, _at_critical, _certified_critical
+from tdiscrim.polynomials import ChebyshevSeries, _certified_critical, _critical
 
 
 def chebyshev_t(n):
@@ -165,7 +165,7 @@ class TestCriticalPointMaximum:
         polys += [remez(n, r * bc).psi for r in (1.5, 4.0, -3.0, 50.0)]
         for psi in polys:
             cand = psi.critical_points()
-            top = float(np.max(_at_critical(psi, cand) ** 2))
+            top = float(np.max(_critical(psi)[1] ** 2))
             scan = float(np.max(psi(self.SCAN) ** 2))
             assert scan - top <= 1e-12 * top
             assert global_inequality(psi, 0.0) == top
@@ -370,7 +370,7 @@ def route_designs(n):
 def eigenvalue_report(design, n, b, monkeypatch):
     """verification_report with the certified route declined, as on a non-alternating support."""
     with monkeypatch.context() as m:
-        m.setattr(checks, "_certified_critical", lambda psi, points: None)
+        m.setattr(polynomials, "_certified_critical", lambda psi, points, table: None)
         return verification_report(design, n, b)
 
 
@@ -460,9 +460,9 @@ class TestCertifiedCriticalPoints:
         # the route declines the degree, and TestVerdictGrid's n = 2 optima,
         # moves and controls keep their eigenvalue-route verdicts
         declined = []
-        real = checks._certified_critical
-        monkeypatch.setattr(checks, "_certified_critical",
-                            lambda psi, points: declined.append(real(psi, points)))
+        real = polynomials._certified_critical
+        monkeypatch.setattr(polynomials, "_certified_critical",
+                            lambda psi, points, table: declined.append(real(psi, points, table)))
         TestVerdictGrid().test_optima_pass_and_moves_and_controls_fail(2)
         assert declined and all(found is None for found in declined)
 
@@ -473,7 +473,7 @@ class TestCertifiedCriticalPoints:
         calls = []
         real = polynomials._critical_points
         monkeypatch.setattr(polynomials, "_critical_points",
-                            lambda derivs: calls.append(len(derivs)) or real(derivs))
+                            lambda d: calls.append(len(np.atleast_2d(d))) or real(d))
         for n in range(3, 16):
             bc = critical_b(n)
             optima = [(t_optimal_design(n, s * bc).design, s * bc)

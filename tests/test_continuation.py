@@ -25,7 +25,7 @@ from tdiscrim.continuation import (
 from tdiscrim.checks import INEQUALITY_TOL, alternation_check, equivalence_system
 from tdiscrim.designs import Design, DiscriminationProblem, _fit, _monomial, t_criterion
 from tdiscrim.minimax import closed_form_psi, remez
-from tdiscrim.polynomials import ChebyshevSeries, _at_critical, _certified_critical, _vander
+from tdiscrim.polynomials import ChebyshevSeries, _certified_critical, _critical, _vander
 from tdiscrim.errors import ConvergenceError, OptimalityError, RegimeError
 
 
@@ -451,6 +451,33 @@ class TestPathCache:
             solve_at(30, bbar)
         assert err.value.last.iterations == 1
 
+    @pytest.mark.parametrize("n", [30, 40])
+    def test_declined_rows_take_one_colleague_call_each(self, n, fresh_table, monkeypatch):
+        # the certified step declines every row a corrupted table starts, and
+        # _critical hands each declined row its own colleague call; every
+        # row of the stacked pass gets the bits its ratio gets alone
+        self.corrupt_table(n, monkeypatch)
+        bbars = [s * bbar_limit(n) for s in (0.1, 0.3, 0.6, 0.9)]
+        alone = [solve_at(n, bbar).design() for bbar in bbars]
+        log = []
+        certify, colleague = polynomials._certified_critical, polynomials._critical_points
+
+        def certified(psi, points, table):
+            found = certify(psi, points, table)
+            log.append("declined" if found is None else "certified")
+            return found
+
+        monkeypatch.setattr(polynomials, "_certified_critical", certified)
+        monkeypatch.setattr(polynomials, "_critical_points",
+                            lambda d: log.append("colleague") or colleague(d))
+        rows = trajectory(n, bbars)
+        k = len(bbars)
+        assert log[: 2 * k] == ["declined", "colleague"] * k
+        assert set(log[2 * k :]) == {"colleague"}
+        for (_, design), single in zip(rows, alone):
+            assert design.points.tobytes() == single.points.tobytes()
+            assert design.weights.tobytes() == single.weights.tobytes()
+
     def test_returned_states_do_not_alias_the_cache(self, fresh_table):
         first = solve_at(5, 0.6)
         expected = state_vector(first)
@@ -697,7 +724,7 @@ class TestBlockPass:
             assert margin == (np.max(cv * cv) - h) / h
             # the colleague roots and Clenshaw agree to rounding: measured
             # worst 8.9e-15 at n = 3..40
-            eig = _at_critical(psi, psi.critical_points())
+            eig = _critical(psi)[1]
             h = h_form(state)
             assert abs(margin - (np.max(eig * eig) - h) / h) <= 2e-14
 
@@ -748,9 +775,9 @@ class TestNewtonRoute:
         for n in range(3, 41):
             continuation._table(n)
         calls = []
-        real = minimax._critical_points
-        monkeypatch.setattr(minimax, "_critical_points",
-                            lambda derivs: calls.append(len(derivs)) or real(derivs))
+        real = polynomials._critical_points
+        monkeypatch.setattr(polynomials, "_critical_points",
+                            lambda d: calls.append(len(np.atleast_2d(d))) or real(d))
         for n in range(3, 41):
             lim = bbar_limit(n)
             for share in (1e-9, 0.05, 0.5, 0.95):

@@ -39,7 +39,7 @@ from tdiscrim import (
     verification_report,
     zero_b_family,
 )
-from tdiscrim import continuation, minimax
+from tdiscrim import continuation, polynomials
 from tdiscrim.closed_form import support_points
 from tdiscrim.continuation import h_form, inequality_margin
 from tdiscrim.designs import _dual, error_polynomial
@@ -575,10 +575,10 @@ def test_a_row_newton_declines_takes_the_eigenvalues(n, share, monkeypatch):
         [[-1.0], continuation._lookup(table, continuation._coordinate(n, bbar)), [1.0]])
     wiggle = np.diff(start).min() * np.sin(np.arange(1, n - 1))
     calls, certified = [], []
-    real, certify = minimax._critical_points, minimax._certified_critical
-    monkeypatch.setattr(minimax, "_critical_points",
-                        lambda derivs: calls.append(len(derivs)) or real(derivs))
-    monkeypatch.setattr(minimax, "_certified_critical",
+    real, certify = polynomials._critical_points, polynomials._certified_critical
+    monkeypatch.setattr(polynomials, "_critical_points",
+                        lambda d: calls.append(len(np.atleast_2d(d))) or real(d))
+    monkeypatch.setattr(polynomials, "_certified_critical",
                         lambda psi, points, table: certified.append(certify(psi, points, table))
                         or certified[-1])
     for scale in (1e-4, 1e-3, 1e-2, 1e-1):

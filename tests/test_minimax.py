@@ -4,7 +4,7 @@ from numpy.polynomial import chebyshev as ncheb
 
 import mpmath as mp
 
-from tdiscrim import minimax
+from tdiscrim import minimax, polynomials
 from tdiscrim.closed_form import critical_b, support_points
 from tdiscrim.errors import ConvergenceError, RegimeError
 from tdiscrim.minimax import (
@@ -16,7 +16,7 @@ from tdiscrim.minimax import (
     remez,
     target_polynomial,
 )
-from tdiscrim.polynomials import ChebyshevSeries, _at_critical, _critical_points, chebyshev_extrema
+from tdiscrim.polynomials import ChebyshevSeries, _critical, _critical_points, chebyshev_extrema
 
 
 def monomial(p):
@@ -90,6 +90,19 @@ class TestExtremalSet:
     def test_rejects_constant(self):
         with pytest.raises(ValueError):
             extremal_set(ChebyshevSeries([2.0]))
+
+    @pytest.mark.parametrize("coeffs", [[np.nan, 1.0, 1.0], [0.0, 1.0, np.nan],
+                                        [np.inf, 1.0, 1.0], [0.0, -np.inf, 1.0], [np.nan]])
+    def test_rejects_a_non_finite_coefficient_by_name(self, coeffs):
+        with pytest.raises(ValueError, match="^psi must have finite coefficients$") as err:
+            extremal_set(ChebyshevSeries(coeffs))
+        assert err.type is ValueError
+
+    def test_no_extremal_point_is_an_empty_integer_index(self):
+        # a NaN maximum selects nothing; _result indexes with the same array
+        keep = minimax._extremal(np.array([-1.0, 0.0, 1.0]), np.array([np.nan, 1.0, 2.0]))
+        assert keep.dtype.kind == "i" and keep.size == 0
+        assert minimax._extremal(np.array([-1.0, 1.0]), np.array([1.0, -1.0])).dtype.kind == "i"
 
 
 class TestRemez:
@@ -260,8 +273,8 @@ def test_a_stack_of_exchanges_equals_its_rows():
     assert "degenerate reference" in str(stacked[4])
 
 
-def test_a_stack_of_critical_points_equals_its_rows():
-    # rows whose cut leaves the same degree share one eigvals call
+def test_critical_points_of_each_row_equal_the_colleague_reference():
+    # cut rows, a NaN row and a zero row at each size
     rng = np.random.Generator(np.random.PCG64(41))
     for size in (2, 3, 8, 21, 41):
         rows = rng.normal(size=(6, size))
@@ -269,13 +282,11 @@ def test_a_stack_of_critical_points_equals_its_rows():
         rows[2, -2:] = [1e-16, 0.0]
         rows[3] = np.nan
         rows[4] = 0.0
-        stacked = _critical_points(rows)
-        for row, pts in zip(rows, stacked):
-            assert np.array_equal(_critical_points([row])[0], pts)
-            assert np.array_equal(colleague_reference(row), pts)
+        for row in rows:
+            assert np.array_equal(_critical_points(row), colleague_reference(row))
     # a NaN past the first entry cuts the row to a constant, as numpy's max does
     row = np.array([1.0, np.nan, 2.0, 3.0])
-    assert np.array_equal(_critical_points([row])[0], [-1.0, 1.0])
+    assert np.array_equal(_critical_points(row), [-1.0, 1.0])
     assert np.array_equal(colleague_reference(row), [-1.0, 1.0])
 
 
@@ -301,15 +312,15 @@ def colleague_reference(d):
 
 
 def counted_critical_points(monkeypatch):
-    """Patch minimax._critical_points to record the rows of each call; the list of counts."""
+    """Patch polynomials._critical_points to record the rows of each call; the list of counts."""
     calls = []
-    real = minimax._critical_points
+    real = polynomials._critical_points
 
-    def counter(derivs):
-        calls.append(len(derivs))
-        return real(derivs)
+    def counter(d):
+        calls.append(len(np.atleast_2d(d)))
+        return real(d)
 
-    monkeypatch.setattr(minimax, "_critical_points", counter)
+    monkeypatch.setattr(polynomials, "_critical_points", counter)
     return calls
 
 
@@ -334,10 +345,10 @@ def mp_ends(coeffs):
 def test_the_ends_are_read_as_coefficient_sums(n, share, monkeypatch):
     # Clenshaw at +-1 misses the 40-digit sums by up to 1.4e-14 of the sup
     # on these series; the exchange's eigenvalue route and global_inequality
-    # (through _at_critical) read the sums, within 4 eps of the sup
+    # (through _critical) read the sums, within 4 eps of the sup
     b = share * critical_b(n)
     psi = closed_form_psi(n, b)
-    vals = _at_critical(psi, psi.critical_points())
+    vals = _critical(psi)[1]
     sup = np.abs(vals).max()
     for value, exact in zip(vals[[0, -1]], mp_ends(psi.coeffs)):
         assert abs(value - exact) <= 4 * np.finfo(float).eps * sup

@@ -8,6 +8,7 @@ from tdiscrim.polynomials import (
     ChebyshevSeries,
     _certified_critical,
     _colleague,
+    _critical,
     _vander,
     chebyshev_extrema,
 )
@@ -230,3 +231,54 @@ class TestCertifiedCritical:
         assert _certified_critical(chebyshev_t(5), inner[1:]) is not None
         assert _certified_critical(chebyshev_t(5), inner[2:]) is None
         assert _certified_critical(ChebyshevSeries([0.0, 0.0, 1.0, 0.0]), inner[:2]) is None
+
+
+def same_bits(a, b):
+    """Two (points, values) pairs hold the same bytes."""
+    return [x.tobytes() for x in a] == [y.tobytes() for y in b]
+
+
+class TestCritical:
+    """_critical, the one route to psi's critical points and its values there."""
+
+    @staticmethod
+    def series():
+        """Random series at degrees 1..40, and T_n + T_(n-1) / 4 at n = 3..40."""
+        rng = np.random.Generator(np.random.PCG64(42))
+        out = [ChebyshevSeries(rng.normal(size=deg + 1)) for deg in range(1, 41)]
+        out += [ChebyshevSeries(np.eye(n + 1)[n] + np.eye(n + 1)[n - 1] / 4.0)
+                for n in range(3, 41)]
+        return out
+
+    def test_without_points_it_is_the_colleague_route(self):
+        # the colleague roots, Clenshaw inside and coefficient sums at -1 and 1
+        for psi in self.series():
+            cand, vals = _critical(psi)
+            assert cand.tobytes() == psi.critical_points().tobytes()
+            assert vals[1:-1].tobytes() == psi(cand[1:-1]).tobytes()
+            c = psi.coeffs.tolist()
+            assert vals[0] == sum(c[::2]) - sum(c[1::2]) and vals[-1] == sum(c)
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_certified_points_give_the_certified_step(self, n):
+        # every interior critical point, and all but the middle one
+        psi = ChebyshevSeries(np.eye(n + 1)[n] + np.eye(n + 1)[n - 1] / 4.0)
+        inner = psi.critical_points()[1:-1]
+        for points in (inner, np.delete(inner, (n - 1) // 2)):
+            table = _vander(points, n)
+            found = _certified_critical(psi, points)
+            assert found is not None
+            assert same_bits(_critical(psi, points), found)
+            assert same_bits(_critical(psi, points, table), _certified_critical(psi, points, table))
+
+    @pytest.mark.parametrize("n", [3, 8, 20, 40])
+    def test_declined_points_fall_back(self, n):
+        # too far from the roots, too few, and a degree below three
+        inner = chebyshev_t(n).critical_points()[1:-1]
+        for psi, points in [(chebyshev_t(n), inner + np.diff(inner).min() / 8.0),
+                            (chebyshev_t(n), inner[2:]),
+                            (chebyshev_t(2), np.array([0.0]))]:
+            assert _certified_critical(psi, points) is None
+            assert same_bits(_critical(psi, points), _critical(psi))
+            assert same_bits(_critical(psi, points, _vander(points, psi.coeffs.size - 1)),
+                             _critical(psi))

@@ -328,6 +328,26 @@ def test_an_empty_grid_is_refused():
     assert str(err.value) == "grid must be a non-empty one-dimensional sequence"
 
 
+# (case, parser, input): a design parser answers input that is not text, or
+# not a design, with ValueError, never with TypeError from the io layer
+NOT_DESIGN_TEXT = [
+    ("csv-int", Design.from_csv, 123),
+    ("csv-list", Design.from_csv, ["-1,0.5"]),
+    ("csv-none", Design.from_csv, None),
+    ("json-int", Design.from_json, 123),
+    ("json-list", Design.from_json, ["-1,0.5"]),
+    ("json-none", Design.from_json, None),
+]
+
+
+@pytest.mark.parametrize("parse,source", [e[1:] for e in NOT_DESIGN_TEXT],
+                         ids=[e[0] for e in NOT_DESIGN_TEXT])
+def test_a_design_parser_refuses_input_that_is_not_text(parse, source):
+    with pytest.raises(ValueError, match="^design (CSV|JSON) must be ") as err:
+        parse(source)
+    assert err.type is ValueError
+
+
 class TestRegimePredicate:
     @pytest.mark.parametrize("n", [2, 3, 5, 12, 40])
     def test_boundary_and_slack(self, n):
@@ -547,6 +567,23 @@ def test_one_route_from_a_design_to_its_residual():
         assert not hasattr(checks, name)
     # one Chebyshev-Lobatto node function: polynomials.chebyshev_extrema
     assert not hasattr(continuation, "_lobatto")
+
+
+def test_one_route_to_the_critical_points():
+    # polynomials._critical chooses between the certified Newton step and the
+    # colleague matrix; no other module names either route or the end sums
+    assert not hasattr(polynomials, "_at_critical")
+    routes = {"_critical_points", "_certified_critical", "_ends"}
+    found = []
+    for path in sorted(Path(tdiscrim.__file__).parent.glob("*.py")):
+        if path.name == "polynomials.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.alias):
+                names = {node.name, node.asname}
+            found += [f"{path.name}:{node.lineno} {name}" for name in names & routes]
+    assert found == []
 
 
 def test_no_module_squares_by_a_power():
